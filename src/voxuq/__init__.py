@@ -16,7 +16,7 @@ from .nn_core import (GradTape, LinearLayer, OptimizerState, SpectralState,
                       cross_entropy_loss, power_iteration, softmax)
 from .ood import (BenchmarkReport, OodResult, ScoredPopulation,
                   aggregate_region, aggregate_scene, auroc, fpr_at_95_tpr,
-                  run_sweep)
+                  run_sweep, score_scene)
 from .synthworld import (CorruptionSpec, FeatureDataset, VoxelScene,
                          WorldConfig, apply_corruption, front_sector_mask,
                          generate_dataset, generate_scene, generate_world)

@@ -114,6 +114,19 @@ def _load_split(data_dir, split):
     return synthworld.load_dataset(path)
 
 
+def _int_list(raw, name, lo, hi=None):
+    """Comma-separated integers, each >= lo and (if given) <= hi; anything
+    else is a usage error."""
+    try:
+        values = tuple(int(v) for v in raw.split(",") if v.strip())
+    except ValueError:
+        values = ()
+    if not values or any(v < lo or (hi is not None and v > hi) for v in values):
+        usage_error("--%s must be comma-separated integers %s, got %r" % (
+            name, ">= %d" % lo if hi is None else "in %d-%d" % (lo, hi), raw))
+    return values
+
+
 @click.group()
 def main():
     """Uncertainty quantification toolkit for voxel-grid semantic prediction."""
@@ -248,7 +261,7 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
     for k in kinds:
         if k not in synthworld.CORRUPTION_KINDS:
             usage_error("unknown corruption %r" % k)
-    sevs = tuple(int(s) for s in severities.split(",") if s.strip())
+    sevs = _int_list(severities, "severities", 0, 3)
     bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, method_list)
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
@@ -363,9 +376,7 @@ def cmd_dim_sweep(dims, config_path, out, seed):
     """Sweep the feature/penultimate dimension and tabulate OoD metrics plus
     density-model parameter counts."""
     from .ood import feature_dim_sweep
-    dim_list = [int(d) for d in dims.split(",") if d.strip()]
-    if not dim_list:
-        usage_error("empty dims list")
+    dim_list = _int_list(dims, "dims", 2)
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
     rows = feature_dim_sweep(dim_list, world_config, seed=seed)

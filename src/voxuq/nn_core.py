@@ -20,7 +20,7 @@ class StateError(RuntimeError):
 
 
 def leaky_relu(x):
-    return np.where(x >= 0.0, x, LEAKY_SLOPE * x)
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def leaky_relu_grad(pre):

@@ -11,9 +11,9 @@ from scipy.stats import rankdata
 
 from . import synthworld
 from .gda import epistemic_score, gmm_param_count
-from .head import head_probs
 from .metrics import (EnsembleSpec, ensemble_predict, max_softmax_score,
                       predictive_entropy, softmax_entropy)
+from .nn_core import softmax
 
 HISTOGRAM_BINS = 50
 DEFAULT_SEVERITIES = (1, 2, 3)
@@ -50,7 +50,7 @@ class BenchmarkReport:
     histograms: list = field(default_factory=list)
     region_methods: dict = field(default_factory=dict)
     region_aggregates: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
+    sweep_seconds: float = 0.0
     config: dict = field(default_factory=dict)
     seed: int = 0
 
@@ -143,44 +143,60 @@ class MethodBundle:
     ensemble_heads: list = field(default_factory=list)
 
 
-def voxel_scores(method_spec, bundle, features, base_seed=0):
-    """Per-voxel uncertainty scores for one method on an n x d feature batch."""
-    name, params = parse_method(method_spec)
-    if name == "ours":
-        if bundle.gda_model is None:
-            raise ValueError("method 'ours' requires a fitted GDA model")
-        pen = bundle.head.forward(features, update_sn=False).penultimate_features
-        return epistemic_score(bundle.gda_model, pen)
-    if name == "max-softmax":
-        return max_softmax_score(head_probs(bundle.head, features))
-    if name == "entropy":
-        return softmax_entropy(head_probs(bundle.head, features))
-    if name == "mcd":
-        n = int(params.get("n", 5))
-        p = float(params.get("p", 0.1))
-        spec = EnsembleSpec(kind="mc-dropout", n=n, dropout_p=p, base_seed=base_seed)
-        mean_probs, _ = ensemble_predict(bundle.head, spec, features)
-        return predictive_entropy(mean_probs)
-    if name == "de":
-        n = int(params.get("n", 3))
-        if len(bundle.ensemble_heads) < n:
-            raise ValueError("method %r needs %d ensemble heads, have %d"
-                             % (method_spec, n, len(bundle.ensemble_heads)))
-        spec = EnsembleSpec(kind="deep-ensemble", n=n)
-        mean_probs, _ = ensemble_predict(bundle.ensemble_heads[:n], spec, features)
-        return predictive_entropy(mean_probs)
-    raise ValueError("unknown method %r" % name)
+def score_scene(methods, bundle, features, base_seed=0):
+    """Per-voxel scores of every method in `methods` on one scene's n x d
+    features, and the logits calibration uses for each, as two dicts keyed
+    by method spec: (scores, logits).
 
-
-def _scene_scores(method_spec, bundle, dataset, seed, region_mask=None):
-    out = []
-    for i, (features, _) in enumerate(dataset.iter_scene_arrays()):
-        sv = voxel_scores(method_spec, bundle, features, base_seed=seed + i)
-        if region_mask is None:
-            out.append(aggregate_scene(sv))
+    ours, max-softmax and entropy share one eval-mode forward of the main
+    head. mcd and de run one ensemble pass each (MC-Dropout pass seeds
+    base_seed + pass index); its mean probabilities p give the predictive
+    entropy and the logits log(max(p, 1e-12)).
+    """
+    scores, logits = {}, {}
+    out = probs = None
+    for method in methods:
+        name, params = parse_method(method)
+        if name in ("ours", "max-softmax", "entropy"):
+            if name == "ours" and bundle.gda_model is None:
+                raise ValueError("method 'ours' requires a fitted GDA model")
+            if out is None:
+                out = bundle.head.forward(features, update_sn=False)
+            logits[method] = out.logits
+            if name == "ours":
+                scores[method] = epistemic_score(bundle.gda_model, out.penultimate_features)
+            else:
+                probs = softmax(out.logits) if probs is None else probs
+                score = max_softmax_score if name == "max-softmax" else softmax_entropy
+                scores[method] = score(probs)
+            continue
+        if name == "mcd":
+            spec = EnsembleSpec(kind="mc-dropout", n=int(params.get("n", 5)),
+                                dropout_p=float(params.get("p", 0.1)),
+                                base_seed=base_seed)
+            members = bundle.head
         else:
-            out.append(aggregate_region(sv, region_mask.reshape(-1)))
-    return np.array(out)
+            n = int(params.get("n", 3))
+            if len(bundle.ensemble_heads) < n:
+                raise ValueError("method %r needs %d ensemble heads, have %d"
+                                 % (method, n, len(bundle.ensemble_heads)))
+            spec = EnsembleSpec(kind="deep-ensemble", n=n)
+            members = bundle.ensemble_heads[:n]
+        mean_probs, _ = ensemble_predict(members, spec, features)
+        scores[method] = predictive_entropy(mean_probs)
+        logits[method] = np.log(np.maximum(mean_probs, 1e-12))
+    return scores, logits
+
+
+def _cell_result(kind, severity, pop):
+    return OodResult(corruption=kind, severity=severity,
+                     auroc=auroc(pop), fpr95=fpr_at_95_tpr(pop),
+                     n_id=pop.id_scores.size, n_ood=pop.ood_scores.size)
+
+
+def _mean_metrics(cells):
+    return {"mauroc": float(np.mean([c.auroc for c in cells])),
+            "mfpr95": float(np.mean([c.fpr95 for c in cells]))}
 
 
 def run_sweep(methods, bundle, world, clean_test, seed=0,
@@ -189,7 +205,13 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
               region_level=True, histogram_bins=HISTOGRAM_BINS):
     """Score clean vs corrupted test scenes for every (method, corruption,
     severity) cell; fills AUROC/FPR95 grids, unweighted means, histogram
-    tables, and (optionally) frontal-sector region-level grids."""
+    tables, and (optionally) frontal-sector region-level grids.
+
+    Every scene is scored once for all methods. Region cells are read from
+    the full-scene cells: a front-sector corruption equals the full-scene
+    one inside the sector, and every score is per voxel.
+    """
+    t0 = time.perf_counter()
     sigma_z = synthworld.feature_std(clean_test)
     report = BenchmarkReport(seed=seed)
     report.config = {
@@ -198,64 +220,56 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         "n_scenes": len(clean_test.scenes),
         "histogram_bins": histogram_bins,
     }
-    mask = synthworld.front_sector_mask(world.config)
+    mask = synthworld.front_sector_mask(world.config).reshape(-1)
 
-    corrupted_cache = {}
+    def scene_means(dataset):
+        """Per method: scene means and front-sector means of its scores."""
+        scene = {m: [] for m in methods}
+        region = {m: [] for m in methods}
+        for i, (features, _) in enumerate(dataset.iter_scene_arrays()):
+            scores, _ = score_scene(methods, bundle, features, base_seed=seed + i)
+            for m in methods:
+                scene[m].append(aggregate_scene(scores[m]))
+                if region_level:
+                    region[m].append(aggregate_region(scores[m], mask))
+        return {m: (np.array(scene[m]), np.array(region[m])) for m in methods}
 
-    def corrupted_dataset(kind, severity, region):
-        key = (kind, severity, region)
-        if key not in corrupted_cache:
-            spec = synthworld.CorruptionSpec(kind=kind, severity=severity, region=region)
+    clean = scene_means(clean_test)
+    corrupted = {}
+    for kind in corruptions:
+        for severity in severities:
+            spec = synthworld.CorruptionSpec(kind=kind, severity=severity)
             scenes = [synthworld.apply_corruption(
                           s, spec,
                           synthworld.corruption_seed(world.config.seed, kind, severity, i),
                           world, sigma_z=sigma_z)
                       for i, s in enumerate(clean_test.scenes)]
-            corrupted_cache[key] = synthworld.FeatureDataset(
-                scenes=scenes, config=world.config, split="corrupted")
-        return corrupted_cache[key]
+            corrupted[kind, severity] = scene_means(synthworld.FeatureDataset(
+                scenes=scenes, config=world.config, split="corrupted"))
 
     for method in methods:
-        t0 = time.perf_counter()
-        clean_scene = _scene_scores(method, bundle, clean_test, seed)
-        clean_region = (_scene_scores(method, bundle, clean_test, seed, region_mask=mask)
-                        if region_level else None)
+        clean_scene, clean_region = clean[method]
         cells = []
         region_cells = []
         for kind in corruptions:
             for severity in severities:
-                corr = corrupted_dataset(kind, severity, "full_scene")
-                ood_scene = _scene_scores(method, bundle, corr, seed)
+                ood_scene, ood_region = corrupted[kind, severity][method]
                 pop = ScoredPopulation(clean_scene, ood_scene)
-                cells.append(OodResult(corruption=kind, severity=severity,
-                                       auroc=auroc(pop), fpr95=fpr_at_95_tpr(pop),
-                                       n_id=clean_scene.size, n_ood=ood_scene.size))
+                cells.append(_cell_result(kind, severity, pop))
                 edges, idc, oodc = histogram_table(pop, bins=histogram_bins)
                 report.histograms.append({
                     "method": method, "corruption": kind, "severity": severity,
                     "edges": edges, "count_id": idc, "count_ood": oodc,
                 })
                 if region_level:
-                    rcorr = corrupted_dataset(kind, severity, "front_sector")
-                    ood_region = _scene_scores(method, bundle, rcorr, seed,
-                                               region_mask=mask)
-                    rpop = ScoredPopulation(clean_region, ood_region)
-                    region_cells.append(OodResult(
-                        corruption=kind, severity=severity,
-                        auroc=auroc(rpop), fpr95=fpr_at_95_tpr(rpop),
-                        n_id=clean_region.size, n_ood=ood_region.size))
+                    region_cells.append(_cell_result(
+                        kind, severity, ScoredPopulation(clean_region, ood_region)))
         report.methods[method] = cells
-        report.aggregates[method] = {
-            "mauroc": float(np.mean([c.auroc for c in cells])),
-            "mfpr95": float(np.mean([c.fpr95 for c in cells])),
-        }
+        report.aggregates[method] = _mean_metrics(cells)
         if region_level:
             report.region_methods[method] = region_cells
-            report.region_aggregates[method] = {
-                "mauroc": float(np.mean([c.auroc for c in region_cells])),
-                "mfpr95": float(np.mean([c.fpr95 for c in region_cells])),
-            }
-        report.timings[method] = time.perf_counter() - t0
+            report.region_aggregates[method] = _mean_metrics(region_cells)
+    report.sweep_seconds = time.perf_counter() - t0
     return report
 
 

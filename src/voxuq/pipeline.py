@@ -10,11 +10,10 @@ import numpy as np
 from . import synthworld
 from .calibration import (CalibrationParams, ece, fit_temperature, nll,
                           scale_logits, tune_lambda, ugts_temperature)
-from .gda import DEFAULT_CAP_PER_CLASS, collect_features, epistemic_score, fit_gda
+from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda
 from .head import HeadConfig, ResidualMlpHead, train_head
-from .metrics import EnsembleSpec, ensemble_predict, softmax_entropy
 from .nn_core import OptimizerState, softmax
-from .ood import MethodBundle, parse_method, run_sweep
+from .ood import MethodBundle, parse_method, run_sweep, score_scene
 
 DEFAULT_EPOCHS = 6
 DEFAULT_BATCH = 512
@@ -82,58 +81,33 @@ def build_pipeline_for_dim(base_config, dim, seed):
     return world, bundle, test_ds
 
 
-# -- uncertainty measure feeding UGTS --------------------------------------
+# -- calibration -----------------------------------------------------------
 
-def scene_uncertainty_for_calibration(method, bundle, features, base_seed=0):
-    """Per-scene mean uncertainty used to modulate the temperature:
-    epistemic density score for 'ours', predictive entropy for mcd/de,
-    softmax entropy otherwise."""
-    from .ood import voxel_scores
+def _calibration_pass(method, bundle, dataset, seed):
+    """One scoring pass over `dataset`: the method's calibration logits and
+    labels over all voxels, and each scene's mean uncertainty, which
+    modulates the temperature (epistemic density score for 'ours',
+    predictive entropy for mcd/de, softmax entropy for the softmax
+    baselines)."""
     name, _ = parse_method(method)
-    if name in ("ours", "mcd", "de"):
-        scores = voxel_scores(method, bundle, features, base_seed=base_seed)
-    else:
-        from .head import head_probs
-        scores = softmax_entropy(head_probs(bundle.head, features))
-    return float(np.mean(scores))
-
-
-def method_logits(method, bundle, features, base_seed=0):
-    """Logits used for calibration: the single head's logits for ours and the
-    softmax baselines; log of the ensemble-mean probabilities for mcd/de."""
-    name, params = parse_method(method)
-    if name == "mcd":
-        spec = EnsembleSpec(kind="mc-dropout", n=int(params.get("n", 5)),
-                            dropout_p=float(params.get("p", 0.1)),
-                            base_seed=base_seed)
-        mean_probs, _ = ensemble_predict(bundle.head, spec, features)
-        return np.log(np.maximum(mean_probs, 1e-12))
-    if name == "de":
-        n = int(params.get("n", 3))
-        spec = EnsembleSpec(kind="deep-ensemble", n=n)
-        mean_probs, _ = ensemble_predict(bundle.ensemble_heads[:n], spec, features)
-        return np.log(np.maximum(mean_probs, 1e-12))
-    return bundle.head.forward(features, update_sn=False).logits
+    scored = "entropy" if name == "max-softmax" else method
+    logits, labels, u_scene = [], [], []
+    for i, (f, y) in enumerate(dataset.iter_scene_arrays()):
+        scores, scene_logits = score_scene([scored], bundle, f, base_seed=seed + i)
+        logits.append(scene_logits[scored])
+        labels.append(y)
+        u_scene.append(float(np.mean(scores[scored])))
+    return np.concatenate(logits), np.concatenate(labels), u_scene
 
 
 def calibrate_method(method, bundle, world, train_ds, val_ds,
                      lam_grid=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5),
                      mode="additive", bins=15, seed=0):
     """Fit t_train on clean validation logits, compute the train-set mean
-    uncertainty, and tune lambda on the clean split. Returns
-    (CalibrationParams, per-scene validation temperatures)."""
-    u_train = [scene_uncertainty_for_calibration(method, bundle, f, base_seed=seed + i)
-               for i, (f, _) in enumerate(train_ds.iter_scene_arrays())]
-    u_bar_train = float(np.mean(u_train))
-
-    logits_list, labels_list, u_val = [], [], []
-    for i, (f, y) in enumerate(val_ds.iter_scene_arrays()):
-        logits_list.append(method_logits(method, bundle, f, base_seed=seed + i))
-        labels_list.append(y)
-        u_val.append(scene_uncertainty_for_calibration(method, bundle, f,
-                                                       base_seed=seed + i))
-    logits = np.concatenate(logits_list)
-    labels = np.concatenate(labels_list)
+    uncertainty, and tune lambda on the clean split. Returns the
+    CalibrationParams."""
+    u_bar_train = float(np.mean(_calibration_pass(method, bundle, train_ds, seed)[2]))
+    logits, labels, u_val = _calibration_pass(method, bundle, val_ds, seed)
     voxels = val_ds.config.voxels_per_scene
     u_per_voxel = np.repeat(u_val, voxels)
 
@@ -152,14 +126,7 @@ def evaluate_calibration(method, bundle, world, params, test_ds, sigma_z,
     for uncalibrated, fixed-TS and UGTS logit scaling."""
 
     def split_metrics(ds):
-        logits_list, labels_list, u_scene = [], [], []
-        for i, (f, y) in enumerate(ds.iter_scene_arrays()):
-            logits_list.append(method_logits(method, bundle, f, base_seed=seed + i))
-            labels_list.append(y)
-            u_scene.append(scene_uncertainty_for_calibration(
-                method, bundle, f, base_seed=seed + i))
-        logits = np.concatenate(logits_list)
-        labels = np.concatenate(labels_list)
+        logits, labels, u_scene = _calibration_pass(method, bundle, ds, seed)
         voxels = ds.config.voxels_per_scene
         u_per_voxel = np.repeat(u_scene, voxels)
         out = {}

@@ -8,6 +8,7 @@ labels.bin (little-endian uint16, same voxel order).
 """
 
 import json
+import zlib
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -114,7 +115,8 @@ class FeatureDataset:
 
 def scene_seed(dataset_seed, split, index):
     """Deterministic per-scene seed from (dataset seed, split, scene index)."""
-    split_code = {"train": 1, "val": 2, "test": 3, "": 0}.get(split, hash(split) & 0xFFFF)
+    split_code = {"train": 1, "val": 2, "test": 3, "": 0}.get(
+        split, zlib.crc32(split.encode()) & 0xFFFF)
     ss = np.random.SeedSequence([dataset_seed, split_code, index])
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 

@@ -19,9 +19,9 @@ from voxuq.gda import FeatureBank, fit_gda, gmm_param_count
 from voxuq.head import (HeadConfig, ResidualMlpHead, estimate_lipschitz,
                         lipschitz_upper_bound)
 from voxuq.nn_core import power_iteration, softmax
-from voxuq.ood import ScoredPopulation, auroc, fpr_at_95_tpr, run_sweep, voxel_scores
+from voxuq.ood import ScoredPopulation, auroc, fpr_at_95_tpr, run_sweep, score_scene
 from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
-                            head_config_for_world, method_logits)
+                            head_config_for_world)
 from voxuq.store import (load_calibration, load_gda, load_head,
                          save_calibration, save_gda, save_head)
 
@@ -226,8 +226,8 @@ def test_criterion_4_metric_oracles(default_pipeline):
     p = default_pipeline
     big = synthworld.generate_dataset(p["world"], "test", n_scenes=400)
     scene_scores = np.array([
-        voxel_scores("ours", p["bundle"],
-                     s.features.reshape(-1, p["config"].feature_dim)).mean()
+        score_scene(["ours"], p["bundle"],
+                    s.features.reshape(-1, p["config"].feature_dim))[0]["ours"].mean()
         for s in big.scenes])
     null_auroc = auroc(ScoredPopulation(scene_scores[:200], scene_scores[200:]))
 
@@ -272,7 +272,7 @@ def test_criterion_6_calibration_direction(default_pipeline):
     params = calibrate_method("ours", p["bundle"], p["world"], p["train"],
                               p["val"], seed=42)
     val_logits = np.concatenate([
-        method_logits("ours", p["bundle"], f)
+        score_scene(["ours"], p["bundle"], f)[1]["ours"]
         for f, _ in p["val"].iter_scene_arrays()])
     val_labels = np.concatenate([y for _, y in p["val"].iter_scene_arrays()])
     t_star = fit_temperature(val_logits, val_labels)

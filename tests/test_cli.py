@@ -163,7 +163,8 @@ def test_eval_ood_writes_reports(workspace, runner):
     assert set(doc["methods"]["ours"]["auroc"]) == {"noise:1", "noise:3",
                                                     "fog:1", "fog:3"}
     assert (out / "histograms.csv").exists()
-    assert (out / "timing.json").exists()
+    timing = json.loads((out / "timing.json").read_text())
+    assert set(timing) == {"sweep_seconds"} and timing["sweep_seconds"] > 0
 
 
 def test_eval_ood_deterministic_metrics(workspace, runner):
@@ -203,6 +204,18 @@ def test_eval_ood_rejects_unknown_corruption(workspace, runner):
                              "--methods", "ours", "--corruptions", "hail",
                              "--out", str(workspace["root"] / "x")])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("severities", ["x", "1,two", "1.5", "4", "-1", ","])
+def test_eval_ood_bad_severities_exit_2(workspace, runner, severities):
+    r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--methods", "ours",
+                             "--severities", severities,
+                             "--out", str(workspace["root"] / "x")])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
 
 
 def test_calibrate_writes_params_and_report(workspace, runner):
@@ -256,3 +269,13 @@ def test_dim_sweep_tabulates_param_counts(workspace, runner):
     assert rows[0]["gmm_params"] == 5 * (4 + 16)
     assert rows[1]["gmm_params"] == 5 * (8 + 64)
     assert (out / "dim_sweep.md").exists()
+
+
+@pytest.mark.parametrize("dims", ["4,x", "eight", "4.5", "1"])
+def test_dim_sweep_bad_dims_exit_2(workspace, runner, dims):
+    r = runner.invoke(main, ["dim-sweep", "--dims", dims,
+                             "--config", str(workspace["config"]),
+                             "--out", str(workspace["root"] / "x")])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voxuq.nn_core import (GradTape, LinearLayer, OptimizerState, ShapeError,
+from voxuq.nn_core import (LEAKY_SLOPE, GradTape, LinearLayer, OptimizerState, ShapeError,
                            SpectralState, StateError, cross_entropy_loss,
                            leaky_relu, linear_forward, power_iteration, softmax)
 
@@ -190,6 +190,15 @@ def test_grad_tape_clears_after_reverse():
     assert len(tape) == 0
     with pytest.raises(StateError):
         tape.reversed_entries()
+
+
+def test_leaky_relu_bit_identical_to_select_form():
+    rng = np.random.default_rng(5)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        5e-324, -5e-324, 1e-310, -1e-310])
+    x = np.concatenate([rng.standard_normal(10000) * 10.0, special])
+    want = np.where(x >= 0.0, x, LEAKY_SLOPE * x)
+    assert np.array_equal(leaky_relu(x).view(np.uint64), want.view(np.uint64))
 
 
 def test_leaky_relu_values():

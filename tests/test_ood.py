@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxuq import synthworld
+from voxuq.head import ResidualMlpHead
 from voxuq.ood import (MethodBundle, ScoredPopulation, aggregate_region,
                        aggregate_scene, auroc, fpr_at_95_tpr, histogram_table,
-                       parse_method, voxel_scores)
+                       parse_method, run_sweep, score_scene)
+from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
+                            head_config_for_world)
 
 
 def all_pairs_auroc(id_scores, ood_scores):
@@ -157,7 +161,7 @@ def test_ours_requires_density_model():
                                       num_classes=3), seed=0)
     bundle = MethodBundle(head=head, gda_model=None)
     with pytest.raises(ValueError):
-        voxel_scores("ours", bundle, np.zeros((2, 4)))
+        score_scene(["ours"], bundle, np.zeros((2, 4)))
 
 
 def test_de_requires_enough_members():
@@ -166,4 +170,89 @@ def test_de_requires_enough_members():
                                       num_classes=3), seed=0)
     bundle = MethodBundle(head=head, ensemble_heads=[head])
     with pytest.raises(ValueError):
-        voxel_scores("de:n=3", bundle, np.zeros((2, 4)))
+        score_scene(["de:n=3"], bundle, np.zeros((2, 4)))
+
+
+# -- fused sweep ------------------------------------------------------------
+
+SWEEP_SEED = 3
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    config = synthworld.WorldConfig(grid=(8, 8, 2), num_classes=5, feature_dim=8,
+                                    objects_min=3, objects_max=3, train_scenes=8,
+                                    val_scenes=2, test_scenes=6, seed=7)
+    world = synthworld.generate_world(config)
+    train = synthworld.generate_dataset(world, "train")
+    test = synthworld.generate_dataset(world, "test")
+    bundle, _ = build_bundle(head_config_for_world(config), train, seed=7, epochs=2)
+    return world, bundle, train, test
+
+
+def test_region_cells_equal_explicit_front_sector_corruption(tiny):
+    """Region cells come from the full-scene cell's scores; scoring a
+    front-sector corruption of its own must give the same in-sector bits."""
+    world, bundle, _, test = tiny
+    methods = ["ours", "max-softmax", "mcd:n=2"]
+    report = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
+    mask = synthworld.front_sector_mask(world.config).reshape(-1)
+    sigma_z = synthworld.feature_std(test)
+    d = world.config.feature_dim
+
+    def scores(method, scene, i):
+        features = scene.features.reshape(-1, d)
+        return score_scene([method], bundle, features, base_seed=SWEEP_SEED + i)[0][method]
+
+    def corrupt(kind, severity, region):
+        spec = synthworld.CorruptionSpec(kind=kind, severity=severity, region=region)
+        return [synthworld.apply_corruption(
+                    s, spec, synthworld.corruption_seed(world.config.seed, kind, severity, i),
+                    world, sigma_z=sigma_z)
+                for i, s in enumerate(test.scenes)]
+
+    for method in methods:
+        clean = np.array([aggregate_region(scores(method, s, i), mask)
+                          for i, s in enumerate(test.scenes)])
+        cells = iter(report.region_methods[method])
+        for kind in synthworld.CORRUPTION_KINDS:
+            for severity in (1, 2, 3):
+                front = corrupt(kind, severity, "front_sector")
+                full = corrupt(kind, severity, "full_scene")
+                ood = []
+                for i, (f, g) in enumerate(zip(front, full)):
+                    sf, sg = scores(method, f, i), scores(method, g, i)
+                    assert np.array_equal(sf[mask], sg[mask]), (method, kind, severity)
+                    ood.append(aggregate_region(sf, mask))
+                cell = next(cells)
+                assert (cell.corruption, cell.severity) == (kind, severity)
+                assert cell.auroc == auroc(ScoredPopulation(clean, np.array(ood)))
+
+
+def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
+    world, bundle, train, test = tiny
+    calls = {"forward": 0, "corruption": 0}
+    forward = ResidualMlpHead.forward
+    apply_corruption = synthworld.apply_corruption
+
+    def counting_forward(self, *args, **kwargs):
+        calls["forward"] += 1
+        return forward(self, *args, **kwargs)
+
+    def counting_corruption(*args, **kwargs):
+        calls["corruption"] += 1
+        return apply_corruption(*args, **kwargs)
+
+    monkeypatch.setattr(ResidualMlpHead, "forward", counting_forward)
+    monkeypatch.setattr(synthworld, "apply_corruption", counting_corruption)
+    run_sweep(["ours", "max-softmax", "entropy"], bundle, world, test, seed=SWEEP_SEED)
+    n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
+    assert calls == {"forward": n * (1 + cells), "corruption": n * cells}
+
+    calls.update(forward=0, corruption=0)
+    val = synthworld.generate_dataset(world, "val")
+    params = calibrate_method("ours", bundle, world, train, val, seed=SWEEP_SEED)
+    evaluate_calibration("ours", bundle, world, params, test,
+                         synthworld.feature_std(train), seed=SWEEP_SEED)
+    assert calls == {"forward": len(train.scenes) + len(val.scenes) + n * (1 + cells),
+                     "corruption": n * cells}

@@ -27,7 +27,7 @@ def small_report():
         "count_id": np.array([2, 2, 0, 0]),
         "count_ood": np.array([0, 0, 1, 3]),
     })
-    rep.timings["ours"] = 0.5
+    rep.sweep_seconds = 0.5
     return rep
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,6 +85,25 @@ def test_scene_seed_distinct_across_splits_and_indices():
     seeds = {scene_seed(42, split, i)
              for split in ("train", "val", "test") for i in range(10)}
     assert len(seeds) == 30
+
+
+def test_scene_seed_keeps_the_builtin_split_codes():
+    for code, split in enumerate(("", "train", "val", "test")):
+        ss = np.random.SeedSequence([42, code, 3])
+        want = int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
+        assert scene_seed(42, split, 3) == want
+
+
+def test_scene_seed_of_custom_split_is_stable_across_processes():
+    src = str(Path(synthworld.__file__).resolve().parents[1])
+    code = "from voxuq.synthworld import scene_seed; print(scene_seed(42, 'holdout', 3))"
+    seeds = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        seeds.add(int(proc.stdout))
+    assert seeds == {scene_seed(42, "holdout", 3)}
 
 
 def test_generate_dataset_sizes(world):
