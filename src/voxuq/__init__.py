@@ -7,9 +7,9 @@ and a scene/region-level OoD benchmark on a synthetic voxel world.
 from .calibration import (CalibrationParams, ece, fit_temperature, nll,
                           scale_logits, tune_lambda, ugts_temperature)
 from .gda import (FeatureBank, GdaModel, collect_features, epistemic_score,
-                  fit_gda, gmm_param_count, log_density)
+                  fit_gda, gmm_param_count)
 from .head import (HeadConfig, HeadOutput, ResidualMlpHead, dropout_forward,
-                   estimate_lipschitz, head_forward, train_head)
+                   estimate_lipschitz, train_head)
 from .metrics import (EnsembleSpec, ensemble_predict, max_softmax_score,
                       mutual_information, predictive_entropy, softmax_entropy)
 from .nn_core import (GradTape, LinearLayer, OptimizerState, SpectralState,

@@ -3,7 +3,7 @@ uncertainty-guided temperature scaling (per-sample temperatures driven by the
 gap between a sample's uncertainty and the training-set mean).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,13 +20,10 @@ class CalibrationParams:
     t_train: float = 1.0
     lam: float = 0.0
     u_bar_train: float = 0.0
-    mode: str = "additive"       # "additive" | "multiplicative"
     t_min: float = DEFAULT_T_MIN
     t_max: float = DEFAULT_T_MAX
 
     def __post_init__(self):
-        if self.mode not in ("additive", "multiplicative"):
-            raise ValueError("unknown UGTS mode %r" % self.mode)
         if not (0.0 < self.t_min <= self.t_max):
             raise ValueError("need 0 < t_min <= t_max")
 
@@ -137,21 +134,13 @@ def fit_temperature(logits, labels, t_min=DEFAULT_T_MIN, t_max=DEFAULT_T_MAX,
 
 
 def ugts_temperature(params, u_bar_sample):
-    """Per-sample temperature from the uncertainty gap, clamped to
-    [t_min, t_max].
-
-    additive (default): t_train + lam * (u_sample - u_train)
-    multiplicative:     t_train * lam * (u_sample - u_train)
-    """
+    """Per-sample temperature t_train + lam * (u_sample - u_train), clamped
+    to [t_min, t_max]."""
     gap = np.asarray(u_bar_sample, dtype=np.float64) - params.u_bar_train
-    if params.mode == "additive":
-        t = params.t_train + params.lam * gap
-    else:
-        t = params.t_train * params.lam * gap
-    return np.clip(t, params.t_min, params.t_max)
+    return np.clip(params.t_train + params.lam * gap, params.t_min, params.t_max)
 
 
-def tune_lambda(logits, labels, u_bar_sample, params, lam_grid, bins=DEFAULT_BINS):
+def tune_lambda(logits, labels, u_bar_sample, params, lam_grid):
     """Pick the lambda minimizing ECE on a clean validation split.
 
     Ties resolve to the smaller |lambda|. Returns (lam_star, ece_at_star).
@@ -161,12 +150,8 @@ def tune_lambda(logits, labels, u_bar_sample, params, lam_grid, bins=DEFAULT_BIN
         raise ValueError("empty lambda grid")
     best_lam, best_ece = None, None
     for lam in sorted(lam_grid, key=abs):
-        trial = CalibrationParams(t_train=params.t_train, lam=lam,
-                                  u_bar_train=params.u_bar_train,
-                                  mode=params.mode, t_min=params.t_min,
-                                  t_max=params.t_max)
-        t = ugts_temperature(trial, u_bar_sample)
-        value = ece(scale_logits(logits, t), labels, bins=bins).ece
+        t = ugts_temperature(replace(params, lam=lam), u_bar_sample)
+        value = ece(scale_logits(logits, t), labels).ece
         if best_ece is None or value < best_ece:
             best_lam, best_ece = lam, value
     return best_lam, best_ece

@@ -8,16 +8,16 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data or fit error.
 import configparser
 import csv
 import hashlib
+import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import pipeline, report as report_mod, store, synthworld
-from .gda import FitError, collect_features, fit_gda
-from .head import HeadConfig
+from .gda import FitError
 from .ood import MethodBundle, parse_method, run_sweep
 
 WORLD_KEYS = {
@@ -30,15 +30,8 @@ WORLD_KEYS = {
 HEAD_KEYS = {"num_layers": int, "skip": bool, "sn_enabled": bool,
              "sn_coefficient": float, "hidden_width": int}
 TRAINING_KEYS = {"epochs": int, "batch_size": int, "lr": float}
-GDA_KEYS = {"cap_per_class": int}
-CALIBRATION_KEYS = {"mode": str, "bins": int, "lambda_grid": str}
-BENCHMARK_KEYS = {"severities": str, "corruptions": str, "histogram_bins": int}
 
-SECTION_KEYS = {
-    "world": WORLD_KEYS, "head": HEAD_KEYS, "training": TRAINING_KEYS,
-    "gda": GDA_KEYS, "calibration": CALIBRATION_KEYS,
-    "benchmark": BENCHMARK_KEYS,
-}
+SECTION_KEYS = {"world": WORLD_KEYS, "head": HEAD_KEYS, "training": TRAINING_KEYS}
 
 
 def usage_error(message):
@@ -104,14 +97,17 @@ def head_config_from(config, world_config):
 
 
 def _config_hash(obj):
-    return hashlib.sha256(repr(sorted(str(obj))).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _load_split(data_dir, split):
     path = Path(data_dir) / split
     if not (path / "manifest.json").exists():
         usage_error("missing dataset split %s under %s" % (split, data_dir))
-    return synthworld.load_dataset(path)
+    try:
+        return synthworld.load_dataset(path)
+    except (OSError, ValueError) as e:
+        data_error("dataset split %s: %s" % (split, e))
 
 
 def _int_list(raw, name, lo, hi=None):
@@ -184,9 +180,9 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
             writer.writerow([e, format(l, ".17g"), format(a, ".17g")])
     val_acc = pipeline.validation_accuracy(head, val_ds)
     click.echo("validation accuracy: %.4f" % val_acc)
-    for i in range(ensemble):
-        member, _ = pipeline.train_on_dataset(head_config, train_ds,
-                                              seed=seed + 100 + i, **kwargs)
+    members = pipeline.train_ensemble(head_config, train_ds, ensemble,
+                                      base_seed=seed + 100, **kwargs)
+    for i, member in enumerate(members):
         store.save_head(member, out_dir / ("member_%d.ocuq" % i))
     if ensemble:
         click.echo("wrote %d ensemble members" % ensemble)
@@ -204,9 +200,8 @@ def cmd_fit_gmm(data, head_path, cap, out, seed):
         usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)
     train_ds = _load_split(data, "train")
-    bank = collect_features(head, train_ds.iter_scene_arrays(), cap, seed)
     try:
-        model = fit_gda(bank)
+        model, _ = pipeline.fit_density(head, train_ds, cap_per_class=cap, seed=seed)
     except FitError as e:
         data_error(str(e))
     Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -257,7 +252,11 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
             parse_method(m)
     except ValueError as e:
         usage_error(str(e))
+    if not method_list:
+        usage_error("--methods must name at least one method, got %r" % methods)
     kinds = tuple(k.strip() for k in corruptions.split(",") if k.strip())
+    if not kinds:
+        usage_error("--corruptions must name at least one corruption, got %r" % corruptions)
     for k in kinds:
         if k not in synthworld.CORRUPTION_KINDS:
             usage_error("unknown corruption %r" % k)
@@ -299,15 +298,21 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
         parse_method(method)
     except ValueError as e:
         usage_error(str(e))
+    try:
+        grid = [float(x) for x in lambda_grid.split(",") if x.strip()]
+    except ValueError:
+        grid = []
+    if not grid or not all(map(math.isfinite, grid)):
+        usage_error("--lambda-grid must be comma-separated finite numbers, got %r"
+                    % lambda_grid)
     bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, [method])
     train_ds = _load_split(data, "train")
     val_ds = _load_split(data, "val")
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
-    grid = [float(x) for x in lambda_grid.split(",") if x.strip()]
     if mode == "ts":
         grid = [0.0]
-    params = pipeline.calibrate_method(method, bundle, world, train_ds, val_ds,
+    params = pipeline.calibrate_method(method, bundle, train_ds, val_ds,
                                        lam_grid=grid, seed=seed)
     sigma_z = synthworld.feature_std(train_ds)
     result = pipeline.evaluate_calibration(method, bundle, world, params,
@@ -375,11 +380,10 @@ def cmd_ablate(config_path, out, seed):
 def cmd_dim_sweep(dims, config_path, out, seed):
     """Sweep the feature/penultimate dimension and tabulate OoD metrics plus
     density-model parameter counts."""
-    from .ood import feature_dim_sweep
     dim_list = _int_list(dims, "dims", 2)
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    rows = feature_dim_sweep(dim_list, world_config, seed=seed)
+    rows = pipeline.feature_dim_sweep(dim_list, world_config, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_mod.write_metrics({"rows": rows}, out_dir / "dim_sweep.json")

@@ -158,10 +158,6 @@ def fit_gda(bank, eps_ladder=DEFAULT_EPS_LADDER):
                     log_priors=log_priors, eps_used=eps_used, counts=counts)
 
 
-def log_density(model, z):
-    return model.log_density(z)
-
-
 def epistemic_score(model, features):
     """Negative mixture log-density per row; larger means more uncertain."""
     features = np.asarray(features, dtype=np.float64)

@@ -180,11 +180,6 @@ class ResidualMlpHead:
                 layer.sn_state.sigma_hat = c
 
 
-def head_forward(head, features):
-    """Evaluation-mode forward pass."""
-    return head.forward(features, update_sn=False)
-
-
 def dropout_forward(head, features, p, seed):
     """Forward pass with inverted dropout after every hidden activation."""
     if not 0.0 <= p < 1.0:

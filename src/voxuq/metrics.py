@@ -3,7 +3,7 @@ predictive entropy and mutual information, plus MC-Dropout / Deep-Ensemble
 prediction helpers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,6 @@ class EnsembleSpec:
             raise ValueError("ensemble scores need n >= 2")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout p must be in [0, 1)")
-
-
-@dataclass
-class UncertaintyRecord:
-    voxel_id: int
-    predicted_class: int
-    confidence: float
-    aleatoric: float
-    epistemic: float
-    extra_scores: dict = field(default_factory=dict)
 
 
 def _check_distributions(probs):

@@ -115,22 +115,6 @@ class LinearLayer:
     def in_dim(self):
         return self.weight.shape[1]
 
-    def apply_spectral_norm(self, iters=1, update_state=True):
-        """Return the SN-effective weight W * min(1, c / sigma_hat).
-
-        One power-iteration step per call during training; pass a large
-        `iters` for a converged estimate at evaluation time.
-        """
-        if not self.sn_enabled:
-            return self.weight
-        if update_state:
-            sigma = power_iteration(self.weight, self.sn_state, iters)
-        else:
-            sigma = float(self.sn_state.u @ self.weight @ self.sn_state.v)
-        if sigma <= self.sn_coefficient or sigma == 0.0:
-            return self.weight
-        return self.weight * (self.sn_coefficient / sigma)
-
     def effective_weight_and_cache(self, update_state=True, iters=1):
         """Forward-pass weight plus the quantities backward needs.
 
@@ -185,11 +169,9 @@ class GradTape:
 
     def __init__(self):
         self._entries = []
-        self._consumed = False
 
     def push(self, op, cache):
         self._entries.append((op, cache))
-        self._consumed = False
 
     def reversed_entries(self):
         if not self._entries:
@@ -200,7 +182,6 @@ class GradTape:
 
     def clear(self):
         self._entries = []
-        self._consumed = True
 
     def __len__(self):
         return len(self._entries)

@@ -3,6 +3,7 @@ severity sweeps over the corruption suite, and histogram export for ID/OoD
 separation plots.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -10,7 +11,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import synthworld
-from .gda import epistemic_score, gmm_param_count
+from .gda import epistemic_score
 from .metrics import (EnsembleSpec, ensemble_predict, max_softmax_score,
                       predictive_entropy, softmax_entropy)
 from .nn_core import softmax
@@ -66,21 +67,15 @@ def auroc(pop):
     return float(u / (n_id * n_ood))
 
 
-def fpr_at_95_tpr(pop, tpr_target=0.95):
+def fpr_at_95_tpr(pop):
     """FPR on ID at the largest threshold tau (among observed OoD scores)
-    with at least 95% of OoD scores >= tau. Step function, no interpolation."""
+    with at least 95% of OoD scores >= tau. Step function, no interpolation.
+
+    That tau is the ceil(0.95 n)-th largest OoD score: at least that many
+    scores are >= it, and any larger observed score has fewer, ties included.
+    """
     ood = np.sort(pop.ood_scores)[::-1]
-    n_ood = ood.size
-    need = tpr_target * n_ood
-    # descending scan: count of ood >= ood[k] is at least k+1 (ties make it larger)
-    tau = None
-    for k in range(n_ood):
-        candidate = ood[k]
-        if np.sum(pop.ood_scores >= candidate) >= need:
-            tau = candidate
-            break
-    if tau is None:
-        tau = ood[-1]
+    tau = ood[math.ceil(0.95 * ood.size) - 1]
     return float(np.mean(pop.id_scores >= tau))
 
 
@@ -101,13 +96,13 @@ def aggregate_region(voxel_scores, region_mask):
     return float(voxel_scores[region_mask].mean())
 
 
-def histogram_table(pop, bins=HISTOGRAM_BINS):
+def histogram_table(pop):
     """Shared-edge ID/OoD histograms over the pooled score range."""
     pooled = np.concatenate([pop.id_scores, pop.ood_scores])
     lo, hi = pooled.min(), pooled.max()
     if lo == hi:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     id_counts, _ = np.histogram(pop.id_scores, bins=edges)
     ood_counts, _ = np.histogram(pop.ood_scores, bins=edges)
     return edges, id_counts, ood_counts
@@ -201,8 +196,7 @@ def _mean_metrics(cells):
 
 def run_sweep(methods, bundle, world, clean_test, seed=0,
               corruptions=synthworld.CORRUPTION_KINDS,
-              severities=DEFAULT_SEVERITIES,
-              region_level=True, histogram_bins=HISTOGRAM_BINS):
+              severities=DEFAULT_SEVERITIES, region_level=True):
     """Score clean vs corrupted test scenes for every (method, corruption,
     severity) cell; fills AUROC/FPR95 grids, unweighted means, histogram
     tables, and (optionally) frontal-sector region-level grids.
@@ -218,7 +212,7 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         "corruptions": list(corruptions),
         "severities": list(severities),
         "n_scenes": len(clean_test.scenes),
-        "histogram_bins": histogram_bins,
+        "histogram_bins": HISTOGRAM_BINS,
     }
     mask = synthworld.front_sector_mask(world.config).reshape(-1)
 
@@ -235,17 +229,9 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         return {m: (np.array(scene[m]), np.array(region[m])) for m in methods}
 
     clean = scene_means(clean_test)
-    corrupted = {}
-    for kind in corruptions:
-        for severity in severities:
-            spec = synthworld.CorruptionSpec(kind=kind, severity=severity)
-            scenes = [synthworld.apply_corruption(
-                          s, spec,
-                          synthworld.corruption_seed(world.config.seed, kind, severity, i),
-                          world, sigma_z=sigma_z)
-                      for i, s in enumerate(clean_test.scenes)]
-            corrupted[kind, severity] = scene_means(synthworld.FeatureDataset(
-                scenes=scenes, config=world.config, split="corrupted"))
+    corrupted = {(kind, severity): scene_means(dataset)
+                 for kind, severity, dataset in synthworld.corrupted_datasets(
+                     clean_test, world, sigma_z, corruptions, severities)}
 
     for method in methods:
         clean_scene, clean_region = clean[method]
@@ -256,7 +242,7 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
                 ood_scene, ood_region = corrupted[kind, severity][method]
                 pop = ScoredPopulation(clean_scene, ood_scene)
                 cells.append(_cell_result(kind, severity, pop))
-                edges, idc, oodc = histogram_table(pop, bins=histogram_bins)
+                edges, idc, oodc = histogram_table(pop)
                 report.histograms.append({
                     "method": method, "corruption": kind, "severity": severity,
                     "edges": edges, "count_id": idc, "count_ood": oodc,
@@ -272,29 +258,3 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
     report.sweep_seconds = time.perf_counter() - t0
     return report
 
-
-def feature_dim_sweep(dims, base_config, seed=42, train_fn=None, **sweep_kwargs):
-    """Train one head per feature dimension, fit the density model, run the
-    default sweep, and tabulate (dim, mAUROC, mFPR95, gmm params).
-
-    `train_fn(config) -> (world, bundle, clean_test)` builds the per-dim
-    pipeline; it lives in the pipeline module to avoid an import cycle.
-    """
-    if not dims:
-        raise ValueError("dims must be nonempty")
-    from .pipeline import build_pipeline_for_dim
-    if train_fn is None:
-        train_fn = build_pipeline_for_dim
-    rows = []
-    for dim in dims:
-        world, bundle, clean_test = train_fn(base_config, dim, seed)
-        report = run_sweep(["ours"], bundle, world, clean_test, seed=seed,
-                           region_level=False, **sweep_kwargs)
-        agg = report.aggregates["ours"]
-        rows.append({
-            "dim": dim,
-            "mauroc": agg["mauroc"],
-            "mfpr95": agg["mfpr95"],
-            "gmm_params": gmm_param_count(dim, base_config.num_classes),
-        })
-    return rows

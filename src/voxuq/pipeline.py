@@ -10,8 +10,8 @@ import numpy as np
 from . import synthworld
 from .calibration import (CalibrationParams, ece, fit_temperature, nll,
                           scale_logits, tune_lambda, ugts_temperature)
-from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda
-from .head import HeadConfig, ResidualMlpHead, train_head
+from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
+from .head import HeadConfig, ResidualMlpHead, predict_classes, train_head
 from .nn_core import OptimizerState, softmax
 from .ood import MethodBundle, parse_method, run_sweep, score_scene
 
@@ -66,19 +66,7 @@ def build_bundle(head_config, train_ds, seed=0, ensemble_n=0,
 
 def validation_accuracy(head, dataset):
     feats, labels = dataset.voxel_arrays()
-    from .head import predict_classes
     return float((predict_classes(head, feats) == labels).mean())
-
-
-def build_pipeline_for_dim(base_config, dim, seed):
-    """Per-dimension pipeline for the feature-dimension sweep."""
-    config = replace(base_config, feature_dim=dim, seed=seed)
-    world = synthworld.generate_world(config)
-    train_ds = synthworld.generate_dataset(world, "train")
-    test_ds = synthworld.generate_dataset(world, "test")
-    head_config = head_config_for_world(config)
-    bundle, _ = build_bundle(head_config, train_ds, seed=seed)
-    return world, bundle, test_ds
 
 
 # -- calibration -----------------------------------------------------------
@@ -100,9 +88,8 @@ def _calibration_pass(method, bundle, dataset, seed):
     return np.concatenate(logits), np.concatenate(labels), u_scene
 
 
-def calibrate_method(method, bundle, world, train_ds, val_ds,
-                     lam_grid=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5),
-                     mode="additive", bins=15, seed=0):
+def calibrate_method(method, bundle, train_ds, val_ds,
+                     lam_grid=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5), seed=0):
     """Fit t_train on clean validation logits, compute the train-set mean
     uncertainty, and tune lambda on the clean split. Returns the
     CalibrationParams."""
@@ -112,16 +99,13 @@ def calibrate_method(method, bundle, world, train_ds, val_ds,
     u_per_voxel = np.repeat(u_val, voxels)
 
     t_train = fit_temperature(logits, labels)
-    params = CalibrationParams(t_train=t_train, lam=0.0,
-                               u_bar_train=u_bar_train, mode=mode)
-    lam_star, _ = tune_lambda(logits, labels, u_per_voxel, params, lam_grid, bins=bins)
+    params = CalibrationParams(t_train=t_train, lam=0.0, u_bar_train=u_bar_train)
+    lam_star, _ = tune_lambda(logits, labels, u_per_voxel, params, lam_grid)
     params.lam = lam_star
     return params
 
 
-def evaluate_calibration(method, bundle, world, params, test_ds, sigma_z,
-                         corruptions=synthworld.CORRUPTION_KINDS,
-                         severities=(1, 2, 3), bins=15, seed=0):
+def evaluate_calibration(method, bundle, world, params, test_ds, sigma_z, seed=0):
     """ECE/NLL on the clean split and mECE/mNLL over the corruption grid,
     for uncalibrated, fixed-TS and UGTS logit scaling."""
 
@@ -131,60 +115,43 @@ def evaluate_calibration(method, bundle, world, params, test_ds, sigma_z,
         u_per_voxel = np.repeat(u_scene, voxels)
         out = {}
         probs_raw = softmax(logits)
-        out["raw"] = {"ece": ece(probs_raw, labels, bins=bins).ece,
-                      "nll": nll(probs_raw, labels)}
+        out["raw"] = {"ece": ece(probs_raw, labels).ece, "nll": nll(probs_raw, labels)}
         probs_ts = scale_logits(logits, params.t_train)
-        out["ts"] = {"ece": ece(probs_ts, labels, bins=bins).ece,
-                     "nll": nll(probs_ts, labels)}
+        out["ts"] = {"ece": ece(probs_ts, labels).ece, "nll": nll(probs_ts, labels)}
         t_new = ugts_temperature(params, u_per_voxel)
         probs_ugts = scale_logits(logits, t_new)
-        out["ugts"] = {"ece": ece(probs_ugts, labels, bins=bins).ece,
-                       "nll": nll(probs_ugts, labels)}
+        out["ugts"] = {"ece": ece(probs_ugts, labels).ece, "nll": nll(probs_ugts, labels)}
         return out
 
     result = {"clean": split_metrics(test_ds)}
     grid = {"raw": {"ece": [], "nll": []}, "ts": {"ece": [], "nll": []},
             "ugts": {"ece": [], "nll": []}}
-    for kind in corruptions:
-        for severity in severities:
-            spec = synthworld.CorruptionSpec(kind=kind, severity=severity)
-            scenes = [synthworld.apply_corruption(
-                          s, spec,
-                          synthworld.corruption_seed(world.config.seed, kind,
-                                                     severity, i),
-                          world, sigma_z=sigma_z)
-                      for i, s in enumerate(test_ds.scenes)]
-            corr = synthworld.FeatureDataset(scenes=scenes, config=world.config,
-                                             split="corrupted")
-            cell = split_metrics(corr)
-            for variant in grid:
-                grid[variant]["ece"].append(cell[variant]["ece"])
-                grid[variant]["nll"].append(cell[variant]["nll"])
+    for _, _, corrupted in synthworld.corrupted_datasets(test_ds, world, sigma_z):
+        cell = split_metrics(corrupted)
+        for variant in grid:
+            grid[variant]["ece"].append(cell[variant]["ece"])
+            grid[variant]["nll"].append(cell[variant]["nll"])
     result["corrupted"] = {variant: {"mece": float(np.mean(v["ece"])),
                                      "mnll": float(np.mean(v["nll"]))}
                            for variant, v in grid.items()}
     return result
 
 
-# -- ablation harness ------------------------------------------------------
+# -- ablation and feature-dimension sweeps ---------------------------------
 
-def ablation_table(config, seed=42, layer_options=(3, 5), skip_options=(False, True),
-                   corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3),
-                   epochs=DEFAULT_EPOCHS):
-    """Train {layers} x {skip} head variants and sweep each: rows carry
+def ablation_table(config, seed=42):
+    """Train {3, 5 layers} x {skip} head variants and sweep each: rows carry
     mAUROC / mFPR95 / parameter counts, mirroring the head-depth study."""
     world = synthworld.generate_world(config)
     train_ds = synthworld.generate_dataset(world, "train")
     test_ds = synthworld.generate_dataset(world, "test")
     rows = []
-    for num_layers in layer_options:
-        for skip in skip_options:
+    for num_layers in (3, 5):
+        for skip in (False, True):
             head_config = head_config_for_world(config, num_layers=num_layers,
                                                 skip=skip)
-            bundle, _ = build_bundle(head_config, train_ds, seed=seed,
-                                     epochs=epochs)
+            bundle, _ = build_bundle(head_config, train_ds, seed=seed)
             report = run_sweep(["ours"], bundle, world, test_ds, seed=seed,
-                               corruptions=corruptions, severities=severities,
                                region_level=False)
             agg = report.aggregates["ours"]
             rows.append({
@@ -207,3 +174,27 @@ def ablation_direction_warning(rows):
                     "outscored the 5-layer head with skip (mAUROC %.4f vs %.4f)"
                     % (by_key[(5, False)]["mauroc"], by_key[(5, True)]["mauroc"]))
     return None
+
+
+def feature_dim_sweep(dims, base_config, seed=42):
+    """Per feature dimension: regenerate the world at that dimension, train
+    a head, fit the density model, run the scene-level sweep, and tabulate
+    (dim, mAUROC, mFPR95, gmm params)."""
+    if not dims:
+        raise ValueError("dims must be nonempty")
+    rows = []
+    for dim in dims:
+        config = replace(base_config, feature_dim=dim, seed=seed)
+        world = synthworld.generate_world(config)
+        train_ds = synthworld.generate_dataset(world, "train")
+        test_ds = synthworld.generate_dataset(world, "test")
+        bundle, _ = build_bundle(head_config_for_world(config), train_ds, seed=seed)
+        report = run_sweep(["ours"], bundle, world, test_ds, seed=seed, region_level=False)
+        agg = report.aggregates["ours"]
+        rows.append({
+            "dim": dim,
+            "mauroc": agg["mauroc"],
+            "mfpr95": agg["mfpr95"],
+            "gmm_params": gmm_param_count(dim, base_config.num_classes),
+        })
+    return rows

@@ -48,7 +48,7 @@ def dumps_17g(obj, indent=0):
     return json.dumps(str(obj))
 
 
-def report_to_metrics(report, config_hash="", calibration=None, param_counts=None):
+def report_to_metrics(report, config_hash="", param_counts=None):
     """Flatten a BenchmarkReport into the metrics.json structure."""
     doc = {
         "schema_version": METRICS_SCHEMA_VERSION,
@@ -74,8 +74,6 @@ def report_to_metrics(report, config_hash="", calibration=None, param_counts=Non
             block["region_mfpr95"] = report.region_aggregates[method]["mfpr95"]
         if param_counts and method in param_counts:
             block["param_count"] = param_counts[method]
-        if calibration and method in calibration:
-            block["calibration"] = calibration[method]
         doc["methods"][method] = block
     return doc
 
@@ -127,24 +125,6 @@ def ood_table_markdown(doc):
             method, block["mauroc"], block["mfpr95"],
             "%.4f" % block["region_mauroc"] if "region_mauroc" in block else "-",
             "%.4f" % block["region_mfpr95"] if "region_mfpr95" in block else "-"))
-    return "\n".join(lines) + "\n"
-
-
-def calibration_table_markdown(doc):
-    lines = [
-        "| Method | Variant | ECE (clean) | NLL (clean) | mECE (corrupt) | mNLL (corrupt) |",
-        "|---|---|---|---|---|---|",
-    ]
-    for method, block in doc["methods"].items():
-        cal = block.get("calibration")
-        if not cal:
-            continue
-        for variant in ("raw", "ts", "ugts"):
-            clean = cal["clean"][variant]
-            corrupt = cal["corrupted"][variant]
-            lines.append("| %s | %s | %.4f | %.4f | %.4f | %.4f |" % (
-                method, variant, clean["ece"], clean["nll"],
-                corrupt["mece"], corrupt["mnll"]))
     return "\n".join(lines) + "\n"
 
 
@@ -214,8 +194,6 @@ def render_report(metrics_path, histograms_path, out_dir):
     written = []
     tables = out_dir / "tables.md"
     body = "# Benchmark tables\n\n" + ood_table_markdown(doc)
-    if any("calibration" in b for b in doc["methods"].values()):
-        body += "\n" + calibration_table_markdown(doc)
     if not doc["methods"]:
         body += "\nno cells\n"
     tables.write_text(body)

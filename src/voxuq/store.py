@@ -4,7 +4,7 @@ parameters.
 File layout (all integers little-endian):
   magic "OCUQ" (4 bytes)
   format version (u16)
-  kind tag: u16 length + ascii name ("head" | "gda" | "calib" | "dataset-manifest")
+  kind tag: u16 length + ascii name ("head" | "gda" | "calib")
   metadata: u64 length + UTF-8 JSON (sorted keys)
   tensor count (u32), then per tensor in sorted-name order:
     u16 name length + name, u16 dtype length + numpy dtype string,
@@ -24,7 +24,7 @@ from .head import HeadConfig, ResidualMlpHead
 
 MAGIC = b"OCUQ"
 FORMAT_VERSION = 1
-KINDS = ("head", "gda", "calib", "dataset-manifest")
+KINDS = ("head", "gda", "calib")
 
 
 class StoreError(RuntimeError):
@@ -161,16 +161,21 @@ def load_gda(path):
 
 # -- calibration -----------------------------------------------------------
 
+# "mode" names the UGTS rule t_train + lambda * gap, the only one there is
+CALIB_MODE = "additive"
+
+
 def save_calibration(params, path):
     metadata = {"t_train": params.t_train, "lambda": params.lam,
-                "u_bar_train": params.u_bar_train, "mode": params.mode,
+                "u_bar_train": params.u_bar_train, "mode": CALIB_MODE,
                 "t_min": params.t_min, "t_max": params.t_max}
     write_artifact(path, "calib", metadata, {})
 
 
 def load_calibration(path):
     _, metadata, _ = read_artifact(path, expected_kind="calib")
+    if metadata.get("mode") != CALIB_MODE:
+        raise StoreError("unsupported UGTS mode %r" % metadata.get("mode"))
     return CalibrationParams(t_train=metadata["t_train"], lam=metadata["lambda"],
                              u_bar_train=metadata["u_bar_train"],
-                             mode=metadata["mode"], t_min=metadata["t_min"],
-                             t_max=metadata["t_max"])
+                             t_min=metadata["t_min"], t_max=metadata["t_max"])

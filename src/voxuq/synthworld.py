@@ -9,7 +9,7 @@ labels.bin (little-endian uint16, same voxel order).
 
 import json
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -162,28 +162,12 @@ def generate_world(config):
                  fog_vector=fog_vector, bias_vector=bias_vector)
 
 
-def _neighborhood_histogram(labels, num_classes):
-    """Per-voxel class histogram over the 3x3x3 neighborhood (border-clamped),
-    normalized to proportions. Returns (gx, gy, gz, K)."""
-    gx, gy, gz = labels.shape
-    onehot = np.zeros((gx, gy, gz, num_classes))
-    idx = np.indices(labels.shape)
-    onehot[idx[0], idx[1], idx[2], labels] = 1.0
-    counts = np.zeros_like(onehot)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                xs = np.clip(np.arange(gx) + dx, 0, gx - 1)
-                ys = np.clip(np.arange(gy) + dy, 0, gy - 1)
-                zs = np.clip(np.arange(gz) + dz, 0, gz - 1)
-                counts += onehot[np.ix_(xs, ys, zs)]
-    return counts / 27.0
-
-
 def generate_scene(world, seed, scene_id=0):
     """Labels: background class 0 plus random boxes and ellipsoids of classes
     1..K-1 (later objects overwrite earlier). Features per voxel:
-    anchor[label] + P @ neighborhood_histogram + noise_scale * N(0, I).
+    anchor[label] + P @ neighborhood_histogram + noise_scale * N(0, I), where
+    the histogram holds the class proportions over the border-clamped 3x3x3
+    neighborhood.
     """
     cfg = world.config
     rng = np.random.default_rng(seed)
@@ -207,7 +191,7 @@ def generate_scene(world, seed, scene_id=0):
             inside = (((x - cx) / sx) ** 2 + ((y - cy) / sy) ** 2
                       + ((z - cz) / sz) ** 2) <= 1.0
         labels[inside] = cls
-    hist = _neighborhood_histogram(labels, cfg.num_classes)
+    hist = _box_blur(np.eye(cfg.num_classes)[labels], 1)
     features = (world.anchors[labels]
                 + hist @ world.projection.T
                 + cfg.noise_scale * rng.standard_normal((gx, gy, gz, cfg.feature_dim)))
@@ -313,6 +297,22 @@ def corruption_seed(dataset_seed, kind, severity, scene_index):
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
+def corrupted_datasets(dataset, world, sigma_z, corruptions=CORRUPTION_KINDS,
+                       severities=(1, 2, 3)):
+    """Yield (kind, severity, dataset) for every full-scene corruption cell,
+    one cell at a time; scene i of a cell is corrupted with
+    corruption_seed(world seed, kind, severity, i)."""
+    for kind in corruptions:
+        for severity in severities:
+            spec = CorruptionSpec(kind=kind, severity=severity)
+            scenes = [apply_corruption(s, spec,
+                                       corruption_seed(world.config.seed, kind, severity, i),
+                                       world, sigma_z=sigma_z)
+                      for i, s in enumerate(dataset.scenes)]
+            yield kind, severity, FeatureDataset(scenes=scenes, config=world.config,
+                                                 split="corrupted")
+
+
 # -- dataset directory I/O -------------------------------------------------
 
 SCHEMA_VERSION = 1
@@ -359,9 +359,16 @@ def load_dataset(in_dir):
     cfg_dict = dict(manifest["config"])
     cfg = WorldConfig(**cfg_dict)
     gx, gy, gz = cfg.grid
+    n = len(manifest["scenes"])
+    for name, expected in (("features.bin", n * cfg.voxels_per_scene * cfg.feature_dim * 4),
+                           ("labels.bin", n * cfg.voxels_per_scene * 2)):
+        size = (in_dir / name).stat().st_size
+        if size != expected:
+            raise ValueError("%s holds %d bytes; the manifest (%d scenes of %dx%dx%d "
+                             "voxels, feature_dim %d) needs %d"
+                             % (name, size, n, gx, gy, gz, cfg.feature_dim, expected))
     features = np.fromfile(in_dir / "features.bin", dtype="<f4")
     labels = np.fromfile(in_dir / "labels.bin", dtype="<u2")
-    n = len(manifest["scenes"])
     features = features.reshape(n, gx, gy, gz, cfg.feature_dim).astype(np.float64)
     labels = labels.reshape(n, gx, gy, gz).astype(np.int64)
     scenes = [VoxelScene(labels=labels[i], features=features[i],

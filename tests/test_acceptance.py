@@ -269,8 +269,7 @@ def test_criterion_5_directional_ood(default_sweep):
 
 def test_criterion_6_calibration_direction(default_pipeline):
     p = default_pipeline
-    params = calibrate_method("ours", p["bundle"], p["world"], p["train"],
-                              p["val"], seed=42)
+    params = calibrate_method("ours", p["bundle"], p["train"], p["val"], seed=42)
     val_logits = np.concatenate([
         score_scene(["ours"], p["bundle"], f)[1]["ours"]
         for f, _ in p["val"].iter_scene_arrays()])

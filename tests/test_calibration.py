@@ -165,13 +165,6 @@ def test_ugts_additive_formula():
     assert np.allclose(t, [1.5, 1.9, 1.1])
 
 
-def test_ugts_multiplicative_formula():
-    params = CalibrationParams(t_train=2.0, lam=0.5, u_bar_train=1.0,
-                               mode="multiplicative")
-    t = ugts_temperature(params, np.array([3.0]))
-    assert t[0] == pytest.approx(2.0 * 0.5 * 2.0)
-
-
 def test_ugts_clamps_to_range():
     params = CalibrationParams(t_train=1.0, lam=100.0, u_bar_train=0.0)
     t = ugts_temperature(params, np.array([-10.0, 10.0]))
@@ -186,8 +179,6 @@ def test_ugts_lambda_zero_reduces_to_fixed_ts():
 
 
 def test_calibration_params_validation():
-    with pytest.raises(ValueError):
-        CalibrationParams(mode="per-class")
     with pytest.raises(ValueError):
         CalibrationParams(t_min=0.0)
 

@@ -1,10 +1,11 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from voxuq.cli import main
+from voxuq.cli import _config_hash, main
 
 SMALL_CONFIG = """
 [world]
@@ -70,12 +71,15 @@ def test_generate_data_refuses_nonempty_out(workspace, runner):
 
 
 def test_unknown_config_section_exit_2(runner, tmp_path):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[planet]\ngravity = 9.8\n")
-    r = runner.invoke(main, ["generate-data", "--config", str(bad),
-                             "--out", str(tmp_path / "d")])
-    assert r.exit_code == 2
-    assert "planet" in r.output
+    # [gda], [calibration] and [benchmark] were once accepted and then ignored
+    for section, key in (("planet", "gravity = 9.8"), ("gda", "cap_per_class = 3"),
+                         ("calibration", "bins = 7"), ("benchmark", "histogram_bins = 7")):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[%s]\n%s\n" % (section, key))
+        r = runner.invoke(main, ["generate-data", "--config", str(bad),
+                                 "--out", str(tmp_path / "d")])
+        assert r.exit_code == 2, section
+        assert "[%s]" % section in r.output
 
 
 def test_unknown_config_key_exit_2(runner, tmp_path):
@@ -216,6 +220,55 @@ def test_eval_ood_bad_severities_exit_2(workspace, runner, severities):
     assert r.exit_code == 2
     assert isinstance(r.exception, SystemExit)
     assert r.output.startswith("error: ") and r.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--corruptions", "--methods"])
+def test_eval_ood_empty_list_exit_2(workspace, runner, option):
+    out = workspace["root"] / "empty"
+    r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--severities", "1",
+                             option, ",", "--out", str(out)])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+    assert option in r.output
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("name", ["features.bin", "labels.bin"])
+def test_truncated_dataset_file_exit_3(workspace, runner, tmp_path, name):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "test" / name
+    path.write_bytes(path.read_bytes()[:-4])
+    r = runner.invoke(main, ["eval-ood", "--data", str(data),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--methods", "ours",
+                             "--out", str(tmp_path / "out")])
+    assert r.exit_code == 3
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+    assert name in r.output
+
+
+@pytest.mark.parametrize("grid", ["abc", ",", "0,x", "nan"])
+def test_calibrate_bad_lambda_grid_exit_2(workspace, runner, grid):
+    r = runner.invoke(main, ["calibrate", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--lambda-grid", grid,
+                             "--out", str(workspace["root"] / "x")])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+    assert "--lambda-grid" in r.output
+
+
+def test_config_hash_tells_values_apart():
+    # a hash of the sorted characters of str(obj) gave c2a8408e59148ab2 for both
+    assert _config_hash({"seed": 42}) != _config_hash({"seed": 24})
+    assert _config_hash({"a": 1, "b": [2, 3]}) == _config_hash({"b": [2, 3], "a": 1})
+    assert len(_config_hash({"seed": 42})) == 16
 
 
 def test_calibrate_writes_params_and_report(workspace, runner):

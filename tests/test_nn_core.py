@@ -109,7 +109,7 @@ def test_spectral_norm_caps_singular_value():
     rng = np.random.default_rng(8)
     layer = LinearLayer(6, 6, rng, sn_enabled=True, sn_coefficient=1.0)
     layer.weight *= 10.0  # force sigma > c
-    w_eff = layer.apply_spectral_norm(iters=200)
+    w_eff, _ = layer.effective_weight_and_cache(iters=200)
     top = np.linalg.svd(w_eff, compute_uv=False)[0]
     assert top <= 1.0 + 1e-6
 
@@ -118,7 +118,7 @@ def test_spectral_norm_noop_below_cap():
     rng = np.random.default_rng(9)
     layer = LinearLayer(6, 6, rng, sn_enabled=True, sn_coefficient=1.0)
     layer.weight *= 1e-3
-    w_eff = layer.apply_spectral_norm(iters=50)
+    w_eff, _ = layer.effective_weight_and_cache(iters=50)
     assert w_eff is layer.weight
 
 

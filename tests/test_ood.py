@@ -90,6 +90,35 @@ def test_fpr95_matches_exhaustive_enumeration():
         assert fpr_at_95_tpr(pop) == exhaustive_fpr95(id_s, ood_s)
 
 
+def scan_fpr95(id_scores, ood_scores):
+    """The original O(n^2) descending scan: the first sorted OoD score whose
+    count of OoD scores >= it reaches 95%."""
+    ood = np.sort(ood_scores)[::-1]
+    need = 0.95 * ood.size
+    tau = None
+    for candidate in ood:
+        if np.sum(ood_scores >= candidate) >= need:
+            tau = candidate
+            break
+    if tau is None:
+        tau = ood[-1]
+    return float(np.mean(id_scores >= tau))
+
+
+# a small integer range forces ties inside and across the populations
+SCORE_LISTS = st.one_of(
+    st.lists(st.integers(-6, 6).map(lambda v: v * 0.1), min_size=1, max_size=60),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
+
+
+@settings(max_examples=400, deadline=None)
+@given(SCORE_LISTS, SCORE_LISTS)
+def test_fpr95_equals_the_scan_bit_for_bit(id_raw, ood_raw):
+    id_s, ood_s = np.array(id_raw), np.array(ood_raw)
+    got = fpr_at_95_tpr(ScoredPopulation(id_s, ood_s))
+    assert np.float64(got).tobytes() == np.float64(scan_fpr95(id_s, ood_s)).tobytes()
+
+
 def test_fpr95_separated_populations():
     pop = ScoredPopulation(np.zeros(20), np.ones(20))
     assert fpr_at_95_tpr(pop) == 0.0
@@ -127,7 +156,7 @@ def test_aggregate_region_masked_mean():
 def test_histogram_counts_sum_to_population_sizes():
     rng = np.random.default_rng(3)
     pop = ScoredPopulation(rng.standard_normal(200), rng.standard_normal(300) + 2)
-    edges, idc, oodc = histogram_table(pop, bins=50)
+    edges, idc, oodc = histogram_table(pop)
     assert len(edges) == 51
     assert idc.sum() == 200
     assert oodc.sum() == 300
@@ -135,7 +164,7 @@ def test_histogram_counts_sum_to_population_sizes():
 
 def test_histogram_degenerate_scores():
     pop = ScoredPopulation(np.zeros(5), np.zeros(7))
-    edges, idc, oodc = histogram_table(pop, bins=10)
+    edges, idc, oodc = histogram_table(pop)
     assert idc.sum() == 5 and oodc.sum() == 7
     assert np.all(np.isfinite(edges))
 
@@ -251,7 +280,7 @@ def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
 
     calls.update(forward=0, corruption=0)
     val = synthworld.generate_dataset(world, "val")
-    params = calibrate_method("ours", bundle, world, train, val, seed=SWEEP_SEED)
+    params = calibrate_method("ours", bundle, train, val, seed=SWEEP_SEED)
     evaluate_calibration("ours", bundle, world, params, test,
                          synthworld.feature_std(train), seed=SWEEP_SEED)
     assert calls == {"forward": len(train.scenes) + len(val.scenes) + n * (1 + cells),

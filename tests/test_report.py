@@ -5,7 +5,7 @@ import pytest
 
 from voxuq.ood import BenchmarkReport, OodResult
 from voxuq.report import (METRICS_SCHEMA_VERSION, ablation_table_markdown,
-                          calibration_table_markdown, dim_sweep_table_markdown,
+                          dim_sweep_table_markdown,
                           dumps_17g, histogram_svg, ood_table_markdown,
                           read_histograms_csv, render_report, report_to_metrics,
                           write_histograms_csv, write_metrics)
@@ -84,17 +84,9 @@ def test_histograms_csv_round_trip(tmp_path):
 
 
 def test_markdown_tables_contain_rows():
-    doc = report_to_metrics(small_report(), config_hash="abc",
-                            calibration={"ours": {
-                                "clean": {v: {"ece": 0.01, "nll": 0.1}
-                                          for v in ("raw", "ts", "ugts")},
-                                "corrupted": {v: {"mece": 0.02, "mnll": 0.2}
-                                              for v in ("raw", "ts", "ugts")},
-                            }})
+    doc = report_to_metrics(small_report(), config_hash="abc")
     ood_md = ood_table_markdown(doc)
     assert "| ours | 0.8750 | 0.2500 |" in ood_md
-    cal_md = calibration_table_markdown(doc)
-    assert cal_md.count("| ours |") == 3
     abl_md = ablation_table_markdown([{"layers": 3, "skip": True, "mauroc": 0.9,
                                        "mfpr95": 0.1, "params": 100}])
     assert "| 3 | yes |" in abl_md

@@ -65,10 +65,23 @@ def test_gda_round_trip_bit_exact(tmp_path):
 
 def test_calibration_round_trip(tmp_path):
     params = CalibrationParams(t_train=1.37, lam=0.05, u_bar_train=12.5,
-                               mode="additive", t_min=0.1, t_max=15.0)
+                               t_min=0.1, t_max=15.0)
     path = tmp_path / "calib.ocuq"
     save_calibration(params, path)
     assert load_calibration(path) == params
+    assert read_artifact(path)[1]["mode"] == "additive"
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "per-class", None])
+def test_calibration_with_other_mode_rejected(tmp_path, mode):
+    metadata = {"t_train": 1.0, "lambda": 0.1, "u_bar_train": 0.0,
+                "t_min": 0.05, "t_max": 20.0}
+    if mode is not None:
+        metadata["mode"] = mode
+    path = tmp_path / "calib.ocuq"
+    write_artifact(path, "calib", metadata, {})
+    with pytest.raises(StoreError, match="mode"):
+        load_calibration(path)
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -202,6 +202,33 @@ def test_front_sector_mask_geometry():
         front_sector_mask(cfg, half_angle_deg=0.0)
 
 
+def loop_neighborhood_histogram(labels, num_classes):
+    """The original 3x3x3 neighborhood class histogram: 27 shifted,
+    border-clamped one-hot sums divided by 27."""
+    gx, gy, gz = labels.shape
+    onehot = np.zeros((gx, gy, gz, num_classes))
+    idx = np.indices(labels.shape)
+    onehot[idx[0], idx[1], idx[2], labels] = 1.0
+    counts = np.zeros_like(onehot)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                xs = np.clip(np.arange(gx) + dx, 0, gx - 1)
+                ys = np.clip(np.arange(gy) + dy, 0, gy - 1)
+                zs = np.clip(np.arange(gz) + dz, 0, gz - 1)
+                counts += onehot[np.ix_(xs, ys, zs)]
+    return counts / 27.0
+
+
+@pytest.mark.parametrize("grid, num_classes", [((1, 1, 1), 2), ((2, 3, 1), 3), ((8, 8, 2), 5),
+                                               ((24, 24, 4), 17), ((64, 64, 16), 17)])
+def test_neighborhood_histogram_is_the_unit_box_blur(grid, num_classes):
+    # generate_scene builds the histogram as a radius-1 box blur of the one-hot labels
+    labels = np.random.default_rng(sum(grid)).integers(0, num_classes, grid)
+    got = synthworld._box_blur(np.eye(num_classes)[labels], 1)
+    assert got.tobytes() == loop_neighborhood_histogram(labels, num_classes).tobytes()
+
+
 def test_feature_std_positive(world):
     ds = generate_dataset(world, "val")
     assert feature_std(ds) > 0.0
@@ -232,4 +259,15 @@ def test_load_rejects_future_schema(tmp_path, world):
     manifest["schema_version"] = 999
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
+        load_dataset(tmp_path / "val")
+
+
+@pytest.mark.parametrize("name, change", [("features.bin", -4), ("labels.bin", -2),
+                                          ("features.bin", 4)])
+def test_load_rejects_wrong_size_files(tmp_path, world, name, change):
+    save_dataset(generate_dataset(world, "val"), tmp_path / "val")
+    path = tmp_path / "val" / name
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0 else raw + b"\0" * change)
+    with pytest.raises(ValueError, match=name):
         load_dataset(tmp_path / "val")
