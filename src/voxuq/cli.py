@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import pipeline, report as report_mod, store, synthworld
-from .gda import FitError
+from .gda import FitError, gmm_param_count
 from .ood import MethodBundle, parse_method, run_sweep
 
 WORLD_KEYS = {
@@ -233,6 +233,18 @@ def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
     return MethodBundle(head=head, gda_model=gda_model, ensemble_heads=members)
 
 
+def _param_count(method, bundle):
+    """Parameters a method scores with: the head, plus the density model for
+    ours; the n member heads for de:n."""
+    name, params = parse_method(method)
+    if name == "de":
+        return sum(h.param_count() for h in bundle.ensemble_heads[:int(params.get("n", 3))])
+    count = bundle.head.param_count()
+    if name == "ours":
+        count += gmm_param_count(bundle.gda_model.dim, bundle.gda_model.num_classes)
+    return count
+
+
 @main.command("eval-ood")
 @click.option("--data", required=True, type=click.Path())
 @click.option("--head", "head_path", required=True, type=click.Path())
@@ -254,6 +266,9 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
         usage_error(str(e))
     if not method_list:
         usage_error("--methods must name at least one method, got %r" % methods)
+    repeated = sorted({m for m in method_list if method_list.count(m) > 1})
+    if repeated:
+        usage_error("--methods names %s more than once" % ", ".join(repeated))
     kinds = tuple(k.strip() for k in corruptions.split(",") if k.strip())
     if not kinds:
         usage_error("--corruptions must name at least one corruption, got %r" % corruptions)
@@ -268,7 +283,7 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
                     corruptions=kinds, severities=sevs)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    param_counts = {m: bundle.head.param_count() for m in method_list}
+    param_counts = {m: _param_count(m, bundle) for m in method_list}
     doc = report_mod.report_to_metrics(
         rep, config_hash=_config_hash(asdict(test_ds.config)),
         param_counts=param_counts)

@@ -10,6 +10,8 @@ from scipy.linalg import solve_triangular
 
 DEFAULT_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_CAP_PER_CLASS = 20000
+# rows per log-density GEMM; bounds the (rows, K*d) temporary
+LOG_DENSITY_CHUNK = 2048
 
 
 class FitError(RuntimeError):
@@ -37,8 +39,9 @@ class GdaModel:
     """One full-covariance Gaussian per class plus class priors.
 
     Covariances are stored through their (regularized) Cholesky factors; the
-    inverse factors are precomputed for fast batched queries. Instances are
-    immutable after fitting and safe for concurrent reads.
+    inverse factors are precomputed, side by side in one d x Kd matrix, for
+    fast batched queries. Instances are immutable after fitting and safe for
+    concurrent reads.
     """
 
     def __init__(self, means, chols, log_dets, log_priors, eps_used, counts):
@@ -50,15 +53,22 @@ class GdaModel:
         self.counts = counts          # (K,) samples used per class
         self.dim = means.shape[1]
         self.num_classes = means.shape[0]
-        self.inv_chols = np.stack([
-            solve_triangular(chols[c], np.eye(self.dim), lower=True)
-            for c in range(self.num_classes)
-        ])
+        inv_chols = [solve_triangular(chols[c], np.eye(self.dim), lower=True)
+                     for c in range(self.num_classes)]
+        # y_c = (z - mu_c) L_c^-T for every class at once: y = z W - shift
+        self._w = np.concatenate([inv.T for inv in inv_chols], axis=1)
+        self._shift = np.concatenate([means[c] @ inv_chols[c].T
+                                      for c in range(self.num_classes)])
+        self._offset = log_priors - 0.5 * (self.dim * np.log(2.0 * np.pi) + log_dets)
 
     def log_density(self, z):
         """Mixture log-density log sum_c pi_c N(z; mu_c, Sigma_c), log-sum-exp
         stabilized. Accepts one vector or an n x d batch; returns a scalar or
         a length-n vector accordingly.
+
+        Rows go through in chunks of LOG_DENSITY_CHUNK, each one GEMM against
+        all K whitening factors at once. Chunk bounds depend only on the row
+        count, so a row's result depends only on the row and its position.
         """
         z = np.asarray(z, dtype=np.float64)
         single = z.ndim == 1
@@ -66,12 +76,13 @@ class GdaModel:
             z = z[None, :]
         if z.shape[1] != self.dim:
             raise ValueError("query dim %d != model dim %d" % (z.shape[1], self.dim))
-        const = self.dim * np.log(2.0 * np.pi)
         comp = np.empty((z.shape[0], self.num_classes))
-        for c in range(self.num_classes):
-            y = (z - self.means[c]) @ self.inv_chols[c].T
-            quad = np.einsum("ij,ij->i", y, y)
-            comp[:, c] = self.log_priors[c] - 0.5 * (const + self.log_dets[c] + quad)
+        for lo in range(0, z.shape[0], LOG_DENSITY_CHUNK):
+            y = z[lo:lo + LOG_DENSITY_CHUNK] @ self._w
+            y -= self._shift
+            y = y.reshape(-1, self.num_classes, self.dim)
+            comp[lo:lo + LOG_DENSITY_CHUNK] = (
+                self._offset - 0.5 * np.einsum("ikj,ikj->ik", y, y))
         m = comp.max(axis=1)
         out = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
         return float(out[0]) if single else out

@@ -248,7 +248,7 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
     if spec.region == "front_sector":
         mask = front_sector_mask(cfg, spec.sector_half_angle_deg)
     else:
-        mask = np.ones((gx, gy, gz), dtype=bool)
+        mask = ...  # every voxel, without a boolean-index copy
     z = scene.features.copy()
     rng = np.random.default_rng(seed)
     if spec.kind == "noise":
@@ -276,19 +276,35 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
 
 
 def _box_blur(features, m):
-    """Mean over the (2m+1)^3 border-clamped spatial window, per channel."""
-    gx, gy, gz, _ = features.shape
-    acc = np.zeros_like(features)
-    n = 0
-    for dx in range(-m, m + 1):
-        for dy in range(-m, m + 1):
-            for dz in range(-m, m + 1):
-                xs = np.clip(np.arange(gx) + dx, 0, gx - 1)
-                ys = np.clip(np.arange(gy) + dy, 0, gy - 1)
-                zs = np.clip(np.arange(gz) + dz, 0, gz - 1)
-                acc += features[np.ix_(xs, ys, zs)]
-                n += 1
-    return acc / n
+    """Mean over the (2m+1)^3 border-clamped spatial window, per channel.
+
+    Separable: a border-clamped (2m+1)-tap sum along x, then y, then z, then
+    one division. Each axis adds slice views of the previous axis's sums
+    into a copy of them (a tap past the border adds the edge slab by
+    broadcast), so at most two full-size buffers are alive at once. Taps
+    are clamped to the axis length, so grids smaller than m work.
+    Integer-valued input gives exact partial sums, hence the same bits as
+    summing the (2m+1)^3 shifted copies.
+    """
+    acc = features
+    for axis in range(3):
+        acc = _clamped_tap_sum(acc, axis, m)
+    acc /= (2 * m + 1) ** 3
+    return acc
+
+
+def _clamped_tap_sum(acc, axis, m):
+    """Sum of acc shifted by -m..m along `axis`, border-clamped; a new array."""
+    out = acc.copy()
+    src, dst = np.moveaxis(acc, axis, 0), np.moveaxis(out, axis, 0)
+    n = src.shape[0]
+    for k in range(1, m + 1):
+        k = min(k, n)
+        dst[:n - k] += src[k:]
+        dst[n - k:] += src[n - 1:]
+        dst[k:] += src[:n - k]
+        dst[:k] += src[:1]
+    return out
 
 
 def corruption_seed(dataset_seed, kind, severity, scene_index):

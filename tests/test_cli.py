@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from voxuq import cli, store
 from voxuq.cli import _config_hash, main
 
 SMALL_CONFIG = """
@@ -185,6 +189,43 @@ def test_eval_ood_deterministic_metrics(workspace, runner):
     assert (out_a / "histograms.csv").read_bytes() == (out_b / "histograms.csv").read_bytes()
 
 
+def test_eval_ood_metrics_identical_across_processes(workspace, tmp_path):
+    # each run is a fresh interpreter with its own str-hash salt
+    src = str(Path(cli.__file__).resolve().parents[1])
+    docs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / ("hash_%s" % hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "voxuq.cli", "eval-ood",
+                        "--data", str(workspace["data"]),
+                        "--head", str(workspace["models"] / "head.ocuq"),
+                        "--gda", str(workspace["gda"]),
+                        "--methods", "ours,entropy", "--corruptions", "noise,blur",
+                        "--severities", "1,3", "--seed", "7", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        docs.append((out / "metrics.json").read_bytes())
+    assert docs[0] == docs[1]
+
+
+def test_eval_ood_param_count_per_method(workspace, runner):
+    out = workspace["root"] / "params"
+    r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]),
+                             "--members", str(workspace["models"]),
+                             "--methods", "ours,max-softmax,entropy,mcd:n=2,de:n=2",
+                             "--corruptions", "noise", "--severities", "1",
+                             "--out", str(out), "--seed", "7"])
+    assert r.exit_code == 0, r.output
+    methods = json.loads((out / "metrics.json").read_text())["methods"]
+    head = store.load_head(workspace["models"] / "head.ocuq").param_count()
+    member = store.load_head(workspace["models"] / "member_0.ocuq").param_count()
+    dim = store.load_gda(workspace["gda"]).dim
+    counts = {m: block["param_count"] for m, block in methods.items()}
+    assert counts == {"ours": head + 5 * (dim + dim * dim), "max-softmax": head,
+                      "entropy": head, "mcd:n=2": head, "de:n=2": 2 * member}
+
+
 def test_eval_ood_rejects_unknown_method(workspace, runner):
     r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
                              "--head", str(workspace["models"] / "head.ocuq"),
@@ -234,6 +275,19 @@ def test_eval_ood_empty_list_exit_2(workspace, runner, option):
     assert r.output.startswith("error: ") and r.output.count("\n") == 1
     assert option in r.output
     assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("methods", ["ours,ours", "ours,entropy,ours"])
+def test_eval_ood_repeated_method_exit_2(workspace, runner, methods):
+    out = workspace["root"] / "repeated"
+    r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--severities", "1",
+                             "--methods", methods, "--out", str(out)])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output == "error: --methods names ours more than once\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["features.bin", "labels.bin"])

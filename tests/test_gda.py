@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxuq.gda import (DEFAULT_EPS_LADDER, FeatureBank, FitError, GdaModel,
-                       collect_features, epistemic_score, fit_gda,
+from voxuq.gda import (DEFAULT_EPS_LADDER, LOG_DENSITY_CHUNK, FeatureBank, FitError,
+                       GdaModel, collect_features, epistemic_score, fit_gda,
                        gmm_param_count)
 from voxuq.head import HeadConfig, ResidualMlpHead
 
@@ -57,6 +57,32 @@ def test_log_density_matches_dense_oracle():
     got = model.log_density(z)
     want = dense_oracle_log_density(model, z)
     assert np.allclose(got, want, atol=1e-10)
+
+
+def test_log_density_over_several_chunks_matches_dense_oracle():
+    rng = np.random.default_rng(14)
+    model = fit_gda(make_bank(rng, 4, 5, 60))
+    z = rng.standard_normal((3 * LOG_DENSITY_CHUNK + 17, 5)) * 4
+    got = model.log_density(z)
+    assert got.shape == (z.shape[0],)
+    assert np.allclose(got, dense_oracle_log_density(model, z), rtol=0, atol=1e-10)
+
+
+def test_log_density_row_ignores_the_rest_of_its_chunk():
+    rng = np.random.default_rng(15)
+    model = fit_gda(make_bank(rng, 3, 4, 50))
+    z = rng.standard_normal((LOG_DENSITY_CHUNK + 9, 4))
+    other = rng.standard_normal(z.shape) * 5
+    for row in (0, 7, LOG_DENSITY_CHUNK - 1, LOG_DENSITY_CHUNK + 8):
+        changed = other.copy()
+        changed[row] = z[row]
+        assert model.log_density(changed)[row] == model.log_density(z)[row]
+
+
+def test_log_density_of_empty_batch():
+    rng = np.random.default_rng(16)
+    model = fit_gda(make_bank(rng, 2, 3, 30))
+    assert model.log_density(np.zeros((0, 3))).shape == (0,)
 
 
 def test_log_density_scalar_and_batch_agree():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,44 @@ def test_neighborhood_histogram_is_the_unit_box_blur(grid, num_classes):
     labels = np.random.default_rng(sum(grid)).integers(0, num_classes, grid)
     got = synthworld._box_blur(np.eye(num_classes)[labels], 1)
     assert got.tobytes() == loop_neighborhood_histogram(labels, num_classes).tobytes()
+
+
+def loop_box_blur(features, m):
+    """The original blur: (2m+1)^3 border-clamped shifted copies summed, then
+    divided once."""
+    gx, gy, gz, _ = features.shape
+    acc = np.zeros_like(features)
+    n = 0
+    for dx in range(-m, m + 1):
+        for dy in range(-m, m + 1):
+            for dz in range(-m, m + 1):
+                xs = np.clip(np.arange(gx) + dx, 0, gx - 1)
+                ys = np.clip(np.arange(gy) + dy, 0, gy - 1)
+                zs = np.clip(np.arange(gz) + dz, 0, gz - 1)
+                acc += features[np.ix_(xs, ys, zs)]
+                n += 1
+    return acc / n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("grid", [(1, 1, 1), (2, 3, 1), (8, 8, 2), (24, 24, 4)])
+def test_box_blur_matches_the_shifted_copy_loop(grid, m):
+    # the separable sums add in another order: allow a few ulps of max|x|
+    x = np.random.default_rng(m + sum(grid)).standard_normal(grid + (5,)) * 3.0
+    got = synthworld._box_blur(x, m)
+    assert got.shape == x.shape
+    assert np.abs(got - loop_box_blur(x, m)).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_box_blur_allocates_at_most_two_buffers():
+    x = np.random.default_rng(0).standard_normal((64, 64, 16, 32))
+    tracemalloc.start()
+    try:
+        synthworld._box_blur(x, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * x.nbytes
 
 
 def test_feature_std_positive(world):
