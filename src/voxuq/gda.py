@@ -67,8 +67,10 @@ class GdaModel:
         a length-n vector accordingly.
 
         Rows go through in chunks of LOG_DENSITY_CHUNK, each one GEMM against
-        all K whitening factors at once. Chunk bounds depend only on the row
-        count, so a row's result depends only on the row and its position.
+        all K whitening factors at once followed by its own log-sum-exp, so
+        the only temporaries are one chunk's and memory use does not grow
+        with the row count. Chunk bounds depend only on the row count, so a
+        row's result depends only on the row and its position.
         """
         z = np.asarray(z, dtype=np.float64)
         single = z.ndim == 1
@@ -76,15 +78,14 @@ class GdaModel:
             z = z[None, :]
         if z.shape[1] != self.dim:
             raise ValueError("query dim %d != model dim %d" % (z.shape[1], self.dim))
-        comp = np.empty((z.shape[0], self.num_classes))
+        out = np.empty(z.shape[0])
         for lo in range(0, z.shape[0], LOG_DENSITY_CHUNK):
             y = z[lo:lo + LOG_DENSITY_CHUNK] @ self._w
             y -= self._shift
             y = y.reshape(-1, self.num_classes, self.dim)
-            comp[lo:lo + LOG_DENSITY_CHUNK] = (
-                self._offset - 0.5 * np.einsum("ikj,ikj->ik", y, y))
-        m = comp.max(axis=1)
-        out = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
+            comp = self._offset - 0.5 * np.einsum("ikj,ikj->ik", y, y)
+            m = comp.max(axis=1)
+            out[lo:lo + LOG_DENSITY_CHUNK] = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
         return float(out[0]) if single else out
 
 

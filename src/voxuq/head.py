@@ -20,6 +20,9 @@ from .nn_core import (
     softmax,
 )
 
+# rows per block of an eval-mode forward; bounds its temporaries
+FORWARD_BLOCK = 4096
+
 
 @dataclass
 class HeadConfig:
@@ -107,9 +110,32 @@ class ResidualMlpHead:
 
     def forward(self, features, tape=None, update_sn=False, sn_iters=1,
                 dropout_p=0.0, dropout_rng=None):
+        """Logits and penultimate features of n x input_dim `features`.
+
+        An eval-mode forward (no tape, no spectral-norm update, no dropout)
+        of more than FORWARD_BLOCK rows runs in near-equal row blocks of at
+        most FORWARD_BLOCK rows, so its temporaries are block-sized rather
+        than scene-sized. Rows do not interact. Near-equal blocks are never
+        a single row, which BLAS would route through gemv instead of GEMM,
+        so every row keeps the bits of the unblocked forward.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.input_dim:
             raise ShapeError("head expects n x %d features" % self.config.input_dim)
+        n = features.shape[0]
+        if tape is None and not update_sn and dropout_p == 0.0 and n > FORWARD_BLOCK:
+            blocks = -(-n // FORWARD_BLOCK)
+            bounds = [i * n // blocks for i in range(blocks + 1)]
+            logits = np.empty((n, self.config.num_classes))
+            penultimate = np.empty((n, self.config.penultimate_dim))
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                out = self._forward(features[lo:hi], None, False, sn_iters, 0.0, None)
+                logits[lo:hi] = out.logits
+                penultimate[lo:hi] = out.penultimate_features
+            return HeadOutput(logits=logits, penultimate_features=penultimate)
+        return self._forward(features, tape, update_sn, sn_iters, dropout_p, dropout_rng)
+
+    def _forward(self, features, tape, update_sn, sn_iters, dropout_p, dropout_rng):
         x = features
         for i, layer in enumerate(self.layers):
             pre = linear_forward(layer, x, tape=tape, update_sn=update_sn, sn_iters=sn_iters)
@@ -117,10 +143,11 @@ class ResidualMlpHead:
             if dropout_p > 0.0:
                 keep = dropout_rng.random(act.shape) >= dropout_p
                 act = act * keep / (1.0 - dropout_p)
-            out = x + act if self._block_has_skip(i) else act
+            if self._block_has_skip(i):
+                act += x
             if tape is not None:
                 tape.push("block", {"pre": pre, "skip": self._block_has_skip(i)})
-            x = out
+            x = act
         penultimate = x
         logits = linear_forward(self.classifier, x, tape=tape, update_sn=False)
         return HeadOutput(logits=logits, penultimate_features=penultimate)

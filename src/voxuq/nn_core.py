@@ -20,7 +20,8 @@ class StateError(RuntimeError):
 
 
 def leaky_relu(x):
-    return np.maximum(x, LEAKY_SLOPE * x)
+    out = LEAKY_SLOPE * x
+    return np.maximum(x, out, out=out)
 
 
 def leaky_relu_grad(pre):
@@ -158,7 +159,8 @@ def linear_forward(layer, x, tape=None, update_sn=True, sn_iters=1):
             % (x.shape[1] if x.ndim == 2 else "?", layer.in_dim)
         )
     w_eff, sn_cache = layer.effective_weight_and_cache(update_state=update_sn, iters=sn_iters)
-    y = x @ w_eff.T + layer.bias
+    y = x @ w_eff.T
+    y += layer.bias
     if tape is not None:
         tape.push("linear", {"layer": layer, "x": x, "w_eff": w_eff, "sn": sn_cache})
     return y

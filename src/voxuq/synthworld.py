@@ -249,15 +249,15 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
         mask = front_sector_mask(cfg, spec.sector_half_angle_deg)
     else:
         mask = ...  # every voxel, without a boolean-index copy
-    z = scene.features.copy()
-    rng = np.random.default_rng(seed)
     if spec.kind == "noise":
-        noise = rng.standard_normal(z.shape)
-        z[mask] += NOISE_COEF * m * sigma_z * noise[mask]
+        z = scene.features.copy()
+        noise = np.random.default_rng(seed).standard_normal(z.shape)
+        noise *= NOISE_COEF * m * sigma_z
+        z[mask] += noise[mask]
     elif spec.kind == "blur":
-        blurred = _box_blur(scene.features, m)
-        z[mask] = blurred[mask]
+        z = _replace_masked(scene.features, _box_blur(scene.features, m), mask)
     elif spec.kind == "sector_drop":
+        z = scene.features.copy()
         z[mask] = 0.0
     elif spec.kind == "fog":
         x, y, zz = np.indices((gx, gy, gz))
@@ -265,14 +265,26 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
         r = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2 + (zz - center[2]) ** 2)
         r_max = r.max()
         w = np.minimum(1.0, FOG_COEF * m * r / r_max)[..., None]
-        fogged = (1.0 - w) * scene.features + w * world.fog_vector
-        z[mask] = fogged[mask]
+        fogged = (1.0 - w) * scene.features
+        fogged += w * world.fog_vector
+        z = _replace_masked(scene.features, fogged, mask)
     elif spec.kind == "bias_shift":
+        z = scene.features.copy()
         z[mask] += BIAS_COEF * m * world.bias_vector
     else:
         raise ValueError("unknown corruption kind %r" % spec.kind)
     return VoxelScene(labels=scene.labels.copy(), features=z,
                       scene_id=scene.scene_id, seed=scene.seed)
+
+
+def _replace_masked(features, new, mask):
+    """`new` inside `mask` and `features` outside it; `new` itself when the
+    mask is every voxel, so a full-scene cell allocates no second copy."""
+    if mask is ...:
+        return new
+    z = features.copy()
+    z[mask] = new[mask]
+    return z
 
 
 def _box_blur(features, m):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,22 @@ def test_log_density_row_ignores_the_rest_of_its_chunk():
         changed = other.copy()
         changed[row] = z[row]
         assert model.log_density(changed)[row] == model.log_density(z)[row]
+
+
+def test_log_density_temporaries_do_not_grow_with_rows():
+    rng = np.random.default_rng(17)
+    model = fit_gda(make_bank(rng, 3, 4, 50))
+    z = rng.standard_normal((20 * LOG_DENSITY_CHUNK, 4))
+    chunk_bytes = LOG_DENSITY_CHUNK * model.num_classes * model.dim * 8
+    tracemalloc.start()
+    try:
+        out = model.log_density(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result plus a few chunk-sized arrays; a log-sum-exp over all rows
+    # at once needs three n x K arrays, five times this margin
+    assert peak <= out.nbytes + 3 * chunk_bytes
 
 
 def test_log_density_of_empty_batch():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from voxuq import head as head_module
 from voxuq.head import (HeadConfig, ResidualMlpHead, dropout_forward,
                         estimate_lipschitz, head_probs, lipschitz_upper_bound,
                         predict_classes, train_head)
@@ -82,6 +85,33 @@ def test_first_layer_projection_has_no_skip():
     head = ResidualMlpHead(cfg, seed=0)
     assert not head._block_has_skip(0)
     assert head._block_has_skip(1)
+
+
+@pytest.mark.parametrize("n", [17, 49, 107])
+def test_eval_forward_in_blocks_keeps_bits(monkeypatch, n):
+    head = ResidualMlpHead(small_config(), seed=3)
+    x = np.random.default_rng(5).standard_normal((n, 6)) * 3
+    whole = head.forward(x)
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
+    blocked = head.forward(x)
+    assert np.array_equal(blocked.logits, whole.logits)
+    assert np.array_equal(blocked.penultimate_features, whole.penultimate_features)
+
+
+def test_eval_forward_temporaries_are_block_sized():
+    head = ResidualMlpHead(HeadConfig(), seed=0)
+    x = np.random.default_rng(6).standard_normal((8 * head_module.FORWARD_BLOCK, 32))
+    tracemalloc.start()
+    try:
+        out = head.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two outputs plus a few block-sized arrays; an unblocked forward
+    # holds at least two more arrays the size of the input
+    outputs = out.logits.nbytes + out.penultimate_features.nbytes
+    block_bytes = head_module.FORWARD_BLOCK * 32 * 8
+    assert peak <= outputs + 6 * block_bytes
 
 
 def test_forward_rejects_wrong_width():

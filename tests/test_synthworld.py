@@ -268,6 +268,22 @@ def test_box_blur_allocates_at_most_two_buffers():
     assert peak <= 2.1 * x.nbytes
 
 
+@pytest.mark.parametrize("kind", synthworld.CORRUPTION_KINDS)
+def test_full_scene_corruption_allocates_at_most_two_scenes(kind):
+    w = generate_world(small_config(grid=(32, 32, 8), feature_dim=32))
+    scene = generate_scene(w, 3)
+    spec = CorruptionSpec(kind=kind, severity=3)
+    tracemalloc.start()
+    try:
+        apply_corruption(scene, spec, 5, w, sigma_z=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result and at most one scene-sized temporary, plus grid-sized
+    # (1/32 of a scene) arrays for fog
+    assert peak <= 2.5 * scene.features.nbytes
+
+
 def test_feature_std_positive(world):
     ds = generate_dataset(world, "val")
     assert feature_std(ds) > 0.0
