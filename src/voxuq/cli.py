@@ -210,6 +210,13 @@ def cmd_fit_gmm(data, head_path, cap, out, seed):
         click.echo("class %d: %d vectors" % (c, model.counts[c]))
 
 
+def _parse_method(spec):
+    try:
+        return parse_method(spec)
+    except ValueError as e:
+        usage_error(str(e))
+
+
 def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
     if not Path(head_path).exists():
         usage_error("missing head artifact %s" % head_path)
@@ -227,9 +234,9 @@ def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
         name, params = parse_method(m)
         if name == "ours" and gda_model is None:
             usage_error("method 'ours' requires --gda")
-        if name == "de" and len(members) < int(params.get("n", 3)):
-            usage_error("method %r requires %s ensemble members under --members"
-                        % (m, params.get("n", 3)))
+        if name == "de" and len(members) < params["n"]:
+            usage_error("method %r requires %d ensemble members under --members"
+                        % (m, params["n"]))
     return MethodBundle(head=head, gda_model=gda_model, ensemble_heads=members)
 
 
@@ -238,7 +245,7 @@ def _param_count(method, bundle):
     ours; the n member heads for de:n."""
     name, params = parse_method(method)
     if name == "de":
-        return sum(h.param_count() for h in bundle.ensemble_heads[:int(params.get("n", 3))])
+        return sum(h.param_count() for h in bundle.ensemble_heads[:params["n"]])
     count = bundle.head.param_count()
     if name == "ours":
         count += gmm_param_count(bundle.gda_model.dim, bundle.gda_model.num_classes)
@@ -259,14 +266,11 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
                  severities, out, seed):
     """Run the clean-vs-corrupted sweep and write metrics.json + histograms.csv."""
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
-    try:
-        for m in method_list:
-            parse_method(m)
-    except ValueError as e:
-        usage_error(str(e))
     if not method_list:
         usage_error("--methods must name at least one method, got %r" % methods)
-    repeated = sorted({m for m in method_list if method_list.count(m) > 1})
+    # repeats are found among parsed specs, so "mcd" repeats "mcd:n=5:p=0.1"
+    keys = [(name, tuple(params.items())) for name, params in map(_parse_method, method_list)]
+    repeated = sorted({m for m, key in zip(method_list, keys) if keys.count(key) > 1})
     if repeated:
         usage_error("--methods names %s more than once" % ", ".join(repeated))
     kinds = tuple(k.strip() for k in corruptions.split(",") if k.strip())
@@ -309,10 +313,7 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
                   lambda_grid, out, seed):
     """Fit temperature scaling (and UGTS lambda), then report ECE/NLL on the
     clean and corrupted evaluation sets."""
-    try:
-        parse_method(method)
-    except ValueError as e:
-        usage_error(str(e))
+    _parse_method(method)
     try:
         grid = [float(x) for x in lambda_grid.split(",") if x.strip()]
     except ValueError:
@@ -329,9 +330,8 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
         grid = [0.0]
     params = pipeline.calibrate_method(method, bundle, train_ds, val_ds,
                                        lam_grid=grid, seed=seed)
-    sigma_z = synthworld.feature_std(train_ds)
     result = pipeline.evaluate_calibration(method, bundle, world, params,
-                                           test_ds, sigma_z, seed=seed)
+                                           test_ds, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store.save_calibration(params, out_dir / "calib.ocuq")

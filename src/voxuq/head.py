@@ -17,7 +17,6 @@ from .nn_core import (
     leaky_relu_grad,
     linear_forward,
     power_iteration,
-    softmax,
 )
 
 # rows per block of an eval-mode forward; bounds its temporaries
@@ -111,6 +110,9 @@ class ResidualMlpHead:
     def forward(self, features, tape=None, update_sn=False, sn_iters=1,
                 dropout_p=0.0, dropout_rng=None):
         """Logits and penultimate features of n x input_dim `features`.
+
+        dropout_p > 0 applies inverted dropout after every hidden activation,
+        with keep masks drawn from `dropout_rng` (MC-Dropout passes).
 
         An eval-mode forward (no tape, no spectral-norm update, no dropout)
         of more than FORWARD_BLOCK rows runs in near-equal row blocks of at
@@ -207,16 +209,6 @@ class ResidualMlpHead:
                 layer.sn_state.sigma_hat = c
 
 
-def dropout_forward(head, features, p, seed):
-    """Forward pass with inverted dropout after every hidden activation."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout p must be in [0, 1)")
-    if p == 0.0:
-        return head.forward(features, update_sn=False)
-    rng = np.random.default_rng(seed)
-    return head.forward(features, update_sn=False, dropout_p=p, dropout_rng=rng)
-
-
 def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed=0):
     """Minibatch cross-entropy training; SN re-applied every step when enabled.
 
@@ -242,22 +234,13 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
             loss, grads, _ = head.loss_and_grads(features[idx], labels[idx], update_sn=True)
             opt.step(head.parameters(), grads)
             losses.append(loss)
-        preds = predict_classes(head, features)
-        acc = float((preds == labels).mean())
+        acc = float((head.forward(features).logits.argmax(axis=1) == labels).mean())
         log.epochs.append(epoch)
         log.losses.append(float(np.mean(losses)))
         log.accuracies.append(acc)
     head.finalize_spectral_norm()
     head.round_weights_to_f32()
     return log
-
-
-def predict_classes(head, features, batch_size=65536):
-    out = []
-    for start in range(0, features.shape[0], batch_size):
-        logits = head.forward(features[start:start + batch_size], update_sn=False).logits
-        out.append(np.argmax(logits, axis=1))
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
 def estimate_lipschitz(head, probe_pairs):
@@ -291,11 +274,3 @@ def lipschitz_upper_bound(config):
     """Product over hidden blocks of (1 + c): composition bound for SN blocks."""
     return (1.0 + config.sn_coefficient) ** config.num_layers
 
-
-def head_probs(head, features, batch_size=65536):
-    """Softmax probabilities in evaluation mode, batched."""
-    chunks = []
-    for start in range(0, features.shape[0], batch_size):
-        logits = head.forward(features[start:start + batch_size], update_sn=False).logits
-        chunks.append(softmax(logits))
-    return np.concatenate(chunks) if chunks else np.empty((0, head.config.num_classes))

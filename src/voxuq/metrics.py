@@ -1,29 +1,8 @@
 """Scalar uncertainty scores: softmax entropy, max-softmax, ensemble
-predictive entropy and mutual information, plus MC-Dropout / Deep-Ensemble
-prediction helpers.
+predictive entropy and mutual information.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .head import dropout_forward, head_probs
-
-
-@dataclass
-class EnsembleSpec:
-    kind: str                  # "deep-ensemble" | "mc-dropout"
-    n: int
-    dropout_p: float = 0.0
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("deep-ensemble", "mc-dropout"):
-            raise ValueError("unknown ensemble kind %r" % self.kind)
-        if self.n < 2:
-            raise ValueError("ensemble scores need n >= 2")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout p must be in [0, 1)")
 
 
 def _check_distributions(probs):
@@ -47,32 +26,6 @@ def max_softmax_score(probs):
     """Uncertainty 1 - max_k p_k per row."""
     probs = _check_distributions(probs)
     return 1.0 - probs.max(axis=-1)
-
-
-def ensemble_predict(heads_or_head, spec, features):
-    """Mean softmax over ensemble members or dropout passes.
-
-    For deep ensembles, `heads_or_head` is a list of n trained heads; for
-    MC-dropout it is the single trained head reused with dropout enabled,
-    pass seeds derived as base_seed + pass index.
-
-    Returns (mean_probs, member_probs) with member_probs shaped (n, rows, K).
-    """
-    members = []
-    if spec.kind == "deep-ensemble":
-        heads = list(heads_or_head)
-        if len(heads) != spec.n:
-            raise ValueError("expected %d member heads, got %d" % (spec.n, len(heads)))
-        for h in heads:
-            members.append(head_probs(h, features))
-    else:
-        head = heads_or_head
-        from .nn_core import softmax
-        for i in range(spec.n):
-            out = dropout_forward(head, features, spec.dropout_p, seed=spec.base_seed + i)
-            members.append(softmax(out.logits))
-    member_probs = np.stack(members)
-    return member_probs.mean(axis=0), member_probs
 
 
 def predictive_entropy(mean_probs):

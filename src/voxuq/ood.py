@@ -12,8 +12,7 @@ from scipy.stats import rankdata
 
 from . import synthworld
 from .gda import epistemic_score
-from .metrics import (EnsembleSpec, ensemble_predict, max_softmax_score,
-                      predictive_entropy, softmax_entropy)
+from .metrics import max_softmax_score, predictive_entropy, softmax_entropy
 from .nn_core import softmax
 
 HISTOGRAM_BINS = 50
@@ -110,20 +109,40 @@ def histogram_table(pop):
 
 # -- method scoring --------------------------------------------------------
 
-KNOWN_METHODS = ("ours", "max-softmax", "entropy", "mcd", "de")
-
-
 def parse_method(spec):
-    """Parse a method string of the form name[:key=value...]."""
-    parts = spec.split(":")
-    name = parts[0]
-    if name not in KNOWN_METHODS:
+    """Parse a method string name[:key=value...] into (name, params).
+
+    params holds every parameter the method takes, typed, defaulted and
+    validated: mcd takes n (passes, an integer >= 2, default 5) and p (drop
+    rate in [0, 1), default 0.1), de takes n (member heads, an integer >= 2,
+    default 3), and the other methods take none. A malformed, unknown,
+    repeated or out-of-range parameter raises ValueError.
+    """
+    defaults = {"ours": {}, "max-softmax": {}, "entropy": {},
+                "mcd": {"n": 5, "p": 0.1}, "de": {"n": 3}}
+    checks = {"n": (int, lambda v: v >= 2, "an integer >= 2"),
+              "p": (float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")}
+    name, *parts = spec.split(":")
+    if name not in defaults:
         raise ValueError("unknown method %r" % name)
-    params = {}
-    for p in parts[1:]:
-        if "=" not in p:
-            raise ValueError("malformed method parameter %r" % p)
-        key, value = p.split("=", 1)
+    params = dict(defaults[name])
+    given = set()
+    for part in parts:
+        key, sep, raw = part.partition("=")
+        if not sep:
+            raise ValueError("malformed method parameter %r" % part)
+        if key not in params:
+            raise ValueError("method %r takes no parameter %r" % (name, key))
+        if key in given:
+            raise ValueError("method %r gives %r more than once" % (spec, key))
+        given.add(key)
+        cast, valid, want = checks[key]
+        try:
+            value = cast(raw)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise ValueError("method %r: %s must be %s, got %r" % (spec, key, want, raw))
         params[key] = value
     return name, params
 
@@ -144,8 +163,9 @@ def score_scene(methods, bundle, features, base_seed=0):
     by method spec: (scores, logits).
 
     ours, max-softmax and entropy share one eval-mode forward of the main
-    head. mcd and de run one ensemble pass each (MC-Dropout pass seeds
-    base_seed + pass index); its mean probabilities p give the predictive
+    head. mcd:n runs n dropout forwards of the main head, pass i seeded
+    base_seed + i; de:n runs one eval-mode forward of each of the first n
+    ensemble heads. The mean p of their softmaxes gives the predictive
     entropy and the logits log(max(p, 1e-12)).
     """
     scores, logits = {}, {}
@@ -156,7 +176,7 @@ def score_scene(methods, bundle, features, base_seed=0):
             if name == "ours" and bundle.gda_model is None:
                 raise ValueError("method 'ours' requires a fitted GDA model")
             if out is None:
-                out = bundle.head.forward(features, update_sn=False)
+                out = bundle.head.forward(features)
             logits[method] = out.logits
             if name == "ours":
                 scores[method] = epistemic_score(bundle.gda_model, out.penultimate_features)
@@ -166,18 +186,16 @@ def score_scene(methods, bundle, features, base_seed=0):
                 scores[method] = score(probs)
             continue
         if name == "mcd":
-            spec = EnsembleSpec(kind="mc-dropout", n=int(params.get("n", 5)),
-                                dropout_p=float(params.get("p", 0.1)),
-                                base_seed=base_seed)
-            members = bundle.head
+            passes = (bundle.head.forward(features, dropout_p=params["p"],
+                                          dropout_rng=np.random.default_rng(base_seed + i))
+                      for i in range(params["n"]))
         else:
-            n = int(params.get("n", 3))
-            if len(bundle.ensemble_heads) < n:
+            if len(bundle.ensemble_heads) < params["n"]:
                 raise ValueError("method %r needs %d ensemble heads, have %d"
-                                 % (method, n, len(bundle.ensemble_heads)))
-            spec = EnsembleSpec(kind="deep-ensemble", n=n)
-            members = bundle.ensemble_heads[:n]
-        mean_probs, _ = ensemble_predict(members, spec, features)
+                                 % (method, params["n"], len(bundle.ensemble_heads)))
+            passes = (h.forward(features) for h in bundle.ensemble_heads[:params["n"]])
+        # a running sum in member order: the bits of a mean over stacked members
+        mean_probs = sum(softmax(member.logits) for member in passes) / params["n"]
         scores[method] = predictive_entropy(mean_probs)
         logits[method] = np.log(np.maximum(mean_probs, 1e-12))
     return scores, logits

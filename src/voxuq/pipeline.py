@@ -11,7 +11,7 @@ from . import synthworld
 from .calibration import (CalibrationParams, ece, fit_temperature, nll,
                           scale_logits, tune_lambda, ugts_temperature)
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
-from .head import HeadConfig, ResidualMlpHead, predict_classes, train_head
+from .head import HeadConfig, ResidualMlpHead, train_head
 from .nn_core import OptimizerState, softmax
 from .ood import MethodBundle, parse_method, run_sweep, score_scene
 
@@ -66,7 +66,7 @@ def build_bundle(head_config, train_ds, seed=0, ensemble_n=0,
 
 def validation_accuracy(head, dataset):
     feats, labels = dataset.voxel_arrays()
-    return float((predict_classes(head, feats) == labels).mean())
+    return float((head.forward(feats).logits.argmax(axis=1) == labels).mean())
 
 
 # -- calibration -----------------------------------------------------------
@@ -105,9 +105,10 @@ def calibrate_method(method, bundle, train_ds, val_ds,
     return params
 
 
-def evaluate_calibration(method, bundle, world, params, test_ds, sigma_z, seed=0):
+def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     """ECE/NLL on the clean split and mECE/mNLL over the corruption grid,
-    for uncalibrated, fixed-TS and UGTS logit scaling."""
+    for uncalibrated, fixed-TS and UGTS logit scaling. The grid is the
+    sweep's: noise scales with the test split's feature std."""
 
     def split_metrics(ds):
         logits, labels, u_scene = _calibration_pass(method, bundle, ds, seed)
@@ -126,6 +127,7 @@ def evaluate_calibration(method, bundle, world, params, test_ds, sigma_z, seed=0
     result = {"clean": split_metrics(test_ds)}
     grid = {"raw": {"ece": [], "nll": []}, "ts": {"ece": [], "nll": []},
             "ugts": {"ece": [], "nll": []}}
+    sigma_z = synthworld.feature_std(test_ds)
     for _, _, corrupted in synthworld.corrupted_datasets(test_ds, world, sigma_z):
         cell = split_metrics(corrupted)
         for variant in grid:

@@ -388,6 +388,8 @@ def load_dataset(in_dir):
     cfg = WorldConfig(**cfg_dict)
     gx, gy, gz = cfg.grid
     n = len(manifest["scenes"])
+    if n == 0:
+        raise ValueError("manifest.json lists no scenes")
     for name, expected in (("features.bin", n * cfg.voxels_per_scene * cfg.feature_dim * 4),
                            ("labels.bin", n * cfg.voxels_per_scene * 2)):
         size = (in_dir / name).stat().st_size
@@ -396,6 +398,8 @@ def load_dataset(in_dir):
                              "voxels, feature_dim %d) needs %d"
                              % (name, size, n, gx, gy, gz, cfg.feature_dim, expected))
     features = np.fromfile(in_dir / "features.bin", dtype="<f4")
+    if not np.isfinite(features).all():
+        raise ValueError("features.bin holds non-finite values (NaN or inf)")
     labels = np.fromfile(in_dir / "labels.bin", dtype="<u2")
     features = features.reshape(n, gx, gy, gz, cfg.feature_dim).astype(np.float64)
     labels = labels.reshape(n, gx, gy, gz).astype(np.int64)

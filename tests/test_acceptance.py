@@ -278,9 +278,8 @@ def test_criterion_6_calibration_direction(default_pipeline):
     nll_star = nll(scale_logits(val_logits, t_star), val_labels)
     nll_one = nll(softmax(val_logits), val_labels)
 
-    sigma_z = synthworld.feature_std(p["test"])
     result = evaluate_calibration("ours", p["bundle"], p["world"], params,
-                                  p["test"], sigma_z, seed=42)
+                                  p["test"], seed=42)
     mece_ugts = result["corrupted"]["ugts"]["mece"]
     mece_ts = result["corrupted"]["ts"]["mece"]
 

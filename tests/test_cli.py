@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -290,6 +291,27 @@ def test_eval_ood_repeated_method_exit_2(workspace, runner, methods):
     assert not out.exists()
 
 
+BAD_METHOD_SPECS = ["mcd:n=1", "mcd:n=0", "mcd:n=abc", "mcd:p=1.5", "mcd:p=nan", "de:n=x",
+                    "de:n=1", "mcd:foo=1", "entropy:p=2", "mcd:n=2:n=3"]
+
+
+@pytest.mark.parametrize("command, spec", [("eval-ood", s) for s in BAD_METHOD_SPECS]
+                         + [("eval-ood", "mcd,mcd:n=5:p=0.1"), ("eval-ood", "de:n=3,de")]
+                         + [("calibrate", s) for s in BAD_METHOD_SPECS])
+def test_malformed_method_spec_exit_2(workspace, runner, command, spec):
+    out = workspace["root"] / "bad_spec"
+    option = "--methods" if command == "eval-ood" else "--method"
+    r = runner.invoke(main, [command, "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]),
+                             "--members", str(workspace["models"]),
+                             option, spec, "--out", str(out)])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["features.bin", "labels.bin"])
 def test_truncated_dataset_file_exit_3(workspace, runner, tmp_path, name):
     data = tmp_path / "data"
@@ -304,6 +326,43 @@ def test_truncated_dataset_file_exit_3(workspace, runner, tmp_path, name):
     assert isinstance(r.exception, SystemExit)
     assert r.output.startswith("error: ") and r.output.count("\n") == 1
     assert name in r.output
+
+
+@pytest.mark.parametrize("command", ["eval-ood", "calibrate"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_exit_3(workspace, runner, tmp_path, command, value):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    features = np.fromfile(data / "test" / "features.bin", dtype="<f4")
+    features[17] = value
+    features.tofile(data / "test" / "features.bin")
+    r = runner.invoke(main, [command, "--data", str(data),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--out", str(tmp_path / "out")])
+    assert r.exit_code == 3
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+    assert "features.bin" in r.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-ood", "calibrate"])
+def test_empty_split_exit_3(workspace, runner, tmp_path, command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    manifest = json.loads((data / "test" / "manifest.json").read_text())
+    manifest["scenes"] = []
+    (data / "test" / "manifest.json").write_text(json.dumps(manifest))
+    for name in ("features.bin", "labels.bin"):
+        (data / "test" / name).write_bytes(b"")
+    r = runner.invoke(main, [command, "--data", str(data),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--out", str(tmp_path / "out")])
+    assert r.exit_code == 3
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+    assert "manifest.json" in r.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("grid", ["abc", ",", "0,x", "nan"])

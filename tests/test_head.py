@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from voxuq import head as head_module
-from voxuq.head import (HeadConfig, ResidualMlpHead, dropout_forward,
-                        estimate_lipschitz, head_probs, lipschitz_upper_bound,
-                        predict_classes, train_head)
+from voxuq.head import (HeadConfig, ResidualMlpHead, estimate_lipschitz,
+                        lipschitz_upper_bound, train_head)
 from voxuq.nn_core import OptimizerState, ShapeError, leaky_relu
 
 
@@ -140,24 +139,20 @@ def test_dropout_p_zero_is_plain_forward():
     head = ResidualMlpHead(small_config(), seed=0)
     x = np.random.default_rng(5).standard_normal((6, 6))
     a = head.forward(x).logits
-    b = dropout_forward(head, x, 0.0, seed=1).logits
+    b = head.forward(x, dropout_p=0.0, dropout_rng=np.random.default_rng(1)).logits
     assert np.array_equal(a, b)
 
 
 def test_dropout_deterministic_per_seed():
     head = ResidualMlpHead(small_config(), seed=0)
     x = np.random.default_rng(6).standard_normal((20, 6))
-    a = dropout_forward(head, x, 0.3, seed=11).logits
-    b = dropout_forward(head, x, 0.3, seed=11).logits
-    c = dropout_forward(head, x, 0.3, seed=12).logits
+
+    def logits(seed):
+        return head.forward(x, dropout_p=0.3, dropout_rng=np.random.default_rng(seed)).logits
+
+    a, b, c = logits(11), logits(11), logits(12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_dropout_invalid_p():
-    head = ResidualMlpHead(small_config(), seed=0)
-    with pytest.raises(ValueError):
-        dropout_forward(head, np.zeros((1, 6)), 1.0, seed=0)
 
 
 # -- training ---------------------------------------------------------------
@@ -205,20 +200,6 @@ def test_train_head_rejects_empty_and_bad_labels():
         train_head(head, np.zeros((0, 6)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         train_head(head, np.zeros((2, 6)), np.array([0, 9]))
-
-
-def test_predict_classes_matches_argmax():
-    head = ResidualMlpHead(small_config(), seed=4)
-    x = np.random.default_rng(10).standard_normal((30, 6))
-    assert np.array_equal(predict_classes(head, x),
-                          np.argmax(head.forward(x).logits, axis=1))
-
-
-def test_head_probs_rows_sum_to_one():
-    head = ResidualMlpHead(small_config(), seed=4)
-    x = np.random.default_rng(11).standard_normal((30, 6))
-    p = head_probs(head, x)
-    assert np.allclose(p.sum(axis=1), 1.0)
 
 
 # -- Lipschitz probing ------------------------------------------------------

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxuq.head import HeadConfig, ResidualMlpHead
-from voxuq.metrics import (EnsembleSpec, ensemble_predict, max_softmax_score,
-                           mutual_information, predictive_entropy,
-                           softmax_entropy)
+from voxuq.metrics import (max_softmax_score, mutual_information,
+                           predictive_entropy, softmax_entropy)
+from voxuq.nn_core import softmax
+from voxuq.ood import MethodBundle, score_scene
 
 
 def rand_probs(rng, n, k):
@@ -64,49 +65,53 @@ def make_head(seed):
                                       num_classes=3), seed=seed)
 
 
+def mean_softmax(outputs):
+    return np.mean([softmax(out.logits) for out in outputs], axis=0)
+
+
 def test_deep_ensemble_mean_of_members():
     heads = [make_head(i) for i in range(3)]
     x = np.random.default_rng(1).standard_normal((8, 5))
-    spec = EnsembleSpec(kind="deep-ensemble", n=3)
-    mean, members = ensemble_predict(heads, spec, x)
-    assert members.shape == (3, 8, 3)
-    assert np.allclose(mean, members.mean(axis=0))
+    scores, logits = score_scene(["de:n=3"], MethodBundle(head=heads[0], ensemble_heads=heads), x)
+    mean = mean_softmax(h.forward(x) for h in heads)
+    assert logits["de:n=3"].shape == (8, 3)
+    assert np.allclose(logits["de:n=3"], np.log(mean))
+    assert np.allclose(scores["de:n=3"], predictive_entropy(mean))
 
 
 def test_deep_ensemble_member_count_mismatch():
-    heads = [make_head(0)]
-    spec = EnsembleSpec(kind="deep-ensemble", n=3)
+    heads = [make_head(i) for i in range(3)]
+    x = np.random.default_rng(1).standard_normal((8, 5))
+    # de:n reads the first n member heads and needs at least n
+    _, logits = score_scene(["de:n=2"], MethodBundle(head=heads[0], ensemble_heads=heads), x)
+    assert np.allclose(logits["de:n=2"], np.log(mean_softmax(h.forward(x) for h in heads[:2])))
     with pytest.raises(ValueError):
-        ensemble_predict(heads, spec, np.zeros((2, 5)))
+        score_scene(["de:n=3"], MethodBundle(head=heads[0], ensemble_heads=heads[:1]),
+                    np.zeros((2, 5)))
 
 
 def test_mc_dropout_deterministic_and_varied():
-    head = make_head(0)
+    bundle = MethodBundle(head=make_head(0))
     x = np.random.default_rng(2).standard_normal((10, 5))
-    spec = EnsembleSpec(kind="mc-dropout", n=4, dropout_p=0.2, base_seed=7)
-    mean_a, members_a = ensemble_predict(head, spec, x)
-    mean_b, _ = ensemble_predict(head, spec, x)
-    assert np.array_equal(mean_a, mean_b)
-    # members differ from one another (different pass seeds)
-    assert not np.array_equal(members_a[0], members_a[1])
+    method = "mcd:n=4:p=0.2"
+    scores_a, logits_a = score_scene([method], bundle, x, base_seed=7)
+    scores_b, logits_b = score_scene([method], bundle, x, base_seed=7)
+    assert np.array_equal(scores_a[method], scores_b[method])
+    assert np.array_equal(logits_a[method], logits_b[method])
+    # pass i is seeded base_seed + i, so the passes differ from one another
+    passes = [bundle.head.forward(x, dropout_p=0.2, dropout_rng=np.random.default_rng(7 + i))
+              for i in range(4)]
+    assert not np.array_equal(passes[0].logits, passes[1].logits)
+    assert np.allclose(logits_a[method], np.log(mean_softmax(passes)))
 
 
 def test_mc_dropout_p_zero_members_identical():
-    head = make_head(0)
+    bundle = MethodBundle(head=make_head(0))
     x = np.random.default_rng(3).standard_normal((6, 5))
-    spec = EnsembleSpec(kind="mc-dropout", n=3, dropout_p=0.0)
-    _, members = ensemble_predict(head, spec, x)
-    assert np.array_equal(members[0], members[1])
-    assert np.array_equal(members[0], members[2])
-
-
-def test_ensemble_spec_validation():
-    with pytest.raises(ValueError):
-        EnsembleSpec(kind="bagging", n=3)
-    with pytest.raises(ValueError):
-        EnsembleSpec(kind="deep-ensemble", n=1)
-    with pytest.raises(ValueError):
-        EnsembleSpec(kind="mc-dropout", n=3, dropout_p=1.0)
+    scores, _ = score_scene(["mcd:n=3:p=0"], bundle, x)
+    # every pass is the plain forward, so the mean is its softmax
+    plain = softmax(bundle.head.forward(x).logits)
+    assert np.allclose(scores["mcd:n=3:p=0"], softmax_entropy(plain), rtol=0, atol=1e-12)
 
 
 # -- decomposed uncertainty -------------------------------------------------

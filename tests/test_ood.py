@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxuq import synthworld
-from voxuq.head import ResidualMlpHead
+from voxuq.head import HeadConfig, ResidualMlpHead
+from voxuq.metrics import predictive_entropy
+from voxuq.nn_core import softmax
 from voxuq.ood import (MethodBundle, ScoredPopulation, aggregate_region,
                        aggregate_scene, auroc, fpr_at_95_tpr, histogram_table,
                        parse_method, run_sweep, score_scene)
@@ -173,15 +175,24 @@ def test_histogram_degenerate_scores():
 
 def test_parse_method_grammar():
     assert parse_method("ours") == ("ours", {})
-    assert parse_method("mcd:n=5:p=0.1") == ("mcd", {"n": "5", "p": "0.1"})
-    assert parse_method("de:n=3") == ("de", {"n": "3"})
+    assert parse_method("mcd:n=5:p=0.1") == ("mcd", {"n": 5, "p": 0.1})
+    assert parse_method("de:n=3") == ("de", {"n": 3})
+    # omitted parameters take the method's defaults
+    assert parse_method("mcd") == ("mcd", {"n": 5, "p": 0.1})
+    assert parse_method("mcd:p=0") == ("mcd", {"n": 5, "p": 0.0})
+    assert parse_method("mcd:n=2") == ("mcd", {"n": 2, "p": 0.1})
+    assert parse_method("de") == ("de", {"n": 3})
+    assert type(parse_method("de:n=4")[1]["n"]) is int
+    assert type(parse_method("mcd:p=0")[1]["p"]) is float
 
 
 def test_parse_method_rejects_unknown_and_malformed():
-    with pytest.raises(ValueError):
-        parse_method("gradnorm")
-    with pytest.raises(ValueError):
-        parse_method("mcd:n")
+    for spec in ("gradnorm", "bagging", "mcd:n", "mcd:", "de:n=1", "mcd:n=1", "mcd:n=0",
+                 "mcd:n=abc", "mcd:n=2.5", "de:n=x", "mcd:p=1.0", "mcd:p=1.5",
+                 "mcd:p=-0.1", "mcd:p=nan", "mcd:p=inf", "mcd:p=x", "mcd:foo=1",
+                 "de:p=0.1", "entropy:p=2", "ours:n=3", "mcd:n=2:n=3", "de:n=2:n=2"):
+        with pytest.raises(ValueError):
+            parse_method(spec)
 
 
 def test_ours_requires_density_model():
@@ -200,6 +211,39 @@ def test_de_requires_enough_members():
     bundle = MethodBundle(head=head, ensemble_heads=[head])
     with pytest.raises(ValueError):
         score_scene(["de:n=3"], bundle, np.zeros((2, 4)))
+
+
+def stacked_ensemble_mean(members, features, dropout_p=None, base_seed=0):
+    """Reference: the mean softmax as metrics.ensemble_predict computed it
+    before score_scene ran the members itself. Deep-ensemble members run
+    eval-mode forwards of at most 65,536 rows; MC-Dropout pass i of the
+    repeated head is seeded base_seed + i; the (n, rows, K) stack of member
+    softmaxes is averaged over its first axis."""
+    member_probs = []
+    for i, head in enumerate(members):
+        if dropout_p is None:
+            member_probs.append(np.concatenate([
+                softmax(head.forward(features[lo:lo + 65536]).logits)
+                for lo in range(0, features.shape[0], 65536)]))
+        else:
+            out = head.forward(features, dropout_p=dropout_p,
+                               dropout_rng=np.random.default_rng(base_seed + i))
+            member_probs.append(softmax(out.logits))
+    return np.stack(member_probs).mean(axis=0)
+
+
+@pytest.mark.parametrize("rows", [1, 2304, 4097, 65536])
+def test_ensemble_scores_match_the_stacked_mean_bit_for_bit(rows):
+    config = HeadConfig(input_dim=32, hidden_width=32, num_layers=3, num_classes=17)
+    heads = [ResidualMlpHead(config, seed=s) for s in range(4)]
+    bundle = MethodBundle(head=heads[0], ensemble_heads=heads[1:])
+    x = np.random.default_rng(rows).standard_normal((rows, 32))
+    scores, logits = score_scene(["mcd:n=3:p=0.1", "de:n=3"], bundle, x, base_seed=11)
+    for method, mean in (
+            ("mcd:n=3:p=0.1", stacked_ensemble_mean([heads[0]] * 3, x, 0.1, base_seed=11)),
+            ("de:n=3", stacked_ensemble_mean(heads[1:], x))):
+        assert np.array_equal(scores[method], predictive_entropy(mean)), method
+        assert np.array_equal(logits[method], np.log(np.maximum(mean, 1e-12))), method
 
 
 # -- fused sweep ------------------------------------------------------------
@@ -281,7 +325,6 @@ def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
     calls.update(forward=0, corruption=0)
     val = synthworld.generate_dataset(world, "val")
     params = calibrate_method("ours", bundle, train, val, seed=SWEEP_SEED)
-    evaluate_calibration("ours", bundle, world, params, test,
-                         synthworld.feature_std(train), seed=SWEEP_SEED)
+    evaluate_calibration("ours", bundle, world, params, test, seed=SWEEP_SEED)
     assert calls == {"forward": len(train.scenes) + len(val.scenes) + n * (1 + cells),
                      "corruption": n * cells}
