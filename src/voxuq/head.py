@@ -112,7 +112,8 @@ class ResidualMlpHead:
         """Logits and penultimate features of n x input_dim `features`.
 
         dropout_p > 0 applies inverted dropout after every hidden activation,
-        with keep masks drawn from `dropout_rng` (MC-Dropout passes).
+        with keep masks drawn from `dropout_rng` (MC-Dropout passes); a rate
+        outside [0, 1) raises ValueError.
 
         An eval-mode forward (no tape, no spectral-norm update, no dropout)
         of more than FORWARD_BLOCK rows runs in near-equal row blocks of at
@@ -121,6 +122,8 @@ class ResidualMlpHead:
         a single row, which BLAS would route through gemv instead of GEMM,
         so every row keeps the bits of the unblocked forward.
         """
+        if not 0.0 <= dropout_p < 1.0:
+            raise ValueError("dropout p must be in [0, 1), got %r" % dropout_p)
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.input_dim:
             raise ShapeError("head expects n x %d features" % self.config.input_dim)

@@ -155,6 +155,13 @@ def test_dropout_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def test_dropout_invalid_p():
+    head = ResidualMlpHead(small_config(), seed=0)
+    for p in (1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            head.forward(np.zeros((1, 6)), dropout_p=p, dropout_rng=np.random.default_rng(0))
+
+
 # -- training ---------------------------------------------------------------
 
 def blobs(rng, n_per_class, k, d, spread=4.0):

@@ -7,7 +7,7 @@ from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.metrics import (max_softmax_score, mutual_information,
                            predictive_entropy, softmax_entropy)
 from voxuq.nn_core import softmax
-from voxuq.ood import MethodBundle, score_scene
+from voxuq.ood import MethodBundle, parse_method, score_scene
 
 
 def rand_probs(rng, n, k):
@@ -46,15 +46,23 @@ def test_invalid_distributions_rejected():
         max_softmax_score(np.array([[-0.1, 1.1]]))
 
 
+GRID = 2 ** 20
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=2).map(tuple))
+@given(st.lists(st.tuples(st.integers(GRID // 2, GRID), st.booleans()),
+                min_size=2, max_size=2))
 def test_binary_rankings_agree(pair):
-    # with K=2 both scores are monotone in max-prob, so orderings coincide
-    a, b = pair
-    p1 = np.array([[a, 1 - a] if a >= 0.5 else [1 - a, a]])
-    p2 = np.array([[b, 1 - b] if b >= 0.5 else [1 - b, b]])
-    ms = max_softmax_score(np.vstack([p1, p2]))
-    ent = softmax_entropy(np.vstack([p1, p2]))
+    # with K=2 both scores are monotone in max-prob, so orderings coincide.
+    # Max-probs lie on a dyadic grid, so every row is exact and two distinct
+    # rows differ by far more than the rounding error of the entropy: max-probs
+    # a few ulps apart can tie, or swap, in floating-point entropy.
+    rows = []
+    for top, flip in pair:
+        row = [top / GRID, (GRID - top) / GRID]
+        rows.append(row[::-1] if flip else row)
+    ms = max_softmax_score(np.array(rows))
+    ent = softmax_entropy(np.array(rows))
     assert np.sign(ms[0] - ms[1]) == pytest.approx(np.sign(ent[0] - ent[1]))
 
 
@@ -112,6 +120,15 @@ def test_mc_dropout_p_zero_members_identical():
     # every pass is the plain forward, so the mean is its softmax
     plain = softmax(bundle.head.forward(x).logits)
     assert np.allclose(scores["mcd:n=3:p=0"], softmax_entropy(plain), rtol=0, atol=1e-12)
+
+
+def test_ensemble_spec_validation():
+    bundle = MethodBundle(head=make_head(0), ensemble_heads=[make_head(1), make_head(2)])
+    for spec in ("bagging:n=3", "de:n=1", "mcd:n=3:p=1.0"):
+        with pytest.raises(ValueError):
+            parse_method(spec)
+        with pytest.raises(ValueError):
+            score_scene([spec], bundle, np.zeros((2, 5)))
 
 
 # -- decomposed uncertainty -------------------------------------------------
