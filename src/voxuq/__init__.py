@@ -10,8 +10,7 @@ from .gda import (FeatureBank, GdaModel, collect_features, epistemic_score,
                   fit_gda, gmm_param_count)
 from .head import (HeadConfig, HeadOutput, ResidualMlpHead, estimate_lipschitz,
                    train_head)
-from .metrics import (max_softmax_score, mutual_information, predictive_entropy,
-                      softmax_entropy)
+from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import (GradTape, LinearLayer, OptimizerState, SpectralState,
                       cross_entropy_loss, power_iteration, softmax)
 from .ood import (BenchmarkReport, OodResult, ScoredPopulation,

@@ -3,7 +3,7 @@ uncertainty-guided temperature scaling (per-sample temperatures driven by the
 gap between a sample's uncertainty and the training-set mean).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,6 +13,9 @@ PROB_FLOOR = 1e-12
 DEFAULT_T_MIN = 0.05
 DEFAULT_T_MAX = 20.0
 DEFAULT_BINS = 15
+# fit_temperature: log-spaced grid points, then golden-section search to this width
+FIT_GRID_POINTS = 64
+FIT_TOL = 1e-4
 
 
 @dataclass
@@ -26,16 +29,6 @@ class CalibrationParams:
     def __post_init__(self):
         if not (0.0 < self.t_min <= self.t_max):
             raise ValueError("need 0 < t_min <= t_max")
-
-
-@dataclass
-class CalibrationResult:
-    ece: float
-    nll: float
-    temperature: object            # scalar or per-sample vector
-    bin_confidence: np.ndarray = field(default=None)
-    bin_accuracy: np.ndarray = field(default=None)
-    bin_counts: np.ndarray = field(default=None)
 
 
 def nll(probs, labels):
@@ -53,16 +46,16 @@ def ece(probs, labels, bins=DEFAULT_BINS):
     """Expected calibration error over equal-width confidence bins on (0, 1].
 
     A sample with confidence c falls in bin b when c is in (left_b, right_b].
-    Returns a CalibrationResult carrying per-bin diagnostics.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= probs.shape[1]:
+        raise ValueError("label out of range")
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
     n = conf.shape[0]
-    edges = np.linspace(0.0, 1.0, bins + 1)
     # right-closed bins: index by ceil(conf * bins) - 1
     idx = np.clip(np.ceil(conf * bins).astype(int) - 1, 0, bins - 1)
     bin_counts = np.bincount(idx, minlength=bins)
@@ -73,11 +66,8 @@ def ece(probs, labels, bins=DEFAULT_BINS):
     occupied = bin_counts > 0
     bin_conf[occupied] /= bin_counts[occupied]
     bin_acc[occupied] /= bin_counts[occupied]
-    value = float(np.sum(bin_counts[occupied] / n
-                         * np.abs(bin_acc[occupied] - bin_conf[occupied])))
-    return CalibrationResult(ece=value, nll=nll(probs, labels), temperature=1.0,
-                             bin_confidence=bin_conf, bin_accuracy=bin_acc,
-                             bin_counts=bin_counts)
+    return float(np.sum(bin_counts[occupied] / n
+                        * np.abs(bin_acc[occupied] - bin_conf[occupied])))
 
 
 def scale_logits(logits, t):
@@ -91,8 +81,7 @@ def scale_logits(logits, t):
     return softmax(logits / t)
 
 
-def fit_temperature(logits, labels, t_min=DEFAULT_T_MIN, t_max=DEFAULT_T_MAX,
-                    grid_points=64, tol=1e-4):
+def fit_temperature(logits, labels):
     """Temperature minimizing validation NLL: coarse log-spaced grid followed
     by golden-section refinement around the best grid point.
     """
@@ -104,7 +93,7 @@ def fit_temperature(logits, labels, t_min=DEFAULT_T_MIN, t_max=DEFAULT_T_MAX,
     def objective(t):
         return nll(scale_logits(logits, t), labels)
 
-    grid = np.geomspace(t_min, t_max, grid_points)
+    grid = np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, FIT_GRID_POINTS)
     if not np.any(np.isclose(grid, 1.0)):
         grid = np.sort(np.append(grid, 1.0))
     values = [objective(t) for t in grid]
@@ -117,7 +106,7 @@ def fit_temperature(logits, labels, t_min=DEFAULT_T_MIN, t_max=DEFAULT_T_MAX,
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
+    while b - a > FIT_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -151,7 +140,7 @@ def tune_lambda(logits, labels, u_bar_sample, params, lam_grid):
     best_lam, best_ece = None, None
     for lam in sorted(lam_grid, key=abs):
         t = ugts_temperature(replace(params, lam=lam), u_bar_sample)
-        value = ece(scale_logits(logits, t), labels).ece
+        value = ece(scale_logits(logits, t), labels)
         if best_ece is None or value < best_ece:
             best_lam, best_ece = lam, value
     return best_lam, best_ece

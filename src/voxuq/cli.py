@@ -11,24 +11,22 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
 
 from . import pipeline, report as report_mod, store, synthworld
 from .gda import FitError, gmm_param_count
+from .head import HeadConfig
 from .ood import MethodBundle, parse_method, run_sweep
 
-WORLD_KEYS = {
-    "grid_x": int, "grid_y": int, "grid_z": int, "num_classes": int,
-    "feature_dim": int, "objects_min": int, "objects_max": int,
-    "anchor_separation": float, "neighborhood_scale": float,
-    "noise_scale": float, "pair_offset": float, "seed": int, "train_scenes": int,
-    "val_scenes": int, "test_scenes": int,
-}
-HEAD_KEYS = {"num_layers": int, "skip": bool, "sn_enabled": bool,
-             "sn_coefficient": float, "hidden_width": int}
+# config keys are the fields of the dataclasses they fill; [world]'s grid is
+# split into grid_x/y/z, and the head's input and output sizes come from the world
+WORLD_KEYS = dict({"grid_x": int, "grid_y": int, "grid_z": int},
+                  **{f.name: f.type for f in fields(synthworld.WorldConfig) if f.name != "grid"})
+HEAD_KEYS = {f.name: f.type for f in fields(HeadConfig)
+             if f.name not in ("input_dim", "num_classes")}
 TRAINING_KEYS = {"epochs": int, "batch_size": int, "lr": float}
 
 SECTION_KEYS = {"world": WORLD_KEYS, "head": HEAD_KEYS, "training": TRAINING_KEYS}
@@ -55,9 +53,12 @@ def _parse_bool(raw):
 def load_config(path):
     """Sectioned key-value config; unknown sections/keys are rejected with
     the offending name."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        usage_error("cannot read config file %s" % path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(path):
+            usage_error("cannot read config file %s" % path)
+    except (configparser.Error, UnicodeDecodeError) as e:
+        usage_error("malformed config file %s: %s" % (path, str(e).splitlines()[0]))
     out = {section: {} for section in SECTION_KEYS}
     for section in parser.sections():
         if section not in SECTION_KEYS:
@@ -82,18 +83,6 @@ def world_config_from(config, seed=None):
         return synthworld.WorldConfig(grid=grid, **w)
     except (TypeError, ValueError) as e:
         usage_error(str(e))
-
-
-def head_config_from(config, world_config):
-    h = dict(config.get("head", {}))
-    return pipeline.head_config_for_world(
-        world_config,
-        num_layers=h.get("num_layers", 3),
-        skip=h.get("skip", True),
-        sn_enabled=h.get("sn_enabled", True),
-        sn_coefficient=h.get("sn_coefficient", 1.0),
-        hidden_width=h.get("hidden_width"),
-    )
 
 
 def _config_hash(obj):
@@ -123,6 +112,15 @@ def _int_list(raw, name, lo, hi=None):
     return values
 
 
+def _at_least(lo):
+    """Click callback: an integer option below `lo` is a usage error."""
+    def check(ctx, param, value):
+        if value is not None and value < lo:
+            usage_error("--%s must be >= %d, got %d" % (param.name, lo, value))
+        return value
+    return check
+
+
 @click.group()
 def main():
     """Uncertainty quantification toolkit for voxel-grid semantic prediction."""
@@ -131,7 +129,7 @@ def main():
 @main.command("generate-data")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None, callback=_at_least(0))
 @click.option("--force", is_flag=True)
 def cmd_generate_data(config_path, out, seed, force):
     """Generate train/val/test splits of the synthetic voxel world."""
@@ -153,22 +151,25 @@ def cmd_generate_data(config_path, out, seed, force):
 @click.option("--data", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42)
+@click.option("--seed", type=int, default=42, callback=_at_least(0))
 @click.option("--epochs", type=int, default=None)
-@click.option("--ensemble", type=int, default=0)
+@click.option("--ensemble", type=int, default=0, callback=_at_least(0))
 def cmd_train(data, config_path, out, seed, epochs, ensemble):
     """Train the prediction head (and optional deep-ensemble members)."""
     config = load_config(config_path) if config_path else {}
+    kwargs = dict({"epochs": pipeline.DEFAULT_EPOCHS, "batch_size": pipeline.DEFAULT_BATCH,
+                   "lr": pipeline.DEFAULT_LR}, **config.get("training", {}))
+    if epochs is not None:
+        kwargs["epochs"] = epochs
+    if not (kwargs["epochs"] >= 1 and kwargs["batch_size"] >= 1 and 0 < kwargs["lr"] < math.inf):
+        usage_error("need epochs >= 1, batch_size >= 1 and a finite lr > 0, got %(epochs)d, "
+                    "%(batch_size)d and %(lr)r" % kwargs)
     train_ds = _load_split(data, "train")
     val_ds = _load_split(data, "val")
-    head_config = head_config_from(config, train_ds.config)
-    training = config.get("training", {})
-    kwargs = {
-        "epochs": epochs if epochs is not None else training.get("epochs",
-                                                                 pipeline.DEFAULT_EPOCHS),
-        "batch_size": training.get("batch_size", pipeline.DEFAULT_BATCH),
-        "lr": training.get("lr", pipeline.DEFAULT_LR),
-    }
+    try:
+        head_config = pipeline.head_config_for_world(train_ds.config, **config.get("head", {}))
+    except ValueError as e:
+        usage_error(str(e))
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     head, log = pipeline.train_on_dataset(head_config, train_ds, seed=seed, **kwargs)
@@ -191,9 +192,9 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
 @main.command("fit-gmm")
 @click.option("--data", required=True, type=click.Path())
 @click.option("--head", "head_path", required=True, type=click.Path())
-@click.option("--cap", type=int, default=20000)
+@click.option("--cap", type=int, default=20000, callback=_at_least(1))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42)
+@click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_fit_gmm(data, head_path, cap, out, seed):
     """Fit the per-class Gaussian density model from penultimate features."""
     if not Path(head_path).exists():
@@ -261,7 +262,7 @@ def _param_count(method, bundle):
 @click.option("--corruptions", default=",".join(synthworld.CORRUPTION_KINDS))
 @click.option("--severities", default="1,2,3")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42)
+@click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
                  severities, out, seed):
     """Run the clean-vs-corrupted sweep and write metrics.json + histograms.csv."""
@@ -308,7 +309,7 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
 @click.option("--mode", type=click.Choice(["ts", "ugts"]), default="ugts")
 @click.option("--lambda-grid", "lambda_grid", default="0,0.01,0.02,0.05,0.1,0.2,0.5")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42)
+@click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
                   lambda_grid, out, seed):
     """Fit temperature scaling (and UGTS lambda), then report ECE/NLL on the
@@ -371,7 +372,7 @@ def cmd_report(metrics_path, histograms_path, out_dir):
 @main.command("ablate")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42)
+@click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_ablate(config_path, out, seed):
     """Train {3,5}-layer x {skip} head variants and tabulate OoD performance."""
     config = load_config(config_path) if config_path else {}
@@ -391,7 +392,7 @@ def cmd_ablate(config_path, out, seed):
 @click.option("--dims", default="16,32")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42)
+@click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_dim_sweep(dims, config_path, out, seed):
     """Sweep the feature/penultimate dimension and tabulate OoD metrics plus
     density-model parameter counts."""

@@ -89,18 +89,16 @@ class GdaModel:
         return float(out[0]) if single else out
 
 
-def collect_features(head, scenes, cap_per_class, seed, num_classes=None):
+def collect_features(head, scenes, cap_per_class, seed):
     """One deterministic pass over `scenes`, reservoir-sampling penultimate
     feature vectors per ground-truth class (Algorithm R).
 
     `scenes` yields (features, labels) pairs with features n x d_in and
     integer labels of length n.
     """
-    if num_classes is None:
-        num_classes = head.config.num_classes
     rng = np.random.default_rng(seed)
-    bank = FeatureBank(num_classes=num_classes, cap_per_class=cap_per_class)
-    for c in range(num_classes):
+    bank = FeatureBank(num_classes=head.config.num_classes, cap_per_class=cap_per_class)
+    for c in range(bank.num_classes):
         bank.vectors[c] = []
         bank.seen_counts[c] = 0
     for features, labels in scenes:
@@ -123,7 +121,7 @@ def collect_features(head, scenes, cap_per_class, seed, num_classes=None):
     return bank
 
 
-def fit_gda(bank, eps_ladder=DEFAULT_EPS_LADDER):
+def fit_gda(bank):
     """Fit means, covariances (denominator n-1) and priors from the bank.
 
     The smallest ladder entry eps for which Sigma_c + eps*scale*I is
@@ -152,7 +150,7 @@ def fit_gda(bank, eps_ladder=DEFAULT_EPS_LADDER):
 
     chols = None
     eps_used = None
-    for eps in eps_ladder:
+    for eps in DEFAULT_EPS_LADDER:
         try:
             cand = np.stack([np.linalg.cholesky(cov + eps * scale * np.eye(dim))
                              for cov in covs])

@@ -35,13 +35,11 @@ class HeadConfig:
 
     def __post_init__(self):
         if self.num_layers < 2:
-            raise ValueError("num_layers must be >= 2")
-        if self.sn_coefficient <= 0:
-            raise ValueError("sn_coefficient must be positive")
-
-    @property
-    def penultimate_dim(self):
-        return self.hidden_width
+            raise ValueError("num_layers must be >= 2, got %r" % self.num_layers)
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1, got %r" % self.hidden_width)
+        if not self.sn_coefficient > 0:
+            raise ValueError("sn_coefficient must be positive, got %r" % self.sn_coefficient)
 
 
 @dataclass
@@ -132,7 +130,7 @@ class ResidualMlpHead:
             blocks = -(-n // FORWARD_BLOCK)
             bounds = [i * n // blocks for i in range(blocks + 1)]
             logits = np.empty((n, self.config.num_classes))
-            penultimate = np.empty((n, self.config.penultimate_dim))
+            penultimate = np.empty((n, self.config.hidden_width))
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 out = self._forward(features[lo:hi], None, False, sn_iters, 0.0, None)
                 logits[lo:hi] = out.logits
@@ -209,7 +207,6 @@ class ResidualMlpHead:
             c = layer.sn_coefficient
             if sigma > c:
                 layer.weight *= c / sigma
-                layer.sn_state.sigma_hat = c
 
 
 def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed=0):
@@ -225,7 +222,7 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
     if labels.max(initial=0) >= head.config.num_classes:
         raise ValueError("label exceeds num_classes")
     if opt is None:
-        opt = OptimizerState(kind="adam", lr=1e-3)
+        opt = OptimizerState(lr=1e-3)
     rng = np.random.default_rng(seed)
     n = features.shape[0]
     log = TrainLog()

@@ -1,5 +1,5 @@
-"""Scalar uncertainty scores: softmax entropy, max-softmax, ensemble
-predictive entropy and mutual information.
+"""Scalar uncertainty scores: softmax entropy and max-softmax. The
+ensemble baselines score the entropy of their mean softmax.
 """
 
 import numpy as np
@@ -26,21 +26,3 @@ def max_softmax_score(probs):
     """Uncertainty 1 - max_k p_k per row."""
     probs = _check_distributions(probs)
     return 1.0 - probs.max(axis=-1)
-
-
-def predictive_entropy(mean_probs):
-    """Entropy of the ensemble-mean predictive distribution."""
-    return softmax_entropy(mean_probs)
-
-
-def mutual_information(member_probs):
-    """PE of the mean minus mean member entropy, clamped at >= 0."""
-    member_probs = np.asarray(member_probs, dtype=np.float64)
-    if member_probs.shape[0] < 2:
-        raise ValueError("mutual information needs >= 2 members")
-    pe = softmax_entropy(member_probs.mean(axis=0))
-    mean_h = np.mean([softmax_entropy(m) for m in member_probs], axis=0)
-    mi = pe - mean_h
-    if np.any(mi < -1e-12):
-        raise ValueError("mutual information below tolerance: %g" % mi.min())
-    return np.maximum(mi, 0.0)

@@ -1,6 +1,6 @@
 """Dense float64 numeric core: linear layers, spectral normalization via power
 iteration, softmax / cross-entropy, a gradient tape for manual backprop, and
-small optimizers (SGD-momentum, Adam).
+the Adam optimizer.
 
 Everything here is deterministic given a seed. Random state uses numpy's
 PCG64 generator throughout.
@@ -64,18 +64,16 @@ class SpectralState:
         v = rng.standard_normal(in_dim)
         self.u = u / np.linalg.norm(u)
         self.v = v / np.linalg.norm(v)
-        self.sigma_hat = 0.0
 
 
 def power_iteration(weight, state, iters=1):
     """Estimate the top singular value of `weight` by alternating power steps.
 
-    Updates state.u / state.v in place and returns sigma_hat = u^T W v.
+    Updates state.u / state.v in place and returns sigma = u^T W v.
     An all-zero matrix returns 0 with the state untouched.
     """
     weight = np.asarray(weight, dtype=np.float64)
     if not np.any(weight):
-        state.sigma_hat = 0.0
         return 0.0
     u, v = state.u, state.v
     for _ in range(iters):
@@ -90,8 +88,7 @@ def power_iteration(weight, state, iters=1):
             break
         u = u / u_norm
     state.u, state.v = u, v
-    state.sigma_hat = float(u @ weight @ v)
-    return state.sigma_hat
+    return float(u @ weight @ v)
 
 
 class LinearLayer:
@@ -185,32 +182,17 @@ class GradTape:
     def clear(self):
         self._entries = []
 
-    def __len__(self):
-        return len(self._entries)
-
 
 class OptimizerState:
-    """SGD-with-momentum or Adam over a dict of named parameter arrays."""
+    """Adam over a dict of named parameter arrays."""
 
-    def __init__(self, kind="adam", lr=1e-3, momentum=0.9, beta1=0.9, beta2=0.999, eps=1e-8):
-        if kind not in ("sgd", "adam"):
-            raise ValueError("unknown optimizer kind: %r" % kind)
-        self.kind = kind
+    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
-        self.momentum = momentum
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
         self._slots = {}
-
-    def _slot(self, name, shape):
-        if name not in self._slots:
-            if self.kind == "sgd":
-                self._slots[name] = np.zeros(shape)
-            else:
-                self._slots[name] = (np.zeros(shape), np.zeros(shape))
-        return self._slots[name]
 
     def step(self, params, grads):
         """In-place update of every parameter in `params` from `grads`."""
@@ -220,17 +202,13 @@ class OptimizerState:
             if g.shape != p.shape:
                 raise ShapeError("gradient shape %s != parameter shape %s for %s"
                                  % (g.shape, p.shape, name))
-            if self.kind == "sgd":
-                vel = self._slot(name, p.shape)
-                vel *= self.momentum
-                vel -= self.lr * g
-                p += vel
-            else:
-                m, v = self._slot(name, p.shape)
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                m_hat = m / (1.0 - self.beta1 ** self.step_count)
-                v_hat = v / (1.0 - self.beta2 ** self.step_count)
-                p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if name not in self._slots:
+                self._slots[name] = (np.zeros(p.shape), np.zeros(p.shape))
+            m, v = self._slots[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.step_count)
+            v_hat = v / (1.0 - self.beta2 ** self.step_count)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -12,7 +12,7 @@ from scipy.stats import rankdata
 
 from . import synthworld
 from .gda import epistemic_score
-from .metrics import max_softmax_score, predictive_entropy, softmax_entropy
+from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
 HISTOGRAM_BINS = 50
@@ -196,7 +196,7 @@ def score_scene(methods, bundle, features, base_seed=0):
             passes = (h.forward(features) for h in bundle.ensemble_heads[:params["n"]])
         # a running sum in member order: the bits of a mean over stacked members
         mean_probs = sum(softmax(member.logits) for member in passes) / params["n"]
-        scores[method] = predictive_entropy(mean_probs)
+        scores[method] = softmax_entropy(mean_probs)
         logits[method] = np.log(np.maximum(mean_probs, 1e-12))
     return scores, logits
 

@@ -24,7 +24,7 @@ def head_config_for_world(config, num_layers=3, skip=True, sn_enabled=True,
                           sn_coefficient=1.0, hidden_width=None):
     return HeadConfig(
         input_dim=config.feature_dim,
-        hidden_width=hidden_width or config.feature_dim,
+        hidden_width=config.feature_dim if hidden_width is None else hidden_width,
         num_layers=num_layers,
         skip=skip,
         sn_enabled=sn_enabled,
@@ -37,7 +37,7 @@ def train_on_dataset(head_config, dataset, seed=0, epochs=DEFAULT_EPOCHS,
                      batch_size=DEFAULT_BATCH, lr=DEFAULT_LR):
     head = ResidualMlpHead(head_config, seed=seed)
     feats, labels = dataset.voxel_arrays()
-    opt = OptimizerState(kind="adam", lr=lr)
+    opt = OptimizerState(lr=lr)
     log = train_head(head, feats, labels, opt=opt, epochs=epochs,
                      batch_size=batch_size, seed=seed)
     return head, log
@@ -54,14 +54,10 @@ def fit_density(head, dataset, cap_per_class=DEFAULT_CAP_PER_CLASS, seed=0):
     return fit_gda(bank), bank
 
 
-def build_bundle(head_config, train_ds, seed=0, ensemble_n=0,
-                 cap_per_class=DEFAULT_CAP_PER_CLASS, **train_kwargs):
+def build_bundle(head_config, train_ds, seed=0, **train_kwargs):
     head, log = train_on_dataset(head_config, train_ds, seed=seed, **train_kwargs)
-    gda_model, _ = fit_density(head, train_ds, cap_per_class=cap_per_class, seed=seed)
-    members = (train_ensemble(head_config, train_ds, ensemble_n,
-                              base_seed=seed + 100, **train_kwargs)
-               if ensemble_n else [])
-    return MethodBundle(head=head, gda_model=gda_model, ensemble_heads=members), log
+    gda_model, _ = fit_density(head, train_ds, seed=seed)
+    return MethodBundle(head=head, gda_model=gda_model), log
 
 
 def validation_accuracy(head, dataset):
@@ -116,12 +112,12 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
         u_per_voxel = np.repeat(u_scene, voxels)
         out = {}
         probs_raw = softmax(logits)
-        out["raw"] = {"ece": ece(probs_raw, labels).ece, "nll": nll(probs_raw, labels)}
+        out["raw"] = {"ece": ece(probs_raw, labels), "nll": nll(probs_raw, labels)}
         probs_ts = scale_logits(logits, params.t_train)
-        out["ts"] = {"ece": ece(probs_ts, labels).ece, "nll": nll(probs_ts, labels)}
+        out["ts"] = {"ece": ece(probs_ts, labels), "nll": nll(probs_ts, labels)}
         t_new = ugts_temperature(params, u_per_voxel)
         probs_ugts = scale_logits(logits, t_new)
-        out["ugts"] = {"ece": ece(probs_ugts, labels).ece, "nll": nll(probs_ugts, labels)}
+        out["ugts"] = {"ece": ece(probs_ugts, labels), "nll": nll(probs_ugts, labels)}
         return out
 
     result = {"clean": split_metrics(test_ds)}

@@ -51,6 +51,12 @@ class WorldConfig:
             raise ValueError("need at least 2 classes (class 0 is Unoccupied)")
         if self.feature_dim < 2:
             raise ValueError("feature_dim must be >= 2")
+        if len(self.grid) != 3 or min(self.grid) < 1:
+            raise ValueError("grid sizes must be three integers >= 1, got %s" % (self.grid,))
+        if not 0 <= self.objects_min <= self.objects_max:
+            raise ValueError("objects_min and objects_max need 0 <= min <= max")
+        if min(self.seed, self.train_scenes, self.val_scenes, self.test_scenes) < 0:
+            raise ValueError("seed and scene counts must be >= 0")
 
     @property
     def voxels_per_scene(self):
@@ -83,7 +89,6 @@ class CorruptionSpec:
     kind: str
     severity: int
     region: str = "full_scene"
-    sector_half_angle_deg: float = 45.0
 
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
@@ -246,7 +251,7 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
     gx, gy, gz = cfg.grid
     m = spec.severity
     if spec.region == "front_sector":
-        mask = front_sector_mask(cfg, spec.sector_half_angle_deg)
+        mask = front_sector_mask(cfg)
     else:
         mask = ...  # every voxel, without a boolean-index copy
     if spec.kind == "noise":
@@ -351,7 +356,6 @@ def save_dataset(dataset, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = dataset.config
-    gx, gy, gz = cfg.grid
     voxels = cfg.voxels_per_scene
     feat_bytes = voxels * cfg.feature_dim * 4
     label_bytes = voxels * 2
@@ -401,6 +405,8 @@ def load_dataset(in_dir):
     if not np.isfinite(features).all():
         raise ValueError("features.bin holds non-finite values (NaN or inf)")
     labels = np.fromfile(in_dir / "labels.bin", dtype="<u2")
+    if labels.max(initial=0) >= cfg.num_classes:
+        raise ValueError("labels.bin holds a label outside [0, %d)" % cfg.num_classes)
     features = features.reshape(n, gx, gy, gz, cfg.feature_dim).astype(np.float64)
     labels = labels.reshape(n, gx, gy, gz).astype(np.int64)
     scenes = [VoxelScene(labels=labels[i], features=features[i],

@@ -219,7 +219,7 @@ def test_criterion_4_metric_oracles(default_pipeline):
         raw = rng.random((n_id, k)) + 1e-9
         probs = raw / raw.sum(axis=1, keepdims=True)
         labels = rng.integers(0, k, size=n_id)
-        worst_ece = max(worst_ece, abs(ece(probs, labels).ece
+        worst_ece = max(worst_ece, abs(ece(probs, labels)
                                        - hand_ece(probs, labels, 15)))
 
     # null experiment: two disjoint clean scene sets must be inseparable

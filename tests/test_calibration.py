@@ -57,7 +57,7 @@ def test_ece_matches_hand_oracle():
         probs = rand_probs(rng, n, k)
         labels = rng.integers(0, k, size=n)
         for bins in (1, 5, 15):
-            got = ece(probs, labels, bins=bins).ece
+            got = ece(probs, labels, bins=bins)
             assert abs(got - hand_ece(probs, labels, bins)) < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_ece_exact_bin_edges():
     probs = np.array([[0.2, 0.8], [0.4, 0.6], [1.0, 0.0]])
     labels = np.array([1, 1, 0])
     for bins in (5, 10, 15):
-        got = ece(probs, labels, bins=bins).ece
+        got = ece(probs, labels, bins=bins)
         assert abs(got - hand_ece(probs, labels, bins)) < 1e-12
 
 
@@ -74,14 +74,19 @@ def test_ece_perfectly_calibrated_binary():
     # 10 samples at confidence 0.8, 8 of them correct -> bin gap 0
     probs = np.tile([0.8, 0.2], (10, 1))
     labels = np.array([0] * 8 + [1] * 2)
-    assert ece(probs, labels, bins=10).ece == pytest.approx(0.0, abs=1e-12)
+    assert ece(probs, labels, bins=10) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ece_diagnostics_counts():
+    # one sample each in bins 9 and 5, both correct: gaps 0.05 and 0.45, half weight each
     probs = np.array([[0.95, 0.05], [0.55, 0.45]])
-    result = ece(probs, np.array([0, 0]), bins=10)
-    assert result.bin_counts.sum() == 2
-    assert result.bin_counts[9] == 1 and result.bin_counts[5] == 1
+    assert ece(probs, np.array([0, 0]), bins=10) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_ece_label_range():
+    for labels in ([0, 2], [-1, 0]):
+        with pytest.raises(ValueError):
+            ece(np.ones((2, 2)) / 2, np.array(labels))
 
 
 def test_ece_rejects_bad_bins():
@@ -94,7 +99,7 @@ def test_ece_rejects_bad_bins():
        hnp.arrays(np.int64, (25,), elements=st.integers(0, 2)))
 def test_ece_property_matches_oracle(raw, labels):
     probs = raw / raw.sum(axis=1, keepdims=True)
-    got = ece(probs, labels, bins=15).ece
+    got = ece(probs, labels, bins=15)
     assert abs(got - hand_ece(probs, labels, 15)) < 1e-12
 
 
@@ -208,7 +213,7 @@ def test_tune_lambda_picks_helpful_lambda():
     params = CalibrationParams(t_train=1.0, lam=0.0, u_bar_train=0.0)
     lam, best = tune_lambda(logits, labels, u, params, [0.0, 0.5, 2.0])
     assert lam > 0.0
-    base = ece(scale_logits(logits, 1.0), labels).ece
+    base = ece(scale_logits(logits, 1.0), labels)
     assert best < base
 
 

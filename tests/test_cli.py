@@ -3,14 +3,17 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from voxuq import cli, store
+from voxuq import cli, pipeline, store
 from voxuq.cli import _config_hash, main
+from voxuq.head import HeadConfig
+from voxuq.synthworld import WorldConfig
 
 SMALL_CONFIG = """
 [world]
@@ -102,6 +105,143 @@ def test_bad_config_value_exit_2(runner, tmp_path):
     r = runner.invoke(main, ["generate-data", "--config", str(bad),
                              "--out", str(tmp_path / "d")])
     assert r.exit_code == 2
+
+
+def _assert_one_line_error(r, code):
+    assert r.exit_code == code, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    b"seed = 3\n",                                 # no section header
+    b"[world]\nseed = 3\nseed = 4\n",              # duplicate key
+    b"[world]\nseed\n",                            # key without a value
+    b"[world]\nseed = 3\n[world]\nseed = 4\n",     # duplicate section
+    b"[world]\nseed = 5%\n",                       # a stray interpolation sign
+    b"[world]\nseed = 3\n\xff\xfe\n",              # not UTF-8
+])
+def test_malformed_config_file_exit_2(runner, tmp_path, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(text)
+    r = runner.invoke(main, ["generate-data", "--config", str(bad),
+                             "--out", str(tmp_path / "d")])
+    _assert_one_line_error(r, 2)
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command, text, args", [
+    ("generate-data", "[world]\nobjects_min = 5\nobjects_max = 2\n", ()),
+    ("generate-data", "[world]\ngrid_x = 0\n", ()),
+    ("generate-data", "[world]\ntrain_scenes = -1\n", ()),
+    ("generate-data", "[world]\nseed = -1\n", ()),
+    ("train", "[head]\nnum_layers = 1\n", ()),
+    ("train", "[head]\nsn_coefficient = 0\n", ()),
+    ("train", "[head]\nsn_coefficient = nan\n", ()),
+    ("train", "[head]\nhidden_width = 0\n", ()),
+    ("train", "[training]\nbatch_size = 0\n", ()),
+    ("train", "[training]\nepochs = -1\n", ()),
+    ("train", "[training]\nepochs = 0\n", ()),
+    ("train", "[training]\nlr = nan\n", ()),
+    ("train", "[training]\nlr = -0.1\n", ()),
+    ("train", "", ("--epochs", "-1")),
+])
+def test_out_of_range_config_value_exit_2(workspace, runner, tmp_path, command, text, args):
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    data = () if command == "generate-data" else ("--data", str(workspace["data"]))
+    r = runner.invoke(main, [command, *data, "--config", str(config), "--out", str(out), *args])
+    _assert_one_line_error(r, 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("generate-data", ("--seed", "-1")),
+    ("train", ("--seed", "-1")),
+    ("train", ("--ensemble", "-2")),
+    ("fit-gmm", ("--seed", "-1")),
+    ("fit-gmm", ("--cap", "-5")),
+    ("fit-gmm", ("--cap", "0")),
+    ("eval-ood", ("--methods", "mcd", "--seed", "-1")),
+    ("calibrate", ("--seed", "-1")),
+    ("ablate", ("--seed", "-1")),
+    ("dim-sweep", ("--seed", "-1")),
+])
+def test_negative_count_option_exit_2(workspace, runner, tmp_path, command, args):
+    out = tmp_path / "out"
+    inputs = {"generate-data": (), "ablate": (), "dim-sweep": (),
+              "train": ("--data", workspace["data"]),
+              "fit-gmm": ("--data", workspace["data"],
+                          "--head", workspace["models"] / "head.ocuq")}.get(
+        command, ("--data", workspace["data"], "--head", workspace["models"] / "head.ocuq",
+                  "--gda", workspace["gda"]))
+    r = runner.invoke(main, [command, *map(str, inputs), "--out", str(out), *args])
+    _assert_one_line_error(r, 2)
+    assert args[-2] in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fit-gmm", "calibrate"])
+def test_label_out_of_range_exit_3(workspace, runner, tmp_path, command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    for split in ("train", "val", "test"):
+        labels = np.fromfile(data / split / "labels.bin", dtype="<u2")
+        labels[17] = 40
+        labels.tofile(data / split / "labels.bin")
+    head = ("--head", str(workspace["models"] / "head.ocuq"))
+    extra = {"train": (), "fit-gmm": head, "calibrate": head + ("--gda", str(workspace["gda"]))}
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command, "--data", str(data), *extra[command], "--out", str(out)])
+    _assert_one_line_error(r, 3)
+    assert "labels.bin" in r.output
+    assert not out.exists()
+
+
+def _non_default(value):
+    if isinstance(value, bool):
+        return not value
+    return value + 1 if isinstance(value, int) else value + 0.5
+
+
+def test_config_keys_are_the_dataclass_fields(workspace, runner, tmp_path, monkeypatch):
+    world_fields = {f.name for f in fields(WorldConfig)} - {"grid"}
+    assert set(cli.WORLD_KEYS) == world_fields | {"grid_x", "grid_y", "grid_z"}
+    assert set(cli.HEAD_KEYS) == {f.name for f in fields(HeadConfig)} - {"input_dim",
+                                                                         "num_classes"}
+    # every [world] key moves the world config off its default
+    default = cli.world_config_from({})
+    for key in cli.WORLD_KEYS:
+        value = (default.grid["xyz".index(key[-1])] + 1 if key.startswith("grid_")
+                 else _non_default(getattr(default, key)))
+        assert cli.world_config_from({"world": {key: value}}) != default, key
+
+    # every [head] and [training] key reaches what `train` hands the trainer
+    class Captured(Exception):
+        pass
+
+    def capture(head_config, dataset, seed=0, **kwargs):
+        raise Captured(head_config, kwargs)
+
+    monkeypatch.setattr(pipeline, "train_on_dataset", capture)
+
+    def trained_with(text):
+        config = tmp_path / "keys.ini"
+        config.write_text(text)
+        r = runner.invoke(main, ["train", "--data", str(workspace["data"]),
+                                 "--config", str(config), "--out", str(tmp_path / "m")])
+        assert isinstance(r.exception, Captured), r.output
+        return r.exception.args
+
+    head_config, kwargs = trained_with("")
+    for key in cli.HEAD_KEYS:
+        value = _non_default(getattr(head_config, key))
+        assert getattr(trained_with("[head]\n%s = %s\n" % (key, value))[0], key) == value, key
+    assert set(cli.TRAINING_KEYS) == set(kwargs)
+    for key in cli.TRAINING_KEYS:
+        value = _non_default(kwargs[key])
+        assert trained_with("[training]\n%s = %s\n" % (key, value))[1][key] == value, key
 
 
 def test_train_outputs(workspace):

@@ -65,7 +65,7 @@ def test_forward_shapes_and_penultimate():
     x = np.random.default_rng(1).standard_normal((10, 6))
     out = head.forward(x)
     assert out.logits.shape == (10, 4)
-    assert out.penultimate_features.shape == (10, cfg.penultimate_dim)
+    assert out.penultimate_features.shape == (10, cfg.hidden_width)
 
 
 def test_skip_block_is_identity_plus_activation():
@@ -176,7 +176,7 @@ def test_train_head_learns_blobs():
     rng = np.random.default_rng(7)
     feats, labels = blobs(rng, 150, 4, 6)
     head = ResidualMlpHead(small_config(), seed=1)
-    opt = OptimizerState(kind="adam", lr=1e-2)
+    opt = OptimizerState(lr=1e-2)
     log = train_head(head, feats, labels, opt=opt, epochs=30, batch_size=64, seed=1)
     assert log.losses[-1] < log.losses[0]
     assert log.accuracies[-1] > 0.9

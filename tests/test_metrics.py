@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxuq.head import HeadConfig, ResidualMlpHead
-from voxuq.metrics import (max_softmax_score, mutual_information,
-                           predictive_entropy, softmax_entropy)
+from voxuq.metrics import max_softmax_score, softmax_entropy
 from voxuq.nn_core import softmax
 from voxuq.ood import MethodBundle, parse_method, score_scene
 
@@ -84,7 +83,7 @@ def test_deep_ensemble_mean_of_members():
     mean = mean_softmax(h.forward(x) for h in heads)
     assert logits["de:n=3"].shape == (8, 3)
     assert np.allclose(logits["de:n=3"], np.log(mean))
-    assert np.allclose(scores["de:n=3"], predictive_entropy(mean))
+    assert np.allclose(scores["de:n=3"], softmax_entropy(mean))
 
 
 def test_deep_ensemble_member_count_mismatch():
@@ -129,35 +128,3 @@ def test_ensemble_spec_validation():
             parse_method(spec)
         with pytest.raises(ValueError):
             score_scene([spec], bundle, np.zeros((2, 5)))
-
-
-# -- decomposed uncertainty -------------------------------------------------
-
-def test_mutual_information_zero_for_identical_members():
-    rng = np.random.default_rng(4)
-    p = rand_probs(rng, 10, 4)
-    members = np.stack([p, p, p])
-    mi = mutual_information(members)
-    assert np.allclose(mi, 0.0, atol=1e-12)
-
-
-def test_mutual_information_nonnegative_and_below_pe():
-    rng = np.random.default_rng(5)
-    members = np.stack([rand_probs(rng, 30, 5) for _ in range(4)])
-    mi = mutual_information(members)
-    pe = predictive_entropy(members.mean(axis=0))
-    assert np.all(mi >= 0.0)
-    assert np.all(mi <= pe + 1e-12)
-
-
-def test_mutual_information_needs_two_members():
-    with pytest.raises(ValueError):
-        mutual_information(np.ones((1, 3, 2)) / 2)
-
-
-def test_disagreeing_members_have_positive_mi():
-    # two members certain about different classes: PE = ln 2, mean entropy = 0
-    a = np.array([[1.0, 0.0]])
-    b = np.array([[0.0, 1.0]])
-    mi = mutual_information(np.stack([a, b]))
-    assert mi[0] == pytest.approx(np.log(2), abs=1e-12)

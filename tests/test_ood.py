@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from voxuq import synthworld
 from voxuq.head import HeadConfig, ResidualMlpHead
-from voxuq.metrics import predictive_entropy
+from voxuq.metrics import softmax_entropy
 from voxuq.nn_core import softmax
 from voxuq.ood import (MethodBundle, ScoredPopulation, aggregate_region,
                        aggregate_scene, auroc, fpr_at_95_tpr, histogram_table,
@@ -242,7 +242,7 @@ def test_ensemble_scores_match_the_stacked_mean_bit_for_bit(rows):
     for method, mean in (
             ("mcd:n=3:p=0.1", stacked_ensemble_mean([heads[0]] * 3, x, 0.1, base_seed=11)),
             ("de:n=3", stacked_ensemble_mean(heads[1:], x))):
-        assert np.array_equal(scores[method], predictive_entropy(mean)), method
+        assert np.array_equal(scores[method], softmax_entropy(mean)), method
         assert np.array_equal(logits[method], np.log(np.maximum(mean, 1e-12))), method
 
 
