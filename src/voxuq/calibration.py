@@ -6,6 +6,7 @@ gap between a sample's uncertainty and the training-set mean).
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .nn_core import softmax
 
@@ -13,9 +14,9 @@ PROB_FLOOR = 1e-12
 DEFAULT_T_MIN = 0.05
 DEFAULT_T_MAX = 20.0
 DEFAULT_BINS = 15
-# fit_temperature: log-spaced grid points, then golden-section search to this width
-FIT_GRID_POINTS = 64
+# fit_temperature's tolerance on beta = 1/t
 FIT_TOL = 1e-4
+LAMBDA_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
 
 
 @dataclass
@@ -59,10 +60,8 @@ def ece(probs, labels, bins=DEFAULT_BINS):
     # right-closed bins: index by ceil(conf * bins) - 1
     idx = np.clip(np.ceil(conf * bins).astype(int) - 1, 0, bins - 1)
     bin_counts = np.bincount(idx, minlength=bins)
-    bin_conf = np.zeros(bins)
-    bin_acc = np.zeros(bins)
-    np.add.at(bin_conf, idx, conf)
-    np.add.at(bin_acc, idx, correct.astype(np.float64))
+    bin_conf = np.bincount(idx, weights=conf, minlength=bins)
+    bin_acc = np.bincount(idx, weights=correct, minlength=bins)
     occupied = bin_counts > 0
     bin_conf[occupied] /= bin_counts[occupied]
     bin_acc[occupied] /= bin_counts[occupied]
@@ -82,44 +81,20 @@ def scale_logits(logits, t):
 
 
 def fit_temperature(logits, labels):
-    """Temperature minimizing validation NLL: coarse log-spaced grid followed
-    by golden-section refinement around the best grid point.
+    """Temperature minimizing validation NLL: a bounded Brent search over
+    beta = 1/t, in which the NLL is convex. Never worse than t = 1.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if np.unique(labels).size < 2:
         raise ValueError("temperature fit needs at least two classes present")
 
-    def objective(t):
-        return nll(scale_logits(logits, t), labels)
+    def objective(beta):
+        return nll(scale_logits(logits, 1.0 / beta), labels)
 
-    grid = np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, FIT_GRID_POINTS)
-    if not np.any(np.isclose(grid, 1.0)):
-        grid = np.sort(np.append(grid, 1.0))
-    values = [objective(t) for t in grid]
-    best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > FIT_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = objective(d)
-    t_star = (a + b) / 2.0
-    # never do worse than any grid point (including t=1)
-    if objective(t_star) > values[best]:
-        t_star = float(grid[best])
-    return float(t_star)
+    res = minimize_scalar(objective, bounds=(1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN),
+                          method="bounded", options={"xatol": FIT_TOL})
+    return 1.0 / float(res.x) if res.fun <= objective(1.0) else 1.0
 
 
 def ugts_temperature(params, u_bar_sample):

@@ -17,6 +17,7 @@ from pathlib import Path
 import click
 
 from . import pipeline, report as report_mod, store, synthworld
+from .calibration import LAMBDA_GRID
 from .gda import FitError, gmm_param_count
 from .head import HeadConfig
 from .ood import MethodBundle, parse_method, run_sweep
@@ -42,6 +43,15 @@ def data_error(message):
     sys.exit(3)
 
 
+def _generate(fn, *args, **kwargs):
+    """fn(*args, **kwargs), where a world whose class anchors cannot be placed
+    is a configuration error."""
+    try:
+        return fn(*args, **kwargs)
+    except synthworld.GenerationError as e:
+        usage_error(str(e))
+
+
 def _parse_bool(raw):
     if raw.lower() in ("1", "true", "yes", "on"):
         return True
@@ -59,6 +69,8 @@ def load_config(path):
             usage_error("cannot read config file %s" % path)
     except (configparser.Error, UnicodeDecodeError) as e:
         usage_error("malformed config file %s: %s" % (path, str(e).splitlines()[0]))
+    if parser.defaults():
+        usage_error("unknown config section [DEFAULT]")
     out = {section: {} for section in SECTION_KEYS}
     for section in parser.sections():
         if section not in SECTION_KEYS:
@@ -138,7 +150,7 @@ def cmd_generate_data(config_path, out, seed, force):
     out_dir = Path(out)
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         usage_error("output directory %s is not empty (use --force)" % out)
-    world = synthworld.generate_world(world_config)
+    world = _generate(synthworld.generate_world, world_config)
     for split in ("train", "val", "test"):
         ds = synthworld.generate_dataset(world, split)
         synthworld.save_dataset(ds, out_dir / split)
@@ -307,7 +319,7 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
 @click.option("--members", "members_dir", type=click.Path(), default=None)
 @click.option("--method", default="ours")
 @click.option("--mode", type=click.Choice(["ts", "ugts"]), default="ugts")
-@click.option("--lambda-grid", "lambda_grid", default="0,0.01,0.02,0.05,0.1,0.2,0.5")
+@click.option("--lambda-grid", "lambda_grid", default=",".join(map(str, LAMBDA_GRID)))
 @click.option("--out", required=True, type=click.Path())
 @click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
@@ -377,7 +389,7 @@ def cmd_ablate(config_path, out, seed):
     """Train {3,5}-layer x {skip} head variants and tabulate OoD performance."""
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    rows = pipeline.ablation_table(world_config, seed=seed)
+    rows = _generate(pipeline.ablation_table, world_config, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_mod.write_metrics({"rows": rows}, out_dir / "ablation.json")
@@ -399,7 +411,7 @@ def cmd_dim_sweep(dims, config_path, out, seed):
     dim_list = _int_list(dims, "dims", 2)
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    rows = pipeline.feature_dim_sweep(dim_list, world_config, seed=seed)
+    rows = _generate(pipeline.feature_dim_sweep, dim_list, world_config, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_mod.write_metrics({"rows": rows}, out_dir / "dim_sweep.json")

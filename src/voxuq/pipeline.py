@@ -8,11 +8,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import synthworld
-from .calibration import (CalibrationParams, ece, fit_temperature, nll,
-                          scale_logits, tune_lambda, ugts_temperature)
+from .calibration import (LAMBDA_GRID, CalibrationParams, ece, fit_temperature,
+                          nll, scale_logits, tune_lambda, ugts_temperature)
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
 from .head import HeadConfig, ResidualMlpHead, train_head
-from .nn_core import OptimizerState, softmax
+from .nn_core import OptimizerState
 from .ood import MethodBundle, parse_method, run_sweep, score_scene
 
 DEFAULT_EPOCHS = 6
@@ -84,8 +84,7 @@ def _calibration_pass(method, bundle, dataset, seed):
     return np.concatenate(logits), np.concatenate(labels), u_scene
 
 
-def calibrate_method(method, bundle, train_ds, val_ds,
-                     lam_grid=(0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5), seed=0):
+def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, seed=0):
     """Fit t_train on clean validation logits, compute the train-set mean
     uncertainty, and tune lambda on the clean split. Returns the
     CalibrationParams."""
@@ -108,30 +107,20 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
 
     def split_metrics(ds):
         logits, labels, u_scene = _calibration_pass(method, bundle, ds, seed)
-        voxels = ds.config.voxels_per_scene
-        u_per_voxel = np.repeat(u_scene, voxels)
+        t_ugts = ugts_temperature(params, np.repeat(u_scene, ds.config.voxels_per_scene))
         out = {}
-        probs_raw = softmax(logits)
-        out["raw"] = {"ece": ece(probs_raw, labels), "nll": nll(probs_raw, labels)}
-        probs_ts = scale_logits(logits, params.t_train)
-        out["ts"] = {"ece": ece(probs_ts, labels), "nll": nll(probs_ts, labels)}
-        t_new = ugts_temperature(params, u_per_voxel)
-        probs_ugts = scale_logits(logits, t_new)
-        out["ugts"] = {"ece": ece(probs_ugts, labels), "nll": nll(probs_ugts, labels)}
+        for variant, t in (("raw", 1.0), ("ts", params.t_train), ("ugts", t_ugts)):
+            probs = scale_logits(logits, t)
+            out[variant] = {"ece": ece(probs, labels), "nll": nll(probs, labels)}
         return out
 
     result = {"clean": split_metrics(test_ds)}
-    grid = {"raw": {"ece": [], "nll": []}, "ts": {"ece": [], "nll": []},
-            "ugts": {"ece": [], "nll": []}}
     sigma_z = synthworld.feature_std(test_ds)
-    for _, _, corrupted in synthworld.corrupted_datasets(test_ds, world, sigma_z):
-        cell = split_metrics(corrupted)
-        for variant in grid:
-            grid[variant]["ece"].append(cell[variant]["ece"])
-            grid[variant]["nll"].append(cell[variant]["nll"])
-    result["corrupted"] = {variant: {"mece": float(np.mean(v["ece"])),
-                                     "mnll": float(np.mean(v["nll"]))}
-                           for variant, v in grid.items()}
+    cells = [split_metrics(corrupted) for _, _, corrupted
+             in synthworld.corrupted_datasets(test_ds, world, sigma_z)]
+    result["corrupted"] = {v: {"mece": float(np.mean([c[v]["ece"] for c in cells])),
+                               "mnll": float(np.mean([c[v]["nll"] for c in cells]))}
+                           for v in result["clean"]}
     return result
 
 

@@ -57,6 +57,10 @@ class WorldConfig:
             raise ValueError("objects_min and objects_max need 0 <= min <= max")
         if min(self.seed, self.train_scenes, self.val_scenes, self.test_scenes) < 0:
             raise ValueError("seed and scene counts must be >= 0")
+        if not all(0.0 <= s < np.inf for s in (self.anchor_separation, self.neighborhood_scale,
+                                                self.noise_scale, self.pair_offset)):
+            raise ValueError("anchor_separation, neighborhood_scale, noise_scale and "
+                             "pair_offset must be finite and >= 0")
 
     @property
     def voxels_per_scene(self):
@@ -184,8 +188,8 @@ def generate_scene(world, seed, scene_id=0):
         cx = rng.uniform(0, gx)
         cy = rng.uniform(0, gy)
         cz = rng.uniform(0, gz)
-        sx = rng.uniform(1.0, gx / 5.0)
-        sy = rng.uniform(1.0, gy / 5.0)
+        sx = rng.uniform(1.0, max(1.0, gx / 5.0))
+        sy = rng.uniform(1.0, max(1.0, gy / 5.0))
         sz = rng.uniform(0.8, max(1.0, gz / 2.0))
         shape = rng.integers(0, 2)  # 0 = box, 1 = ellipsoid
         x, y, z = np.indices((gx, gy, gz))

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voxuq.calibration import (CalibrationParams, ece, fit_temperature, nll,
-                               scale_logits, tune_lambda, ugts_temperature)
+from voxuq.calibration import (DEFAULT_T_MAX, DEFAULT_T_MIN, CalibrationParams, ece,
+                               fit_temperature, nll, scale_logits, tune_lambda,
+                               ugts_temperature)
 from voxuq.nn_core import softmax
 
 
@@ -138,15 +139,44 @@ def test_scale_logits_rejects_nonpositive_t():
         scale_logits(np.zeros((2, 2)), np.array([1.0, -1.0]))
 
 
-def test_fit_temperature_recovers_overconfidence_factor():
-    # well-calibrated logits inflated by 3 should fit t close to 3
+def _fit_case(case):
     rng = np.random.default_rng(3)
     n, k = 4000, 5
     base = rng.standard_normal((n, k)) * 2.0
-    probs = softmax(base)
-    labels = np.array([rng.choice(k, p=row) for row in probs])
-    t = fit_temperature(base * 3.0, labels)
-    assert 2.6 < t < 3.4
+    if case == "interior":
+        # well-calibrated logits inflated by 3 should fit t close to 3
+        labels = np.array([rng.choice(k, p=row) for row in softmax(base)])
+        return base * 3.0, labels
+    if case == "t_min":
+        # separable: sharpening always lowers the NLL
+        return base, base.argmax(axis=1)
+    # labels independent of the logits: flattening always lowers the NLL
+    return base, rng.integers(0, k, size=n)
+
+
+def grid_nll_min(logits, labels, points=4001):
+    """Smallest NLL over a log-spaced grid of temperatures on [T_MIN, T_MAX],
+    by log-sum-exp, 100 temperatures at a time."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    z_true = z[np.arange(len(labels)), labels]
+    betas = 1.0 / np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, points)
+    best = np.inf
+    for chunk in np.array_split(betas, points // 100):
+        lse = np.log(np.exp(chunk[:, None, None] * z).sum(axis=2))
+        best = min(best, float((lse - chunk[:, None] * z_true).mean(axis=1).min()))
+    return best
+
+
+@pytest.mark.parametrize("case, lo, hi", [
+    ("interior", 2.6, 3.4),
+    ("t_min", DEFAULT_T_MIN, 0.051),
+    ("t_max", 19.9, DEFAULT_T_MAX),
+], ids=["interior", "t_min", "t_max"])
+def test_fit_temperature_matches_fine_grid(case, lo, hi):
+    logits, labels = _fit_case(case)
+    t = fit_temperature(logits, labels)
+    assert lo < t < hi
+    assert nll(scale_logits(logits, t), labels) <= grid_nll_min(logits, labels) + 1e-5
 
 
 def test_fit_temperature_never_worse_than_identity():

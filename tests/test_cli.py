@@ -78,6 +78,17 @@ def test_generate_data_refuses_nonempty_out(workspace, runner):
     assert "--force" in r.output
 
 
+@pytest.mark.parametrize("grid", ["grid_x = 4", "grid_x = 2\ngrid_y = 2\ngrid_z = 1"])
+def test_generate_data_narrow_grid(runner, tmp_path, grid):
+    # object extents are drawn from [1, g/5], which is empty below 5 voxels
+    config = tmp_path / "narrow.ini"
+    config.write_text("[world]\n%s\ntrain_scenes = 2\nval_scenes = 1\ntest_scenes = 1\n"
+                      % grid)
+    r = runner.invoke(main, ["generate-data", "--config", str(config),
+                             "--out", str(tmp_path / "d")])
+    assert r.exit_code == 0, r.output
+
+
 def test_unknown_config_section_exit_2(runner, tmp_path):
     # [gda], [calibration] and [benchmark] were once accepted and then ignored
     for section, key in (("planet", "gravity = 9.8"), ("gda", "cap_per_class = 3"),
@@ -120,6 +131,8 @@ def _assert_one_line_error(r, code):
     b"[world]\nseed = 3\n[world]\nseed = 4\n",     # duplicate section
     b"[world]\nseed = 5%\n",                       # a stray interpolation sign
     b"[world]\nseed = 3\n\xff\xfe\n",              # not UTF-8
+    b"[DEFAULT]\nseed = 3\n",                      # once silently ignored
+    b"[DEFAULT]\nseed = 3\n[head]\nskip = 1\n",    # once blamed on [head]
 ])
 def test_malformed_config_file_exit_2(runner, tmp_path, text):
     bad = tmp_path / "bad.ini"
@@ -145,12 +158,20 @@ def test_malformed_config_file_exit_2(runner, tmp_path, text):
     ("train", "[training]\nlr = nan\n", ()),
     ("train", "[training]\nlr = -0.1\n", ()),
     ("train", "", ("--epochs", "-1")),
+    ("generate-data", "[world]\nanchor_separation = -1\n", ()),
+    ("generate-data", "[world]\nneighborhood_scale = inf\n", ()),
+    ("generate-data", "[world]\nnoise_scale = nan\n", ()),
+    ("generate-data", "[world]\npair_offset = -0.5\n", ()),
+    # too many classes to place 4 apart in 2 dimensions
+    ("generate-data", "[world]\nfeature_dim = 2\nnum_classes = 200\n", ()),
+    ("ablate", "[world]\nfeature_dim = 2\nnum_classes = 200\n", ()),
+    ("dim-sweep", "[world]\nnum_classes = 200\n", ("--dims", "2")),
 ])
 def test_out_of_range_config_value_exit_2(workspace, runner, tmp_path, command, text, args):
     config = tmp_path / "bad.ini"
     config.write_text(text)
     out = tmp_path / "out"
-    data = () if command == "generate-data" else ("--data", str(workspace["data"]))
+    data = ("--data", str(workspace["data"])) if command == "train" else ()
     r = runner.invoke(main, [command, *data, "--config", str(config), "--out", str(out), *args])
     _assert_one_line_error(r, 2)
     assert not out.exists()
