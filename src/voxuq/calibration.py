@@ -54,8 +54,11 @@ def ece(probs, labels, bins=DEFAULT_BINS):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= probs.shape[1]:
         raise ValueError("label out of range")
-    conf = probs.max(axis=1)
-    correct = probs.argmax(axis=1) == labels
+    return _binned_ece(probs.max(axis=1), probs.argmax(axis=1) == labels, bins)
+
+
+def _binned_ece(conf, correct, bins):
+    """ECE of per-sample confidences and 0/1 correctness over `bins` bins."""
     n = conf.shape[0]
     # right-closed bins: index by ceil(conf * bins) - 1
     idx = np.clip(np.ceil(conf * bins).astype(int) - 1, 0, bins - 1)
@@ -80,6 +83,36 @@ def scale_logits(logits, t):
     return softmax(logits / t)
 
 
+class LogitGaps:
+    """One split's logits and labels, reduced once to what scoring them at
+    any temperature needs: each logit's gap to its row maximum (stored
+    class-major, since numpy reduces over axis 0 of a K x n array faster than
+    over axis 1 of an n x K one), the true class's gap, and whether the
+    argmax is the label, which no temperature t > 0 changes.
+    """
+
+    def __init__(self, logits, labels):
+        logits = np.asarray(logits, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        n, k = logits.shape
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
+            raise ValueError("label out of range")
+        gaps = logits - logits.max(axis=1, keepdims=True)
+        self._gaps = np.ascontiguousarray(gaps.T)
+        self._true_gap = gaps[np.arange(n), labels]
+        self._correct = logits.argmax(axis=1) == labels
+
+    def metrics(self, t):
+        """(ece, nll) of softmax(logits / t) from one exp pass; t is a scalar
+        or a per-row vector. With S = sum_c exp(gap_c / t), the confidence is
+        1 / S and the floored true-class NLL is min(log S - gap_y / t,
+        -log PROB_FLOOR)."""
+        t = np.asarray(t, dtype=np.float64)
+        s = np.exp(self._gaps / t).sum(axis=0)
+        loss = np.minimum(np.log(s) - self._true_gap / t, -np.log(PROB_FLOOR))
+        return _binned_ece(1.0 / s, self._correct, DEFAULT_BINS), float(loss.mean())
+
+
 def fit_temperature(logits, labels):
     """Temperature minimizing validation NLL: a bounded Brent search over
     beta = 1/t, in which the NLL is convex. Never worse than t = 1.
@@ -89,8 +122,10 @@ def fit_temperature(logits, labels):
     if np.unique(labels).size < 2:
         raise ValueError("temperature fit needs at least two classes present")
 
+    gaps = LogitGaps(logits, labels)
+
     def objective(beta):
-        return nll(scale_logits(logits, 1.0 / beta), labels)
+        return gaps.metrics(1.0 / beta)[1]
 
     res = minimize_scalar(objective, bounds=(1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN),
                           method="bounded", options={"xatol": FIT_TOL})
@@ -112,10 +147,10 @@ def tune_lambda(logits, labels, u_bar_sample, params, lam_grid):
     lam_grid = list(lam_grid)
     if not lam_grid:
         raise ValueError("empty lambda grid")
+    gaps = LogitGaps(logits, labels)
     best_lam, best_ece = None, None
     for lam in sorted(lam_grid, key=abs):
-        t = ugts_temperature(replace(params, lam=lam), u_bar_sample)
-        value = ece(scale_logits(logits, t), labels)
+        value = gaps.metrics(ugts_temperature(replace(params, lam=lam), u_bar_sample))[0]
         if best_ece is None or value < best_ece:
             best_lam, best_ece = lam, value
     return best_lam, best_ece

@@ -45,11 +45,14 @@ def data_error(message):
 
 def _generate(fn, *args, **kwargs):
     """fn(*args, **kwargs), where a world whose class anchors cannot be placed
-    is a configuration error."""
+    is a configuration error and a density model that cannot be fitted to the
+    generated data is a data error."""
     try:
         return fn(*args, **kwargs)
     except synthworld.GenerationError as e:
         usage_error(str(e))
+    except FitError as e:
+        data_error(str(e))
 
 
 def _parse_bool(raw):

@@ -55,10 +55,10 @@ class GdaModel:
         self.num_classes = means.shape[0]
         inv_chols = [solve_triangular(chols[c], np.eye(self.dim), lower=True)
                      for c in range(self.num_classes)]
-        # y_c = (z - mu_c) L_c^-T for every class at once: y = z W - shift
-        self._w = np.concatenate([inv.T for inv in inv_chols], axis=1)
-        self._shift = np.concatenate([means[c] @ inv_chols[c].T
-                                      for c in range(self.num_classes)])
+        # y_c = (z - mu_c) L_c^-T for every class at once: y = [z | 1] [W; -shift]
+        w = np.concatenate([inv.T for inv in inv_chols], axis=1)
+        shift = np.concatenate([mu @ inv.T for mu, inv in zip(means, inv_chols)])
+        self._w_shift = np.vstack([w, -shift])
         self._offset = log_priors - 0.5 * (self.dim * np.log(2.0 * np.pi) + log_dets)
 
     def log_density(self, z):
@@ -66,11 +66,14 @@ class GdaModel:
         stabilized. Accepts one vector or an n x d batch; returns a scalar or
         a length-n vector accordingly.
 
-        Rows go through in chunks of LOG_DENSITY_CHUNK, each one GEMM against
-        all K whitening factors at once followed by its own log-sum-exp, so
-        the only temporaries are one chunk's and memory use does not grow
-        with the row count. Chunk bounds depend only on the row count, so a
-        row's result depends only on the row and its position.
+        Rows go through in chunks of LOG_DENSITY_CHUNK, each one GEMM of
+        [z | 1] against all K whitening factors and shifts at once, followed
+        by its own log-sum-exp. The chunk buffers are allocated once per call,
+        so memory use does not grow with the row count. The log-sum-exp runs
+        class-major, because numpy reduces a K x rows array over axis 0
+        several times faster than a rows x K array over axis 1. Chunk bounds
+        depend only on the row count, so a row's result depends only on the
+        row and its position.
         """
         z = np.asarray(z, dtype=np.float64)
         single = z.ndim == 1
@@ -78,14 +81,27 @@ class GdaModel:
             z = z[None, :]
         if z.shape[1] != self.dim:
             raise ValueError("query dim %d != model dim %d" % (z.shape[1], self.dim))
-        out = np.empty(z.shape[0])
-        for lo in range(0, z.shape[0], LOG_DENSITY_CHUNK):
-            y = z[lo:lo + LOG_DENSITY_CHUNK] @ self._w
-            y -= self._shift
-            y = y.reshape(-1, self.num_classes, self.dim)
-            comp = self._offset - 0.5 * np.einsum("ikj,ikj->ik", y, y)
-            m = comp.max(axis=1)
-            out[lo:lo + LOG_DENSITY_CHUNK] = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
+        n, k, d = z.shape[0], self.num_classes, self.dim
+        rows = min(n, LOG_DENSITY_CHUNK)
+        z1 = np.ones((rows, d + 1))
+        y = np.empty((rows, k * d))
+        comp = np.empty((k, rows))
+        out = np.empty(n)
+        for lo in range(0, n, LOG_DENSITY_CHUNK):
+            m = min(LOG_DENSITY_CHUNK, n - lo)
+            z1[:m, :d] = z[lo:lo + m]
+            yk = np.matmul(z1[:m], self._w_shift, out=y[:m]).reshape(m, k, d)
+            c = comp[:, :m]
+            np.einsum("ikj,ikj->ik", yk, yk, out=c.T)
+            c *= -0.5
+            c += self._offset[:, None]
+            top = c.max(axis=0)
+            c -= top
+            np.exp(c, out=c)
+            res = out[lo:lo + m]
+            np.sum(c, axis=0, out=res)
+            np.log(res, out=res)
+            res += top
         return float(out[0]) if single else out
 
 

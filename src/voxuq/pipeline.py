@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import synthworld
-from .calibration import (LAMBDA_GRID, CalibrationParams, ece, fit_temperature,
-                          nll, scale_logits, tune_lambda, ugts_temperature)
+from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_temperature,
+                          tune_lambda, ugts_temperature)
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
 from .head import HeadConfig, ResidualMlpHead, train_head
 from .nn_core import OptimizerState
@@ -108,11 +108,9 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     def split_metrics(ds):
         logits, labels, u_scene = _calibration_pass(method, bundle, ds, seed)
         t_ugts = ugts_temperature(params, np.repeat(u_scene, ds.config.voxels_per_scene))
-        out = {}
-        for variant, t in (("raw", 1.0), ("ts", params.t_train), ("ugts", t_ugts)):
-            probs = scale_logits(logits, t)
-            out[variant] = {"ece": ece(probs, labels), "nll": nll(probs, labels)}
-        return out
+        gaps = LogitGaps(logits, labels)
+        return {variant: dict(zip(("ece", "nll"), gaps.metrics(t)))
+                for variant, t in (("raw", 1.0), ("ts", params.t_train), ("ugts", t_ugts))}
 
     result = {"clean": split_metrics(test_ds)}
     sigma_z = synthworld.feature_std(test_ds)

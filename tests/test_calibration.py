@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voxuq.calibration import (DEFAULT_T_MAX, DEFAULT_T_MIN, CalibrationParams, ece,
-                               fit_temperature, nll, scale_logits, tune_lambda,
-                               ugts_temperature)
+from voxuq.calibration import (DEFAULT_T_MAX, DEFAULT_T_MIN, PROB_FLOOR, CalibrationParams,
+                               LogitGaps, ece, fit_temperature, nll, scale_logits,
+                               tune_lambda, ugts_temperature)
 from voxuq.nn_core import softmax
 
 
@@ -137,6 +137,32 @@ def test_scale_logits_rejects_nonpositive_t():
         scale_logits(np.zeros((1, 2)), 0.0)
     with pytest.raises(ValueError):
         scale_logits(np.zeros((2, 2)), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("case", ["scalar", "per_row", "t_min", "t_max", "floored"])
+def test_logit_gaps_metrics_match_scaled_softmax(case):
+    rng = np.random.default_rng(20)
+    n, k = 3000, 6
+    logits = rng.standard_normal((n, k)) * 3
+    labels = rng.integers(0, k, size=n)
+    t = {"scalar": 2.5, "t_min": DEFAULT_T_MIN, "t_max": DEFAULT_T_MAX, "floored": 1.0,
+         "per_row": rng.uniform(DEFAULT_T_MIN, DEFAULT_T_MAX, size=n)}[case]
+    if case == "floored":
+        # a true-class probability of about exp(-60), far under the floor
+        logits[:100] = 0.0
+        logits[:100, 0] = 60.0
+        labels[:100] = 1
+    probs = scale_logits(logits, t)
+    if case == "floored":
+        assert probs[np.arange(n), labels].min() < PROB_FLOOR
+    got_ece, got_nll = LogitGaps(logits, labels).metrics(t)
+    assert abs(got_ece - ece(probs, labels)) <= 1e-12
+    assert abs(got_nll - nll(probs, labels)) <= 1e-12
+
+
+def test_logit_gaps_label_range():
+    with pytest.raises(ValueError):
+        LogitGaps(np.zeros((2, 3)), np.array([0, 3]))
 
 
 def _fit_case(case):

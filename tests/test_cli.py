@@ -177,6 +177,18 @@ def test_out_of_range_config_value_exit_2(workspace, runner, tmp_path, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args", [("ablate", ()), ("dim-sweep", ("--dims", "16"))])
+def test_unfittable_density_exit_3(runner, tmp_path, command, args):
+    # two training scenes leave most of 200 classes without a feature vector
+    config = tmp_path / "few.ini"
+    config.write_text("[world]\nnum_classes = 200\ntrain_scenes = 2\n")
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command, "--config", str(config), "--out", str(out), *args])
+    _assert_one_line_error(r, 3)
+    assert "no feature vectors for class(es)" in r.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, args", [
     ("generate-data", ("--seed", "-1")),
     ("train", ("--seed", "-1")),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from voxuq.gda import (DEFAULT_EPS_LADDER, LOG_DENSITY_CHUNK, FeatureBank, FitError,
                        GdaModel, collect_features, epistemic_score, fit_gda,
@@ -95,6 +96,60 @@ def test_log_density_temporaries_do_not_grow_with_rows():
     # the result plus a few chunk-sized arrays; a log-sum-exp over all rows
     # at once needs three n x K arrays, five times this margin
     assert peak <= out.nbytes + 3 * chunk_bytes
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """The paper's shape: 17 classes of 32-dimensional features."""
+    return fit_gda(make_bank(np.random.default_rng(18), 17, 32, 100))
+
+
+def three_step_log_density(model, z):
+    """The kernel before the shift joined the GEMM, as an oracle: per chunk,
+    y = z W, then y -= shift in place, then a row-major log-sum-exp."""
+    inv = [solve_triangular(chol, np.eye(model.dim), lower=True) for chol in model.chols]
+    w = np.concatenate([i.T for i in inv], axis=1)
+    shift = np.concatenate([mu @ i.T for mu, i in zip(model.means, inv)])
+    offset = model.log_priors - 0.5 * (model.dim * np.log(2.0 * np.pi) + model.log_dets)
+    out = np.empty(z.shape[0])
+    for lo in range(0, z.shape[0], LOG_DENSITY_CHUNK):
+        y = z[lo:lo + LOG_DENSITY_CHUNK] @ w
+        y -= shift
+        y = y.reshape(-1, model.num_classes, model.dim)
+        comp = offset - 0.5 * np.einsum("ikj,ikj->ik", y, y)
+        m = comp.max(axis=1)
+        out[lo:lo + LOG_DENSITY_CHUNK] = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 2, LOG_DENSITY_CHUNK - 1, LOG_DENSITY_CHUNK,
+                                  LOG_DENSITY_CHUNK + 1, 2 * LOG_DENSITY_CHUNK + 17])
+def test_wide_log_density_matches_dense_oracle_at_chunk_bounds(wide_model, rows):
+    z = np.random.default_rng(rows).standard_normal((rows, 32)) * 2
+    got = wide_model.log_density(z)
+    assert got.shape == (rows,)
+    assert np.allclose(got, dense_oracle_log_density(wide_model, z), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("rows", [2304, 65536])
+def test_wide_log_density_matches_three_step_kernel(wide_model, rows):
+    z = np.random.default_rng(rows).standard_normal((rows, 32)) * 2
+    np.testing.assert_allclose(wide_model.log_density(z),
+                               three_step_log_density(wide_model, z), rtol=1e-12, atol=0)
+
+
+def test_wide_log_density_allocates_one_chunk(wide_model):
+    z = np.random.default_rng(19).standard_normal((4 * LOG_DENSITY_CHUNK + 5, 32))
+    chunk_bytes = LOG_DENSITY_CHUNK * wide_model.num_classes * wide_model.dim * 8
+    tracemalloc.start()
+    try:
+        out = wide_model.log_density(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk-sized GEMM output plus the (rows, d + 1) input and the
+    # K x rows log-sum-exp buffer; a second chunk-sized temporary breaks it
+    assert peak <= out.nbytes + 1.5 * chunk_bytes
 
 
 def test_log_density_of_empty_batch():
