@@ -117,11 +117,8 @@ def fit_temperature(logits, labels):
     """Temperature minimizing validation NLL: a bounded Brent search over
     beta = 1/t, in which the NLL is convex. Never worse than t = 1.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if np.unique(labels).size < 2:
         raise ValueError("temperature fit needs at least two classes present")
-
     gaps = LogitGaps(logits, labels)
 
     def objective(beta):
