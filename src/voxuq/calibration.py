@@ -6,7 +6,6 @@ gap between a sample's uncertainty and the training-set mean).
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .nn_core import softmax
 
@@ -117,6 +116,9 @@ def fit_temperature(logits, labels):
     """Temperature minimizing validation NLL: a bounded Brent search over
     beta = 1/t, in which the NLL is convex. Never worse than t = 1.
     """
+    # imported here, so that only commands that fit a temperature load scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     if np.unique(labels).size < 2:
         raise ValueError("temperature fit needs at least two classes present")
     gaps = LogitGaps(logits, labels)

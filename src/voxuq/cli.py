@@ -20,7 +20,7 @@ from . import pipeline, report as report_mod, store, synthworld
 from .calibration import LAMBDA_GRID
 from .gda import FitError, gmm_param_count
 from .head import HeadConfig
-from .ood import MethodBundle, parse_method, run_sweep
+from .ood import MethodBundle, MethodError, parse_method, run_sweep
 
 # config keys are the fields of the dataclasses they fill; [world]'s grid is
 # split into grid_x/y/z, and the head's input and output sizes come from the world
@@ -43,13 +43,14 @@ def data_error(message):
     sys.exit(3)
 
 
-def _generate(fn, *args, **kwargs):
+def _run(fn, *args, **kwargs):
     """fn(*args, **kwargs), where a world whose class anchors cannot be placed
-    is a configuration error and a density model that cannot be fitted to the
-    generated data is a data error."""
+    and a method without the artifacts it scores with are configuration
+    errors, and a density model that cannot be fitted to the generated data
+    is a data error."""
     try:
         return fn(*args, **kwargs)
-    except synthworld.GenerationError as e:
+    except (synthworld.GenerationError, MethodError) as e:
         usage_error(str(e))
     except FitError as e:
         data_error(str(e))
@@ -153,7 +154,7 @@ def cmd_generate_data(config_path, out, seed, force):
     out_dir = Path(out)
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         usage_error("output directory %s is not empty (use --force)" % out)
-    world = _generate(synthworld.generate_world, world_config)
+    world = _run(synthworld.generate_world, world_config)
     for split in ("train", "val", "test"):
         ds = synthworld.generate_dataset(world, split)
         synthworld.save_dataset(ds, out_dir / split)
@@ -233,7 +234,7 @@ def _parse_method(spec):
         usage_error(str(e))
 
 
-def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
+def _bundle_from_artifacts(head_path, gda_path, members_dir):
     if not Path(head_path).exists():
         usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)
@@ -246,13 +247,6 @@ def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
     if members_dir:
         members = [store.load_head(p)
                    for p in sorted(Path(members_dir).glob("member_*.ocuq"))]
-    for m in methods:
-        name, params = parse_method(m)
-        if name == "ours" and gda_model is None:
-            usage_error("method 'ours' requires --gda")
-        if name == "de" and len(members) < params["n"]:
-            usage_error("method %r requires %d ensemble members under --members"
-                        % (m, params["n"]))
     return MethodBundle(head=head, gda_model=gda_model, ensemble_heads=members)
 
 
@@ -296,11 +290,11 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
         if k not in synthworld.CORRUPTION_KINDS:
             usage_error("unknown corruption %r" % k)
     sevs = _int_list(severities, "severities", 0, 3)
-    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, method_list)
+    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir)
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
-    rep = run_sweep(method_list, bundle, world, test_ds, seed=seed,
-                    corruptions=kinds, severities=sevs)
+    rep = _run(run_sweep, method_list, bundle, world, test_ds, seed=seed,
+               corruptions=kinds, severities=sevs)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     param_counts = {m: _param_count(m, bundle) for m in method_list}
@@ -337,15 +331,15 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
     if not grid or not all(map(math.isfinite, grid)):
         usage_error("--lambda-grid must be comma-separated finite numbers, got %r"
                     % lambda_grid)
-    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, [method])
+    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir)
     train_ds = _load_split(data, "train")
     val_ds = _load_split(data, "val")
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
     if mode == "ts":
         grid = [0.0]
-    params = pipeline.calibrate_method(method, bundle, train_ds, val_ds,
-                                       lam_grid=grid, seed=seed)
+    params = _run(pipeline.calibrate_method, method, bundle, train_ds, val_ds,
+                  lam_grid=grid, seed=seed)
     result = pipeline.evaluate_calibration(method, bundle, world, params,
                                            test_ds, seed=seed)
     out_dir = Path(out)
@@ -392,7 +386,7 @@ def cmd_ablate(config_path, out, seed):
     """Train {3,5}-layer x {skip} head variants and tabulate OoD performance."""
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    rows = _generate(pipeline.ablation_table, world_config, seed=seed)
+    rows = _run(pipeline.ablation_table, world_config, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_mod.write_metrics({"rows": rows}, out_dir / "ablation.json")
@@ -414,7 +408,7 @@ def cmd_dim_sweep(dims, config_path, out, seed):
     dim_list = _int_list(dims, "dims", 2)
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    rows = _generate(pipeline.feature_dim_sweep, dim_list, world_config, seed=seed)
+    rows = _run(pipeline.feature_dim_sweep, dim_list, world_config, seed=seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_mod.write_metrics({"rows": rows}, out_dir / "dim_sweep.json")

@@ -6,7 +6,6 @@ mixture log-density, and the epistemic uncertainty score.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 DEFAULT_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_CAP_PER_CLASS = 20000
@@ -45,6 +44,9 @@ class GdaModel:
     """
 
     def __init__(self, means, chols, log_dets, log_priors, eps_used, counts):
+        # imported here, so that only commands with a density model load scipy.linalg
+        from scipy.linalg import solve_triangular
+
         self.means = means            # (K, d)
         self.chols = chols            # (K, d, d) lower triangular
         self.log_dets = log_dets      # (K,)

@@ -8,7 +8,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import synthworld
 from .gda import epistemic_score
@@ -58,7 +57,14 @@ class BenchmarkReport:
 def auroc(pop):
     """Mann-Whitney AUROC with midrank tie handling, OoD as positive class."""
     scores = np.concatenate([pop.id_scores, pop.ood_scores])
-    ranks = rankdata(scores, method="average")
+    order = np.argsort(scores)
+    ordered = scores[order]
+    # tie groups are runs of equal sorted scores; the group in sorted
+    # positions [lo, hi) shares the 1-based midrank (lo + 1 + hi) / 2
+    lo = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    hi = np.r_[lo[1:], scores.size]
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((lo + 1 + hi) / 2.0, hi - lo)
     n_id = pop.id_scores.size
     n_ood = pop.ood_scores.size
     rank_sum = ranks[n_id:].sum()
@@ -157,6 +163,23 @@ class MethodBundle:
     ensemble_heads: list = field(default_factory=list)
 
 
+class MethodError(ValueError):
+    """A method the bundle lacks the artifacts to score."""
+
+
+def check_methods(methods, bundle):
+    """Raise MethodError for the first method in `methods` that `bundle`
+    cannot score: ours without a density model, or de:n with fewer than n
+    ensemble heads. Sweeps and calibration run it once, before any scene."""
+    for method in methods:
+        name, params = parse_method(method)
+        if name == "ours" and bundle.gda_model is None:
+            raise MethodError("method 'ours' requires a density model (--gda)")
+        if name == "de" and len(bundle.ensemble_heads) < params["n"]:
+            raise MethodError("method %r requires %d ensemble heads (--members), have %d"
+                              % (method, params["n"], len(bundle.ensemble_heads)))
+
+
 def score_scene(methods, bundle, features, base_seed=0):
     """Per-voxel scores of every method in `methods` on one scene's n x d
     features, and the logits calibration uses for each, as two dicts keyed
@@ -166,15 +189,14 @@ def score_scene(methods, bundle, features, base_seed=0):
     head. mcd:n runs n dropout forwards of the main head, pass i seeded
     base_seed + i; de:n runs one eval-mode forward of each of the first n
     ensemble heads. The mean p of their softmaxes gives the predictive
-    entropy and the logits log(max(p, 1e-12)).
+    entropy and the logits log(max(p, 1e-12)). The bundle must pass
+    check_methods(methods, bundle).
     """
     scores, logits = {}, {}
     out = probs = None
     for method in methods:
         name, params = parse_method(method)
         if name in ("ours", "max-softmax", "entropy"):
-            if name == "ours" and bundle.gda_model is None:
-                raise ValueError("method 'ours' requires a fitted GDA model")
             if out is None:
                 out = bundle.head.forward(features)
             logits[method] = out.logits
@@ -190,9 +212,6 @@ def score_scene(methods, bundle, features, base_seed=0):
                                           dropout_rng=np.random.default_rng(base_seed + i))
                       for i in range(params["n"]))
         else:
-            if len(bundle.ensemble_heads) < params["n"]:
-                raise ValueError("method %r needs %d ensemble heads, have %d"
-                                 % (method, params["n"], len(bundle.ensemble_heads)))
             passes = (h.forward(features) for h in bundle.ensemble_heads[:params["n"]])
         # a running sum in member order: the bits of a mean over stacked members
         mean_probs = sum(softmax(member.logits) for member in passes) / params["n"]
@@ -224,6 +243,7 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
     one inside the sector, and every score is per voxel.
     """
     t0 = time.perf_counter()
+    check_methods(methods, bundle)
     sigma_z = synthworld.feature_std(clean_test)
     report = BenchmarkReport(seed=seed)
     report.config = {

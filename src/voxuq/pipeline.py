@@ -13,7 +13,7 @@ from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_tempera
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
 from .head import HeadConfig, ResidualMlpHead, train_head
 from .nn_core import OptimizerState
-from .ood import MethodBundle, parse_method, run_sweep, score_scene
+from .ood import MethodBundle, check_methods, parse_method, run_sweep, score_scene
 
 DEFAULT_EPOCHS = 6
 DEFAULT_BATCH = 512
@@ -88,6 +88,7 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
     """Fit t_train on clean validation logits, compute the train-set mean
     uncertainty, and tune lambda on the clean split. Returns the
     CalibrationParams."""
+    check_methods([method], bundle)
     u_bar_train = float(np.mean(_calibration_pass(method, bundle, train_ds, seed)[2]))
     logits, labels, u_val = _calibration_pass(method, bundle, val_ds, seed)
     voxels = val_ds.config.voxels_per_scene
@@ -104,6 +105,7 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     """ECE/NLL on the clean split and mECE/mNLL over the corruption grid,
     for uncalibrated, fixed-TS and UGTS logit scaling. The grid is the
     sweep's: noise scales with the test split's feature std."""
+    check_methods([method], bundle)
 
     def split_metrics(ds):
         logits, labels, u_scene = _calibration_pass(method, bundle, ds, seed)

@@ -416,6 +416,29 @@ def test_eval_ood_ours_without_gda_exit_2(workspace, runner):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("command, method, artifacts, message", [
+    ("eval-ood", "max-softmax,ours", ["--members"], "method 'ours' requires a density model"),
+    ("eval-ood", "de:n=3", ["--gda", "--members"],
+     "method 'de:n=3' requires 3 ensemble heads (--members), have 2"),
+    ("calibrate", "ours", ["--members"], "method 'ours' requires a density model"),
+    ("calibrate", "de:n=2", ["--gda"],
+     "method 'de:n=2' requires 2 ensemble heads (--members), have 0"),
+])
+def test_method_without_its_artifacts_exit_2(workspace, runner, tmp_path, command,
+                                             method, artifacts, message):
+    paths = {"--gda": workspace["gda"], "--members": workspace["models"]}
+    out = tmp_path / "out"
+    args = [command, "--data", str(workspace["data"]),
+            "--head", str(workspace["models"] / "head.ocuq"),
+            "--methods" if command == "eval-ood" else "--method", method, "--out", str(out)]
+    for flag in artifacts:
+        args += [flag, str(paths[flag])]
+    r = runner.invoke(main, args)
+    _assert_one_line_error(r, 2)
+    assert message in r.output
+    assert not out.exists()
+
+
 def test_eval_ood_rejects_unknown_corruption(workspace, runner):
     r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
                              "--head", str(workspace["models"] / "head.ocuq"),

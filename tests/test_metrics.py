@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.metrics import max_softmax_score, softmax_entropy
 from voxuq.nn_core import softmax
-from voxuq.ood import MethodBundle, parse_method, score_scene
+from voxuq.ood import MethodBundle, check_methods, parse_method, score_scene
 
 
 def rand_probs(rng, n, k):
@@ -93,8 +93,7 @@ def test_deep_ensemble_member_count_mismatch():
     _, logits = score_scene(["de:n=2"], MethodBundle(head=heads[0], ensemble_heads=heads), x)
     assert np.allclose(logits["de:n=2"], np.log(mean_softmax(h.forward(x) for h in heads[:2])))
     with pytest.raises(ValueError):
-        score_scene(["de:n=3"], MethodBundle(head=heads[0], ensemble_heads=heads[:1]),
-                    np.zeros((2, 5)))
+        check_methods(["de:n=3"], MethodBundle(head=heads[0], ensemble_heads=heads[:1]))
 
 
 def test_mc_dropout_deterministic_and_varied():

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from voxuq import synthworld
+from voxuq import ood, pipeline, synthworld
+from voxuq.calibration import CalibrationParams
 from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.metrics import softmax_entropy
 from voxuq.nn_core import softmax
-from voxuq.ood import (MethodBundle, ScoredPopulation, aggregate_region,
-                       aggregate_scene, auroc, fpr_at_95_tpr, histogram_table,
-                       parse_method, run_sweep, score_scene)
+from voxuq.ood import (MethodBundle, MethodError, ScoredPopulation, aggregate_region,
+                       aggregate_scene, auroc, check_methods, fpr_at_95_tpr,
+                       histogram_table, parse_method, run_sweep, score_scene)
 from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
                             head_config_for_world)
 
@@ -24,6 +26,13 @@ def all_pairs_auroc(id_scores, ood_scores):
             elif o == i:
                 wins += 0.5
     return wins / (len(id_scores) * len(ood_scores))
+
+
+def rankdata_auroc(id_scores, ood_scores):
+    """Oracle: the Mann-Whitney AUROC from scipy's average (mid) ranks."""
+    ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
+    n_id, n_ood = len(id_scores), len(ood_scores)
+    return float((ranks[n_id:].sum() - n_ood * (n_ood + 1) / 2.0) / (n_id * n_ood))
 
 
 def exhaustive_fpr95(id_scores, ood_scores, tpr_target=0.95):
@@ -79,6 +88,32 @@ def test_auroc_property_all_pairs(id_raw, ood_raw):
     ood_s = np.array(ood_raw, dtype=float)
     got = auroc(ScoredPopulation(id_s, ood_s))
     assert abs(got - all_pairs_auroc(id_s, ood_s)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=60),
+       st.lists(st.integers(0, 3), min_size=1, max_size=60))
+def test_auroc_equals_rankdata_oracle_bit_for_bit(id_raw, ood_raw):
+    # four distinct values, so most scores share a tie group
+    id_s = np.array(id_raw, dtype=float) / 4.0
+    ood_s = np.array(ood_raw, dtype=float) / 4.0
+    assert auroc(ScoredPopulation(id_s, ood_s)) == rankdata_auroc(id_s, ood_s)
+
+
+@pytest.mark.parametrize("id_s, ood_s, want", [
+    ([2.5] * 7, [2.5] * 3, 0.5),               # all equal
+    ([-1.0], [-1.0], 0.5),
+    ([0.0], [1.0], 1.0),                       # single elements
+    ([1.0], [0.0], 0.0),
+    ([3.0], [1.0, 3.0, 3.0, 5.0], 0.5),
+    ([1.0, 2.0, 2.0, 9.0], [2.0], 0.5),
+    (list(range(5)), list(range(5, 12)), 1.0),   # fully separated
+    (list(range(5, 12)), list(range(5)), 0.0),
+    ([0.0] * 4, [1.0] * 6, 1.0),
+])
+def test_auroc_edge_populations_equal_rankdata_oracle(id_s, ood_s, want):
+    got = auroc(ScoredPopulation(id_s, ood_s))
+    assert got == rankdata_auroc(id_s, ood_s) == want
 
 
 def test_fpr95_matches_exhaustive_enumeration():
@@ -200,17 +235,19 @@ def test_ours_requires_density_model():
     head = ResidualMlpHead(HeadConfig(input_dim=4, hidden_width=4, num_layers=2,
                                       num_classes=3), seed=0)
     bundle = MethodBundle(head=head, gda_model=None)
-    with pytest.raises(ValueError):
-        score_scene(["ours"], bundle, np.zeros((2, 4)))
+    with pytest.raises(MethodError, match="'ours' requires a density model"):
+        check_methods(["max-softmax", "ours"], bundle)
+    check_methods(["max-softmax", "mcd:n=2"], bundle)
 
 
 def test_de_requires_enough_members():
     from voxuq.head import HeadConfig, ResidualMlpHead
     head = ResidualMlpHead(HeadConfig(input_dim=4, hidden_width=4, num_layers=2,
                                       num_classes=3), seed=0)
-    bundle = MethodBundle(head=head, ensemble_heads=[head])
-    with pytest.raises(ValueError):
-        score_scene(["de:n=3"], bundle, np.zeros((2, 4)))
+    bundle = MethodBundle(head=head, ensemble_heads=[head, head])
+    with pytest.raises(MethodError, match="'de:n=3' requires 3 ensemble heads"):
+        check_methods(["de:n=3"], bundle)
+    check_methods(["de:n=2"], bundle)
 
 
 def stacked_ensemble_mean(members, features, dropout_p=None, base_seed=0):
@@ -300,6 +337,37 @@ def test_region_cells_equal_explicit_front_sector_corruption(tiny):
                 cell = next(cells)
                 assert (cell.corruption, cell.severity) == (kind, severity)
                 assert cell.auroc == auroc(ScoredPopulation(clean, np.array(ood)))
+
+
+def test_method_check_runs_once_before_any_scene(tiny, monkeypatch):
+    world, bundle, train, test = tiny
+    checks, scored = [], []
+    check, score = check_methods, score_scene
+
+    def counting_check(methods, b):
+        checks.append(list(methods))
+        return check(methods, b)
+
+    def counting_score(*args, **kwargs):
+        scored.append(args[0])
+        return score(*args, **kwargs)
+
+    for module in (ood, pipeline):
+        monkeypatch.setattr(module, "check_methods", counting_check)
+        monkeypatch.setattr(module, "score_scene", counting_score)
+    bare = MethodBundle(head=bundle.head)
+    with pytest.raises(MethodError):
+        run_sweep(["max-softmax", "ours"], bare, world, test, seed=SWEEP_SEED)
+    with pytest.raises(MethodError):
+        calibrate_method("de:n=2", bare, train, train, seed=SWEEP_SEED)
+    with pytest.raises(MethodError):
+        evaluate_calibration("ours", bare, world, CalibrationParams(), test, seed=SWEEP_SEED)
+    assert scored == []
+
+    checks.clear()
+    run_sweep(["ours", "entropy"], bundle, world, test, seed=SWEEP_SEED,
+              corruptions=("noise",), severities=(1,))
+    assert checks == [["ours", "entropy"]] and len(scored) == 2 * len(test.scenes)
 
 
 def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
