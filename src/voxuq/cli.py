@@ -234,7 +234,10 @@ def _parse_method(spec):
         usage_error(str(e))
 
 
-def _bundle_from_artifacts(head_path, gda_path, members_dir):
+def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
+    """The artifacts `methods` score with. The density model is loaded only
+    if a method is ours: loading it imports scipy.linalg and inverts K
+    Cholesky factors."""
     if not Path(head_path).exists():
         usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)
@@ -242,7 +245,8 @@ def _bundle_from_artifacts(head_path, gda_path, members_dir):
     if gda_path:
         if not Path(gda_path).exists():
             usage_error("missing gda artifact %s" % gda_path)
-        gda_model = store.load_gda(gda_path)
+        if any(parse_method(m)[0] == "ours" for m in methods):
+            gda_model = store.load_gda(gda_path)
     members = []
     if members_dir:
         members = [store.load_head(p)
@@ -290,7 +294,7 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
         if k not in synthworld.CORRUPTION_KINDS:
             usage_error("unknown corruption %r" % k)
     sevs = _int_list(severities, "severities", 0, 3)
-    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir)
+    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, method_list)
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
     rep = _run(run_sweep, method_list, bundle, world, test_ds, seed=seed,
@@ -331,7 +335,7 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
     if not grid or not all(map(math.isfinite, grid)):
         usage_error("--lambda-grid must be comma-separated finite numbers, got %r"
                     % lambda_grid)
-    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir)
+    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, [method])
     train_ds = _load_split(data, "train")
     val_ds = _load_split(data, "val")
     test_ds = _load_split(data, "test")
@@ -340,6 +344,7 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
         grid = [0.0]
     params = _run(pipeline.calibrate_method, method, bundle, train_ds, val_ds,
                   lam_grid=grid, seed=seed)
+    del train_ds, val_ds  # evaluation reads only the test split
     result = pipeline.evaluate_calibration(method, bundle, world, params,
                                            test_ds, seed=seed)
     out_dir = Path(out)

@@ -23,15 +23,15 @@ class FeatureBank:
 
     num_classes: int
     cap_per_class: int
-    vectors: dict = field(default_factory=dict)      # class id -> list of arrays
+    vectors: dict = field(default_factory=dict)      # class id -> rows (n x d)
     seen_counts: dict = field(default_factory=dict)  # class id -> total seen
 
     def class_array(self, c):
-        return np.array(self.vectors.get(c, []), dtype=np.float64)
+        return np.asarray(self.vectors.get(c, []), dtype=np.float64)
 
     @property
     def missing_classes(self):
-        return [c for c in range(self.num_classes) if not self.vectors.get(c)]
+        return [c for c in range(self.num_classes) if len(self.vectors.get(c, ())) == 0]
 
 
 class GdaModel:
@@ -112,31 +112,39 @@ def collect_features(head, scenes, cap_per_class, seed):
     feature vectors per ground-truth class (Algorithm R).
 
     `scenes` yields (features, labels) pairs with features n x d_in and
-    integer labels of length n.
+    integer labels of length n. A class keeps its first cap_per_class rows
+    as row blocks of the penultimate arrays, joined into one array when the
+    class fills or the pass ends. Each later row draws j from rng.integers
+    and replaces row j of that array if j < cap_per_class.
     """
     rng = np.random.default_rng(seed)
-    bank = FeatureBank(num_classes=head.config.num_classes, cap_per_class=cap_per_class)
-    for c in range(bank.num_classes):
-        bank.vectors[c] = []
-        bank.seen_counts[c] = 0
+    k = head.config.num_classes
+    blocks = {c: [] for c in range(k)}  # kept rows of classes not yet full
+    full = {}                           # class id -> cap_per_class x d reservoir
+    seen = dict.fromkeys(range(k), 0)
     for features, labels in scenes:
         feats = head.forward(np.asarray(features, dtype=np.float64),
                              update_sn=False).penultimate_features
         labels = np.asarray(labels).ravel()
-        for c in np.unique(labels):
+        for c in np.unique(labels).tolist():
             rows = feats[labels == c]
-            res = bank.vectors[int(c)]
-            seen = bank.seen_counts[int(c)]
+            if c not in full:
+                kept = rows[:cap_per_class - seen[c]]
+                blocks[c].append(kept)
+                seen[c] += len(kept)
+                if seen[c] == cap_per_class:
+                    full[c] = np.concatenate(blocks.pop(c))
+                rows = rows[len(kept):]
             for row in rows:
-                if len(res) < cap_per_class:
-                    res.append(row.copy())
-                else:
-                    j = int(rng.integers(0, seen + 1))
-                    if j < cap_per_class:
-                        res[j] = row.copy()
-                seen += 1
-            bank.seen_counts[int(c)] = seen
-    return bank
+                j = int(rng.integers(0, seen[c] + 1))
+                if j < cap_per_class:
+                    full[c][j] = row
+                seen[c] += 1
+    empty = np.empty((0, head.config.hidden_width))
+    vectors = {c: full[c] if c in full else np.concatenate(blocks[c] + [empty])
+               for c in range(k)}
+    return FeatureBank(num_classes=k, cap_per_class=cap_per_class, vectors=vectors,
+                       seen_counts=seen)
 
 
 def fit_gda(bank):

@@ -63,6 +63,18 @@ class TrainLog:
     accuracies: list = field(default_factory=list)
 
 
+def row_blocks(n):
+    """(lo, hi) bounds of the near-equal row blocks, of at most FORWARD_BLOCK
+    rows each, that cover n rows; one block when n <= FORWARD_BLOCK. When
+    there are several, each holds at least half of FORWARD_BLOCK rows, never
+    the single row that BLAS would route through gemv instead of GEMM, so a
+    blocked pass keeps every row's bits.
+    """
+    blocks = max(1, -(-n // FORWARD_BLOCK))
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 class ResidualMlpHead:
     """MLP head g: blocks compute x + act(x W^T + b) when skip is enabled and
     the block is square; the first layer projects input_dim -> hidden_width
@@ -114,11 +126,10 @@ class ResidualMlpHead:
         outside [0, 1) raises ValueError.
 
         An eval-mode forward (no tape, no spectral-norm update, no dropout)
-        of more than FORWARD_BLOCK rows runs in near-equal row blocks of at
-        most FORWARD_BLOCK rows, so its temporaries are block-sized rather
-        than scene-sized. Rows do not interact. Near-equal blocks are never
-        a single row, which BLAS would route through gemv instead of GEMM,
-        so every row keeps the bits of the unblocked forward.
+        of more than FORWARD_BLOCK rows runs over the row_blocks of its
+        rows, so its temporaries are block-sized rather than scene-sized.
+        Rows do not interact, so every row keeps the bits of the unblocked
+        forward.
         """
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError("dropout p must be in [0, 1), got %r" % dropout_p)
@@ -127,11 +138,9 @@ class ResidualMlpHead:
             raise ShapeError("head expects n x %d features" % self.config.input_dim)
         n = features.shape[0]
         if tape is None and not update_sn and dropout_p == 0.0 and n > FORWARD_BLOCK:
-            blocks = -(-n // FORWARD_BLOCK)
-            bounds = [i * n // blocks for i in range(blocks + 1)]
             logits = np.empty((n, self.config.num_classes))
             penultimate = np.empty((n, self.config.hidden_width))
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
+            for lo, hi in row_blocks(n):
                 out = self._forward(features[lo:hi], None, False, sn_iters, 0.0, None)
                 logits[lo:hi] = out.logits
                 penultimate[lo:hi] = out.penultimate_features
@@ -234,13 +243,22 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
             loss, grads, _ = head.loss_and_grads(features[idx], labels[idx], update_sn=True)
             opt.step(head.parameters(), grads)
             losses.append(loss)
-        acc = float((head.forward(features).logits.argmax(axis=1) == labels).mean())
         log.epochs.append(epoch)
         log.losses.append(float(np.mean(losses)))
-        log.accuracies.append(acc)
+        log.accuracies.append(accuracy(head, features, labels))
     head.finalize_spectral_norm()
     head.round_weights_to_f32()
     return log
+
+
+def accuracy(head, features, labels):
+    """Fraction of the n x input_dim `features` rows whose argmax logit is
+    their label, from one eval-mode forward per row block, so that no
+    n-row penultimate array is held."""
+    correct = sum(int(np.count_nonzero(
+        head.forward(features[lo:hi]).logits.argmax(axis=1) == labels[lo:hi]))
+        for lo, hi in row_blocks(len(labels)))
+    return correct / len(labels)
 
 
 def estimate_lipschitz(head, probe_pairs):

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import synthworld
 from .gda import epistemic_score
+from .head import row_blocks
 from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
@@ -185,25 +186,29 @@ def score_scene(methods, bundle, features, base_seed=0):
     features, and the logits calibration uses for each, as two dicts keyed
     by method spec: (scores, logits).
 
-    ours, max-softmax and entropy share one eval-mode forward of the main
-    head. mcd:n runs n dropout forwards of the main head, pass i seeded
-    base_seed + i; de:n runs one eval-mode forward of each of the first n
-    ensemble heads. The mean p of their softmaxes gives the predictive
-    entropy and the logits log(max(p, 1e-12)). The bundle must pass
+    ours, max-softmax and entropy share one eval-mode pass of the main head
+    over the head's row_blocks; ours scores each block's penultimate
+    features as it goes, so no scene-sized penultimate array is held. mcd:n
+    runs n dropout forwards of the main head, pass i seeded base_seed + i;
+    de:n runs one eval-mode forward of each of the first n ensemble heads.
+    The mean p of their softmaxes gives the predictive entropy and the
+    logits log(max(p, 1e-12)). The bundle must pass
     check_methods(methods, bundle).
     """
+    features = np.asarray(features, dtype=np.float64)
+    parsed = [(method,) + parse_method(method) for method in methods]
     scores, logits = {}, {}
-    out = probs = None
-    for method in methods:
-        name, params = parse_method(method)
+    eval_logits = probs = None
+    for method, name, params in parsed:
         if name in ("ours", "max-softmax", "entropy"):
-            if out is None:
-                out = bundle.head.forward(features)
-            logits[method] = out.logits
+            if eval_logits is None:
+                eval_logits, density = _eval_pass(
+                    bundle, features, any(n == "ours" for _, n, _ in parsed))
+            logits[method] = eval_logits
             if name == "ours":
-                scores[method] = epistemic_score(bundle.gda_model, out.penultimate_features)
+                scores[method] = density
             else:
-                probs = softmax(out.logits) if probs is None else probs
+                probs = softmax(eval_logits) if probs is None else probs
                 score = max_softmax_score if name == "max-softmax" else softmax_entropy
                 scores[method] = score(probs)
             continue
@@ -218,6 +223,21 @@ def score_scene(methods, bundle, features, base_seed=0):
         scores[method] = softmax_entropy(mean_probs)
         logits[method] = np.log(np.maximum(mean_probs, 1e-12))
     return scores, logits
+
+
+def _eval_pass(bundle, features, density):
+    """Logits of the main head's eval-mode forward, one forward per row
+    block, and, when `density`, the epistemic score of each block's
+    penultimate features (else None)."""
+    n = features.shape[0]
+    logits = np.empty((n, bundle.head.config.num_classes))
+    scores = np.empty(n) if density else None
+    for lo, hi in row_blocks(n):
+        out = bundle.head.forward(features[lo:hi])
+        logits[lo:hi] = out.logits
+        if density:
+            scores[lo:hi] = epistemic_score(bundle.gda_model, out.penultimate_features)
+    return logits, scores
 
 
 def _cell_result(kind, severity, pop):
@@ -267,9 +287,11 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         return {m: (np.array(scene[m]), np.array(region[m])) for m in methods}
 
     clean = scene_means(clean_test)
-    corrupted = {(kind, severity): scene_means(dataset)
-                 for kind, severity, dataset in synthworld.corrupted_datasets(
-                     clean_test, world, sigma_z, corruptions, severities)}
+    corrupted = {}
+    for kind, severity, dataset in synthworld.corrupted_datasets(
+            clean_test, world, sigma_z, corruptions, severities):
+        corrupted[kind, severity] = scene_means(dataset)
+        del dataset  # before the generator builds the next cell
 
     for method in methods:
         clean_scene, clean_region = clean[method]

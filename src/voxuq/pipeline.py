@@ -11,7 +11,7 @@ from . import synthworld
 from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_temperature,
                           tune_lambda, ugts_temperature)
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
-from .head import HeadConfig, ResidualMlpHead, train_head
+from .head import HeadConfig, ResidualMlpHead, accuracy, train_head
 from .nn_core import OptimizerState
 from .ood import MethodBundle, check_methods, parse_method, run_sweep, score_scene
 
@@ -61,27 +61,28 @@ def build_bundle(head_config, train_ds, seed=0, **train_kwargs):
 
 
 def validation_accuracy(head, dataset):
-    feats, labels = dataset.voxel_arrays()
-    return float((head.forward(feats).logits.argmax(axis=1) == labels).mean())
+    return accuracy(head, *dataset.voxel_arrays())
 
 
 # -- calibration -----------------------------------------------------------
 
-def _calibration_pass(method, bundle, dataset, seed):
-    """One scoring pass over `dataset`: the method's calibration logits and
-    labels over all voxels, and each scene's mean uncertainty, which
+def _scene_passes(method, bundle, dataset, seed):
+    """One scoring pass over `dataset`, scene by scene: the method's
+    calibration logits, the labels, and the scene's mean uncertainty, which
     modulates the temperature (epistemic density score for 'ours',
     predictive entropy for mcd/de, softmax entropy for the softmax
     baselines)."""
     name, _ = parse_method(method)
     scored = "entropy" if name == "max-softmax" else method
-    logits, labels, u_scene = [], [], []
     for i, (f, y) in enumerate(dataset.iter_scene_arrays()):
         scores, scene_logits = score_scene([scored], bundle, f, base_seed=seed + i)
-        logits.append(scene_logits[scored])
-        labels.append(y)
-        u_scene.append(float(np.mean(scores[scored])))
-    return np.concatenate(logits), np.concatenate(labels), u_scene
+        yield scene_logits[scored], y, float(np.mean(scores[scored]))
+
+
+def _calibration_pass(method, bundle, dataset, seed):
+    """_scene_passes joined over all voxels: (logits, labels, scene means)."""
+    logits, labels, u_scene = zip(*_scene_passes(method, bundle, dataset, seed))
+    return np.concatenate(logits), np.concatenate(labels), list(u_scene)
 
 
 def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, seed=0):
@@ -89,7 +90,7 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
     uncertainty, and tune lambda on the clean split. Returns the
     CalibrationParams."""
     check_methods([method], bundle)
-    u_bar_train = float(np.mean(_calibration_pass(method, bundle, train_ds, seed)[2]))
+    u_bar_train = float(np.mean([u for _, _, u in _scene_passes(method, bundle, train_ds, seed)]))
     logits, labels, u_val = _calibration_pass(method, bundle, val_ds, seed)
     voxels = val_ds.config.voxels_per_scene
     u_per_voxel = np.repeat(u_val, voxels)
@@ -116,8 +117,10 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
 
     result = {"clean": split_metrics(test_ds)}
     sigma_z = synthworld.feature_std(test_ds)
-    cells = [split_metrics(corrupted) for _, _, corrupted
-             in synthworld.corrupted_datasets(test_ds, world, sigma_z)]
+    cells = []
+    for _, _, corrupted in synthworld.corrupted_datasets(test_ds, world, sigma_z):
+        cells.append(split_metrics(corrupted))
+        del corrupted  # before the generator builds the next cell
     result["corrupted"] = {v: {"mece": float(np.mean([c[v]["ece"] for c in cells])),
                                "mnll": float(np.mean([c[v]["nll"] for c in cells]))}
                            for v in result["clean"]}

@@ -110,16 +110,31 @@ class FeatureDataset:
     split: str = ""
 
     def voxel_arrays(self):
-        """All scenes flattened to (n_voxels, d) features and labels."""
-        feats = np.concatenate([s.features.reshape(-1, self.config.feature_dim)
-                                for s in self.scenes])
-        labels = np.concatenate([s.labels.reshape(-1) for s in self.scenes])
-        return feats, labels
+        """All scenes flattened to (n_voxels, d) features and labels. For a
+        loaded split these are views of the one array its scenes are views
+        of, so writing to them writes to the scenes."""
+        d = self.config.feature_dim
+        return (_joined([s.features.reshape(-1, d) for s in self.scenes]),
+                _joined([s.labels.reshape(-1) for s in self.scenes]))
 
     def iter_scene_arrays(self):
         for s in self.scenes:
             yield (s.features.reshape(-1, self.config.feature_dim),
                    s.labels.reshape(-1))
+
+
+def _joined(parts):
+    """The C-contiguous `parts` back to back as one array: a view of their
+    base array when they already lie back to back in all of it, as the
+    scenes of a loaded split do, else a concatenated copy."""
+    base = parts[0].base if parts else None
+    starts = np.cumsum([0] + [p.nbytes for p in parts])
+    if (base is not None and base.flags.c_contiguous and starts[-1] == base.nbytes
+            and all(p.base is base and p.flags.c_contiguous
+                    and p.ctypes.data == base.ctypes.data + int(start)
+                    for p, start in zip(parts, starts))):
+        return base.reshape((-1,) + parts[0].shape[1:])
+    return np.concatenate(parts)
 
 
 def scene_seed(dataset_seed, split, index):
@@ -200,10 +215,13 @@ def generate_scene(world, seed, scene_id=0):
             inside = (((x - cx) / sx) ** 2 + ((y - cy) / sy) ** 2
                       + ((z - cz) / sz) ** 2) <= 1.0
         labels[inside] = cls
-    hist = _box_blur(np.eye(cfg.num_classes)[labels], 1)
-    features = (world.anchors[labels]
-                + hist @ world.projection.T
-                + cfg.noise_scale * rng.standard_normal((gx, gy, gz, cfg.feature_dim)))
+    # anchors + hist P^T + noise_scale * noise, summed in place; the first
+    # sum is commutative, so starting from hist P^T gives the same bits
+    features = _box_blur(np.eye(cfg.num_classes)[labels], 1) @ world.projection.T
+    features += world.anchors[labels]
+    noise = rng.standard_normal((gx, gy, gz, cfg.feature_dim))
+    noise *= cfg.noise_scale
+    features += noise
     return VoxelScene(labels=labels, features=features, scene_id=scene_id, seed=seed)
 
 
@@ -259,10 +277,11 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
     else:
         mask = ...  # every voxel, without a boolean-index copy
     if spec.kind == "noise":
-        z = scene.features.copy()
-        noise = np.random.default_rng(seed).standard_normal(z.shape)
+        # noise + z: the bits of z + noise, without a third scene-sized buffer
+        noise = np.random.default_rng(seed).standard_normal(scene.features.shape)
         noise *= NOISE_COEF * m * sigma_z
-        z[mask] += noise[mask]
+        noise += scene.features
+        z = _replace_masked(scene.features, noise, mask)
     elif spec.kind == "blur":
         z = _replace_masked(scene.features, _box_blur(scene.features, m), mask)
     elif spec.kind == "sector_drop":
@@ -342,12 +361,13 @@ def corrupted_datasets(dataset, world, sigma_z, corruptions=CORRUPTION_KINDS,
     for kind in corruptions:
         for severity in severities:
             spec = CorruptionSpec(kind=kind, severity=severity)
-            scenes = [apply_corruption(s, spec,
-                                       corruption_seed(world.config.seed, kind, severity, i),
-                                       world, sigma_z=sigma_z)
-                      for i, s in enumerate(dataset.scenes)]
-            yield kind, severity, FeatureDataset(scenes=scenes, config=world.config,
-                                                 split="corrupted")
+            # no name holds a yielded cell, so the caller can free it before the next
+            yield kind, severity, FeatureDataset(
+                scenes=[apply_corruption(s, spec,
+                                         corruption_seed(world.config.seed, kind, severity, i),
+                                         world, sigma_z=sigma_z)
+                        for i, s in enumerate(dataset.scenes)],
+                config=world.config, split="corrupted")
 
 
 # -- dataset directory I/O -------------------------------------------------
@@ -370,8 +390,8 @@ def save_dataset(dataset, out_dir):
             index.append({"scene_id": s.scene_id, "seed": s.seed,
                           "feature_offset": i * feat_bytes,
                           "label_offset": i * label_bytes})
-            ff.write(s.features.astype("<f4").tobytes())
-            lf.write(s.labels.astype("<u2").tobytes())
+            ff.write(s.features.astype("<f4", order="C"))
+            lf.write(s.labels.astype("<u2", order="C"))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "split": dataset.split,

@@ -439,6 +439,25 @@ def test_method_without_its_artifacts_exit_2(workspace, runner, tmp_path, comman
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command, method, loads", [
+    ("eval-ood", "entropy", 0), ("calibrate", "entropy", 0), ("eval-ood", "entropy,ours", 1),
+])
+def test_density_model_loaded_only_for_ours(workspace, runner, tmp_path, monkeypatch,
+                                            command, method, loads):
+    calls = []
+    load_gda = store.load_gda
+    monkeypatch.setattr(store, "load_gda", lambda path: calls.append(path) or load_gda(path))
+    args = [command, "--data", str(workspace["data"]),
+            "--head", str(workspace["models"] / "head.ocuq"), "--gda", str(workspace["gda"]),
+            "--methods" if command == "eval-ood" else "--method", method,
+            "--out", str(tmp_path / "out")]
+    if command == "eval-ood":
+        args += ["--corruptions", "noise", "--severities", "1"]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 0, r.output
+    assert len(calls) == loads
+
 def test_eval_ood_rejects_unknown_corruption(workspace, runner):
     r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
                              "--head", str(workspace["models"] / "head.ocuq"),

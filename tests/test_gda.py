@@ -285,6 +285,62 @@ def test_collect_deterministic():
         assert np.array_equal(a.class_array(c), b.class_array(c))
 
 
+
+def per_row_reservoir(head, scenes, cap_per_class, seed):
+    """Oracle: Algorithm R one row at a time, every kept row its own copy;
+    returns (class arrays, seen counts)."""
+    rng = np.random.default_rng(seed)
+    k = head.config.num_classes
+    kept = {c: [] for c in range(k)}
+    seen = dict.fromkeys(range(k), 0)
+    for features, labels in scenes:
+        feats = head.forward(features).penultimate_features
+        for c in np.unique(labels):
+            res = kept[int(c)]
+            for row in feats[labels == c]:
+                if len(res) < cap_per_class:
+                    res.append(row.copy())
+                else:
+                    j = int(rng.integers(0, seen[int(c)] + 1))
+                    if j < cap_per_class:
+                        res[j] = row.copy()
+                seen[int(c)] += 1
+    return {c: np.array(kept[c]).reshape(-1, head.config.hidden_width) for c in kept}, seen
+
+
+@pytest.mark.parametrize("cap", [1, 7, 40, 61, 1000])
+def test_collect_matches_per_row_reservoir_oracle(cap):
+    """Bit for bit, with classes that fill within a scene, at a scene
+    boundary, over several scenes and never, and one class never seen."""
+    rng = np.random.default_rng(20)
+    head = make_head(k=4)
+    scenes = [(rng.standard_normal((n, 6)), rng.integers(0, 3, size=n))
+              for n in (30, 45, 3, 60, 25)]
+    bank = collect_features(head, scenes, cap_per_class=cap, seed=9)
+    kept, seen = per_row_reservoir(head, scenes, cap, seed=9)
+    assert bank.seen_counts == seen
+    for c in range(4):
+        assert np.array_equal(bank.class_array(c), kept[c])
+    assert bank.missing_classes == [3]
+
+
+def test_collect_keeps_no_per_row_arrays():
+    """The bank holds one array per class and little else; a reservoir of
+    per-row copies costs an object header and a list slot per row."""
+    rng = np.random.default_rng(21)
+    head = make_head()
+    scenes = list(scene_stream(rng, 4, 3000, 6, 3))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        bank = collect_features(head, scenes, cap_per_class=2000, seed=0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = [bank.vectors[c] for c in range(3)]
+    assert all(isinstance(r, np.ndarray) and r.shape == (2000, 6) for r in rows)
+    assert retained <= sum(r.nbytes for r in rows) + 16384
+
 # -- parameter accounting ---------------------------------------------------
 
 def test_gmm_param_count_formula():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from voxuq import head as head_module
-from voxuq.head import (HeadConfig, ResidualMlpHead, estimate_lipschitz,
-                        lipschitz_upper_bound, train_head)
+from voxuq import pipeline, synthworld
+from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, estimate_lipschitz,
+                        lipschitz_upper_bound, row_blocks, train_head)
 from voxuq.nn_core import OptimizerState, ShapeError, leaky_relu
 
 
@@ -112,6 +113,66 @@ def test_eval_forward_temporaries_are_block_sized():
     block_bytes = head_module.FORWARD_BLOCK * 32 * 8
     assert peak <= outputs + 6 * block_bytes
 
+
+
+@pytest.mark.parametrize("n", [0, 1, 16, 17, 31, 32, 33, 107])
+def test_row_blocks_cover_rows_in_near_equal_blocks(monkeypatch, n):
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
+    blocks = row_blocks(n)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert len(blocks) == max(1, -(-n // 16)) and max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= 16 and (len(blocks) == 1 or min(sizes) >= 8)
+
+
+def whole_forward_accuracy(head, x, y):
+    """Oracle: the argmax of one unblocked forward over every row."""
+    logits = head._forward(x, None, False, 1, 0.0, None).logits
+    return float((logits.argmax(axis=1) == y).mean())
+
+
+def test_accuracy_equals_whole_forward_argmax(monkeypatch):
+    head = ResidualMlpHead(small_config(), seed=4)
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((107, 6)), rng.integers(0, 4, size=107)
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
+    assert accuracy(head, x, y) == whole_forward_accuracy(head, x, y)
+
+
+def test_train_log_accuracy_equals_whole_forward_argmax(monkeypatch):
+    """The logged accuracy is taken before the post-training spectral-norm
+    bake and f32 rounding, which are switched off here to compare."""
+    head = ResidualMlpHead(small_config(), seed=5)
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((107, 6)), rng.integers(0, 4, size=107)
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
+    monkeypatch.setattr(head, "finalize_spectral_norm", lambda: None)
+    monkeypatch.setattr(head, "round_weights_to_f32", lambda: None)
+    log = train_head(head, x, y, epochs=1, batch_size=32, seed=0)
+    assert log.accuracies == [whole_forward_accuracy(head, x, y)]
+
+
+def test_validation_accuracy_of_loaded_split_streams_blocks(tmp_path):
+    """The accuracy of a loaded split of 8 blocks of rows: the whole-forward
+    argmax accuracy, with no copy of the split and no split-sized
+    penultimate array."""
+    config = synthworld.WorldConfig(grid=(32, 32, 4), test_scenes=8, seed=3)
+    world = synthworld.generate_world(config)
+    synthworld.save_dataset(synthworld.generate_dataset(world, "test"), tmp_path / "test")
+    ds = synthworld.load_dataset(tmp_path / "test")
+    head = ResidualMlpHead(pipeline.head_config_for_world(config), seed=6)
+    x, y = ds.voxel_arrays()
+    assert len(y) == 8 * head_module.FORWARD_BLOCK
+    tracemalloc.start()
+    try:
+        acc = pipeline.validation_accuracy(head, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert acc == whole_forward_accuracy(head, x, y)
+    # one block's forward is about 3 blocks; a copy of the split alone is 8
+    assert peak <= 4 * head_module.FORWARD_BLOCK * config.feature_dim * 8
 
 def test_forward_rejects_wrong_width():
     head = ResidualMlpHead(small_config(), seed=0)

@@ -58,7 +58,7 @@ def loaded(tmp_path_factory):
     root = tmp_path_factory.mktemp("imports")
     (root / "config.ini").write_text(CONFIG)
     data, models = str(root / "data"), str(root / "models")
-    head = str(root / "models" / "head.ocuq")
+    head, gda = str(root / "models" / "head.ocuq"), str(root / "models" / "gda.ocuq")
     sweep = ["eval-ood", "--data", data, "--head", head, "--corruptions", "noise",
              "--severities", "1"]
     steps = [
@@ -69,21 +69,26 @@ def loaded(tmp_path_factory):
                    "--ensemble", "2", "--seed", "7"]),
         ("eval-ood baselines", sweep + ["--members", models, "--methods", "mcd:n=2,de:n=2",
                                         "--out", str(root / "baselines")]),
-        ("fit-gmm", ["fit-gmm", "--data", data, "--head", head,
-                     "--out", str(root / "models" / "gda.ocuq")]),
-        ("eval-ood ours", sweep + ["--gda", str(root / "models" / "gda.ocuq"),
-                                   "--methods", "ours", "--out", str(root / "ours")]),
+        ("fit-gmm", ["fit-gmm", "--data", data, "--head", head, "--out", gda]),
+        ("eval-ood ours", sweep + ["--gda", gda, "--methods", "ours",
+                                   "--out", str(root / "ours")]),
     ]
+    # a second fresh interpreter, as fit-gmm above has loaded scipy.linalg
+    unused_gda = [("eval-ood --gda entropy", sweep + ["--gda", gda, "--methods", "entropy",
+                                                      "--out", str(root / "entropy")])]
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(steps)],
-                          env=dict(os.environ, PYTHONPATH=src), cwd=root,
-                          capture_output=True, text=True, check=True)
-    return {step: tuple(v) for step, v in json.loads(proc.stdout.splitlines()[-1]).items()}
+    record = {}
+    for run in (steps, unused_gda):
+        proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(run)],
+                              env=dict(os.environ, PYTHONPATH=src), cwd=root,
+                              capture_output=True, text=True, check=True)
+        record = dict(json.loads(proc.stdout.splitlines()[-1]), **record)
+    return {step: tuple(v) for step, v in record.items()}
 
 
 @pytest.mark.parametrize("step, code", [
     ("import", 0), ("usage-error", 2), ("generate-data", 0), ("train", 0),
-    ("eval-ood baselines", 0),
+    ("eval-ood baselines", 0), ("eval-ood --gda entropy", 0),
 ])
 def test_command_loads_no_scipy(loaded, step, code):
     assert loaded[step] == (code, [])
@@ -94,3 +99,4 @@ def test_density_command_loads_neither_stats_nor_optimize(loaded, step):
     code, modules = loaded[step]
     assert code == 0
     assert "scipy.stats" not in modules and "scipy.optimize" not in modules
+

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from voxuq import head as head_module
 from voxuq import ood, pipeline, synthworld
 from voxuq.calibration import CalibrationParams
+from voxuq.gda import GdaModel
 from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.metrics import softmax_entropy
 from voxuq.nn_core import softmax
@@ -396,3 +400,65 @@ def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
     evaluate_calibration("ours", bundle, world, params, test, seed=SWEEP_SEED)
     assert calls == {"forward": len(train.scenes) + len(val.scenes) + n * (1 + cells),
                      "corruption": n * cells}
+
+
+def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monkeypatch):
+    """Scenes of 128 voxels in blocks of at most 48 rows: three forwards and
+    three log-densities per scene, none over 48 rows, and the same report."""
+    world, bundle, train, test = tiny
+    methods = ["ours", "max-softmax", "entropy"]
+    whole = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
+    rows = {"forward": [], "log_density": []}
+    forward, log_density = ResidualMlpHead.forward, GdaModel.log_density
+
+    def counting_forward(self, features, *args, **kwargs):
+        rows["forward"].append(len(features))
+        return forward(self, features, *args, **kwargs)
+
+    def counting_log_density(self, z):
+        rows["log_density"].append(len(z))
+        return log_density(self, z)
+
+    monkeypatch.setattr(ResidualMlpHead, "forward", counting_forward)
+    monkeypatch.setattr(GdaModel, "log_density", counting_log_density)
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 48)
+    blocked = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
+    n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
+    assert world.config.voxels_per_scene == 128
+    assert rows["forward"] == rows["log_density"] == [42, 43, 43] * n * (1 + cells)
+    assert blocked.methods == whole.methods and blocked.aggregates == whole.aggregates
+    for a, b in zip(blocked.histograms, whole.histograms):
+        assert all(np.array_equal(a[k], b[k]) for k in ("edges", "count_id", "count_ood"))
+
+    rows["forward"].clear()
+    val = synthworld.generate_dataset(world, "val")
+    params = calibrate_method("ours", bundle, train, val, seed=SWEEP_SEED)
+    evaluate_calibration("ours", bundle, world, params, test, seed=SWEEP_SEED)
+    scenes = len(train.scenes) + len(val.scenes) + n * (1 + cells)
+    assert rows["forward"] == [42, 43, 43] * scenes
+
+
+def test_score_scene_holds_no_scene_sized_penultimate():
+    """On 8 blocks of rows, score_scene peaks at its outputs plus a few
+    blocks, and gives the bits of one whole-scene forward and log-density."""
+    head = ResidualMlpHead(HeadConfig(input_dim=16, hidden_width=64, num_classes=3), seed=1)
+    rng = np.random.default_rng(2)
+    gda = GdaModel(means=rng.standard_normal((3, 64)), chols=np.stack([np.eye(64)] * 3),
+                   log_dets=np.zeros(3), log_priors=np.log(np.full(3, 1 / 3)),
+                   eps_used=0.0, counts=np.ones(3, dtype=np.int64))
+    bundle = MethodBundle(head=head, gda_model=gda)
+    x = rng.standard_normal((8 * head_module.FORWARD_BLOCK, 16))
+    tracemalloc.start()
+    try:
+        scores, logits = score_scene(["ours"], bundle, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    whole = head.forward(x)
+    assert np.array_equal(logits["ours"], whole.logits)
+    assert np.array_equal(scores["ours"], -gda.log_density(whole.penultimate_features))
+    # one block's forward and log-density temporaries come to about 4 blocks;
+    # a whole-scene penultimate array alone is 8
+    block_bytes = head_module.FORWARD_BLOCK * 64 * 8
+    outputs = scores["ours"].nbytes + logits["ours"].nbytes
+    assert peak <= outputs + 5 * block_bytes

@@ -305,6 +305,27 @@ def test_save_load_round_trip(tmp_path, world):
         assert a.seed == b.seed
 
 
+
+def test_voxel_arrays_of_loaded_split_share_its_scenes(tmp_path, world):
+    """A loaded split's voxel arrays are views of the array its scenes are
+    views of; any other dataset gets joined copies with the same values."""
+    save_dataset(generate_dataset(world, "test"), tmp_path / "test")
+    ds = load_dataset(tmp_path / "test")
+    feats, labels = ds.voxel_arrays()
+    for s in ds.scenes:
+        assert np.shares_memory(feats, s.features) and np.shares_memory(labels, s.labels)
+    d = world.config.feature_dim
+    assert np.array_equal(feats, np.concatenate([s.features.reshape(-1, d) for s in ds.scenes]))
+    assert np.array_equal(labels, np.concatenate([s.labels.reshape(-1) for s in ds.scenes]))
+    for part in (ds.scenes[1:], ds.scenes[::-1], ds.scenes[:1] + ds.scenes[:1]):
+        sub = synthworld.FeatureDataset(scenes=part, config=ds.config)
+        sub_feats, sub_labels = sub.voxel_arrays()
+        assert not np.shares_memory(sub_feats, feats)
+        assert np.array_equal(sub_feats, np.concatenate([s.features.reshape(-1, d)
+                                                         for s in part]))
+        assert np.array_equal(sub_labels, np.concatenate([s.labels.reshape(-1)
+                                                          for s in part]))
+
 def test_load_rejects_future_schema(tmp_path, world):
     import json
     ds = generate_dataset(world, "val")
