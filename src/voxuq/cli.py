@@ -115,9 +115,17 @@ def _load_split(data_dir, split):
         data_error("dataset split %s: %s" % (split, e))
 
 
+def _reject_repeats(name, keys, given):
+    """A key that occurs more than once in `keys` is a usage error naming
+    the entries of `given` (its spellings) that repeat."""
+    repeated = sorted({g for g, key in zip(given, keys) if keys.count(key) > 1})
+    if repeated:
+        usage_error("--%s names %s more than once" % (name, ", ".join(repeated)))
+
+
 def _int_list(raw, name, lo, hi=None):
-    """Comma-separated integers, each >= lo and (if given) <= hi; anything
-    else is a usage error."""
+    """Comma-separated distinct integers, each >= lo and (if given) <= hi;
+    anything else is a usage error."""
     try:
         values = tuple(int(v) for v in raw.split(",") if v.strip())
     except ValueError:
@@ -125,6 +133,7 @@ def _int_list(raw, name, lo, hi=None):
     if not values or any(v < lo or (hi is not None and v > hi) for v in values):
         usage_error("--%s must be comma-separated integers %s, got %r" % (
             name, ">= %d" % lo if hi is None else "in %d-%d" % (lo, hi), raw))
+    _reject_repeats(name, values, [str(v) for v in values])
     return values
 
 
@@ -218,7 +227,7 @@ def cmd_fit_gmm(data, head_path, cap, out, seed):
     head = store.load_head(head_path)
     train_ds = _load_split(data, "train")
     try:
-        model, _ = pipeline.fit_density(head, train_ds, cap_per_class=cap, seed=seed)
+        model = pipeline.fit_density(head, train_ds, cap_per_class=cap, seed=seed)
     except FitError as e:
         data_error(str(e))
     Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -284,15 +293,14 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
         usage_error("--methods must name at least one method, got %r" % methods)
     # repeats are found among parsed specs, so "mcd" repeats "mcd:n=5:p=0.1"
     keys = [(name, tuple(params.items())) for name, params in map(_parse_method, method_list)]
-    repeated = sorted({m for m, key in zip(method_list, keys) if keys.count(key) > 1})
-    if repeated:
-        usage_error("--methods names %s more than once" % ", ".join(repeated))
+    _reject_repeats("methods", keys, method_list)
     kinds = tuple(k.strip() for k in corruptions.split(",") if k.strip())
     if not kinds:
         usage_error("--corruptions must name at least one corruption, got %r" % corruptions)
     for k in kinds:
         if k not in synthworld.CORRUPTION_KINDS:
             usage_error("unknown corruption %r" % k)
+    _reject_repeats("corruptions", kinds, kinds)
     sevs = _int_list(severities, "severities", 0, 3)
     bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, method_list)
     test_ds = _load_split(data, "test")
@@ -320,7 +328,7 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
 @click.option("--members", "members_dir", type=click.Path(), default=None)
 @click.option("--method", default="ours")
 @click.option("--mode", type=click.Choice(["ts", "ugts"]), default="ugts")
-@click.option("--lambda-grid", "lambda_grid", default=",".join(map(str, LAMBDA_GRID)))
+@click.option("--lambda-grid", "lambda_grid", default=None)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
@@ -328,20 +336,22 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
     """Fit temperature scaling (and UGTS lambda), then report ECE/NLL on the
     clean and corrupted evaluation sets."""
     _parse_method(method)
-    try:
-        grid = [float(x) for x in lambda_grid.split(",") if x.strip()]
-    except ValueError:
-        grid = []
-    if not grid or not all(map(math.isfinite, grid)):
-        usage_error("--lambda-grid must be comma-separated finite numbers, got %r"
-                    % lambda_grid)
+    if mode == "ts" and lambda_grid is not None:
+        usage_error("--lambda-grid applies only to --mode ugts")
+    grid = [0.0] if mode == "ts" else LAMBDA_GRID
+    if lambda_grid is not None:
+        try:
+            grid = [float(x) for x in lambda_grid.split(",") if x.strip()]
+        except ValueError:
+            grid = []
+        if not grid or not all(map(math.isfinite, grid)):
+            usage_error("--lambda-grid must be comma-separated finite numbers, got %r"
+                        % lambda_grid)
     bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, [method])
     train_ds = _load_split(data, "train")
     val_ds = _load_split(data, "val")
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
-    if mode == "ts":
-        grid = [0.0]
     params = _run(pipeline.calibrate_method, method, bundle, train_ds, val_ds,
                   lam_grid=grid, seed=seed)
     del train_ds, val_ds  # evaluation reads only the test split

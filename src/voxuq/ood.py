@@ -251,6 +251,13 @@ def _mean_metrics(cells):
             "mfpr95": float(np.mean([c.fpr95 for c in cells]))}
 
 
+def score_split(methods, bundle, dataset, seed):
+    """score_scene over the scenes of `dataset` in order, scene i with base
+    seed `seed + i`: yields (scores, logits, labels) per scene."""
+    for i, (features, labels) in enumerate(dataset.iter_scene_arrays()):
+        yield score_scene(methods, bundle, features, base_seed=seed + i) + (labels,)
+
+
 def run_sweep(methods, bundle, world, clean_test, seed=0,
               corruptions=synthworld.CORRUPTION_KINDS,
               severities=DEFAULT_SEVERITIES, region_level=True):
@@ -264,7 +271,6 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
     """
     t0 = time.perf_counter()
     check_methods(methods, bundle)
-    sigma_z = synthworld.feature_std(clean_test)
     report = BenchmarkReport(seed=seed)
     report.config = {
         "corruptions": list(corruptions),
@@ -273,34 +279,24 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         "histogram_bins": HISTOGRAM_BINS,
     }
     mask = synthworld.front_sector_mask(world.config).reshape(-1)
+    # (kind, severity) -> scenes x methods x (scene mean, front-sector mean)
+    means = {}
+    for kind, severity, split in synthworld.grid_splits(clean_test, world, corruptions,
+                                                        severities):
+        means[kind, severity] = np.array([
+            [(aggregate_scene(s[m]), aggregate_region(s[m], mask) if region_level else 0.0)
+             for m in methods]
+            for s, _, _ in score_split(methods, bundle, split, seed)])
+        del split  # before the generator builds the next cell
+    clean = means.pop((None, 0))
 
-    def scene_means(dataset):
-        """Per method: scene means and front-sector means of its scores."""
-        scene = {m: [] for m in methods}
-        region = {m: [] for m in methods}
-        for i, (features, _) in enumerate(dataset.iter_scene_arrays()):
-            scores, _ = score_scene(methods, bundle, features, base_seed=seed + i)
-            for m in methods:
-                scene[m].append(aggregate_scene(scores[m]))
-                if region_level:
-                    region[m].append(aggregate_region(scores[m], mask))
-        return {m: (np.array(scene[m]), np.array(region[m])) for m in methods}
-
-    clean = scene_means(clean_test)
-    corrupted = {}
-    for kind, severity, dataset in synthworld.corrupted_datasets(
-            clean_test, world, sigma_z, corruptions, severities):
-        corrupted[kind, severity] = scene_means(dataset)
-        del dataset  # before the generator builds the next cell
-
-    for method in methods:
-        clean_scene, clean_region = clean[method]
+    for j, method in enumerate(methods):
         cells = []
         region_cells = []
         for kind in corruptions:
             for severity in severities:
-                ood_scene, ood_region = corrupted[kind, severity][method]
-                pop = ScoredPopulation(clean_scene, ood_scene)
+                ood = means[kind, severity][:, j]
+                pop = ScoredPopulation(clean[:, j, 0], ood[:, 0])
                 cells.append(_cell_result(kind, severity, pop))
                 edges, idc, oodc = histogram_table(pop)
                 report.histograms.append({
@@ -309,7 +305,7 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
                 })
                 if region_level:
                     region_cells.append(_cell_result(
-                        kind, severity, ScoredPopulation(clean_region, ood_region)))
+                        kind, severity, ScoredPopulation(clean[:, j, 1], ood[:, 1])))
         report.methods[method] = cells
         report.aggregates[method] = _mean_metrics(cells)
         if region_level:
@@ -317,4 +313,3 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
             report.region_aggregates[method] = _mean_metrics(region_cells)
     report.sweep_seconds = time.perf_counter() - t0
     return report
-

@@ -13,7 +13,8 @@ from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_tempera
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
 from .head import HeadConfig, ResidualMlpHead, accuracy, train_head
 from .nn_core import OptimizerState
-from .ood import MethodBundle, check_methods, parse_method, run_sweep, score_scene
+from .ood import (MethodBundle, aggregate_scene, check_methods, parse_method, run_sweep,
+                  score_split)
 
 DEFAULT_EPOCHS = 6
 DEFAULT_BATCH = 512
@@ -50,14 +51,12 @@ def train_ensemble(head_config, dataset, n, base_seed=100, **train_kwargs):
 
 
 def fit_density(head, dataset, cap_per_class=DEFAULT_CAP_PER_CLASS, seed=0):
-    bank = collect_features(head, dataset.iter_scene_arrays(), cap_per_class, seed)
-    return fit_gda(bank), bank
+    return fit_gda(collect_features(head, dataset.iter_scene_arrays(), cap_per_class, seed))
 
 
 def build_bundle(head_config, train_ds, seed=0, **train_kwargs):
-    head, log = train_on_dataset(head_config, train_ds, seed=seed, **train_kwargs)
-    gda_model, _ = fit_density(head, train_ds, seed=seed)
-    return MethodBundle(head=head, gda_model=gda_model), log
+    head, _ = train_on_dataset(head_config, train_ds, seed=seed, **train_kwargs)
+    return MethodBundle(head=head, gda_model=fit_density(head, train_ds, seed=seed))
 
 
 def validation_accuracy(head, dataset):
@@ -66,22 +65,18 @@ def validation_accuracy(head, dataset):
 
 # -- calibration -----------------------------------------------------------
 
-def _scene_passes(method, bundle, dataset, seed):
-    """One scoring pass over `dataset`, scene by scene: the method's
-    calibration logits, the labels, and the scene's mean uncertainty, which
-    modulates the temperature (epistemic density score for 'ours',
-    predictive entropy for mcd/de, softmax entropy for the softmax
-    baselines)."""
-    name, _ = parse_method(method)
-    scored = "entropy" if name == "max-softmax" else method
-    for i, (f, y) in enumerate(dataset.iter_scene_arrays()):
-        scores, scene_logits = score_scene([scored], bundle, f, base_seed=seed + i)
-        yield scene_logits[scored], y, float(np.mean(scores[scored]))
+def _calibration_spec(method):
+    """The method spec scored to calibrate `method`: its logits are scaled,
+    and the scene mean of its scores modulates the temperature (epistemic
+    density score for 'ours', predictive entropy for mcd/de, softmax entropy
+    for the softmax baselines)."""
+    return "entropy" if parse_method(method)[0] == "max-softmax" else method
 
 
-def _calibration_pass(method, bundle, dataset, seed):
-    """_scene_passes joined over all voxels: (logits, labels, scene means)."""
-    logits, labels, u_scene = zip(*_scene_passes(method, bundle, dataset, seed))
+def _calibration_pass(spec, bundle, dataset, seed):
+    """score_split of `spec` joined over all voxels: (logits, labels, scene means)."""
+    logits, labels, u_scene = zip(*((lg[spec], y, aggregate_scene(s[spec]))
+                                    for s, lg, y in score_split([spec], bundle, dataset, seed)))
     return np.concatenate(logits), np.concatenate(labels), list(u_scene)
 
 
@@ -90,8 +85,11 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
     uncertainty, and tune lambda on the clean split. Returns the
     CalibrationParams."""
     check_methods([method], bundle)
-    u_bar_train = float(np.mean([u for _, _, u in _scene_passes(method, bundle, train_ds, seed)]))
-    logits, labels, u_val = _calibration_pass(method, bundle, val_ds, seed)
+    spec = _calibration_spec(method)
+    # scene means only: the train split's logits are never joined
+    u_bar_train = float(np.mean([aggregate_scene(s[spec])
+                                 for s, _, _ in score_split([spec], bundle, train_ds, seed)]))
+    logits, labels, u_val = _calibration_pass(spec, bundle, val_ds, seed)
     voxels = val_ds.config.voxels_per_scene
     u_per_voxel = np.repeat(u_val, voxels)
 
@@ -104,54 +102,53 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
 
 def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     """ECE/NLL on the clean split and mECE/mNLL over the corruption grid,
-    for uncalibrated, fixed-TS and UGTS logit scaling. The grid is the
-    sweep's: noise scales with the test split's feature std."""
+    for uncalibrated, fixed-TS and UGTS logit scaling. The splits are the
+    sweep's (synthworld.grid_splits), scored as the sweep scores them."""
     check_methods([method], bundle)
+    spec = _calibration_spec(method)
 
-    def split_metrics(ds):
-        logits, labels, u_scene = _calibration_pass(method, bundle, ds, seed)
-        t_ugts = ugts_temperature(params, np.repeat(u_scene, ds.config.voxels_per_scene))
+    def split_metrics(split):
+        logits, labels, u_scene = _calibration_pass(spec, bundle, split, seed)
+        t_ugts = ugts_temperature(params, np.repeat(u_scene, split.config.voxels_per_scene))
         gaps = LogitGaps(logits, labels)
         return {variant: dict(zip(("ece", "nll"), gaps.metrics(t)))
                 for variant, t in (("raw", 1.0), ("ts", params.t_train), ("ugts", t_ugts))}
 
-    result = {"clean": split_metrics(test_ds)}
-    sigma_z = synthworld.feature_std(test_ds)
-    cells = []
-    for _, _, corrupted in synthworld.corrupted_datasets(test_ds, world, sigma_z):
-        cells.append(split_metrics(corrupted))
-        del corrupted  # before the generator builds the next cell
-    result["corrupted"] = {v: {"mece": float(np.mean([c[v]["ece"] for c in cells])),
-                               "mnll": float(np.mean([c[v]["nll"] for c in cells]))}
-                           for v in result["clean"]}
-    return result
+    splits = []
+    for _, _, split in synthworld.grid_splits(test_ds, world):
+        splits.append(split_metrics(split))
+        del split  # before the generator builds the next cell
+    clean, *cells = splits
+    return {"clean": clean,
+            "corrupted": {v: {"mece": float(np.mean([c[v]["ece"] for c in cells])),
+                              "mnll": float(np.mean([c[v]["nll"] for c in cells]))}
+                          for v in clean}}
 
 
 # -- ablation and feature-dimension sweeps ---------------------------------
 
-def ablation_table(config, seed=42):
-    """Train {3, 5 layers} x {skip} head variants and sweep each: rows carry
-    mAUROC / mFPR95 / parameter counts, mirroring the head-depth study."""
+def _ours_sweeps(config, head_configs, seed):
+    """Generate the world of `config` and its train and test splits; per head
+    config, train a head and fit its density model on train, and sweep
+    `ours` scene-level over test. Yields (bundle, ours aggregates)."""
     world = synthworld.generate_world(config)
     train_ds = synthworld.generate_dataset(world, "train")
     test_ds = synthworld.generate_dataset(world, "test")
-    rows = []
-    for num_layers in (3, 5):
-        for skip in (False, True):
-            head_config = head_config_for_world(config, num_layers=num_layers,
-                                                skip=skip)
-            bundle, _ = build_bundle(head_config, train_ds, seed=seed)
-            report = run_sweep(["ours"], bundle, world, test_ds, seed=seed,
-                               region_level=False)
-            agg = report.aggregates["ours"]
-            rows.append({
-                "layers": num_layers,
-                "skip": skip,
-                "mauroc": agg["mauroc"],
-                "mfpr95": agg["mfpr95"],
-                "params": bundle.head.param_count(),
-            })
-    return rows
+    for head_config in head_configs:
+        bundle = build_bundle(head_config, train_ds, seed=seed)
+        report = run_sweep(["ours"], bundle, world, test_ds, seed=seed, region_level=False)
+        yield bundle, report.aggregates["ours"]
+
+
+def ablation_table(config, seed=42):
+    """Train {3, 5 layers} x {skip} head variants and sweep each: rows carry
+    mAUROC / mFPR95 / parameter counts, mirroring the head-depth study."""
+    variants = [(num_layers, skip) for num_layers in (3, 5) for skip in (False, True)]
+    sweeps = _ours_sweeps(config, [head_config_for_world(config, num_layers=num_layers, skip=skip)
+                                   for num_layers, skip in variants], seed)
+    return [{"layers": num_layers, "skip": skip, "mauroc": agg["mauroc"],
+             "mfpr95": agg["mfpr95"], "params": bundle.head.param_count()}
+            for (num_layers, skip), (bundle, agg) in zip(variants, sweeps)]
 
 
 def ablation_direction_warning(rows):
@@ -175,12 +172,7 @@ def feature_dim_sweep(dims, base_config, seed=42):
     rows = []
     for dim in dims:
         config = replace(base_config, feature_dim=dim, seed=seed)
-        world = synthworld.generate_world(config)
-        train_ds = synthworld.generate_dataset(world, "train")
-        test_ds = synthworld.generate_dataset(world, "test")
-        bundle, _ = build_bundle(head_config_for_world(config), train_ds, seed=seed)
-        report = run_sweep(["ours"], bundle, world, test_ds, seed=seed, region_level=False)
-        agg = report.aggregates["ours"]
+        [(_, agg)] = _ours_sweeps(config, [head_config_for_world(config)], seed)
         rows.append({
             "dim": dim,
             "mauroc": agg["mauroc"],

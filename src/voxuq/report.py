@@ -48,6 +48,13 @@ def dumps_17g(obj, indent=0):
     return json.dumps(str(obj))
 
 
+def _cell_metrics(cells, aggregates, prefix=""):
+    """AUROC and FPR95 per "kind:severity" cell, then their means."""
+    return {prefix + "auroc": {"%s:%d" % (c.corruption, c.severity): c.auroc for c in cells},
+            prefix + "fpr95": {"%s:%d" % (c.corruption, c.severity): c.fpr95 for c in cells},
+            prefix + "mauroc": aggregates["mauroc"], prefix + "mfpr95": aggregates["mfpr95"]}
+
+
 def report_to_metrics(report, config_hash="", param_counts=None):
     """Flatten a BenchmarkReport into the metrics.json structure."""
     doc = {
@@ -58,20 +65,10 @@ def report_to_metrics(report, config_hash="", param_counts=None):
         "methods": {},
     }
     for method, cells in report.methods.items():
-        block = {
-            "auroc": {"%s:%d" % (c.corruption, c.severity): c.auroc for c in cells},
-            "fpr95": {"%s:%d" % (c.corruption, c.severity): c.fpr95 for c in cells},
-            "mauroc": report.aggregates[method]["mauroc"],
-            "mfpr95": report.aggregates[method]["mfpr95"],
-        }
+        block = _cell_metrics(cells, report.aggregates[method])
         if method in report.region_methods:
-            rc = report.region_methods[method]
-            block["region_auroc"] = {"%s:%d" % (c.corruption, c.severity): c.auroc
-                                     for c in rc}
-            block["region_fpr95"] = {"%s:%d" % (c.corruption, c.severity): c.fpr95
-                                     for c in rc}
-            block["region_mauroc"] = report.region_aggregates[method]["mauroc"]
-            block["region_mfpr95"] = report.region_aggregates[method]["mfpr95"]
+            block.update(_cell_metrics(report.region_methods[method],
+                                       report.region_aggregates[method], "region_"))
         if param_counts and method in param_counts:
             block["param_count"] = param_counts[method]
         doc["methods"][method] = block

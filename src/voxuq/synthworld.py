@@ -353,11 +353,14 @@ def corruption_seed(dataset_seed, kind, severity, scene_index):
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
-def corrupted_datasets(dataset, world, sigma_z, corruptions=CORRUPTION_KINDS,
-                       severities=(1, 2, 3)):
-    """Yield (kind, severity, dataset) for every full-scene corruption cell,
-    one cell at a time; scene i of a cell is corrupted with
+def grid_splits(dataset, world, corruptions=CORRUPTION_KINDS, severities=(1, 2, 3)):
+    """Yield the splits of the corruption grid as (kind, severity, split):
+    first `dataset` itself as (None, 0, dataset), then every full-scene cell
+    in order, one at a time. The noise scales with the clean split's feature
+    std; scene i of a cell is corrupted with
     corruption_seed(world seed, kind, severity, i)."""
+    yield None, 0, dataset
+    sigma_z = feature_std(dataset)
     for kind in corruptions:
         for severity in severities:
             spec = CorruptionSpec(kind=kind, severity=severity)

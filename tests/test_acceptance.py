@@ -45,7 +45,7 @@ def default_pipeline():
     val_ds = synthworld.generate_dataset(world, "val")
     test_ds = synthworld.generate_dataset(world, "test")
     head_config = head_config_for_world(config)
-    bundle, _ = build_bundle(head_config, train_ds, seed=42)
+    bundle = build_bundle(head_config, train_ds, seed=42)
     return {"config": config, "world": world, "train": train_ds, "val": val_ds,
             "test": test_ds, "bundle": bundle}
 

@@ -467,7 +467,7 @@ def test_eval_ood_rejects_unknown_corruption(workspace, runner):
     assert r.exit_code == 2
 
 
-@pytest.mark.parametrize("severities", ["x", "1,two", "1.5", "4", "-1", ","])
+@pytest.mark.parametrize("severities", ["x", "1,two", "1.5", "4", "-1", ",", "1,1,3"])
 def test_eval_ood_bad_severities_exit_2(workspace, runner, severities):
     r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
                              "--head", str(workspace["models"] / "head.ocuq"),
@@ -503,6 +503,26 @@ def test_eval_ood_repeated_method_exit_2(workspace, runner, methods):
     assert r.exit_code == 2
     assert isinstance(r.exception, SystemExit)
     assert r.output == "error: --methods names ours more than once\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value, repeated", [
+    ("eval-ood", "--corruptions", "noise,noise,blur", "noise"),
+    ("eval-ood", "--severities", "1,1,3", "1"),
+    ("dim-sweep", "--dims", "4,8,4", "4"),
+])
+def test_repeated_grid_entry_exit_2(workspace, runner, command, option, value, repeated):
+    """A repeated corruption, severity or dim would walk (or train) the same
+    cell twice and count it twice in every mean."""
+    out = workspace["root"] / "repeated_grid"
+    args = {"eval-ood": ["--data", str(workspace["data"]),
+                         "--head", str(workspace["models"] / "head.ocuq"),
+                         "--gda", str(workspace["gda"]), "--methods", "ours"],
+            "dim-sweep": ["--config", str(workspace["config"])]}[command]
+    r = runner.invoke(main, [command, *args, option, value, "--out", str(out)])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output == "error: %s names %s more than once\n" % (option, repeated)
     assert not out.exists()
 
 
@@ -592,6 +612,33 @@ def test_calibrate_bad_lambda_grid_exit_2(workspace, runner, grid):
     assert "--lambda-grid" in r.output
 
 
+@pytest.mark.parametrize("grid", ["0.5,0.7", "0.0,0.01,0.02,0.05,0.1,0.2,0.5"])
+def test_calibrate_ts_with_lambda_grid_exit_2(workspace, runner, grid):
+    """Fixed TS fits no lambda, so a grid it would ignore is a usage error."""
+    out = workspace["root"] / "ts_grid"
+    r = runner.invoke(main, ["calibrate", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--mode", "ts",
+                             "--lambda-grid", grid, "--out", str(out)])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert r.output == "error: --lambda-grid applies only to --mode ugts\n"
+    assert not out.exists()
+
+
+def test_calibrate_ugts_default_grid_spelled_out_changes_nothing(workspace, runner):
+    common = ["calibrate", "--data", str(workspace["data"]),
+              "--head", str(workspace["models"] / "head.ocuq"),
+              "--gda", str(workspace["gda"]), "--seed", "7"]
+    outs = []
+    for extra in ([], ["--lambda-grid", "0.0,0.01,0.02,0.05,0.1,0.2,0.5"]):
+        outs.append(workspace["root"] / ("ugts_grid%d" % len(extra)))
+        r = runner.invoke(main, common + extra + ["--out", str(outs[-1])])
+        assert r.exit_code == 0, r.output
+    assert all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+               for name in ("calibration.json", "calib.ocuq"))
+
+
 def test_config_hash_tells_values_apart():
     # a hash of the sorted characters of str(obj) gave c2a8408e59148ab2 for both
     assert _config_hash({"seed": 42}) != _config_hash({"seed": 24})
@@ -652,7 +699,7 @@ def test_dim_sweep_tabulates_param_counts(workspace, runner):
     assert (out / "dim_sweep.md").exists()
 
 
-@pytest.mark.parametrize("dims", ["4,x", "eight", "4.5", "1"])
+@pytest.mark.parametrize("dims", ["4,x", "eight", "4.5", "1", "4,4"])
 def test_dim_sweep_bad_dims_exit_2(workspace, runner, dims):
     r = runner.invoke(main, ["dim-sweep", "--dims", dims,
                              "--config", str(workspace["config"]),

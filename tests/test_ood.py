@@ -300,7 +300,7 @@ def tiny():
     world = synthworld.generate_world(config)
     train = synthworld.generate_dataset(world, "train")
     test = synthworld.generate_dataset(world, "test")
-    bundle, _ = build_bundle(head_config_for_world(config), train, seed=7, epochs=2)
+    bundle = build_bundle(head_config_for_world(config), train, seed=7, epochs=2)
     return world, bundle, train, test
 
 
@@ -358,7 +358,7 @@ def test_method_check_runs_once_before_any_scene(tiny, monkeypatch):
 
     for module in (ood, pipeline):
         monkeypatch.setattr(module, "check_methods", counting_check)
-        monkeypatch.setattr(module, "score_scene", counting_score)
+    monkeypatch.setattr(ood, "score_scene", counting_score)
     bare = MethodBundle(head=bundle.head)
     with pytest.raises(MethodError):
         run_sweep(["max-softmax", "ours"], bare, world, test, seed=SWEEP_SEED)
@@ -400,6 +400,105 @@ def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
     evaluate_calibration("ours", bundle, world, params, test, seed=SWEEP_SEED)
     assert calls == {"forward": len(train.scenes) + len(val.scenes) + n * (1 + cells),
                      "corruption": n * cells}
+
+
+def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
+    """evaluate_calibration walks the grid run_sweep walks: the clean test
+    split, then the 15 cells in kind-major order, every scene with the
+    sweep's features and base seed."""
+    world, bundle, _, test = tiny
+    calls = []
+    score = score_scene
+
+    def recording_score(methods, b, features, base_seed=0):
+        calls.append((features.tobytes(), base_seed))
+        return score(methods, b, features, base_seed=base_seed)
+
+    monkeypatch.setattr(ood, "score_scene", recording_score)
+    run_sweep(["ours"], bundle, world, test, seed=SWEEP_SEED)
+    swept = list(calls)
+    calls.clear()
+    evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
+    assert calls == swept
+
+    n = len(test.scenes)
+    cells = [(k, m) for k in synthworld.CORRUPTION_KINDS for m in (1, 2, 3)]
+    assert len(swept) == n * (1 + len(cells))
+    assert [seed for _, seed in swept] == [SWEEP_SEED + i for i in range(n)] * (1 + len(cells))
+    assert [f for f, _ in swept[:n]] == [s.features.tobytes() for s in test.scenes]
+    sigma_z = synthworld.feature_std(test)
+    for c, (kind, severity) in enumerate(cells, start=1):
+        first = synthworld.apply_corruption(
+            test.scenes[0], synthworld.CorruptionSpec(kind=kind, severity=severity),
+            synthworld.corruption_seed(world.config.seed, kind, severity, 0), world,
+            sigma_z=sigma_z)
+        assert swept[c * n][0] == first.features.tobytes(), (kind, severity)
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """A loaded 16-scene test split whose features (64 per voxel) outweigh
+    its logits (3 per voxel), so that a corrupted cell dominates what a walk
+    allocates, and an untrained bundle that scores it."""
+    config = synthworld.WorldConfig(grid=(16, 16, 2), num_classes=3, feature_dim=64,
+                                    train_scenes=4, val_scenes=2, test_scenes=16, seed=5)
+    world = synthworld.generate_world(config)
+    path = tmp_path_factory.mktemp("wide") / "test"
+    synthworld.save_dataset(synthworld.generate_dataset(world, "test"), path)
+    head = ResidualMlpHead(HeadConfig(input_dim=64, hidden_width=8, num_classes=3), seed=1)
+    gda = GdaModel(means=np.random.default_rng(2).standard_normal((3, 8)),
+                   chols=np.stack([np.eye(8)] * 3), log_dets=np.zeros(3),
+                   log_priors=np.log(np.full(3, 1 / 3)), eps_used=0.0,
+                   counts=np.ones(3, dtype=np.int64))
+    return world, MethodBundle(head=head, gda_model=gda), synthworld.load_dataset(path)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_walks_hold_one_corrupted_cell_at_a_time(wide, monkeypatch):
+    """Over the 15 cells, run_sweep and evaluate_calibration peak within a
+    quarter cell of their peak over the one cell with the most corruption
+    temporaries (blur at severity 3): no cell outlives the building of the
+    next."""
+    world, bundle, test = wide
+    cell = sum(s.features.nbytes for s in test.scenes)
+    one = ("blur",), (3,)
+
+    def sweep(corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3)):
+        run_sweep(["ours", "entropy"], bundle, world, test, seed=SWEEP_SEED,
+                  corruptions=corruptions, severities=severities)
+
+    assert traced_peak(sweep) <= traced_peak(lambda: sweep(*one)) + cell / 4
+
+    def calibration():
+        evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
+
+    every_cell = traced_peak(calibration)
+    grid_splits = synthworld.grid_splits
+    monkeypatch.setattr(synthworld, "grid_splits",
+                        lambda dataset, w: grid_splits(dataset, w, *one))
+    assert every_cell <= traced_peak(calibration) + cell / 4
+
+
+def test_calibrate_method_joins_no_train_logits(wide):
+    """The train pass keeps scene means only: four times the train scenes
+    raise calibrate_method's peak by less than one train split's logits."""
+    world, bundle, _ = wide
+    val = synthworld.generate_dataset(world, "val")
+    peaks = {}
+    for n in (4, 4, 16):  # the first call also imports scipy.optimize
+        train = synthworld.generate_dataset(world, "train", n_scenes=n)
+        peaks[n] = traced_peak(lambda: calibrate_method("ours", bundle, train, val,
+                                                        seed=SWEEP_SEED))
+    logits = 4 * world.config.voxels_per_scene * world.config.num_classes * 8
+    assert peaks[16] < peaks[4] + logits
 
 
 def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monkeypatch):
