@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nn_core import near_equal_blocks
+
 DEFAULT_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_CAP_PER_CLASS = 20000
 # rows per log-density GEMM; bounds the (rows, K*d) temporary
@@ -68,14 +70,15 @@ class GdaModel:
         stabilized. Accepts one vector or an n x d batch; returns a scalar or
         a length-n vector accordingly.
 
-        Rows go through in chunks of LOG_DENSITY_CHUNK, each one GEMM of
-        [z | 1] against all K whitening factors and shifts at once, followed
-        by its own log-sum-exp. The chunk buffers are allocated once per call,
-        so memory use does not grow with the row count. The log-sum-exp runs
-        class-major, because numpy reduces a K x rows array over axis 0
-        several times faster than a rows x K array over axis 1. Chunk bounds
-        depend only on the row count, so a row's result depends only on the
-        row and its position.
+        Rows go through in near_equal_blocks of at most LOG_DENSITY_CHUNK
+        rows, each one GEMM of [z | 1] against all K whitening factors and
+        shifts at once, followed by its own log-sum-exp. The chunk buffers
+        are allocated once per call, so memory use does not grow with the
+        row count. The log-sum-exp runs class-major, because numpy reduces a
+        K x rows array over axis 0 several times faster than a rows x K array
+        over axis 1. No chunk of a batch is a single row, which BLAS would
+        route through gemv, so a row scores the same in any batch of two or
+        more rows.
         """
         z = np.asarray(z, dtype=np.float64)
         single = z.ndim == 1
@@ -84,14 +87,15 @@ class GdaModel:
         if z.shape[1] != self.dim:
             raise ValueError("query dim %d != model dim %d" % (z.shape[1], self.dim))
         n, k, d = z.shape[0], self.num_classes, self.dim
-        rows = min(n, LOG_DENSITY_CHUNK)
+        chunks = near_equal_blocks(n, LOG_DENSITY_CHUNK)
+        rows = -(-n // len(chunks))
         z1 = np.ones((rows, d + 1))
         y = np.empty((rows, k * d))
         comp = np.empty((k, rows))
         out = np.empty(n)
-        for lo in range(0, n, LOG_DENSITY_CHUNK):
-            m = min(LOG_DENSITY_CHUNK, n - lo)
-            z1[:m, :d] = z[lo:lo + m]
+        for lo, hi in chunks:
+            m = hi - lo
+            z1[:m, :d] = z[lo:hi]
             yk = np.matmul(z1[:m], self._w_shift, out=y[:m]).reshape(m, k, d)
             c = comp[:, :m]
             np.einsum("ikj,ikj->ik", yk, yk, out=c.T)
@@ -123,8 +127,7 @@ def collect_features(head, scenes, cap_per_class, seed):
     full = {}                           # class id -> cap_per_class x d reservoir
     seen = dict.fromkeys(range(k), 0)
     for features, labels in scenes:
-        feats = head.forward(np.asarray(features, dtype=np.float64),
-                             update_sn=False).penultimate_features
+        feats = head.forward(features, update_sn=False).penultimate_features
         labels = np.asarray(labels).ravel()
         for c in np.unique(labels).tolist():
             rows = feats[labels == c]

@@ -16,6 +16,7 @@ from .nn_core import (
     leaky_relu,
     leaky_relu_grad,
     linear_forward,
+    near_equal_blocks,
     power_iteration,
 )
 
@@ -64,15 +65,9 @@ class TrainLog:
 
 
 def row_blocks(n):
-    """(lo, hi) bounds of the near-equal row blocks, of at most FORWARD_BLOCK
-    rows each, that cover n rows; one block when n <= FORWARD_BLOCK. When
-    there are several, each holds at least half of FORWARD_BLOCK rows, never
-    the single row that BLAS would route through gemv instead of GEMM, so a
-    blocked pass keeps every row's bits.
-    """
-    blocks = max(1, -(-n // FORWARD_BLOCK))
-    bounds = [i * n // blocks for i in range(blocks + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    """near_equal_blocks of at most FORWARD_BLOCK rows covering n rows, so a
+    blocked pass keeps every row's bits."""
+    return near_equal_blocks(n, FORWARD_BLOCK)
 
 
 class ResidualMlpHead:
@@ -129,11 +124,13 @@ class ResidualMlpHead:
         of more than FORWARD_BLOCK rows runs over the row_blocks of its
         rows, so its temporaries are block-sized rather than scene-sized.
         Rows do not interact, so every row keeps the bits of the unblocked
-        forward.
+        forward. Features of another float dtype are widened to float64 per
+        block, as each layer reads them, so float32 features give the bits
+        of their float64 copy without a scene-sized float64 copy.
         """
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError("dropout p must be in [0, 1), got %r" % dropout_p)
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.input_dim:
             raise ShapeError("head expects n x %d features" % self.config.input_dim)
         n = features.shape[0]

@@ -147,6 +147,18 @@ class LinearLayer:
         return scale * grad_eff - (scale / sigma) * inner * np.outer(cache["u"], cache["v"])
 
 
+def near_equal_blocks(n, size):
+    """(lo, hi) bounds of the fewest near-equal blocks of at most `size` rows
+    that cover n rows; one block when n <= size. When there are several,
+    each holds at least half of `size` rows, never the single row that BLAS
+    would route through gemv instead of GEMM, so a row's bits do not depend
+    on where the cuts fall.
+    """
+    blocks = max(1, -(-n // size))
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def linear_forward(layer, x, tape=None, update_sn=True, sn_iters=1):
     """y = x W_eff^T + b, caching activations on the tape when given."""
     x = np.asarray(x, dtype=np.float64)

@@ -194,8 +194,13 @@ def score_scene(methods, bundle, features, base_seed=0):
     The mean p of their softmaxes gives the predictive entropy and the
     logits log(max(p, 1e-12)). The bundle must pass
     check_methods(methods, bundle).
+
+    Float32 features score as their float64 copy would. The eval pass widens
+    them one row block at a time; mcd and de, whose forwards are whole-scene,
+    widen the scene once for all their passes.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
+    wide = None
     parsed = [(method,) + parse_method(method) for method in methods]
     scores, logits = {}, {}
     eval_logits = probs = None
@@ -212,12 +217,14 @@ def score_scene(methods, bundle, features, base_seed=0):
                 score = max_softmax_score if name == "max-softmax" else softmax_entropy
                 scores[method] = score(probs)
             continue
+        if wide is None:
+            wide = np.asarray(features, dtype=np.float64)
         if name == "mcd":
-            passes = (bundle.head.forward(features, dropout_p=params["p"],
+            passes = (bundle.head.forward(wide, dropout_p=params["p"],
                                           dropout_rng=np.random.default_rng(base_seed + i))
                       for i in range(params["n"]))
         else:
-            passes = (h.forward(features) for h in bundle.ensemble_heads[:params["n"]])
+            passes = (h.forward(wide) for h in bundle.ensemble_heads[:params["n"]])
         # a running sum in member order: the bits of a mean over stacked members
         mean_probs = sum(softmax(member.logits) for member in passes) / params["n"]
         scores[method] = softmax_entropy(mean_probs)

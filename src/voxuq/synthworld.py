@@ -83,7 +83,7 @@ class World:
 @dataclass
 class VoxelScene:
     labels: np.ndarray        # (gx, gy, gz) int
-    features: np.ndarray      # (gx, gy, gz, d) float
+    features: np.ndarray      # (gx, gy, gz, d) float32 when generated or loaded
     scene_id: int
     seed: int
 
@@ -222,7 +222,11 @@ def generate_scene(world, seed, scene_id=0):
     noise = rng.standard_normal((gx, gy, gz, cfg.feature_dim))
     noise *= cfg.noise_scale
     features += noise
-    return VoxelScene(labels=labels, features=features, scene_id=scene_id, seed=seed)
+    del noise  # before the float32 copy, so that generation peaks no higher
+    # the values features.bin stores, so a split holds the same numbers in
+    # process as after a save and load
+    return VoxelScene(labels=labels, features=features.astype(np.float32),
+                      scene_id=scene_id, seed=seed)
 
 
 def generate_dataset(world, split, n_scenes=None):
@@ -251,13 +255,24 @@ def front_sector_mask(config, half_angle_deg=45.0):
 
 def feature_std(dataset):
     """Per-dataset feature standard deviation (single scalar), used to scale
-    the noise corruption."""
-    feats, _ = dataset.voxel_arrays()
-    return float(feats.std())
+    the noise corruption.
+
+    The bits of np.std over the split's features widened to float64, from
+    one float64 copy of them that the scenes are widened into; the
+    deviations are taken and squared in place, where np.std would hold a
+    second split-sized array for them.
+    """
+    x = np.concatenate([f for f, _ in dataset.iter_scene_arrays()], dtype=np.float64)
+    x -= x.mean(keepdims=True)
+    x *= x
+    return float(np.sqrt(x.sum() / x.size))
 
 
 def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
     """Return a corrupted copy of `scene`; severity 0 is a bit-exact identity.
+    At severity 1-3 the features of the copy are float64, whatever the
+    float dtype of the scene's: widening is exact, so a float32 scene and its
+    float64 copy give the same cell.
 
     Transforms at severity m in {1,2,3} over the affected voxels:
       noise:      z += NOISE_COEF m sigma_z * N(0, I)
@@ -285,7 +300,7 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
     elif spec.kind == "blur":
         z = _replace_masked(scene.features, _box_blur(scene.features, m), mask)
     elif spec.kind == "sector_drop":
-        z = scene.features.copy()
+        z = scene.features.astype(np.float64)
         z[mask] = 0.0
     elif spec.kind == "fog":
         x, y, zz = np.indices((gx, gy, gz))
@@ -297,7 +312,7 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
         fogged += w * world.fog_vector
         z = _replace_masked(scene.features, fogged, mask)
     elif spec.kind == "bias_shift":
-        z = scene.features.copy()
+        z = scene.features.astype(np.float64)
         z[mask] += BIAS_COEF * m * world.bias_vector
     else:
         raise ValueError("unknown corruption kind %r" % spec.kind)
@@ -310,7 +325,7 @@ def _replace_masked(features, new, mask):
     mask is every voxel, so a full-scene cell allocates no second copy."""
     if mask is ...:
         return new
-    z = features.copy()
+    z = features.astype(np.float64)
     z[mask] = new[mask]
     return z
 
@@ -334,8 +349,9 @@ def _box_blur(features, m):
 
 
 def _clamped_tap_sum(acc, axis, m):
-    """Sum of acc shifted by -m..m along `axis`, border-clamped; a new array."""
-    out = acc.copy()
+    """Sum of acc shifted by -m..m along `axis`, border-clamped; a new
+    float64 array."""
+    out = acc.astype(np.float64)
     src, dst = np.moveaxis(acc, axis, 0), np.moveaxis(out, axis, 0)
     n = src.shape[0]
     for k in range(1, m + 1):
@@ -434,7 +450,8 @@ def load_dataset(in_dir):
     labels = np.fromfile(in_dir / "labels.bin", dtype="<u2")
     if labels.max(initial=0) >= cfg.num_classes:
         raise ValueError("labels.bin holds a label outside [0, %d)" % cfg.num_classes)
-    features = features.reshape(n, gx, gy, gz, cfg.feature_dim).astype(np.float64)
+    # held as stored; the scoring and training code widens what it reads
+    features = features.reshape(n, gx, gy, gz, cfg.feature_dim)
     labels = labels.reshape(n, gx, gy, gz).astype(np.int64)
     scenes = [VoxelScene(labels=labels[i], features=features[i],
                          scene_id=entry["scene_id"], seed=entry["seed"])

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from voxuq import cli, pipeline, store
+from voxuq import cli, pipeline, store, synthworld
 from voxuq.cli import _config_hash, main
 from voxuq.head import HeadConfig
+from voxuq.ood import MethodBundle
 from voxuq.synthworld import WorldConfig
 
 SMALL_CONFIG = """
@@ -659,6 +660,28 @@ def test_calibrate_writes_params_and_report(workspace, runner):
     assert doc["method"] == "ours"
     assert "clean" in doc["results"] and "corrupted" in doc["results"]
     assert doc["t_train"] > 0
+
+
+def test_in_process_calibration_equals_the_cli(workspace, runner):
+    """Generated splits hold the float32 values that features.bin stores, so
+    calibrating on splits generated in process gives calibration.json's
+    numbers exactly, although the CLI reads its splits back from disk."""
+    out = workspace["root"] / "calib_in_process"
+    r = runner.invoke(main, ["calibrate", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--method", "ours",
+                             "--mode", "ugts", "--out", str(out), "--seed", "7"])
+    assert r.exit_code == 0, r.output
+    doc = json.loads((out / "calibration.json").read_text())
+    world = synthworld.generate_world(cli.world_config_from(cli.load_config(workspace["config"])))
+    train, val, test = (synthworld.generate_dataset(world, s) for s in ("train", "val", "test"))
+    bundle = MethodBundle(head=store.load_head(workspace["models"] / "head.ocuq"),
+                          gda_model=store.load_gda(workspace["gda"]))
+    params = pipeline.calibrate_method("ours", bundle, train, val, seed=7)
+    result = pipeline.evaluate_calibration("ours", bundle, world, params, test, seed=7)
+    assert (params.t_train, params.lam, params.u_bar_train) == (
+        doc["t_train"], doc["lambda"], doc["u_bar_train"])
+    assert result == doc["results"]
 
 
 def test_report_renders_from_metrics(workspace, runner):

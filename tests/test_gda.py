@@ -152,6 +152,26 @@ def test_wide_log_density_allocates_one_chunk(wide_model):
     assert peak <= out.nbytes + 1.5 * chunk_bytes
 
 
+def scored_in_pairs(model, z):
+    """Oracle: every row's log-density inside a two-row batch, which BLAS
+    scores through GEMM; the last row of an odd batch with its predecessor."""
+    pairs = [model.log_density(z[i:i + 2]) for i in range(0, len(z) - 1, 2)]
+    if len(z) % 2:
+        pairs.append(model.log_density(z[-2:])[1:])
+    return np.concatenate(pairs)
+
+
+@pytest.mark.parametrize("rows", [LOG_DENSITY_CHUNK + 1, 2 * LOG_DENSITY_CHUNK + 2])
+def test_log_density_scores_no_row_alone(wide_model, rows):
+    """Rows are cut into near-equal chunks, none a single row that BLAS would
+    score through gemv, so every row equals its value inside a two-row batch,
+    bit for bit. Fixed chunks of LOG_DENSITY_CHUNK rows left the last of
+    2,049 rows alone, and at some of these seeds its value then differed."""
+    for seed in range(8):
+        z = np.random.default_rng([rows, seed]).standard_normal((rows, 32)) * 2
+        assert wide_model.log_density(z).tobytes() == scored_in_pairs(wide_model, z).tobytes()
+
+
 def test_log_density_of_empty_batch():
     rng = np.random.default_rng(16)
     model = fit_gda(make_bank(rng, 2, 3, 30))

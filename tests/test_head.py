@@ -98,6 +98,21 @@ def test_eval_forward_in_blocks_keeps_bits(monkeypatch, n):
     assert np.array_equal(blocked.penultimate_features, whole.penultimate_features)
 
 
+@pytest.mark.parametrize("n", [17, 49, 107])
+def test_forward_of_float32_features_keeps_the_bits_of_their_float64_copy(monkeypatch, n):
+    """Float32 features, blocked or whole, give the bits of the same features
+    widened to float64: each block is widened exactly as a layer reads it,
+    and the skip connection widens exactly too."""
+    head = ResidualMlpHead(small_config(), seed=3)
+    x = (np.random.default_rng(5).standard_normal((n, 6)) * 3).astype(np.float32)
+    want = head.forward(x.astype(np.float64))
+    for block in (head_module.FORWARD_BLOCK, 16):
+        monkeypatch.setattr(head_module, "FORWARD_BLOCK", block)
+        got = head.forward(x)
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert got.penultimate_features.tobytes() == want.penultimate_features.tobytes()
+
+
 def test_eval_forward_temporaries_are_block_sized():
     head = ResidualMlpHead(HeadConfig(), seed=0)
     x = np.random.default_rng(6).standard_normal((8 * head_module.FORWARD_BLOCK, 32))

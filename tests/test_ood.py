@@ -10,7 +10,7 @@ from voxuq import head as head_module
 from voxuq import ood, pipeline, synthworld
 from voxuq.calibration import CalibrationParams
 from voxuq.gda import GdaModel
-from voxuq.head import HeadConfig, ResidualMlpHead
+from voxuq.head import HeadConfig, ResidualMlpHead, row_blocks
 from voxuq.metrics import softmax_entropy
 from voxuq.nn_core import softmax
 from voxuq.ood import (MethodBundle, MethodError, ScoredPopulation, aggregate_region,
@@ -235,7 +235,7 @@ def test_parse_method_rejects_unknown_and_malformed():
 
 
 def test_ours_requires_density_model():
-    from voxuq.head import HeadConfig, ResidualMlpHead
+    from voxuq.head import HeadConfig, ResidualMlpHead, row_blocks
     head = ResidualMlpHead(HeadConfig(input_dim=4, hidden_width=4, num_layers=2,
                                       num_classes=3), seed=0)
     bundle = MethodBundle(head=head, gda_model=None)
@@ -245,7 +245,7 @@ def test_ours_requires_density_model():
 
 
 def test_de_requires_enough_members():
-    from voxuq.head import HeadConfig, ResidualMlpHead
+    from voxuq.head import HeadConfig, ResidualMlpHead, row_blocks
     head = ResidualMlpHead(HeadConfig(input_dim=4, hidden_width=4, num_layers=2,
                                       num_classes=3), seed=0)
     bundle = MethodBundle(head=head, ensemble_heads=[head, head])
@@ -468,7 +468,7 @@ def test_grid_walks_hold_one_corrupted_cell_at_a_time(wide, monkeypatch):
     temporaries (blur at severity 3): no cell outlives the building of the
     next."""
     world, bundle, test = wide
-    cell = sum(s.features.nbytes for s in test.scenes)
+    cell = sum(s.features.size for s in test.scenes) * 8  # a corrupted cell is float64
     one = ("blur",), (3,)
 
     def sweep(corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3)):
@@ -561,3 +561,67 @@ def test_score_scene_holds_no_scene_sized_penultimate():
     block_bytes = head_module.FORWARD_BLOCK * 64 * 8
     outputs = scores["ours"].nbytes + logits["ours"].nbytes
     assert peak <= outputs + 5 * block_bytes
+
+
+def random_bundle(input_dim, hidden_width, num_classes=3, members=2):
+    """Untrained heads and a full-covariance density model over their
+    penultimate features."""
+    config = HeadConfig(input_dim=input_dim, hidden_width=hidden_width,
+                        num_classes=num_classes)
+    rng = np.random.default_rng(2)
+    chols = np.stack([np.tril(rng.standard_normal((hidden_width, hidden_width))) * 0.1
+                      + np.eye(hidden_width) for _ in range(num_classes)])
+    gda = GdaModel(means=rng.standard_normal((num_classes, hidden_width)), chols=chols,
+                   log_dets=2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1),
+                   log_priors=np.log(np.full(num_classes, 1 / num_classes)), eps_used=0.0,
+                   counts=np.ones(num_classes, dtype=np.int64))
+    return MethodBundle(head=ResidualMlpHead(config, seed=1), gda_model=gda,
+                        ensemble_heads=[ResidualMlpHead(config, seed=10 + i)
+                                        for i in range(members)])
+
+
+def test_score_scene_of_float32_features_equals_its_float64_oracle():
+    """Every method scores float32 features as their float64 copy, bit for
+    bit, on a scene of two row blocks."""
+    bundle = random_bundle(16, 16)
+    methods = ["ours", "max-softmax", "entropy", "mcd:n=2", "de:n=2"]
+    x = (np.random.default_rng(3).standard_normal((head_module.FORWARD_BLOCK + 100, 16))
+         * 2).astype(np.float32)
+    scores, logits = score_scene(methods, bundle, x, base_seed=4)
+    want_scores, want_logits = score_scene(methods, bundle, x.astype(np.float64), base_seed=4)
+    for m in methods:
+        assert scores[m].tobytes() == want_scores[m].tobytes(), m
+        assert logits[m].tobytes() == want_logits[m].tobytes(), m
+
+
+def test_eval_pass_holds_no_scene_sized_float64_copy():
+    """ours, max-softmax and entropy widen float32 features one row block at
+    a time: on 8 blocks of 64 features, with one widened block, the outputs
+    and the softmax temporaries, the peak stays below half of the 16 MiB
+    that a float64 copy of the scene alone would add."""
+    bundle = random_bundle(64, 8)
+    x = np.random.default_rng(5).standard_normal(
+        (8 * head_module.FORWARD_BLOCK, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        score_scene(["ours", "max-softmax", "entropy"], bundle, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.size * 8 / 2
+
+
+def test_blocks_of_2049_rows_score_ours_with_no_row_alone():
+    """row_blocks cuts 4,098 rows into two blocks of 2,049, and the density
+    model cuts each into near-equal chunks: every row's score equals its
+    value inside a two-row batch, bit for bit."""
+    bundle = random_bundle(32, 32)
+    n = 4098
+    assert row_blocks(n) == [(0, 2049), (2049, 4098)]
+    for seed in range(4):
+        x = np.random.default_rng([6, seed]).standard_normal((n, 32)).astype(np.float32)
+        scores, _ = score_scene(["ours"], bundle, x)
+        z = bundle.head.forward(x).penultimate_features
+        pairs = np.concatenate([bundle.gda_model.log_density(z[i:i + 2])
+                                for i in range(0, n, 2)])
+        assert scores["ours"].tobytes() == (-pairs).tobytes()

@@ -280,13 +280,81 @@ def test_full_scene_corruption_allocates_at_most_two_scenes(kind):
     finally:
         tracemalloc.stop()
     # the result and at most one scene-sized temporary, plus grid-sized
-    # (1/32 of a scene) arrays for fog
-    assert peak <= 2.5 * scene.features.nbytes
+    # (1/32 of a scene) arrays for fog; a cell is float64 whatever the
+    # scene's dtype, so the unit is a scene in float64
+    assert peak <= 2.5 * scene.features.size * 8
 
 
 def test_feature_std_positive(world):
     ds = generate_dataset(world, "val")
     assert feature_std(ds) > 0.0
+
+
+def test_generated_and_loaded_scenes_hold_float32(tmp_path, world, scene):
+    """A scene holds the float32 values features.bin stores, in process and
+    after a save and load, where a loaded split's scenes are views of one
+    array."""
+    assert scene.features.dtype == np.float32
+    ds = generate_dataset(world, "val")
+    save_dataset(ds, tmp_path / "val")
+    back = load_dataset(tmp_path / "val")
+    for a, b in zip(ds.scenes, back.scenes):
+        assert a.features.dtype == b.features.dtype == np.float32
+        assert np.array_equal(a.features, b.features)
+        assert b.features.base is back.scenes[0].features.base
+
+
+def test_load_dataset_holds_about_five_bytes_per_feature(tmp_path):
+    """Loading keeps the float32 array it reads: at its peak it holds that
+    array and the byte-per-feature finiteness mask, not a float64 copy."""
+    cfg = small_config(grid=(16, 16, 4), feature_dim=64, test_scenes=8)
+    save_dataset(generate_dataset(generate_world(cfg), "test"), tmp_path / "test")
+    features = 8 * cfg.voxels_per_scene * cfg.feature_dim
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path / "test")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.scenes[0].features.dtype == np.float32
+    assert peak <= 5.2 * features
+
+
+@pytest.mark.parametrize("kind", synthworld.CORRUPTION_KINDS)
+def test_every_cell_of_a_float32_scene_equals_its_float64_copy(world, scene, kind):
+    """Widening is exact, so each corrupted cell of a float32 scene holds
+    the bits of the same cell of the scene widened to float64, as float64."""
+    x = scene.features.astype(np.float32)
+    narrow, wide = (synthworld.VoxelScene(labels=scene.labels, features=f,
+                                          scene_id=scene.scene_id, seed=scene.seed)
+                    for f in (x, x.astype(np.float64)))
+    for severity in (1, 2, 3):
+        spec = CorruptionSpec(kind=kind, severity=severity)
+        got = apply_corruption(narrow, spec, 9, world, sigma_z=0.7)
+        want = apply_corruption(wide, spec, 9, world, sigma_z=0.7)
+        assert got.features.dtype == np.float64
+        assert got.features.tobytes() == want.features.tobytes(), (kind, severity)
+
+
+@pytest.mark.parametrize("scenes, grid, dim", [(1, (8, 8, 2), 6), (3, (16, 16, 4), 32),
+                                               (5, (24, 24, 4), 32), (2, (40, 40, 8), 16)])
+def test_feature_std_keeps_the_bits_of_np_std_in_one_float64_copy(tmp_path, scenes, grid, dim):
+    """feature_std equals np.std of the split's features widened to float64,
+    bit for bit, on generated and loaded splits of several sizes, and holds
+    no more than that one float64 copy (np.std adds a second)."""
+    cfg = small_config(grid=grid, feature_dim=dim, test_scenes=scenes)
+    generated = generate_dataset(generate_world(cfg), "test")
+    save_dataset(generated, tmp_path / "test")
+    for ds in (generated, load_dataset(tmp_path / "test")):
+        want = float(ds.voxel_arrays()[0].astype(np.float64).std())
+        tracemalloc.start()
+        try:
+            got = feature_std(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert peak <= scenes * cfg.voxels_per_scene * dim * 8 + 4096
 
 
 # -- dataset directory round trip -------------------------------------------
