@@ -11,8 +11,8 @@ from .gda import (FeatureBank, GdaModel, collect_features, epistemic_score,
 from .head import (HeadConfig, HeadOutput, ResidualMlpHead, estimate_lipschitz,
                    train_head)
 from .metrics import max_softmax_score, softmax_entropy
-from .nn_core import (GradTape, LinearLayer, OptimizerState, SpectralState,
-                      cross_entropy_loss, power_iteration, softmax)
+from .nn_core import (LinearLayer, OptimizerState, SpectralState, cross_entropy_loss,
+                      power_iteration, softmax)
 from .ood import (BenchmarkReport, OodResult, ScoredPopulation,
                   aggregate_region, aggregate_scene, auroc, fpr_at_95_tpr,
                   run_sweep, score_scene)

@@ -43,25 +43,15 @@ def data_error(message):
     sys.exit(3)
 
 
-def _run(fn, *args, **kwargs):
-    """fn(*args, **kwargs), where a world whose class anchors cannot be placed
-    and a method without the artifacts it scores with are configuration
-    errors, and a density model that cannot be fitted to the generated data
-    is a data error."""
+def output_dir(path):
+    """`path` as a directory, created with its parents; a path that cannot
+    be one (an existing file, a path under a file) is a usage error."""
+    path = Path(path)
     try:
-        return fn(*args, **kwargs)
-    except (synthworld.GenerationError, MethodError) as e:
-        usage_error(str(e))
-    except FitError as e:
-        data_error(str(e))
-
-
-def _parse_bool(raw):
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("not a boolean: %r" % raw)
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        usage_error("cannot create output directory %s: %s" % (path, e.strerror))
+    return path
 
 
 def load_config(path):
@@ -84,7 +74,8 @@ def load_config(path):
                 usage_error("unknown config key '%s' in section [%s]" % (key, section))
             caster = SECTION_KEYS[section][key]
             try:
-                out[section][key] = _parse_bool(raw) if caster is bool else caster(raw)
+                out[section][key] = (parser.getboolean(section, key) if caster is bool
+                                     else caster(raw))
             except ValueError:
                 usage_error("bad value %r for config key '%s'" % (raw, key))
     return out
@@ -92,7 +83,8 @@ def load_config(path):
 
 def world_config_from(config, seed=None):
     w = dict(config.get("world", {}))
-    grid = (w.pop("grid_x", 24), w.pop("grid_y", 24), w.pop("grid_z", 4))
+    grid = tuple(w.pop(key, default) for key, default
+                 in zip(("grid_x", "grid_y", "grid_z"), synthworld.WorldConfig.grid))
     if seed is not None:
         w["seed"] = seed
     try:
@@ -107,7 +99,7 @@ def _config_hash(obj):
 
 def _load_split(data_dir, split):
     path = Path(data_dir) / split
-    if not (path / "manifest.json").exists():
+    if not (path / "manifest.json").is_file():
         usage_error("missing dataset split %s under %s" % (split, data_dir))
     try:
         return synthworld.load_dataset(path)
@@ -146,7 +138,22 @@ def _at_least(lo):
     return check
 
 
-@click.group()
+class ExitCodeGroup(click.Group):
+    """Click group that maps the toolkit's errors to exit codes: a world whose
+    class anchors cannot be placed and a method without the artifacts it
+    scores with are configuration errors (2); a density model that cannot be
+    fitted to the data and a malformed artifact file are data errors (3)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (synthworld.GenerationError, MethodError) as e:
+            usage_error(str(e))
+        except (FitError, store.StoreError) as e:
+            data_error(str(e))
+
+
+@click.group(cls=ExitCodeGroup)
 def main():
     """Uncertainty quantification toolkit for voxel-grid semantic prediction."""
 
@@ -160,10 +167,10 @@ def cmd_generate_data(config_path, out, seed, force):
     """Generate train/val/test splits of the synthetic voxel world."""
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    out_dir = Path(out)
-    if out_dir.exists() and any(out_dir.iterdir()) and not force:
+    if Path(out).is_dir() and any(Path(out).iterdir()) and not force:
         usage_error("output directory %s is not empty (use --force)" % out)
-    world = _run(synthworld.generate_world, world_config)
+    world = synthworld.generate_world(world_config)
+    out_dir = output_dir(out)
     for split in ("train", "val", "test"):
         ds = synthworld.generate_dataset(world, split)
         synthworld.save_dataset(ds, out_dir / split)
@@ -195,9 +202,8 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
         head_config = pipeline.head_config_for_world(train_ds.config, **config.get("head", {}))
     except ValueError as e:
         usage_error(str(e))
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     head, log = pipeline.train_on_dataset(head_config, train_ds, seed=seed, **kwargs)
+    out_dir = output_dir(out)
     store.save_head(head, out_dir / "head.ocuq")
     with open(out_dir / "train_log.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -222,15 +228,14 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
 @click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_fit_gmm(data, head_path, cap, out, seed):
     """Fit the per-class Gaussian density model from penultimate features."""
-    if not Path(head_path).exists():
+    if not Path(head_path).is_file():
         usage_error("missing head artifact %s" % head_path)
+    if Path(out).is_dir():
+        usage_error("--out %s is a directory" % out)
     head = store.load_head(head_path)
     train_ds = _load_split(data, "train")
-    try:
-        model = pipeline.fit_density(head, train_ds, cap_per_class=cap, seed=seed)
-    except FitError as e:
-        data_error(str(e))
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    model = pipeline.fit_density(head, train_ds, cap_per_class=cap, seed=seed)
+    output_dir(Path(out).parent)
     store.save_gda(model, out)
     for c in range(model.num_classes):
         click.echo("class %d: %d vectors" % (c, model.counts[c]))
@@ -247,12 +252,12 @@ def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
     """The artifacts `methods` score with. The density model is loaded only
     if a method is ours: loading it imports scipy.linalg and inverts K
     Cholesky factors."""
-    if not Path(head_path).exists():
+    if not Path(head_path).is_file():
         usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)
     gda_model = None
     if gda_path:
-        if not Path(gda_path).exists():
+        if not Path(gda_path).is_file():
             usage_error("missing gda artifact %s" % gda_path)
         if any(parse_method(m)[0] == "ours" for m in methods):
             gda_model = store.load_gda(gda_path)
@@ -305,10 +310,9 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
     bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, method_list)
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
-    rep = _run(run_sweep, method_list, bundle, world, test_ds, seed=seed,
-               corruptions=kinds, severities=sevs)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rep = run_sweep(method_list, bundle, world, test_ds, seed=seed,
+                    corruptions=kinds, severities=sevs)
+    out_dir = output_dir(out)
     param_counts = {m: _param_count(m, bundle) for m in method_list}
     doc = report_mod.report_to_metrics(
         rep, config_hash=_config_hash(asdict(test_ds.config)),
@@ -352,13 +356,12 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
     val_ds = _load_split(data, "val")
     test_ds = _load_split(data, "test")
     world = synthworld.generate_world(test_ds.config)
-    params = _run(pipeline.calibrate_method, method, bundle, train_ds, val_ds,
-                  lam_grid=grid, seed=seed)
+    params = pipeline.calibrate_method(method, bundle, train_ds, val_ds,
+                                       lam_grid=grid, seed=seed)
     del train_ds, val_ds  # evaluation reads only the test split
     result = pipeline.evaluate_calibration(method, bundle, world, params,
                                            test_ds, seed=seed)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(out)
     store.save_calibration(params, out_dir / "calib.ocuq")
     doc = {
         "schema_version": report_mod.METRICS_SCHEMA_VERSION,
@@ -382,10 +385,11 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
 @click.option("--out-dir", required=True, type=click.Path())
 def cmd_report(metrics_path, histograms_path, out_dir):
     """Render markdown tables and SVG histograms from metrics.json."""
-    if not Path(metrics_path).exists():
+    if not Path(metrics_path).is_file():
         usage_error("missing metrics file %s" % metrics_path)
     if histograms_path is None:
         histograms_path = str(Path(metrics_path).parent / "histograms.csv")
+    output_dir(out_dir)
     try:
         written = report_mod.render_report(metrics_path, histograms_path, out_dir)
     except (ValueError, KeyError) as e:
@@ -401,9 +405,8 @@ def cmd_ablate(config_path, out, seed):
     """Train {3,5}-layer x {skip} head variants and tabulate OoD performance."""
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    rows = _run(pipeline.ablation_table, world_config, seed=seed)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = pipeline.ablation_table(world_config, seed=seed)
+    out_dir = output_dir(out)
     report_mod.write_metrics({"rows": rows}, out_dir / "ablation.json")
     (out_dir / "ablation.md").write_text(report_mod.ablation_table_markdown(rows))
     warning = pipeline.ablation_direction_warning(rows)
@@ -423,9 +426,8 @@ def cmd_dim_sweep(dims, config_path, out, seed):
     dim_list = _int_list(dims, "dims", 2)
     config = load_config(config_path) if config_path else {}
     world_config = world_config_from(config, seed=seed)
-    rows = _run(pipeline.feature_dim_sweep, dim_list, world_config, seed=seed)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = pipeline.feature_dim_sweep(dim_list, world_config, seed=seed)
+    out_dir = output_dir(out)
     report_mod.write_metrics({"rows": rows}, out_dir / "dim_sweep.json")
     (out_dir / "dim_sweep.md").write_text(report_mod.dim_sweep_table_markdown(rows))
     click.echo(report_mod.dim_sweep_table_markdown(rows))

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn_core import (
-    GradTape,
     LinearLayer,
     OptimizerState,
     ShapeError,
@@ -112,21 +111,21 @@ class ResidualMlpHead:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, features, tape=None, update_sn=False, sn_iters=1,
-                dropout_p=0.0, dropout_rng=None):
+    def forward(self, features, update_sn=False, sn_iters=1, dropout_p=0.0,
+                dropout_rng=None):
         """Logits and penultimate features of n x input_dim `features`.
 
         dropout_p > 0 applies inverted dropout after every hidden activation,
         with keep masks drawn from `dropout_rng` (MC-Dropout passes); a rate
         outside [0, 1) raises ValueError.
 
-        An eval-mode forward (no tape, no spectral-norm update, no dropout)
-        of more than FORWARD_BLOCK rows runs over the row_blocks of its
-        rows, so its temporaries are block-sized rather than scene-sized.
-        Rows do not interact, so every row keeps the bits of the unblocked
-        forward. Features of another float dtype are widened to float64 per
-        block, as each layer reads them, so float32 features give the bits
-        of their float64 copy without a scene-sized float64 copy.
+        An eval-mode forward (no spectral-norm update, no dropout) of more
+        than FORWARD_BLOCK rows runs over the row_blocks of its rows, so its
+        temporaries are block-sized rather than scene-sized. Rows do not
+        interact, so every row keeps the bits of the unblocked forward.
+        Features of another float dtype are widened to float64 per block, as
+        each layer reads them, so float32 features give the bits of their
+        float64 copy without a scene-sized float64 copy.
         """
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError("dropout p must be in [0, 1), got %r" % dropout_p)
@@ -134,65 +133,61 @@ class ResidualMlpHead:
         if features.ndim != 2 or features.shape[1] != self.config.input_dim:
             raise ShapeError("head expects n x %d features" % self.config.input_dim)
         n = features.shape[0]
-        if tape is None and not update_sn and dropout_p == 0.0 and n > FORWARD_BLOCK:
+        if not update_sn and dropout_p == 0.0 and n > FORWARD_BLOCK:
             logits = np.empty((n, self.config.num_classes))
             penultimate = np.empty((n, self.config.hidden_width))
             for lo, hi in row_blocks(n):
-                out = self._forward(features[lo:hi], None, False, sn_iters, 0.0, None)
+                out = self._forward(features[lo:hi], sn_iters=sn_iters)
                 logits[lo:hi] = out.logits
                 penultimate[lo:hi] = out.penultimate_features
             return HeadOutput(logits=logits, penultimate_features=penultimate)
-        return self._forward(features, tape, update_sn, sn_iters, dropout_p, dropout_rng)
+        return self._forward(features, None, update_sn, sn_iters, dropout_p, dropout_rng)
 
-    def _forward(self, features, tape, update_sn, sn_iters, dropout_p, dropout_rng):
+    def _forward(self, features, cache=None, update_sn=False, sn_iters=1, dropout_p=0.0,
+                 dropout_rng=None):
+        """The unblocked forward. With a list `cache`, each hidden layer
+        appends its linear_forward entry and then its pre-activation, and
+        the classifier appends its entry last."""
         x = features
         for i, layer in enumerate(self.layers):
-            pre = linear_forward(layer, x, tape=tape, update_sn=update_sn, sn_iters=sn_iters)
+            pre = linear_forward(layer, x, cache, update_sn, sn_iters)
             act = leaky_relu(pre)
             if dropout_p > 0.0:
                 keep = dropout_rng.random(act.shape) >= dropout_p
                 act = act * keep / (1.0 - dropout_p)
             if self._block_has_skip(i):
                 act += x
-            if tape is not None:
-                tape.push("block", {"pre": pre, "skip": self._block_has_skip(i)})
+            if cache is not None:
+                cache.append(pre)
             x = act
         penultimate = x
-        logits = linear_forward(self.classifier, x, tape=tape, update_sn=False)
+        logits = linear_forward(self.classifier, x, cache, update_sn=False)
         return HeadOutput(logits=logits, penultimate_features=penultimate)
 
-    def backward(self, tape, logits_grad):
-        """Walk the tape in reverse, returning a dict of parameter gradients."""
-        grads = {name: np.zeros_like(p) for name, p in self.parameters().items()}
-        layer_index = {id(layer): ("layer%d" % i) for i, layer in enumerate(self.layers)}
-        layer_index[id(self.classifier)] = "classifier"
-        g = np.asarray(logits_grad, dtype=np.float64)
-        pending_skip = None
-        for op, cache in tape.reversed_entries():
-            if op == "linear":
-                layer = cache["layer"]
-                name = layer_index[id(layer)]
-                d_w_eff = g.T @ cache["x"]
-                grads[name + ".weight"] += layer.raw_weight_grad(d_w_eff, cache["sn"])
-                grads[name + ".bias"] += g.sum(axis=0)
-                g = g @ cache["w_eff"]
-                if pending_skip is not None:
-                    # identity path of the residual add rejoins the branch here
-                    g = g + pending_skip
-                    pending_skip = None
-            elif op == "block":
-                upstream = g
-                g = upstream * leaky_relu_grad(cache["pre"])
-                pending_skip = upstream if cache["skip"] else None
-            else:
-                raise RuntimeError("unknown tape op %r" % op)
-        return grads
-
     def loss_and_grads(self, features, labels, update_sn=False):
-        tape = GradTape()
-        out = self.forward(features, tape=tape, update_sn=update_sn)
-        loss, dlogits = cross_entropy_loss(out.logits, labels)
-        grads = self.backward(tape, dlogits)
+        """Mean cross-entropy of one training forward, the gradient of every
+        named parameter, and the forward's output. The gradients are
+        backpropagated over the forward's cache, from the classifier back
+        through the hidden layers."""
+        cache = []
+        out = self._forward(features, cache, update_sn)
+        loss, g = cross_entropy_loss(out.logits, labels)
+        grads = {}
+
+        def linear_backward(name, layer, entry, g):
+            x, w_eff, sn_cache = entry
+            grads[name + ".weight"] = layer.raw_weight_grad(g.T @ x, sn_cache)
+            grads[name + ".bias"] = g.sum(axis=0)
+            return g @ w_eff
+
+        g = linear_backward("classifier", self.classifier, cache[-1], g)
+        for i in reversed(range(len(self.layers))):
+            upstream = g
+            g = upstream * leaky_relu_grad(cache[2 * i + 1])
+            g = linear_backward("layer%d" % i, self.layers[i], cache[2 * i], g)
+            if self._block_has_skip(i):
+                # identity path of the residual add rejoins the branch here
+                g = g + upstream
         return loss, grads, out
 
     def round_weights_to_f32(self):

@@ -1,6 +1,5 @@
 """Dense float64 numeric core: linear layers, spectral normalization via power
-iteration, softmax / cross-entropy, a gradient tape for manual backprop, and
-the Adam optimizer.
+iteration, softmax / cross-entropy, and the Adam optimizer.
 
 Everything here is deterministic given a seed. Random state uses numpy's
 PCG64 generator throughout.
@@ -13,10 +12,6 @@ LEAKY_SLOPE = 0.01
 
 class ShapeError(ValueError):
     """Raised when operand dimensions do not line up."""
-
-
-class StateError(RuntimeError):
-    """Raised on out-of-order use of stateful objects (e.g. backward before forward)."""
 
 
 def leaky_relu(x):
@@ -159,8 +154,9 @@ def near_equal_blocks(n, size):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def linear_forward(layer, x, tape=None, update_sn=True, sn_iters=1):
-    """y = x W_eff^T + b, caching activations on the tape when given."""
+def linear_forward(layer, x, cache=None, update_sn=True, sn_iters=1):
+    """y = x W_eff^T + b; appends (x, W_eff, SN cache) to the list `cache`
+    when given, for the backward pass."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.in_dim:
         raise ShapeError(
@@ -170,29 +166,9 @@ def linear_forward(layer, x, tape=None, update_sn=True, sn_iters=1):
     w_eff, sn_cache = layer.effective_weight_and_cache(update_state=update_sn, iters=sn_iters)
     y = x @ w_eff.T
     y += layer.bias
-    if tape is not None:
-        tape.push("linear", {"layer": layer, "x": x, "w_eff": w_eff, "sn": sn_cache})
+    if cache is not None:
+        cache.append((x, w_eff, sn_cache))
     return y
-
-
-class GradTape:
-    """Ordered record of forward ops; backward must consume it in reverse."""
-
-    def __init__(self):
-        self._entries = []
-
-    def push(self, op, cache):
-        self._entries.append((op, cache))
-
-    def reversed_entries(self):
-        if not self._entries:
-            raise StateError("backward called without a completed forward pass")
-        entries = list(reversed(self._entries))
-        self.clear()
-        return entries
-
-    def clear(self):
-        self._entries = []
 
 
 class OptimizerState:

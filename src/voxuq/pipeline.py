@@ -21,17 +21,13 @@ DEFAULT_BATCH = 512
 DEFAULT_LR = 1e-3
 
 
-def head_config_for_world(config, num_layers=3, skip=True, sn_enabled=True,
-                          sn_coefficient=1.0, hidden_width=None):
-    return HeadConfig(
-        input_dim=config.feature_dim,
-        hidden_width=config.feature_dim if hidden_width is None else hidden_width,
-        num_layers=num_layers,
-        skip=skip,
-        sn_enabled=sn_enabled,
-        sn_coefficient=sn_coefficient,
-        num_classes=config.num_classes,
-    )
+def head_config_for_world(config, **head_keys):
+    """HeadConfig for world `config`: its input and output sizes are the
+    world's, hidden_width defaults to the world's feature_dim, and every
+    other field to HeadConfig's default."""
+    head_keys.setdefault("hidden_width", config.feature_dim)
+    return HeadConfig(input_dim=config.feature_dim, num_classes=config.num_classes,
+                      **head_keys)
 
 
 def train_on_dataset(head_config, dataset, seed=0, epochs=DEFAULT_EPOCHS,

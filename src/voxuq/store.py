@@ -14,6 +14,7 @@ File layout (all integers little-endian):
 import io
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -107,35 +108,24 @@ def read_artifact(path, expected_kind=None):
 # -- head ------------------------------------------------------------------
 
 def save_head(head, path):
-    cfg = head.config
-    metadata = {
-        "input_dim": cfg.input_dim, "hidden_width": cfg.hidden_width,
-        "num_layers": cfg.num_layers, "skip": cfg.skip,
-        "sn_enabled": cfg.sn_enabled, "sn_coefficient": cfg.sn_coefficient,
-        "num_classes": cfg.num_classes,
-    }
-    tensors = {}
+    """The head's config as metadata, its parameters as float32 tensors under
+    their parameters() names, and each hidden layer's power-iteration
+    vectors in float64."""
+    tensors = {name: p.astype("<f4") for name, p in head.parameters().items()}
     for i, layer in enumerate(head.layers):
-        tensors["layer%d.weight" % i] = layer.weight.astype("<f4")
-        tensors["layer%d.bias" % i] = layer.bias.astype("<f4")
         tensors["layer%d.sn_u" % i] = layer.sn_state.u
         tensors["layer%d.sn_v" % i] = layer.sn_state.v
-    tensors["classifier.weight"] = head.classifier.weight.astype("<f4")
-    tensors["classifier.bias"] = head.classifier.bias.astype("<f4")
-    write_artifact(path, "head", metadata, tensors)
+    write_artifact(path, "head", asdict(head.config), tensors)
 
 
 def load_head(path):
     _, metadata, tensors = read_artifact(path, expected_kind="head")
-    cfg = HeadConfig(**metadata)
-    head = ResidualMlpHead(cfg, seed=0)
+    head = ResidualMlpHead(HeadConfig(**metadata), seed=0)
+    for name, p in head.parameters().items():
+        p[...] = tensors[name]
     for i, layer in enumerate(head.layers):
-        layer.weight[...] = tensors["layer%d.weight" % i].astype(np.float64)
-        layer.bias[...] = tensors["layer%d.bias" % i].astype(np.float64)
         layer.sn_state.u = tensors["layer%d.sn_u" % i].astype(np.float64)
         layer.sn_state.v = tensors["layer%d.sn_v" % i].astype(np.float64)
-    head.classifier.weight[...] = tensors["classifier.weight"].astype(np.float64)
-    head.classifier.bias[...] = tensors["classifier.bias"].astype(np.float64)
     return head
 
 

@@ -278,6 +278,12 @@ def test_config_keys_are_the_dataclass_fields(workspace, runner, tmp_path, monke
         assert trained_with("[training]\n%s = %s\n" % (key, value))[1][key] == value, key
 
 
+def test_head_config_for_world_takes_the_dataclass_defaults():
+    config = WorldConfig(feature_dim=12, num_classes=5)
+    assert pipeline.head_config_for_world(config) == HeadConfig(
+        input_dim=12, hidden_width=12, num_classes=5)
+
+
 def test_train_outputs(workspace):
     models = workspace["models"]
     assert (models / "head.ocuq").exists()
@@ -707,6 +713,44 @@ def test_report_schema_mismatch_exit_2(workspace, runner, tmp_path):
     r = runner.invoke(main, ["report", "--metrics", str(bad),
                              "--out-dir", str(tmp_path / "out")])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("command, option, bad, code", [
+    ("fit-gmm", "--head", "bad magic", 3),
+    ("fit-gmm", "--head", "gda artifact", 3),
+    ("eval-ood", "--gda", "bad magic", 3),
+    ("fit-gmm", "--head", "directory", 2),
+    ("report", "--metrics", "directory", 2),
+    ("fit-gmm", "--out", "directory", 2),
+    ("train", "--out", "file", 2),
+    ("eval-ood", "--out", "file", 2),
+    ("generate-data", "--out", "file", 2),
+    ("generate-data", "--out", "path under a file", 2),
+])
+def test_unusable_artifact_or_out_path_exit_code(workspace, runner, tmp_path, command,
+                                                 option, bad, code):
+    """A malformed artifact file is a data error; an artifact path that is a
+    directory and an --out path that cannot be written are usage errors.
+    Each is one error line, never a traceback."""
+    a_file = tmp_path / "file"
+    a_file.write_text("not an artifact\n")
+    bad_magic = tmp_path / "bad.ocuq"
+    bad_magic.write_bytes(b"JUNK" + (workspace["models"] / "head.ocuq").read_bytes()[4:])
+    path = {"bad magic": bad_magic, "gda artifact": workspace["gda"], "directory": tmp_path,
+            "file": a_file, "path under a file": a_file / "out"}[bad]
+    data, head = str(workspace["data"]), str(workspace["models"] / "head.ocuq")
+    args = {
+        "generate-data": ["--config", str(workspace["config"]), "--out", "OUT"],
+        "train": ["--data", data, "--config", str(workspace["config"]), "--out", "OUT"],
+        "fit-gmm": ["--data", data, "--head", head, "--out", "OUT"],
+        "eval-ood": ["--data", data, "--head", head, "--gda", str(workspace["gda"]),
+                     "--methods", "ours", "--corruptions", "noise", "--severities", "1",
+                     "--out", "OUT"],
+        "report": ["--metrics", "METRICS", "--out-dir", "OUT"],
+    }[command]
+    args[args.index("OUT")] = str(tmp_path / "out")
+    args[args.index(option) + 1] = str(path)
+    _assert_one_line_error(runner.invoke(main, [command] + args), code)
 
 
 def test_dim_sweep_tabulates_param_counts(workspace, runner):

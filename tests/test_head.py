@@ -35,12 +35,19 @@ def numeric_grads(head, features, labels, probes, h=1e-5, rng=None):
     return np.array(out)
 
 
-@pytest.mark.parametrize("num_layers", [2, 3])
-@pytest.mark.parametrize("skip", [False, True])
-@pytest.mark.parametrize("sn_enabled", [False, True])
-def test_backward_matches_finite_differences(num_layers, skip, sn_enabled):
+@pytest.mark.parametrize("num_layers, skip, sn_enabled, hidden_width", [
+    pytest.param(n, skip, sn, 6, id="%s-%s-%d" % (sn, skip, n))
+    for sn in (False, True) for skip in (False, True) for n in (2, 3)
+] + [
+    pytest.param(n, True, sn, 4, id="%s-projection-%d" % (sn, n))
+    for sn in (False, True) for n in (2, 3)
+])
+def test_backward_matches_finite_differences(num_layers, skip, sn_enabled, hidden_width):
+    """hidden_width 4 makes the first layer a projection without a skip,
+    followed by square layers with one."""
     rng = np.random.default_rng(99)
-    cfg = small_config(num_layers=num_layers, skip=skip, sn_enabled=sn_enabled)
+    cfg = small_config(num_layers=num_layers, skip=skip, sn_enabled=sn_enabled,
+                       hidden_width=hidden_width)
     head = ResidualMlpHead(cfg, seed=7)
     if sn_enabled:
         # push at least one layer past the cap so the rescale branch is live
@@ -143,7 +150,7 @@ def test_row_blocks_cover_rows_in_near_equal_blocks(monkeypatch, n):
 
 def whole_forward_accuracy(head, x, y):
     """Oracle: the argmax of one unblocked forward over every row."""
-    logits = head._forward(x, None, False, 1, 0.0, None).logits
+    logits = head._forward(x).logits
     return float((logits.argmax(axis=1) == y).mean())
 
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voxuq.nn_core import (LEAKY_SLOPE, GradTape, LinearLayer, OptimizerState, ShapeError,
-                           SpectralState, StateError, cross_entropy_loss,
-                           leaky_relu, linear_forward, power_iteration, softmax)
+from voxuq.nn_core import (LEAKY_SLOPE, LinearLayer, OptimizerState, ShapeError,
+                           SpectralState, cross_entropy_loss, leaky_relu, linear_forward,
+                           power_iteration, softmax)
 
 
 def test_softmax_rows_sum_to_one():
@@ -174,21 +174,6 @@ def test_linear_forward_matches_naive():
     naive = np.array([[x[i] @ layer.weight[o] + layer.bias[o]
                        for o in range(4)] for i in range(7)])
     assert np.allclose(y, naive, atol=1e-12)
-
-
-def test_grad_tape_backward_before_forward():
-    tape = GradTape()
-    with pytest.raises(StateError):
-        tape.reversed_entries()
-
-
-def test_grad_tape_clears_after_reverse():
-    tape = GradTape()
-    tape.push("linear", {})
-    entries = tape.reversed_entries()
-    assert len(entries) == 1
-    with pytest.raises(StateError):
-        tape.reversed_entries()
 
 
 def test_leaky_relu_bit_identical_to_select_form():
