@@ -389,6 +389,8 @@ def cmd_report(metrics_path, histograms_path, out_dir):
         usage_error("missing metrics file %s" % metrics_path)
     if histograms_path is None:
         histograms_path = str(Path(metrics_path).parent / "histograms.csv")
+    elif not Path(histograms_path).is_file():
+        usage_error("missing histograms file %s" % histograms_path)
     output_dir(out_dir)
     try:
         written = report_mod.render_report(metrics_path, histograms_path, out_dir)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .head import eval_blocks
 from .nn_core import near_equal_blocks
 
 DEFAULT_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -116,9 +117,10 @@ def collect_features(head, scenes, cap_per_class, seed):
     feature vectors per ground-truth class (Algorithm R).
 
     `scenes` yields (features, labels) pairs with features n x d_in and
-    integer labels of length n. A class keeps its first cap_per_class rows
-    as row blocks of the penultimate arrays, joined into one array when the
-    class fills or the pass ends. Each later row draws j from rng.integers
+    integer labels of length n; a scene's penultimate features are joined
+    from the head's eval_blocks. A class keeps its first cap_per_class rows
+    as slices of those arrays, joined into one array when the class fills
+    or the pass ends. Each later row draws j from rng.integers
     and replaces row j of that array if j < cap_per_class.
     """
     rng = np.random.default_rng(seed)
@@ -127,7 +129,8 @@ def collect_features(head, scenes, cap_per_class, seed):
     full = {}                           # class id -> cap_per_class x d reservoir
     seen = dict.fromkeys(range(k), 0)
     for features, labels in scenes:
-        feats = head.forward(features, update_sn=False).penultimate_features
+        feats = np.concatenate([out.penultimate_features
+                                for _, _, out in eval_blocks(head, features)])
         labels = np.asarray(labels).ravel()
         for c in np.unique(labels).tolist():
             rows = feats[labels == c]

@@ -10,7 +10,6 @@ import numpy as np
 from .nn_core import (
     LinearLayer,
     OptimizerState,
-    ShapeError,
     cross_entropy_loss,
     leaky_relu,
     leaky_relu_grad,
@@ -19,7 +18,7 @@ from .nn_core import (
     power_iteration,
 )
 
-# rows per block of an eval-mode forward; bounds its temporaries
+# rows per block of eval_blocks; bounds the temporaries of an eval pass
 FORWARD_BLOCK = 4096
 
 
@@ -111,43 +110,23 @@ class ResidualMlpHead:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, features, update_sn=False, sn_iters=1, dropout_p=0.0,
+    def forward(self, features, cache=None, update_sn=False, sn_iters=1, dropout_p=0.0,
                 dropout_rng=None):
-        """Logits and penultimate features of n x input_dim `features`.
+        """Logits and penultimate features of n x input_dim `features`, in one
+        pass over all rows; eval passes over many rows go through
+        eval_blocks instead.
 
         dropout_p > 0 applies inverted dropout after every hidden activation,
         with keep masks drawn from `dropout_rng` (MC-Dropout passes); a rate
-        outside [0, 1) raises ValueError.
+        outside [0, 1) raises ValueError. With a list `cache`, each hidden
+        layer appends its linear_forward entry and then its pre-activation,
+        and the classifier appends its entry last.
 
-        An eval-mode forward (no spectral-norm update, no dropout) of more
-        than FORWARD_BLOCK rows runs over the row_blocks of its rows, so its
-        temporaries are block-sized rather than scene-sized. Rows do not
-        interact, so every row keeps the bits of the unblocked forward.
-        Features of another float dtype are widened to float64 per block, as
-        each layer reads them, so float32 features give the bits of their
-        float64 copy without a scene-sized float64 copy.
+        Features of another float dtype are widened to float64 as each layer
+        reads them, so float32 features give the bits of their float64 copy.
         """
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError("dropout p must be in [0, 1), got %r" % dropout_p)
-        features = np.asarray(features)
-        if features.ndim != 2 or features.shape[1] != self.config.input_dim:
-            raise ShapeError("head expects n x %d features" % self.config.input_dim)
-        n = features.shape[0]
-        if not update_sn and dropout_p == 0.0 and n > FORWARD_BLOCK:
-            logits = np.empty((n, self.config.num_classes))
-            penultimate = np.empty((n, self.config.hidden_width))
-            for lo, hi in row_blocks(n):
-                out = self._forward(features[lo:hi], sn_iters=sn_iters)
-                logits[lo:hi] = out.logits
-                penultimate[lo:hi] = out.penultimate_features
-            return HeadOutput(logits=logits, penultimate_features=penultimate)
-        return self._forward(features, None, update_sn, sn_iters, dropout_p, dropout_rng)
-
-    def _forward(self, features, cache=None, update_sn=False, sn_iters=1, dropout_p=0.0,
-                 dropout_rng=None):
-        """The unblocked forward. With a list `cache`, each hidden layer
-        appends its linear_forward entry and then its pre-activation, and
-        the classifier appends its entry last."""
         x = features
         for i, layer in enumerate(self.layers):
             pre = linear_forward(layer, x, cache, update_sn, sn_iters)
@@ -170,7 +149,7 @@ class ResidualMlpHead:
         backpropagated over the forward's cache, from the classifier back
         through the hidden layers."""
         cache = []
-        out = self._forward(features, cache, update_sn)
+        out = self.forward(features, cache, update_sn)
         loss, g = cross_entropy_loss(out.logits, labels)
         grads = {}
 
@@ -237,20 +216,34 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
             losses.append(loss)
         log.epochs.append(epoch)
         log.losses.append(float(np.mean(losses)))
-        log.accuracies.append(accuracy(head, features, labels))
+        log.accuracies.append(accuracy(head, [(features, labels)]))
     head.finalize_spectral_norm()
     head.round_weights_to_f32()
     return log
 
 
-def accuracy(head, features, labels):
-    """Fraction of the n x input_dim `features` rows whose argmax logit is
-    their label, from one eval-mode forward per row block, so that no
-    n-row penultimate array is held."""
-    correct = sum(int(np.count_nonzero(
-        head.forward(features[lo:hi]).logits.argmax(axis=1) == labels[lo:hi]))
-        for lo, hi in row_blocks(len(labels)))
-    return correct / len(labels)
+def eval_blocks(head, features):
+    """Yield (lo, hi, head.forward(features[lo:hi])) over the row_blocks of
+    the n x input_dim `features`: the eval-mode pass over many rows, whose
+    temporaries are block-sized. Rows do not interact, so every row keeps
+    the bits of one forward over all rows. A consumer should drop each
+    output before asking for the next, so that two blocks' outputs are
+    never held at once."""
+    for lo, hi in row_blocks(len(features)):
+        yield lo, hi, head.forward(features[lo:hi])
+
+
+def accuracy(head, pairs):
+    """Fraction of rows whose argmax logit is their label, over the
+    (features, labels) `pairs`, from eval_blocks of each features array, so
+    that no pair's penultimate array is held."""
+    correct = total = 0
+    for features, labels in pairs:
+        for lo, hi, out in eval_blocks(head, features):
+            correct += int(np.count_nonzero(out.logits.argmax(axis=1) == labels[lo:hi]))
+            del out
+        total += len(labels)
+    return correct / total
 
 
 def estimate_lipschitz(head, probe_pairs):

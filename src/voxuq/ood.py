@@ -11,7 +11,7 @@ import numpy as np
 
 from . import synthworld
 from .gda import epistemic_score
-from .head import row_blocks
+from .head import eval_blocks
 from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
@@ -187,28 +187,26 @@ def score_scene(methods, bundle, features, base_seed=0):
     by method spec: (scores, logits).
 
     ours, max-softmax and entropy share one eval-mode pass of the main head
-    over the head's row_blocks; ours scores each block's penultimate
-    features as it goes, so no scene-sized penultimate array is held. mcd:n
-    runs n dropout forwards of the main head, pass i seeded base_seed + i;
-    de:n runs one eval-mode forward of each of the first n ensemble heads.
-    The mean p of their softmaxes gives the predictive entropy and the
-    logits log(max(p, 1e-12)). The bundle must pass
-    check_methods(methods, bundle).
+    (_eval_pass); ours scores each row block's penultimate features as it
+    goes, so no scene-sized penultimate array is held. mcd:n runs n dropout
+    forwards of the main head, pass i seeded base_seed + i; de:n runs the
+    eval-mode pass of each of the first n ensemble heads. The mean p of
+    their softmaxes gives the predictive entropy and the logits
+    log(max(p, 1e-12)). The bundle must pass check_methods(methods, bundle).
 
-    Float32 features score as their float64 copy would. The eval pass widens
-    them one row block at a time; mcd and de, whose forwards are whole-scene,
-    widen the scene once for all their passes.
+    Float32 features score as their float64 copy would: each forward widens
+    what its first layer reads, so no scene-sized float64 copy is held.
     """
     features = np.asarray(features)
-    wide = None
     parsed = [(method,) + parse_method(method) for method in methods]
     scores, logits = {}, {}
     eval_logits = probs = None
     for method, name, params in parsed:
         if name in ("ours", "max-softmax", "entropy"):
             if eval_logits is None:
-                eval_logits, density = _eval_pass(
-                    bundle, features, any(n == "ours" for _, n, _ in parsed))
+                ours = any(n == "ours" for _, n, _ in parsed)
+                eval_logits, density = _eval_pass(bundle.head, features,
+                                                  bundle.gda_model if ours else None)
             logits[method] = eval_logits
             if name == "ours":
                 scores[method] = density
@@ -217,33 +215,31 @@ def score_scene(methods, bundle, features, base_seed=0):
                 score = max_softmax_score if name == "max-softmax" else softmax_entropy
                 scores[method] = score(probs)
             continue
-        if wide is None:
-            wide = np.asarray(features, dtype=np.float64)
         if name == "mcd":
-            passes = (bundle.head.forward(wide, dropout_p=params["p"],
-                                          dropout_rng=np.random.default_rng(base_seed + i))
+            passes = (bundle.head.forward(features, dropout_p=params["p"],
+                                          dropout_rng=np.random.default_rng(base_seed + i)).logits
                       for i in range(params["n"]))
         else:
-            passes = (h.forward(wide) for h in bundle.ensemble_heads[:params["n"]])
+            passes = (_eval_pass(h, features)[0] for h in bundle.ensemble_heads[:params["n"]])
         # a running sum in member order: the bits of a mean over stacked members
-        mean_probs = sum(softmax(member.logits) for member in passes) / params["n"]
+        mean_probs = sum(softmax(member_logits) for member_logits in passes) / params["n"]
         scores[method] = softmax_entropy(mean_probs)
         logits[method] = np.log(np.maximum(mean_probs, 1e-12))
     return scores, logits
 
 
-def _eval_pass(bundle, features, density):
-    """Logits of the main head's eval-mode forward, one forward per row
-    block, and, when `density`, the epistemic score of each block's
-    penultimate features (else None)."""
+def _eval_pass(head, features, gda_model=None):
+    """Logits of `head`'s eval-mode pass over `features` (eval_blocks) and,
+    given `gda_model`, the epistemic score of each block's penultimate
+    features (else None)."""
     n = features.shape[0]
-    logits = np.empty((n, bundle.head.config.num_classes))
-    scores = np.empty(n) if density else None
-    for lo, hi in row_blocks(n):
-        out = bundle.head.forward(features[lo:hi])
+    logits = np.empty((n, head.config.num_classes))
+    scores = None if gda_model is None else np.empty(n)
+    for lo, hi, out in eval_blocks(head, features):
         logits[lo:hi] = out.logits
-        if density:
-            scores[lo:hi] = epistemic_score(bundle.gda_model, out.penultimate_features)
+        if gda_model is not None:
+            scores[lo:hi] = epistemic_score(gda_model, out.penultimate_features)
+        del out
     return logits, scores
 
 

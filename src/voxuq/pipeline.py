@@ -56,7 +56,7 @@ def build_bundle(head_config, train_ds, seed=0, **train_kwargs):
 
 
 def validation_accuracy(head, dataset):
-    return accuracy(head, *dataset.voxel_arrays())
+    return accuracy(head, dataset.iter_scene_arrays())
 
 
 # -- calibration -----------------------------------------------------------

@@ -181,8 +181,9 @@ def histogram_svg(rows):
 
 
 def render_report(metrics_path, histograms_path, out_dir):
-    """Render markdown tables and per-cell SVGs from metrics.json +
-    histograms.csv. Returns the list of files written."""
+    """Render markdown tables from metrics.json, and per-cell SVGs from
+    histograms.csv when `histograms_path` is a file. Returns the list of
+    files written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(Path(metrics_path).read_text())
@@ -195,7 +196,7 @@ def render_report(metrics_path, histograms_path, out_dir):
         body += "\nno cells\n"
     tables.write_text(body)
     written.append(tables)
-    if Path(histograms_path).exists():
+    if Path(histograms_path).is_file():
         rows = read_histograms_csv(histograms_path)
         cells = {}
         for r in rows:

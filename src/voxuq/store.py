@@ -118,14 +118,24 @@ def save_head(head, path):
     write_artifact(path, "head", asdict(head.config), tensors)
 
 
+def _tensor(tensors, name, shape):
+    """The artifact tensor `name`, which must be there with `shape`."""
+    if name not in tensors or tensors[name].shape != tuple(shape):
+        raise StoreError("artifact has no tensor %r of shape %s" % (name, tuple(shape)))
+    return tensors[name]
+
+
 def load_head(path):
     _, metadata, tensors = read_artifact(path, expected_kind="head")
-    head = ResidualMlpHead(HeadConfig(**metadata), seed=0)
-    for name, p in head.parameters().items():
-        p[...] = tensors[name]
+    try:
+        head = ResidualMlpHead(HeadConfig(**metadata), seed=0)
+    except (TypeError, ValueError) as e:
+        raise StoreError("head metadata: %s" % e)
+    arrays = head.parameters()
     for i, layer in enumerate(head.layers):
-        layer.sn_state.u = tensors["layer%d.sn_u" % i].astype(np.float64)
-        layer.sn_state.v = tensors["layer%d.sn_v" % i].astype(np.float64)
+        arrays.update({"layer%d.sn_u" % i: layer.sn_state.u, "layer%d.sn_v" % i: layer.sn_state.v})
+    for name, p in arrays.items():
+        p[...] = _tensor(tensors, name, p.shape)
     return head
 
 
@@ -144,9 +154,14 @@ def save_gda(model, path):
 
 def load_gda(path):
     _, metadata, tensors = read_artifact(path, expected_kind="gda")
-    return GdaModel(means=tensors["means"], chols=tensors["chols"],
-                    log_dets=tensors["log_dets"], log_priors=tensors["log_priors"],
-                    eps_used=metadata["eps_used"], counts=tensors["counts"])
+    try:
+        k, d, eps_used = (metadata[key] for key in ("num_classes", "dim", "eps_used"))
+    except (KeyError, TypeError) as e:
+        raise StoreError("malformed gda metadata: %r" % e)
+    shapes = {"means": (k, d), "chols": (k, d, d), "log_dets": (k,), "log_priors": (k,),
+              "counts": (k,)}
+    return GdaModel(eps_used=eps_used, **{name: _tensor(tensors, name, shape)
+                                          for name, shape in shapes.items()})
 
 
 # -- calibration -----------------------------------------------------------

@@ -110,31 +110,15 @@ class FeatureDataset:
     split: str = ""
 
     def voxel_arrays(self):
-        """All scenes flattened to (n_voxels, d) features and labels. For a
-        loaded split these are views of the one array its scenes are views
-        of, so writing to them writes to the scenes."""
-        d = self.config.feature_dim
-        return (_joined([s.features.reshape(-1, d) for s in self.scenes]),
-                _joined([s.labels.reshape(-1) for s in self.scenes]))
+        """All scenes flattened and joined: (n_voxels, d) float64 features and
+        n_voxels labels, one copy of the split that training reads."""
+        features, labels = zip(*self.iter_scene_arrays())
+        return np.concatenate(features, dtype=np.float64), np.concatenate(labels)
 
     def iter_scene_arrays(self):
         for s in self.scenes:
             yield (s.features.reshape(-1, self.config.feature_dim),
                    s.labels.reshape(-1))
-
-
-def _joined(parts):
-    """The C-contiguous `parts` back to back as one array: a view of their
-    base array when they already lie back to back in all of it, as the
-    scenes of a loaded split do, else a concatenated copy."""
-    base = parts[0].base if parts else None
-    starts = np.cumsum([0] + [p.nbytes for p in parts])
-    if (base is not None and base.flags.c_contiguous and starts[-1] == base.nbytes
-            and all(p.base is base and p.flags.c_contiguous
-                    and p.ctypes.data == base.ctypes.data + int(start)
-                    for p, start in zip(parts, starts))):
-        return base.reshape((-1,) + parts[0].shape[1:])
-    return np.concatenate(parts)
 
 
 def scene_seed(dataset_seed, split, index):
@@ -428,13 +412,17 @@ def load_dataset(in_dir):
     in_dir = Path(in_dir)
     with open(in_dir / "manifest.json") as f:
         manifest = json.load(f)
-    if manifest["schema_version"] > SCHEMA_VERSION:
-        raise ValueError("unsupported dataset schema version %s"
-                         % manifest["schema_version"])
-    cfg_dict = dict(manifest["config"])
-    cfg = WorldConfig(**cfg_dict)
+    try:
+        if manifest["schema_version"] > SCHEMA_VERSION:
+            raise ValueError("unsupported dataset schema version %s"
+                             % manifest["schema_version"])
+        cfg = WorldConfig(**manifest["config"])
+        ids = [(entry["scene_id"], entry["seed"]) for entry in manifest["scenes"]]
+        split = manifest["split"]
+    except (KeyError, TypeError) as e:
+        raise ValueError("malformed manifest.json: %r" % e)
     gx, gy, gz = cfg.grid
-    n = len(manifest["scenes"])
+    n = len(ids)
     if n == 0:
         raise ValueError("manifest.json lists no scenes")
     for name, expected in (("features.bin", n * cfg.voxels_per_scene * cfg.feature_dim * 4),
@@ -453,7 +441,6 @@ def load_dataset(in_dir):
     # held as stored; the scoring and training code widens what it reads
     features = features.reshape(n, gx, gy, gz, cfg.feature_dim)
     labels = labels.reshape(n, gx, gy, gz).astype(np.int64)
-    scenes = [VoxelScene(labels=labels[i], features=features[i],
-                         scene_id=entry["scene_id"], seed=entry["seed"])
-              for i, entry in enumerate(manifest["scenes"])]
-    return FeatureDataset(scenes=scenes, config=cfg, split=manifest["split"])
+    scenes = [VoxelScene(labels=labels[i], features=features[i], scene_id=scene_id, seed=seed)
+              for i, (scene_id, seed) in enumerate(ids)]
+    return FeatureDataset(scenes=scenes, config=cfg, split=split)

@@ -11,9 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 from voxuq import cli, pipeline, store, synthworld
+from voxuq import report as report_mod
 from voxuq.cli import _config_hash, main
 from voxuq.head import HeadConfig
-from voxuq.ood import MethodBundle
+from voxuq.ood import BenchmarkReport, MethodBundle
 from voxuq.synthworld import WorldConfig
 
 SMALL_CONFIG = """
@@ -607,6 +608,60 @@ def test_empty_split_exit_3(workspace, runner, tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+# ways to damage a manifest, each applied to its parsed JSON in place
+MANIFEST_DAMAGE = {
+    "no schema_version": lambda m: m.pop("schema_version"),
+    "no scene_id": lambda m: m["scenes"][1].pop("scene_id"),
+    "unknown config key": lambda m: m["config"].update(scene_scale=2.0),
+    "config not an object": lambda m: m.update(config=[8, 8, 2]),
+}
+
+
+@pytest.mark.parametrize("damage", list(MANIFEST_DAMAGE))
+def test_malformed_manifest_exit_3(workspace, runner, tmp_path, damage):
+    """train reads the validation split before it trains; a manifest it
+    cannot read is a data error in one line, and no output is written."""
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "val" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    MANIFEST_DAMAGE[damage](manifest)
+    path.write_text(json.dumps(manifest))
+    r = runner.invoke(main, ["train", "--data", str(data), "--out", str(tmp_path / "out")])
+    _assert_one_line_error(r, 3)
+    assert "manifest.json" in r.output
+    assert not (tmp_path / "out").exists()
+
+
+# (option, damage) -> a change to an artifact's metadata and tensors in place
+ARTIFACT_DAMAGE = {
+    ("--head", "no tensor"): lambda m, t: t.pop("classifier.bias"),
+    ("--head", "unknown metadata key"): lambda m, t: m.update(dropout=0.5),
+    ("--head", "wrong shape"): lambda m, t: t.update({"layer0.weight": t["layer0.weight"][:, :3]}),
+    ("--gda", "no tensor"): lambda m, t: t.pop("means"),
+    ("--gda", "wrong shape"): lambda m, t: t.update(chols=t["chols"][:, :3]),
+}
+
+
+@pytest.mark.parametrize("option, damage", list(ARTIFACT_DAMAGE))
+def test_malformed_artifact_exit_3(workspace, runner, tmp_path, option, damage):
+    """An artifact whose magic and kind are right but whose tensors or
+    metadata do not fit its kind is a data error in one line."""
+    src = workspace["models"] / "head.ocuq" if option == "--head" else workspace["gda"]
+    path = tmp_path / src.name
+    kind, metadata, tensors = store.read_artifact(src)
+    ARTIFACT_DAMAGE[option, damage](metadata, tensors)
+    store.write_artifact(path, kind, metadata, tensors)
+    args = {"--head": str(workspace["models"] / "head.ocuq"), "--gda": str(workspace["gda"])}
+    args[option] = str(path)
+    r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
+                             "--head", args["--head"], "--gda", args["--gda"],
+                             "--methods", "ours", "--corruptions", "noise",
+                             "--severities", "1", "--out", str(tmp_path / "out")])
+    _assert_one_line_error(r, 3)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid", ["abc", ",", "0,x", "nan"])
 def test_calibrate_bad_lambda_grid_exit_2(workspace, runner, grid):
     r = runner.invoke(main, ["calibrate", "--data", str(workspace["data"]),
@@ -698,6 +753,20 @@ def test_report_renders_from_metrics(workspace, runner):
     assert r.exit_code == 0, r.output
     assert (out / "tables.md").exists()
     assert list(out.glob("hist_*.svg"))
+
+
+def test_report_histograms_that_are_not_a_file_exit_2(workspace, runner, tmp_path):
+    """--histograms naming a directory or a missing file is a usage error
+    in one line, and nothing is rendered."""
+    metrics = tmp_path / "metrics.json"
+    report_mod.write_metrics(report_mod.report_to_metrics(BenchmarkReport()), metrics)
+    for histograms in (tmp_path, tmp_path / "absent.csv"):
+        r = runner.invoke(main, ["report", "--metrics", str(metrics),
+                                 "--histograms", str(histograms),
+                                 "--out-dir", str(tmp_path / "out")])
+        _assert_one_line_error(r, 2)
+        assert "histograms" in r.output
+        assert not (tmp_path / "out").exists()
 
 
 def test_report_missing_metrics_exit_2(workspace, runner):

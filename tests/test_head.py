@@ -6,7 +6,7 @@ import pytest
 from voxuq import head as head_module
 from voxuq import pipeline, synthworld
 from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, estimate_lipschitz,
-                        lipschitz_upper_bound, row_blocks, train_head)
+                        eval_blocks, lipschitz_upper_bound, row_blocks, train_head)
 from voxuq.nn_core import OptimizerState, ShapeError, leaky_relu
 
 
@@ -94,47 +94,61 @@ def test_first_layer_projection_has_no_skip():
     assert head._block_has_skip(1)
 
 
+def blocked_forward(head, x):
+    """The eval_blocks outputs of `x` joined back into whole arrays."""
+    blocks = list(eval_blocks(head, x))
+    assert [(lo, hi) for lo, hi, _ in blocks] == row_blocks(len(x))
+    return (np.concatenate([out.logits for _, _, out in blocks]),
+            np.concatenate([out.penultimate_features for _, _, out in blocks]))
+
+
 @pytest.mark.parametrize("n", [17, 49, 107])
 def test_eval_forward_in_blocks_keeps_bits(monkeypatch, n):
     head = ResidualMlpHead(small_config(), seed=3)
     x = np.random.default_rng(5).standard_normal((n, 6)) * 3
     whole = head.forward(x)
     monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
-    blocked = head.forward(x)
-    assert np.array_equal(blocked.logits, whole.logits)
-    assert np.array_equal(blocked.penultimate_features, whole.penultimate_features)
+    assert len(row_blocks(n)) > 1
+    logits, penultimate = blocked_forward(head, x)
+    assert np.array_equal(logits, whole.logits)
+    assert np.array_equal(penultimate, whole.penultimate_features)
 
 
 @pytest.mark.parametrize("n", [17, 49, 107])
 def test_forward_of_float32_features_keeps_the_bits_of_their_float64_copy(monkeypatch, n):
-    """Float32 features, blocked or whole, give the bits of the same features
-    widened to float64: each block is widened exactly as a layer reads it,
-    and the skip connection widens exactly too."""
+    """Float32 features, through eval_blocks or one forward, give the bits
+    of the same features widened to float64: each block is widened exactly
+    as a layer reads it, and the skip connection widens exactly too."""
     head = ResidualMlpHead(small_config(), seed=3)
     x = (np.random.default_rng(5).standard_normal((n, 6)) * 3).astype(np.float32)
     want = head.forward(x.astype(np.float64))
-    for block in (head_module.FORWARD_BLOCK, 16):
-        monkeypatch.setattr(head_module, "FORWARD_BLOCK", block)
-        got = head.forward(x)
-        assert got.logits.tobytes() == want.logits.tobytes()
-        assert got.penultimate_features.tobytes() == want.penultimate_features.tobytes()
+    got = head.forward(x)
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert got.penultimate_features.tobytes() == want.penultimate_features.tobytes()
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
+    logits, penultimate = blocked_forward(head, x)
+    assert logits.tobytes() == want.logits.tobytes()
+    assert penultimate.tobytes() == want.penultimate_features.tobytes()
 
 
 def test_eval_forward_temporaries_are_block_sized():
+    """A consumer that drops each output of eval_blocks before the next
+    peaks at a few blocks; one forward over the 8 blocks of rows holds
+    several arrays the size of the input."""
     head = ResidualMlpHead(HeadConfig(), seed=0)
     x = np.random.default_rng(6).standard_normal((8 * head_module.FORWARD_BLOCK, 32))
+    blocks = 0
     tracemalloc.start()
     try:
-        out = head.forward(x)
+        for _, _, out in eval_blocks(head, x):
+            blocks += 1
+            del out
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the two outputs plus a few block-sized arrays; an unblocked forward
-    # holds at least two more arrays the size of the input
-    outputs = out.logits.nbytes + out.penultimate_features.nbytes
+    assert blocks == 8
     block_bytes = head_module.FORWARD_BLOCK * 32 * 8
-    assert peak <= outputs + 6 * block_bytes
-
+    assert peak <= 4 * block_bytes
 
 
 @pytest.mark.parametrize("n", [0, 1, 16, 17, 31, 32, 33, 107])
@@ -150,7 +164,7 @@ def test_row_blocks_cover_rows_in_near_equal_blocks(monkeypatch, n):
 
 def whole_forward_accuracy(head, x, y):
     """Oracle: the argmax of one unblocked forward over every row."""
-    logits = head._forward(x).logits
+    logits = head.forward(x).logits
     return float((logits.argmax(axis=1) == y).mean())
 
 
@@ -159,7 +173,9 @@ def test_accuracy_equals_whole_forward_argmax(monkeypatch):
     rng = np.random.default_rng(8)
     x, y = rng.standard_normal((107, 6)), rng.integers(0, 4, size=107)
     monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
-    assert accuracy(head, x, y) == whole_forward_accuracy(head, x, y)
+    assert accuracy(head, [(x, y)]) == whole_forward_accuracy(head, x, y)
+    # pairs of 40 and 67 rows: blocks of each pair, counted over both
+    assert accuracy(head, [(x[:40], y[:40]), (x[40:], y[40:])]) == accuracy(head, [(x, y)])
 
 
 def test_train_log_accuracy_equals_whole_forward_argmax(monkeypatch):
@@ -176,9 +192,9 @@ def test_train_log_accuracy_equals_whole_forward_argmax(monkeypatch):
 
 
 def test_validation_accuracy_of_loaded_split_streams_blocks(tmp_path):
-    """The accuracy of a loaded split of 8 blocks of rows: the whole-forward
-    argmax accuracy, with no copy of the split and no split-sized
-    penultimate array."""
+    """The accuracy of a loaded split of 8 scenes of one block of rows each,
+    read scene by scene: the whole-forward argmax accuracy, with no copy of
+    the split and no split-sized penultimate array."""
     config = synthworld.WorldConfig(grid=(32, 32, 4), test_scenes=8, seed=3)
     world = synthworld.generate_world(config)
     synthworld.save_dataset(synthworld.generate_dataset(world, "test"), tmp_path / "test")

@@ -611,6 +611,26 @@ def test_eval_pass_holds_no_scene_sized_float64_copy():
     assert peak <= x.size * 8 / 2
 
 
+def test_deep_ensemble_of_a_float32_scene_keeps_its_bits_without_a_float64_copy():
+    """de:n=2 on a float32 scene of 8 row blocks of 64 features: the bits of
+    the stacked-mean oracle over the scene's float64 copy, and a peak below
+    what that copy alone would add, because each member runs the eval pass
+    and widens one row block at a time."""
+    bundle = random_bundle(64, 8)
+    x = np.random.default_rng(7).standard_normal(
+        (8 * head_module.FORWARD_BLOCK, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        scores, logits = score_scene(["de:n=2"], bundle, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mean = stacked_ensemble_mean(bundle.ensemble_heads, x.astype(np.float64))
+    assert scores["de:n=2"].tobytes() == softmax_entropy(mean).tobytes()
+    assert logits["de:n=2"].tobytes() == np.log(np.maximum(mean, 1e-12)).tobytes()
+    assert peak < x.size * 8
+
+
 def test_blocks_of_2049_rows_score_ours_with_no_row_alone():
     """row_blocks cuts 4,098 rows into two blocks of 2,049, and the density
     model cuts each into near-equal chunks: every row's score equals its

@@ -118,6 +118,16 @@ def test_render_report_writes_tables_and_svgs(tmp_path):
     assert (out / "tables.md").read_text().startswith("# Benchmark tables")
 
 
+def test_render_report_renders_no_histograms_from_a_directory(tmp_path):
+    """A histograms path that is not a file, such as a directory, adds no
+    SVGs to the tables."""
+    write_metrics(report_to_metrics(small_report()), tmp_path / "metrics.json")
+    (tmp_path / "histograms.csv").mkdir()
+    written = render_report(tmp_path / "metrics.json", tmp_path / "histograms.csv",
+                            tmp_path / "out")
+    assert [p.name for p in written] == ["tables.md"]
+
+
 def test_render_report_rejects_schema_mismatch(tmp_path):
     (tmp_path / "metrics.json").write_text('{"schema_version": 999, "methods": {}}')
     with pytest.raises(ValueError):

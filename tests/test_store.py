@@ -149,3 +149,46 @@ def test_low_level_round_trip_preserves_dtypes(tmp_path):
     for name, arr in tensors.items():
         assert back[name].dtype == arr.dtype.newbyteorder("<")
         assert np.array_equal(back[name], arr)
+
+
+def rewrite(path, change):
+    """Rewrite the artifact at `path` after `change(metadata, tensors)`."""
+    kind, metadata, tensors = read_artifact(path)
+    change(metadata, tensors)
+    write_artifact(path, kind, metadata, tensors)
+
+
+HEAD_DAMAGE = {
+    "no tensor": lambda m, t: t.pop("classifier.bias"),
+    "no sn vector": lambda m, t: t.pop("layer1.sn_v"),
+    "unknown metadata key": lambda m, t: m.update(dropout=0.5),
+    "invalid metadata value": lambda m, t: m.update(num_layers=1),
+    "wrongly shaped weight": lambda m, t: t.update({"layer0.weight": t["layer0.weight"][:, :5]}),
+    "wrongly shaped bias": lambda m, t: t.update({"classifier.bias": t["classifier.bias"][None]}),
+}
+
+
+@pytest.mark.parametrize("damage", list(HEAD_DAMAGE))
+def test_malformed_head_artifact_raises_store_error(tmp_path, damage):
+    path = tmp_path / "head.ocuq"
+    save_head(make_head(), path)
+    rewrite(path, HEAD_DAMAGE[damage])
+    with pytest.raises(StoreError):
+        load_head(path)
+
+
+GDA_DAMAGE = {
+    "no tensor": lambda m, t: t.pop("counts"),
+    "no metadata key": lambda m, t: m.pop("eps_used"),
+    "wrongly shaped means": lambda m, t: t.update(means=t["means"].T.copy()),
+    "wrongly shaped chols": lambda m, t: t.update(chols=t["chols"][:2]),
+}
+
+
+@pytest.mark.parametrize("damage", list(GDA_DAMAGE))
+def test_malformed_gda_artifact_raises_store_error(tmp_path, damage):
+    path = tmp_path / "gda.ocuq"
+    save_gda(make_gda(), path)
+    rewrite(path, GDA_DAMAGE[damage])
+    with pytest.raises(StoreError):
+        load_gda(path)

@@ -374,25 +374,28 @@ def test_save_load_round_trip(tmp_path, world):
 
 
 
-def test_voxel_arrays_of_loaded_split_share_its_scenes(tmp_path, world):
-    """A loaded split's voxel arrays are views of the array its scenes are
-    views of; any other dataset gets joined copies with the same values."""
+def test_voxel_arrays_hold_one_float64_copy_of_the_split(tmp_path, world):
+    """A loaded split's voxel arrays: its scenes joined in order, features
+    widened to float64, in new arrays that share no memory with the scenes,
+    and the join holds no second copy of the features on the way."""
     save_dataset(generate_dataset(world, "test"), tmp_path / "test")
     ds = load_dataset(tmp_path / "test")
-    feats, labels = ds.voxel_arrays()
+    tracemalloc.start()
+    try:
+        feats, labels = ds.voxel_arrays()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert feats.dtype == np.float64 and feats.flags.c_contiguous
     for s in ds.scenes:
-        assert np.shares_memory(feats, s.features) and np.shares_memory(labels, s.labels)
+        assert not np.shares_memory(feats, s.features)
+        assert not np.shares_memory(labels, s.labels)
     d = world.config.feature_dim
-    assert np.array_equal(feats, np.concatenate([s.features.reshape(-1, d) for s in ds.scenes]))
+    assert feats.tobytes() == np.concatenate(
+        [s.features.reshape(-1, d) for s in ds.scenes]).astype(np.float64).tobytes()
     assert np.array_equal(labels, np.concatenate([s.labels.reshape(-1) for s in ds.scenes]))
-    for part in (ds.scenes[1:], ds.scenes[::-1], ds.scenes[:1] + ds.scenes[:1]):
-        sub = synthworld.FeatureDataset(scenes=part, config=ds.config)
-        sub_feats, sub_labels = sub.voxel_arrays()
-        assert not np.shares_memory(sub_feats, feats)
-        assert np.array_equal(sub_feats, np.concatenate([s.features.reshape(-1, d)
-                                                         for s in part]))
-        assert np.array_equal(sub_labels, np.concatenate([s.labels.reshape(-1)
-                                                          for s in part]))
+    assert peak <= feats.nbytes + labels.nbytes + 4096
+
 
 def test_load_rejects_future_schema(tmp_path, world):
     import json
@@ -403,6 +406,32 @@ def test_load_rejects_future_schema(tmp_path, world):
     manifest["schema_version"] = 999
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
+        load_dataset(tmp_path / "val")
+
+
+# ways to damage a manifest, each applied to its parsed JSON in place
+MANIFEST_DAMAGE = {
+    "no schema_version": lambda m: m.pop("schema_version"),
+    "no config": lambda m: m.pop("config"),
+    "no scenes": lambda m: m.pop("scenes"),
+    "no split": lambda m: m.pop("split"),
+    "no scene_id": lambda m: m["scenes"][0].pop("scene_id"),
+    "no seed": lambda m: m["scenes"][-1].pop("seed"),
+    "unknown config key": lambda m: m["config"].update(scene_scale=2.0),
+    "config not an object": lambda m: m.update(config=[8, 8, 2]),
+    "schema_version not a number": lambda m: m.update(schema_version="1"),
+}
+
+
+@pytest.mark.parametrize("damage", list(MANIFEST_DAMAGE))
+def test_load_rejects_malformed_manifest(tmp_path, world, damage):
+    import json
+    save_dataset(generate_dataset(world, "val"), tmp_path / "val")
+    path = tmp_path / "val" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    MANIFEST_DAMAGE[damage](manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest.json"):
         load_dataset(tmp_path / "val")
 
 
