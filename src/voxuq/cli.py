@@ -19,7 +19,7 @@ import click
 from . import pipeline, report as report_mod, store, synthworld
 from .calibration import LAMBDA_GRID
 from .gda import FitError, gmm_param_count
-from .head import HeadConfig
+from .head import HeadConfig, accuracy
 from .ood import MethodBundle, MethodError, parse_method, run_sweep
 
 # config keys are the fields of the dataclasses they fill; [world]'s grid is
@@ -140,9 +140,10 @@ def _at_least(lo):
 
 class ExitCodeGroup(click.Group):
     """Click group that maps the toolkit's errors to exit codes: a world whose
-    class anchors cannot be placed and a method without the artifacts it
-    scores with are configuration errors (2); a density model that cannot be
-    fitted to the data and a malformed artifact file are data errors (3)."""
+    class anchors cannot be placed, a sweep's world without train or test
+    scenes and a method without the artifacts it scores with are
+    configuration errors (2); a density model that cannot be fitted to the
+    data and a malformed artifact file are data errors (3)."""
 
     def invoke(self, ctx):
         try:
@@ -210,7 +211,7 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
         writer.writerow(["epoch", "loss", "accuracy"])
         for e, l, a in zip(log.epochs, log.losses, log.accuracies):
             writer.writerow([e, format(l, ".17g"), format(a, ".17g")])
-    val_acc = pipeline.validation_accuracy(head, val_ds)
+    val_acc = accuracy(head, val_ds.iter_scene_arrays())
     click.echo("validation accuracy: %.4f" % val_acc)
     members = pipeline.train_ensemble(head_config, train_ds, ensemble,
                                       base_seed=seed + 100, **kwargs)

@@ -254,11 +254,14 @@ def _mean_metrics(cells):
             "mfpr95": float(np.mean([c.fpr95 for c in cells]))}
 
 
-def score_split(methods, bundle, dataset, seed):
-    """score_scene over the scenes of `dataset` in order, scene i with base
-    seed `seed + i`: yields (scores, logits, labels) per scene."""
-    for i, (features, labels) in enumerate(dataset.iter_scene_arrays()):
-        yield score_scene(methods, bundle, features, base_seed=seed + i) + (labels,)
+def score_split(methods, bundle, scenes, seed):
+    """score_scene over the (features, labels) pairs of `scenes` in order, scene
+    i with base seed `seed + i`: yields (scores, logits, labels) per scene."""
+    for features, labels in scenes:
+        scored = score_scene(methods, bundle, features, base_seed=seed)
+        del features  # before the next scene is read; an enumerate would hold it
+        yield scored + (labels,)
+        seed += 1
 
 
 def run_sweep(methods, bundle, world, clean_test, seed=0,
@@ -284,13 +287,12 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
     mask = synthworld.front_sector_mask(world.config).reshape(-1)
     # (kind, severity) -> scenes x methods x (scene mean, front-sector mean)
     means = {}
-    for kind, severity, split in synthworld.grid_splits(clean_test, world, corruptions,
-                                                        severities):
+    for kind, severity, scenes in synthworld.grid_splits(clean_test, world, corruptions,
+                                                         severities):
         means[kind, severity] = np.array([
             [(aggregate_scene(s[m]), aggregate_region(s[m], mask) if region_level else 0.0)
              for m in methods]
-            for s, _, _ in score_split(methods, bundle, split, seed)])
-        del split  # before the generator builds the next cell
+            for s, _, _ in score_split(methods, bundle, scenes, seed)])
     clean = means.pop((None, 0))
 
     for j, method in enumerate(methods):

@@ -11,7 +11,7 @@ from . import synthworld
 from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_temperature,
                           tune_lambda, ugts_temperature)
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
-from .head import HeadConfig, ResidualMlpHead, accuracy, train_head
+from .head import HeadConfig, ResidualMlpHead, train_head
 from .nn_core import OptimizerState
 from .ood import (MethodBundle, aggregate_scene, check_methods, parse_method, run_sweep,
                   score_split)
@@ -55,10 +55,6 @@ def build_bundle(head_config, train_ds, seed=0, **train_kwargs):
     return MethodBundle(head=head, gda_model=fit_density(head, train_ds, seed=seed))
 
 
-def validation_accuracy(head, dataset):
-    return accuracy(head, dataset.iter_scene_arrays())
-
-
 # -- calibration -----------------------------------------------------------
 
 def _calibration_spec(method):
@@ -69,11 +65,12 @@ def _calibration_spec(method):
     return "entropy" if parse_method(method)[0] == "max-softmax" else method
 
 
-def _calibration_pass(spec, bundle, dataset, seed):
-    """score_split of `spec` joined over all voxels: (logits, labels, scene means)."""
-    logits, labels, u_scene = zip(*((lg[spec], y, aggregate_scene(s[spec]))
-                                    for s, lg, y in score_split([spec], bundle, dataset, seed)))
-    return np.concatenate(logits), np.concatenate(labels), list(u_scene)
+def _calibration_pass(spec, bundle, scenes, seed):
+    """score_split of `spec` joined over all voxels: (logits, labels, each
+    voxel's scene-mean score)."""
+    logits, labels, u = zip(*((lg[spec], y, np.full(len(y), aggregate_scene(s[spec])))
+                              for s, lg, y in score_split([spec], bundle, scenes, seed)))
+    return np.concatenate(logits), np.concatenate(labels), np.concatenate(u)
 
 
 def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, seed=0):
@@ -83,15 +80,12 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
     check_methods([method], bundle)
     spec = _calibration_spec(method)
     # scene means only: the train split's logits are never joined
-    u_bar_train = float(np.mean([aggregate_scene(s[spec])
-                                 for s, _, _ in score_split([spec], bundle, train_ds, seed)]))
-    logits, labels, u_val = _calibration_pass(spec, bundle, val_ds, seed)
-    voxels = val_ds.config.voxels_per_scene
-    u_per_voxel = np.repeat(u_val, voxels)
-
+    u_bar_train = float(np.mean([aggregate_scene(s[spec]) for s, _, _ in
+                                 score_split([spec], bundle, train_ds.iter_scene_arrays(), seed)]))
+    logits, labels, u_val = _calibration_pass(spec, bundle, val_ds.iter_scene_arrays(), seed)
     t_train = fit_temperature(logits, labels)
     params = CalibrationParams(t_train=t_train, lam=0.0, u_bar_train=u_bar_train)
-    lam_star, _ = tune_lambda(logits, labels, u_per_voxel, params, lam_grid)
+    lam_star, _ = tune_lambda(logits, labels, u_val, params, lam_grid)
     params.lam = lam_star
     return params
 
@@ -103,18 +97,15 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     check_methods([method], bundle)
     spec = _calibration_spec(method)
 
-    def split_metrics(split):
-        logits, labels, u_scene = _calibration_pass(spec, bundle, split, seed)
-        t_ugts = ugts_temperature(params, np.repeat(u_scene, split.config.voxels_per_scene))
+    def split_metrics(scenes):
+        logits, labels, u = _calibration_pass(spec, bundle, scenes, seed)
+        t_ugts = ugts_temperature(params, u)
         gaps = LogitGaps(logits, labels)
         return {variant: dict(zip(("ece", "nll"), gaps.metrics(t)))
                 for variant, t in (("raw", 1.0), ("ts", params.t_train), ("ugts", t_ugts))}
 
-    splits = []
-    for _, _, split in synthworld.grid_splits(test_ds, world):
-        splits.append(split_metrics(split))
-        del split  # before the generator builds the next cell
-    clean, *cells = splits
+    clean, *cells = [split_metrics(scenes)
+                     for _, _, scenes in synthworld.grid_splits(test_ds, world)]
     return {"clean": clean,
             "corrupted": {v: {"mece": float(np.mean([c[v]["ece"] for c in cells])),
                               "mnll": float(np.mean([c[v]["nll"] for c in cells]))}
@@ -126,7 +117,12 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
 def _ours_sweeps(config, head_configs, seed):
     """Generate the world of `config` and its train and test splits; per head
     config, train a head and fit its density model on train, and sweep
-    `ours` scene-level over test. Yields (bundle, ours aggregates)."""
+    `ours` scene-level over test. Yields (bundle, ours aggregates). An empty
+    train or test split raises GenerationError before anything is generated."""
+    if not (config.train_scenes and config.test_scenes):
+        raise synthworld.GenerationError(
+            "the sweep needs train_scenes and test_scenes >= 1, got %d and %d"
+            % (config.train_scenes, config.test_scenes))
     world = synthworld.generate_world(config)
     train_ds = synthworld.generate_dataset(world, "train")
     test_ds = synthworld.generate_dataset(world, "test")

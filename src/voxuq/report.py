@@ -100,8 +100,7 @@ def write_histograms_csv(report, path):
 
 def read_histograms_csv(path):
     rows = []
-    lines = Path(path).read_text().strip().split("\n")
-    for line in lines[1:]:
+    for line in Path(path).read_text().strip().split("\n")[1:]:
         method, corruption, severity, left, right, cid, cood = line.split(",")
         rows.append({"method": method, "corruption": corruption,
                      "severity": int(severity), "bin_left": float(left),
@@ -150,7 +149,6 @@ SVG_W, SVG_H, SVG_MARGIN = 480, 240, 30
 def histogram_svg(rows):
     """Standalone SVG for one (method, corruption, severity) cell; counts are
     embedded as metadata attributes so renderings remain verifiable."""
-    n = len(rows)
     max_count = max(max(r["count_id"], r["count_ood"]) for r in rows) or 1
     lo = rows[0]["bin_left"]
     hi = rows[-1]["bin_right"]
@@ -189,17 +187,15 @@ def render_report(metrics_path, histograms_path, out_dir):
     doc = json.loads(Path(metrics_path).read_text())
     if doc.get("schema_version") != METRICS_SCHEMA_VERSION:
         raise ValueError("metrics schema version mismatch")
-    written = []
     tables = out_dir / "tables.md"
     body = "# Benchmark tables\n\n" + ood_table_markdown(doc)
     if not doc["methods"]:
         body += "\nno cells\n"
     tables.write_text(body)
-    written.append(tables)
+    written = [tables]
     if Path(histograms_path).is_file():
-        rows = read_histograms_csv(histograms_path)
         cells = {}
-        for r in rows:
+        for r in read_histograms_csv(histograms_path):
             cells.setdefault((r["method"], r["corruption"], r["severity"]),
                              []).append(r)
         for (method, corruption, severity), cell_rows in sorted(cells.items()):

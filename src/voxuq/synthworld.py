@@ -182,6 +182,7 @@ def generate_scene(world, seed, scene_id=0):
     gx, gy, gz = cfg.grid
     labels = np.zeros((gx, gy, gz), dtype=np.int64)
     n_obj = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
+    x, y, z = np.indices((gx, gy, gz))
     for _ in range(n_obj):
         cls = int(rng.integers(1, cfg.num_classes))
         cx = rng.uniform(0, gx)
@@ -191,7 +192,6 @@ def generate_scene(world, seed, scene_id=0):
         sy = rng.uniform(1.0, max(1.0, gy / 5.0))
         sz = rng.uniform(0.8, max(1.0, gz / 2.0))
         shape = rng.integers(0, 2)  # 0 = box, 1 = ellipsoid
-        x, y, z = np.indices((gx, gy, gz))
         if shape == 0:
             inside = ((np.abs(x - cx) <= sx) & (np.abs(y - cy) <= sy)
                       & (np.abs(z - cz) <= sz))
@@ -354,23 +354,27 @@ def corruption_seed(dataset_seed, kind, severity, scene_index):
 
 
 def grid_splits(dataset, world, corruptions=CORRUPTION_KINDS, severities=(1, 2, 3)):
-    """Yield the splits of the corruption grid as (kind, severity, split):
-    first `dataset` itself as (None, 0, dataset), then every full-scene cell
-    in order, one at a time. The noise scales with the clean split's feature
-    std; scene i of a cell is corrupted with
+    """Yield the splits of the corruption grid as (kind, severity, scenes),
+    `scenes` yielding one (features, labels) pair per scene: first the clean
+    split (None, 0, dataset.iter_scene_arrays()), then every full-scene cell
+    in order, which corrupts each scene when it is read. The noise scales
+    with the clean split's feature std; scene i of a cell is corrupted with
     corruption_seed(world seed, kind, severity, i)."""
-    yield None, 0, dataset
+    yield None, 0, dataset.iter_scene_arrays()
     sigma_z = feature_std(dataset)
     for kind in corruptions:
         for severity in severities:
-            spec = CorruptionSpec(kind=kind, severity=severity)
-            # no name holds a yielded cell, so the caller can free it before the next
-            yield kind, severity, FeatureDataset(
-                scenes=[apply_corruption(s, spec,
-                                         corruption_seed(world.config.seed, kind, severity, i),
-                                         world, sigma_z=sigma_z)
-                        for i, s in enumerate(dataset.scenes)],
-                config=world.config, split="corrupted")
+            yield kind, severity, _corrupted_scenes(dataset, world, kind, severity, sigma_z)
+
+
+def _corrupted_scenes(dataset, world, kind, severity, sigma_z):
+    spec = CorruptionSpec(kind=kind, severity=severity)
+    for i, s in enumerate(dataset.scenes):
+        seed = corruption_seed(world.config.seed, kind, severity, i)
+        # no name holds a corrupted scene, so it is freed before the next is built;
+        # corruption keeps the labels
+        yield (apply_corruption(s, spec, seed, world, sigma_z=sigma_z).features
+               .reshape(-1, world.config.feature_dim), s.labels.reshape(-1))
 
 
 # -- dataset directory I/O -------------------------------------------------

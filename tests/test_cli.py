@@ -179,6 +179,26 @@ def test_out_of_range_config_value_exit_2(workspace, runner, tmp_path, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["train_scenes", "test_scenes"])
+@pytest.mark.parametrize("command, args", [("ablate", ()), ("dim-sweep", ("--dims", "4"))])
+def test_empty_in_process_split_exit_2(runner, tmp_path, monkeypatch, command, args, key):
+    """ablate and dim-sweep train on the train split and sweep the test split
+    they generate: either one empty is a usage error, found before training."""
+    def no_training(*a, **k):
+        raise AssertionError("trained on a world with an empty split")
+
+    monkeypatch.setattr(pipeline, "train_on_dataset", no_training)
+    config = tmp_path / "empty.ini"
+    counts = {"train_scenes": 2, "val_scenes": 1, "test_scenes": 2, key: 0}
+    config.write_text("[world]\ngrid_x = 8\ngrid_y = 8\ngrid_z = 2\n"
+                      + "".join("%s = %d\n" % kv for kv in counts.items()))
+    r = runner.invoke(main, [command, "--config", str(config), "--out", str(tmp_path / "out"),
+                             *args])
+    _assert_one_line_error(r, 2)
+    assert key in r.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, args", [("ablate", ()), ("dim-sweep", ("--dims", "16"))])
 def test_unfittable_density_exit_3(runner, tmp_path, command, args):
     # two training scenes leave most of 200 classes without a feature vector

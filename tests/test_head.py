@@ -204,7 +204,7 @@ def test_validation_accuracy_of_loaded_split_streams_blocks(tmp_path):
     assert len(y) == 8 * head_module.FORWARD_BLOCK
     tracemalloc.start()
     try:
-        acc = pipeline.validation_accuracy(head, ds)
+        acc = accuracy(head, ds.iter_scene_arrays())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -435,6 +435,49 @@ def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
         assert swept[c * n][0] == first.features.tobytes(), (kind, severity)
 
 
+def test_a_cell_corrupts_each_scene_as_it_is_scored(tiny, monkeypatch):
+    """run_sweep and evaluate_calibration score scene i of a cell before any
+    later scene of that cell is corrupted: per cell, every score_scene call
+    follows exactly one more apply_corruption call than the one before."""
+    world, bundle, _, test = tiny
+    n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
+    corrupted, seen = [0], []
+    score, corrupt = score_scene, synthworld.apply_corruption
+
+    def counting_score(*args, **kwargs):
+        seen.append(corrupted[0])
+        return score(*args, **kwargs)
+
+    def counting_corruption(*args, **kwargs):
+        corrupted[0] += 1
+        return corrupt(*args, **kwargs)
+
+    monkeypatch.setattr(ood, "score_scene", counting_score)
+    monkeypatch.setattr(synthworld, "apply_corruption", counting_corruption)
+    run_sweep(["ours", "entropy"], bundle, world, test, seed=SWEEP_SEED)
+    swept = list(seen)
+    seen.clear()
+    corrupted[0] = 0
+    evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
+    assert swept == seen == [0] * n + list(range(1, n * cells + 1))
+
+
+def test_materialised_grid_gives_the_pairs_of_a_lazy_walk(tiny):
+    """Every split of list(grid_splits(...)), read only once the walk is
+    exhausted, yields the (features, labels) pairs that the lazy walk
+    yields: each cell corrupts with its own kind and severity."""
+    world, _, _, test = tiny
+
+    def read(walk):
+        return [(kind, severity, [(f.tobytes(), y.tobytes()) for f, y in scenes])
+                for kind, severity, scenes in walk]
+
+    lazy = read(synthworld.grid_splits(test, world))
+    assert read(list(synthworld.grid_splits(test, world))) == lazy
+    assert len(lazy) == 1 + len(synthworld.CORRUPTION_KINDS) * 3
+    assert all(len(pairs) == len(test.scenes) for _, _, pairs in lazy)
+
+
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory):
     """A loaded 16-scene test split whose features (64 per voxel) outweigh
@@ -462,29 +505,55 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_grid_walks_hold_one_corrupted_cell_at_a_time(wide, monkeypatch):
-    """Over the 15 cells, run_sweep and evaluate_calibration peak within a
-    quarter cell of their peak over the one cell with the most corruption
-    temporaries (blur at severity 3): no cell outlives the building of the
-    next."""
+def given_sigma_z(test, monkeypatch):
+    """Fix feature_std at the test split's value, so that a traced walk
+    leaves out the float64 copy of the clean split that feature_std takes."""
+    sigma_z = synthworld.feature_std(test)
+    monkeypatch.setattr(synthworld, "feature_std", lambda dataset: sigma_z)
+
+
+def test_grid_walks_hold_one_corrupted_scene_at_a_time(wide, monkeypatch):
+    """Over the 15 cells of 16 scenes, run_sweep peaks within a quarter scene
+    of its peak over one scene of the cell with the most corruption
+    temporaries (blur at severity 3), and evaluate_calibration within a
+    quarter scene more than its joined logits, labels and scene means: no
+    corrupted scene outlives the corruption of the next."""
     world, bundle, test = wide
-    cell = sum(s.features.size for s in test.scenes) * 8  # a corrupted cell is float64
+    given_sigma_z(test, monkeypatch)
+    scene = test.scenes[0].features.size * 8  # a corrupted scene is float64
+    first = synthworld.FeatureDataset(scenes=test.scenes[:1], config=test.config)
     one = ("blur",), (3,)
 
-    def sweep(corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3)):
-        run_sweep(["ours", "entropy"], bundle, world, test, seed=SWEEP_SEED,
+    def sweep(ds=test, corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3)):
+        run_sweep(["ours", "entropy"], bundle, world, ds, seed=SWEEP_SEED,
                   corruptions=corruptions, severities=severities)
 
-    assert traced_peak(sweep) <= traced_peak(lambda: sweep(*one)) + cell / 4
+    sweep()  # a first walk leaves about 27 KiB of numpy caches allocated
+    assert traced_peak(sweep) <= traced_peak(lambda: sweep(first, *one)) + scene / 4
 
-    def calibration():
-        evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
+    def calibration(ds=test):
+        evaluate_calibration("ours", bundle, world, CalibrationParams(), ds, seed=SWEEP_SEED)
 
     every_cell = traced_peak(calibration)
     grid_splits = synthworld.grid_splits
     monkeypatch.setattr(synthworld, "grid_splits",
                         lambda dataset, w: grid_splits(dataset, w, *one))
-    assert every_cell <= traced_peak(calibration) + cell / 4
+    c = world.config
+    joined = len(test.scenes) * c.voxels_per_scene * (c.num_classes + 2) * 8
+    assert every_cell <= traced_peak(lambda: calibration(first)) + joined + scene / 4
+
+
+def test_calibration_walk_holds_no_corrupted_cell(wide, monkeypatch):
+    """evaluate_calibration over the 15 cells of 16 scenes peaks below half of
+    one cell's float64 features: a cell is read one scene at a time."""
+    world, bundle, test = wide
+    given_sigma_z(test, monkeypatch)
+    cell = sum(s.features.size for s in test.scenes) * 8
+
+    def calibration():
+        evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
+
+    assert traced_peak(calibration) < cell / 2
 
 
 def test_calibrate_method_joins_no_train_logits(wide):
