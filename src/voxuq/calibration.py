@@ -112,13 +112,65 @@ class LogitGaps:
         return _binned_ece(1.0 / s, self._correct, DEFAULT_BINS), float(loss.mean())
 
 
+def _bounded_brent(func, a, b, xatol):
+    """(x, func(x)) at the minimum of `func` on [a, b] by Brent's bounded
+    search: golden-section steps with parabolic interpolation, until the
+    bracket is within about xatol of x or after 500 calls. It ports scipy's
+    minimize_scalar(method="bounded") step for step, so its bits are scipy's."""
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)) and num < 500:
+        golden = True
+        if np.abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx
+
+
 def fit_temperature(logits, labels):
     """Temperature minimizing validation NLL: a bounded Brent search over
     beta = 1/t, in which the NLL is convex. Never worse than t = 1.
     """
-    # imported here, so that only commands that fit a temperature load scipy.optimize
-    from scipy.optimize import minimize_scalar
-
     if np.unique(labels).size < 2:
         raise ValueError("temperature fit needs at least two classes present")
     gaps = LogitGaps(logits, labels)
@@ -126,9 +178,8 @@ def fit_temperature(logits, labels):
     def objective(beta):
         return gaps.metrics(1.0 / beta)[1]
 
-    res = minimize_scalar(objective, bounds=(1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN),
-                          method="bounded", options={"xatol": FIT_TOL})
-    return 1.0 / float(res.x) if res.fun <= objective(1.0) else 1.0
+    beta, fun = _bounded_brent(objective, 1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN, FIT_TOL)
+    return 1.0 / float(beta) if fun <= objective(1.0) else 1.0
 
 
 def ugts_temperature(params, u_bar_sample):

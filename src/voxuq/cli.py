@@ -251,8 +251,7 @@ def _parse_method(spec):
 
 def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
     """The artifacts `methods` score with. The density model is loaded only
-    if a method is ours: loading it imports scipy.linalg and inverts K
-    Cholesky factors."""
+    if a method is ours, as loading it inverts K Cholesky factors."""
     if not Path(head_path).is_file():
         usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)

@@ -47,9 +47,6 @@ class GdaModel:
     """
 
     def __init__(self, means, chols, log_dets, log_priors, eps_used, counts):
-        # imported here, so that only commands with a density model load scipy.linalg
-        from scipy.linalg import solve_triangular
-
         self.means = means            # (K, d)
         self.chols = chols            # (K, d, d) lower triangular
         self.log_dets = log_dets      # (K,)
@@ -58,12 +55,13 @@ class GdaModel:
         self.counts = counts          # (K,) samples used per class
         self.dim = means.shape[1]
         self.num_classes = means.shape[0]
-        inv_chols = [solve_triangular(chols[c], np.eye(self.dim), lower=True)
-                     for c in range(self.num_classes)]
+        inv_chols = _inverse_lower(chols)
         # y_c = (z - mu_c) L_c^-T for every class at once: y = [z | 1] [W; -shift]
         w = np.concatenate([inv.T for inv in inv_chols], axis=1)
         shift = np.concatenate([mu @ inv.T for mu, inv in zip(means, inv_chols)])
-        self._w_shift = np.vstack([w, -shift])
+        # C order, not the Fortran order the inv.T blocks give: on BLAS's
+        # transposed path a row's bits depend on its batch's row count
+        self._w_shift = np.ascontiguousarray(np.vstack([w, -shift]))
         self._offset = log_priors - 0.5 * (self.dim * np.log(2.0 * np.pi) + log_dets)
 
     def log_density(self, z):
@@ -110,6 +108,19 @@ class GdaModel:
             np.log(res, out=res)
             res += top
         return float(out[0]) if single else out
+
+
+def _inverse_lower(chols):
+    """Inverses of a K x d x d stack of lower triangular factors, by forward
+    substitution one row at a time for all K at once: row i of L^-1 solves
+    L[i, :i+1] . X[:i+1, j] = [i == j] for j <= i. Entries above the diagonal
+    stay exact zeros."""
+    k, d, _ = chols.shape
+    inv = np.zeros((k, d, d))
+    for i in range(d):
+        known = np.matmul(chols[:, i:i + 1, :i], inv[:, :i, :i + 1])[:, 0]
+        inv[:, i, :i + 1] = (np.eye(d)[i, :i + 1] - known) / chols[:, i, i, None]
+    return inv
 
 
 def collect_features(head, scenes, cap_per_class, seed):

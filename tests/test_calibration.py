@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import minimize_scalar
 
-from voxuq.calibration import (DEFAULT_T_MAX, DEFAULT_T_MIN, PROB_FLOOR, CalibrationParams,
-                               LogitGaps, ece, fit_temperature, nll, scale_logits,
-                               tune_lambda, ugts_temperature)
+from voxuq.calibration import (DEFAULT_T_MAX, DEFAULT_T_MIN, FIT_TOL, PROB_FLOOR,
+                               CalibrationParams, LogitGaps, _bounded_brent, ece,
+                               fit_temperature, nll, scale_logits, tune_lambda,
+                               ugts_temperature)
 from voxuq.nn_core import softmax
 
 
@@ -211,6 +213,38 @@ def test_fit_temperature_never_worse_than_identity():
     labels = rng.integers(0, 4, size=500)
     t = fit_temperature(logits, labels)
     assert nll(scale_logits(logits, t), labels) <= nll(softmax(logits), labels) + 1e-12
+
+
+def assert_search_is_scipys(func, bounds):
+    """_bounded_brent returns the x and f(x) of
+    scipy.optimize.minimize_scalar(method="bounded"), to the last bit."""
+    ref = minimize_scalar(func, bounds=bounds, method="bounded", options={"xatol": FIT_TOL})
+    x, fun = _bounded_brent(func, *bounds, FIT_TOL)
+    assert np.float64(x).tobytes() == np.float64(ref.x).tobytes()
+    assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bounded_search_is_scipys_bit_for_bit(data):
+    """On the NLL that fit_temperature minimizes over beta = 1/t."""
+    n, k = data.draw(st.integers(2, 80)), data.draw(st.integers(2, 6))
+    logits = data.draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-40, 40)))
+    labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    if data.draw(st.booleans()):  # all correct: the minimum sits at t_min
+        labels = logits.argmax(axis=1)
+    gaps = LogitGaps(logits, labels)
+    assert_search_is_scipys(lambda beta: gaps.metrics(1.0 / beta)[1],
+                            (1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 21.0), st.sampled_from([0.5, 1.0, 2.0]))
+def test_bounded_search_is_scipys_bit_for_bit_on_bowls(m, power):
+    """|x - m|^power with m inside, near and beyond either bound of [0.05, 20].
+    The NLL's minima rarely fall near a bound, where the search clamps a
+    parabolic step."""
+    assert_search_is_scipys(lambda x: abs(x - m) ** power, (0.05, 20.0))
 
 
 def test_fit_temperature_needs_two_classes():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from voxuq.gda import (DEFAULT_EPS_LADDER, LOG_DENSITY_CHUNK, FeatureBank, FitError,
-                       GdaModel, collect_features, epistemic_score, fit_gda,
+                       GdaModel, _inverse_lower, collect_features, epistemic_score, fit_gda,
                        gmm_param_count)
 from voxuq.head import FORWARD_BLOCK, HeadConfig, ResidualMlpHead, row_blocks
 
@@ -170,6 +170,34 @@ def test_log_density_scores_no_row_alone(wide_model, rows):
     for seed in range(8):
         z = np.random.default_rng([rows, seed]).standard_normal((rows, 32)) * 2
         assert wide_model.log_density(z).tobytes() == scored_in_pairs(wide_model, z).tobytes()
+
+
+@pytest.mark.parametrize("rows", [LOG_DENSITY_CHUNK + 1, 2 * LOG_DENSITY_CHUNK + 2])
+def test_log_density_from_fortran_order_factors_scores_no_row_alone(wide_model, rows):
+    """The whitening matrix is C-ordered whatever the factors' layout. A
+    Fortran-ordered one sends the GEMM down a transposed BLAS path, where
+    a row's bits depend on the batch's row count."""
+    m = wide_model
+    model = GdaModel(m.means, np.asfortranarray(m.chols), m.log_dets, m.log_priors,
+                     m.eps_used, m.counts)
+    assert model._w_shift.flags.c_contiguous
+    for seed in range(8):
+        z = np.random.default_rng([rows, seed]).standard_normal((rows, 32)) * 2
+        assert model.log_density(z).tobytes() == scored_in_pairs(model, z).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_inverse_lower_matches_solve_triangular(d):
+    """Relative to the largest entry, since an entry that cancels to near 0
+    carries the error of its row; above the diagonal the zeros are exact."""
+    rng = np.random.default_rng(d)
+    bank = make_bank(rng, 3, d, 2 * d)
+    chols = fit_gda(bank).chols
+    inv = _inverse_lower(chols)
+    for c in range(3):
+        ref = solve_triangular(chols[c], np.eye(d), lower=True)
+        assert np.abs(inv[c] - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert not np.triu(inv[c], 1).any()
 
 
 def test_log_density_of_empty_batch():

@@ -562,7 +562,7 @@ def test_calibrate_method_joins_no_train_logits(wide):
     world, bundle, _ = wide
     val = synthworld.generate_dataset(world, "val")
     peaks = {}
-    for n in (4, 4, 16):  # the first call also imports scipy.optimize
+    for n in (4, 4, 16):  # a warm-up call, whose peak the second overwrites
         train = synthworld.generate_dataset(world, "train", n_scenes=n)
         peaks[n] = traced_peak(lambda: calibrate_method("ours", bundle, train, val,
                                                         seed=SWEEP_SEED))
