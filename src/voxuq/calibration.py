@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .gda import FitError
 from .nn_core import softmax
 
 PROB_FLOOR = 1e-12
@@ -53,22 +54,28 @@ def ece(probs, labels, bins=DEFAULT_BINS):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= probs.shape[1]:
         raise ValueError("label out of range")
-    return _binned_ece(probs.max(axis=1), probs.argmax(axis=1) == labels, bins)
+    return ece_nll(bin_sums(probs.max(axis=1), probs.argmax(axis=1) == labels, 0.0, bins))[0]
 
 
-def _binned_ece(conf, correct, bins):
-    """ECE of per-sample confidences and 0/1 correctness over `bins` bins."""
-    n = conf.shape[0]
+def bin_sums(conf, correct, loss, bins=DEFAULT_BINS):
+    """Calibration sums of some rows, in one vector: per-bin row counts,
+    confidence sums and correct counts over `bins` equal-width bins on (0, 1],
+    then the loss sum. The vectors of disjoint rows add."""
     # right-closed bins: index by ceil(conf * bins) - 1
     idx = np.clip(np.ceil(conf * bins).astype(int) - 1, 0, bins - 1)
-    bin_counts = np.bincount(idx, minlength=bins)
-    bin_conf = np.bincount(idx, weights=conf, minlength=bins)
-    bin_acc = np.bincount(idx, weights=correct, minlength=bins)
-    occupied = bin_counts > 0
-    bin_conf[occupied] /= bin_counts[occupied]
-    bin_acc[occupied] /= bin_counts[occupied]
-    return float(np.sum(bin_counts[occupied] / n
-                        * np.abs(bin_acc[occupied] - bin_conf[occupied])))
+    return np.concatenate([np.bincount(idx, minlength=bins),
+                           np.bincount(idx, weights=conf, minlength=bins),
+                           np.bincount(idx, weights=correct, minlength=bins), [np.sum(loss)]])
+
+
+def ece_nll(sums):
+    """(ECE, mean loss) of a bin_sums vector."""
+    counts, bin_conf, bin_acc = sums[:-1].reshape(3, -1)
+    n = counts.sum()
+    occupied = counts > 0
+    counts, bin_conf, bin_acc = counts[occupied], bin_conf[occupied], bin_acc[occupied]
+    return (float(np.sum(counts / n * np.abs(bin_acc / counts - bin_conf / counts))),
+            float(sums[-1] / n))
 
 
 def scale_logits(logits, t):
@@ -101,85 +108,44 @@ class LogitGaps:
         self._true_gap = gaps[np.arange(n), labels]
         self._correct = logits.argmax(axis=1) == labels
 
-    def metrics(self, t):
-        """(ece, nll) of softmax(logits / t) from one exp pass; t is a scalar
-        or a per-row vector. With S = sum_c exp(gap_c / t), the confidence is
-        1 / S and the floored true-class NLL is min(log S - gap_y / t,
-        -log PROB_FLOOR)."""
+    def sums(self, t):
+        """bin_sums of softmax(logits / t) from one exp pass, with the floored
+        true-class NLL as the loss; t is a scalar or a per-row vector. With
+        S = sum_c exp(gap_c / t), the confidence is 1 / S and the loss is
+        min(log S - gap_y / t, -log PROB_FLOOR)."""
         t = np.asarray(t, dtype=np.float64)
         s = np.exp(self._gaps / t).sum(axis=0)
         loss = np.minimum(np.log(s) - self._true_gap / t, -np.log(PROB_FLOOR))
-        return _binned_ece(1.0 / s, self._correct, DEFAULT_BINS), float(loss.mean())
-
-
-def _bounded_brent(func, a, b, xatol):
-    """(x, func(x)) at the minimum of `func` on [a, b] by Brent's bounded
-    search: golden-section steps with parabolic interpolation, until the
-    bracket is within about xatol of x or after 500 calls. It ports scipy's
-    minimize_scalar(method="bounded") step for step, so its bits are scipy's."""
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)) and num < 500:
-        golden = True
-        if np.abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
+        return bin_sums(1.0 / s, self._correct, loss)
 
 
 def fit_temperature(logits, labels):
-    """Temperature minimizing validation NLL: a bounded Brent search over
-    beta = 1/t, in which the NLL is convex. Never worse than t = 1.
+    """Temperature minimizing validation NLL: a golden-section search over
+    beta = 1/t, in which the NLL is convex, down to a bracket of FIT_TOL.
+    Never worse than t = 1.
     """
     if np.unique(labels).size < 2:
-        raise ValueError("temperature fit needs at least two classes present")
+        raise FitError("temperature fit needs at least two classes present")
     gaps = LogitGaps(logits, labels)
 
     def objective(beta):
-        return gaps.metrics(1.0 / beta)[1]
+        return ece_nll(gaps.sums(1.0 / beta))[1]
 
-    beta, fun = _bounded_brent(objective, 1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN, FIT_TOL)
-    return 1.0 / float(beta) if fun <= objective(1.0) else 1.0
+    a, b = 1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN
+    step = (5.0 ** 0.5 - 1.0) / 2.0  # keeps one inner point from bracket to bracket
+    c, d = b - step * (b - a), a + step * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > FIT_TOL:
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - step * (b - a)
+            fc = objective(c)
+        else:  # the minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + step * (b - a)
+            fd = objective(d)
+    beta, fun = (c, fc) if fc <= fd else (d, fd)
+    return 1.0 / beta if fun <= objective(1.0) else 1.0
 
 
 def ugts_temperature(params, u_bar_sample):
@@ -200,7 +166,7 @@ def tune_lambda(logits, labels, u_bar_sample, params, lam_grid):
     gaps = LogitGaps(logits, labels)
     best_lam, best_ece = None, None
     for lam in sorted(lam_grid, key=abs):
-        value = gaps.metrics(ugts_temperature(replace(params, lam=lam), u_bar_sample))[0]
+        value = ece_nll(gaps.sums(ugts_temperature(replace(params, lam=lam), u_bar_sample)))[0]
         if best_ece is None or value < best_ece:
             best_lam, best_ece = lam, value
     return best_lam, best_ece

@@ -17,7 +17,8 @@ LOG_DENSITY_CHUNK = 2048
 
 
 class FitError(RuntimeError):
-    """Raised when the Gaussian model cannot be fitted."""
+    """Raised when a model cannot be fitted to its data: the Gaussian density
+    or a calibration temperature."""
 
 
 @dataclass

@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import synthworld
-from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_temperature,
-                          tune_lambda, ugts_temperature)
+from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, ece_nll,
+                          fit_temperature, tune_lambda, ugts_temperature)
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
 from .head import HeadConfig, ResidualMlpHead, train_head
 from .nn_core import OptimizerState
@@ -67,7 +67,7 @@ def _calibration_spec(method):
 
 def _calibration_pass(spec, bundle, scenes, seed):
     """score_split of `spec` joined over all voxels: (logits, labels, each
-    voxel's scene-mean score)."""
+    voxel's scene-mean score). Only the small validation split is joined."""
     logits, labels, u = zip(*((lg[spec], y, np.full(len(y), aggregate_scene(s[spec])))
                               for s, lg, y in score_split([spec], bundle, scenes, seed)))
     return np.concatenate(logits), np.concatenate(labels), np.concatenate(u)
@@ -93,23 +93,27 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
 def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     """ECE/NLL on the clean split and mECE/mNLL over the corruption grid,
     for uncalibrated, fixed-TS and UGTS logit scaling. The splits are the
-    sweep's (synthworld.grid_splits), scored as the sweep scores them."""
+    sweep's (synthworld.grid_splits), scored as the sweep scores them. A
+    split's metrics come from bin_sums added scene by scene: UGTS's
+    temperature is one scalar per scene, so no split is joined."""
     check_methods([method], bundle)
     spec = _calibration_spec(method)
+    variants = ("raw", "ts", "ugts")
 
     def split_metrics(scenes):
-        logits, labels, u = _calibration_pass(spec, bundle, scenes, seed)
-        t_ugts = ugts_temperature(params, u)
-        gaps = LogitGaps(logits, labels)
-        return {variant: dict(zip(("ece", "nll"), gaps.metrics(t)))
-                for variant, t in (("raw", 1.0), ("ts", params.t_train), ("ugts", t_ugts))}
+        sums = 0.0
+        for s, logits, labels in score_split([spec], bundle, scenes, seed):
+            gaps = LogitGaps(logits[spec], labels)
+            t_ugts = ugts_temperature(params, aggregate_scene(s[spec]))
+            sums = sums + np.stack([gaps.sums(t) for t in (1.0, params.t_train, t_ugts)])
+        return {v: dict(zip(("ece", "nll"), ece_nll(row))) for v, row in zip(variants, sums)}
 
     clean, *cells = [split_metrics(scenes)
                      for _, _, scenes in synthworld.grid_splits(test_ds, world)]
     return {"clean": clean,
             "corrupted": {v: {"mece": float(np.mean([c[v]["ece"] for c in cells])),
                               "mnll": float(np.mean([c[v]["nll"] for c in cells]))}
-                          for v in clean}}
+                          for v in variants}}
 
 
 # -- ablation and feature-dimension sweeps ---------------------------------

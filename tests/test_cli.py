@@ -721,6 +721,24 @@ def test_calibrate_ugts_default_grid_spelled_out_changes_nothing(workspace, runn
                for name in ("calibration.json", "calib.ocuq"))
 
 
+def test_calibrate_one_class_validation_split_exit_3(runner, tmp_path):
+    """A world without objects labels every voxel ground, so the validation
+    split holds one class and no temperature can be fitted to it."""
+    config = tmp_path / "flat.ini"
+    config.write_text("[world]\ngrid_x = 8\ngrid_y = 8\ngrid_z = 2\nobjects_min = 0\n"
+                      "objects_max = 0\ntrain_scenes = 2\nval_scenes = 1\ntest_scenes = 1\n")
+    data, models, out = tmp_path / "data", tmp_path / "models", tmp_path / "out"
+    for args in (["generate-data", "--config", str(config), "--out", str(data)],
+                 ["train", "--data", str(data), "--out", str(models), "--epochs", "1"]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["calibrate", "--data", str(data), "--method", "entropy",
+                             "--head", str(models / "head.ocuq"), "--out", str(out)])
+    _assert_one_line_error(r, 3)
+    assert "two classes" in r.output
+    assert not out.exists()
+
+
 def test_config_hash_tells_values_apart():
     # a hash of the sorted characters of str(obj) gave c2a8408e59148ab2 for both
     assert _config_hash({"seed": 42}) != _config_hash({"seed": 24})

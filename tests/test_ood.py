@@ -513,11 +513,10 @@ def given_sigma_z(test, monkeypatch):
 
 
 def test_grid_walks_hold_one_corrupted_scene_at_a_time(wide, monkeypatch):
-    """Over the 15 cells of 16 scenes, run_sweep peaks within a quarter scene
-    of its peak over one scene of the cell with the most corruption
-    temporaries (blur at severity 3), and evaluate_calibration within a
-    quarter scene more than its joined logits, labels and scene means: no
-    corrupted scene outlives the corruption of the next."""
+    """Over the 15 cells of 16 scenes, run_sweep and evaluate_calibration each
+    peak within a quarter scene of their peak over one scene of the cell with
+    the most corruption temporaries (blur at severity 3): no corrupted scene
+    outlives the corruption of the next, and calibration joins no split."""
     world, bundle, test = wide
     given_sigma_z(test, monkeypatch)
     scene = test.scenes[0].features.size * 8  # a corrupted scene is float64
@@ -534,13 +533,12 @@ def test_grid_walks_hold_one_corrupted_scene_at_a_time(wide, monkeypatch):
     def calibration(ds=test):
         evaluate_calibration("ours", bundle, world, CalibrationParams(), ds, seed=SWEEP_SEED)
 
+    calibration()  # warmed up as the sweep is
     every_cell = traced_peak(calibration)
     grid_splits = synthworld.grid_splits
     monkeypatch.setattr(synthworld, "grid_splits",
                         lambda dataset, w: grid_splits(dataset, w, *one))
-    c = world.config
-    joined = len(test.scenes) * c.voxels_per_scene * (c.num_classes + 2) * 8
-    assert every_cell <= traced_peak(lambda: calibration(first)) + joined + scene / 4
+    assert every_cell <= traced_peak(lambda: calibration(first)) + scene / 4
 
 
 def test_calibration_walk_holds_no_corrupted_cell(wide, monkeypatch):
