@@ -181,17 +181,25 @@ def check_methods(methods, bundle):
                               % (method, params["n"], len(bundle.ensemble_heads)))
 
 
-def score_scene(methods, bundle, features, base_seed=0):
+# the scores of the main head's eval-mode pass that read its softmax; ours,
+# scored in the same pass, reads its penultimate features
+_SOFTMAX_SCORES = {"max-softmax": max_softmax_score, "entropy": softmax_entropy}
+
+
+def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
     """Per-voxel scores of every method in `methods` on one scene's n x d
     features, and the logits calibration uses for each, as two dicts keyed
-    by method spec: (scores, logits).
+    by method spec: (scores, logits). Without `with_logits` the logits dict
+    is empty and no scene-sized logits array is built.
 
     ours, max-softmax and entropy share one eval-mode pass of the main head
-    (_eval_pass); ours scores each row block's penultimate features as it
-    goes, so no scene-sized penultimate array is held. mcd:n runs n dropout
-    forwards of the main head, pass i seeded base_seed + i; de:n runs the
-    eval-mode pass of each of the first n ensemble heads. The mean p of
-    their softmaxes gives the predictive entropy and the logits
+    (eval_blocks) and are scored a row block at a time: ours from the
+    block's penultimate features, the softmax scores from its logits, so
+    only the scores and the requested logits are scene-sized. Every score
+    is row-wise, so a row keeps the bits of a whole-scene pass. mcd:n runs
+    n dropout forwards of the main head, pass i seeded base_seed + i; de:n
+    runs the eval-mode pass of each of the first n ensemble heads. The mean
+    p of their softmaxes gives the predictive entropy and the logits
     log(max(p, 1e-12)). The bundle must pass check_methods(methods, bundle).
 
     Float32 features score as their float64 copy would: each forward widens
@@ -199,48 +207,47 @@ def score_scene(methods, bundle, features, base_seed=0):
     """
     features = np.asarray(features)
     parsed = [(method,) + parse_method(method) for method in methods]
-    scores, logits = {}, {}
-    eval_logits = probs = None
+    n = len(features)
+    shared = [m for m in ("ours", *_SOFTMAX_SCORES) if m in methods]
+    scores = {m: np.empty(n) for m in shared}
+    logits = {}
+    if shared:
+        eval_logits = (np.empty((n, bundle.head.config.num_classes)) if with_logits
+                       else None)
+        for lo, hi, out in eval_blocks(bundle.head, features):
+            probs = softmax(out.logits) if shared != ["ours"] else None
+            for m in shared:
+                scores[m][lo:hi] = (epistemic_score(bundle.gda_model, out.penultimate_features)
+                                    if m == "ours" else _SOFTMAX_SCORES[m](probs))
+            if with_logits:
+                eval_logits[lo:hi] = out.logits
+            del out, probs
+        if with_logits:
+            logits.update(dict.fromkeys(shared, eval_logits))
     for method, name, params in parsed:
-        if name in ("ours", "max-softmax", "entropy"):
-            if eval_logits is None:
-                ours = any(n == "ours" for _, n, _ in parsed)
-                eval_logits, density = _eval_pass(bundle.head, features,
-                                                  bundle.gda_model if ours else None)
-            logits[method] = eval_logits
-            if name == "ours":
-                scores[method] = density
-            else:
-                probs = softmax(eval_logits) if probs is None else probs
-                score = max_softmax_score if name == "max-softmax" else softmax_entropy
-                scores[method] = score(probs)
-            continue
         if name == "mcd":
             passes = (bundle.head.forward(features, dropout_p=params["p"],
                                           dropout_rng=np.random.default_rng(base_seed + i)).logits
                       for i in range(params["n"]))
+        elif name == "de":
+            passes = (_eval_logits(h, features) for h in bundle.ensemble_heads[:params["n"]])
         else:
-            passes = (_eval_pass(h, features)[0] for h in bundle.ensemble_heads[:params["n"]])
+            continue
         # a running sum in member order: the bits of a mean over stacked members
         mean_probs = sum(softmax(member_logits) for member_logits in passes) / params["n"]
         scores[method] = softmax_entropy(mean_probs)
-        logits[method] = np.log(np.maximum(mean_probs, 1e-12))
+        if with_logits:
+            logits[method] = np.log(np.maximum(mean_probs, 1e-12))
     return scores, logits
 
 
-def _eval_pass(head, features, gda_model=None):
-    """Logits of `head`'s eval-mode pass over `features` (eval_blocks) and,
-    given `gda_model`, the epistemic score of each block's penultimate
-    features (else None)."""
-    n = features.shape[0]
-    logits = np.empty((n, head.config.num_classes))
-    scores = None if gda_model is None else np.empty(n)
+def _eval_logits(head, features):
+    """Logits of `head`'s eval-mode pass over `features`, from eval_blocks."""
+    logits = np.empty((len(features), head.config.num_classes))
     for lo, hi, out in eval_blocks(head, features):
         logits[lo:hi] = out.logits
-        if gda_model is not None:
-            scores[lo:hi] = epistemic_score(gda_model, out.penultimate_features)
         del out
-    return logits, scores
+    return logits
 
 
 def _cell_result(kind, severity, pop):
@@ -254,11 +261,12 @@ def _mean_metrics(cells):
             "mfpr95": float(np.mean([c.fpr95 for c in cells]))}
 
 
-def score_split(methods, bundle, scenes, seed):
+def score_split(methods, bundle, scenes, seed, with_logits=True):
     """score_scene over the (features, labels) pairs of `scenes` in order, scene
     i with base seed `seed + i`: yields (scores, logits, labels) per scene."""
     for features, labels in scenes:
-        scored = score_scene(methods, bundle, features, base_seed=seed)
+        scored = score_scene(methods, bundle, features, base_seed=seed,
+                             with_logits=with_logits)
         del features  # before the next scene is read; an enumerate would hold it
         yield scored + (labels,)
         seed += 1
@@ -271,9 +279,10 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
     severity) cell; fills AUROC/FPR95 grids, unweighted means, histogram
     tables, and (optionally) frontal-sector region-level grids.
 
-    Every scene is scored once for all methods. Region cells are read from
-    the full-scene cells: a front-sector corruption equals the full-scene
-    one inside the sector, and every score is per voxel.
+    Every scene is scored once for all methods, without logits. Region
+    cells are read from the full-scene cells: a front-sector corruption
+    equals the full-scene one inside the sector, and every score is per
+    voxel.
     """
     t0 = time.perf_counter()
     check_methods(methods, bundle)
@@ -292,7 +301,7 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         means[kind, severity] = np.array([
             [(aggregate_scene(s[m]), aggregate_region(s[m], mask) if region_level else 0.0)
              for m in methods]
-            for s, _, _ in score_split(methods, bundle, scenes, seed)])
+            for s, _, _ in score_split(methods, bundle, scenes, seed, with_logits=False)])
     clean = means.pop((None, 0))
 
     for j, method in enumerate(methods):

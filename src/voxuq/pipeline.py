@@ -79,9 +79,10 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
     CalibrationParams."""
     check_methods([method], bundle)
     spec = _calibration_spec(method)
-    # scene means only: the train split's logits are never joined
+    # scene means only: the train split's logits are never built
     u_bar_train = float(np.mean([aggregate_scene(s[spec]) for s, _, _ in
-                                 score_split([spec], bundle, train_ds.iter_scene_arrays(), seed)]))
+                                 score_split([spec], bundle, train_ds.iter_scene_arrays(), seed,
+                                             with_logits=False)]))
     logits, labels, u_val = _calibration_pass(spec, bundle, val_ds.iter_scene_arrays(), seed)
     t_train = fit_temperature(logits, labels)
     params = CalibrationParams(t_train=t_train, lam=0.0, u_bar_train=u_bar_train)

@@ -23,6 +23,8 @@ REGIONS = ("full_scene", "front_sector")
 NOISE_COEF = 0.012
 FOG_COEF = 0.25
 BIAS_COEF = 0.4
+# bytes of float64 that fog and blur hold in one slab-sized temporary
+SLAB_BYTES = 1 << 20
 
 
 class GenerationError(RuntimeError):
@@ -269,7 +271,6 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
         return VoxelScene(labels=scene.labels.copy(), features=scene.features.copy(),
                           scene_id=scene.scene_id, seed=scene.seed)
     cfg = world.config
-    gx, gy, gz = cfg.grid
     m = spec.severity
     if spec.region == "front_sector":
         mask = front_sector_mask(cfg)
@@ -287,13 +288,15 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
         z = scene.features.astype(np.float64)
         z[mask] = 0.0
     elif spec.kind == "fog":
-        x, y, zz = np.indices((gx, gy, gz))
-        center = np.array([(gx - 1) / 2.0, (gy - 1) / 2.0, (gz - 1) / 2.0])
-        r = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2 + (zz - center[2]) ** 2)
-        r_max = r.max()
-        w = np.minimum(1.0, FOG_COEF * m * r / r_max)[..., None]
-        fogged = (1.0 - w) * scene.features
-        fogged += w * world.fog_vector
+        w = _fog_weight(cfg.grid, m)
+        # the features times 1 - w in place, then + w f a slab at a time:
+        # the bits of (1 - w) z + w f, since multiplication commutes, in one
+        # scene-sized array
+        fogged = scene.features.astype(np.float64)
+        fogged *= 1.0 - w
+        step = _slab_planes(fogged)
+        for lo in range(0, len(fogged), step):
+            fogged[lo:lo + step] += w[lo:lo + step] * world.fog_vector
         z = _replace_masked(scene.features, fogged, mask)
     elif spec.kind == "bias_shift":
         z = scene.features.astype(np.float64)
@@ -314,29 +317,57 @@ def _replace_masked(features, new, mask):
     return z
 
 
+def _fog_weight(grid, m):
+    """The fog weight w = min(1, FOG_COEF m r / r_max) of every voxel, as a
+    (gx, gy, gz, 1) array; r is the distance from the grid center. Its
+    grid-sized index arrays are freed on return, before fog builds its
+    scene-sized array."""
+    gx, gy, gz = grid
+    x, y, zz = np.indices((gx, gy, gz))
+    center = np.array([(gx - 1) / 2.0, (gy - 1) / 2.0, (gz - 1) / 2.0])
+    r = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2 + (zz - center[2]) ** 2)
+    return np.minimum(1.0, FOG_COEF * m * r / r.max())[..., None]
+
+
+def _slab_planes(a):
+    """x-planes (first-axis slices) of `a` per slab: as many as fit in
+    SLAB_BYTES as float64, and at least one."""
+    return max(1, SLAB_BYTES // (8 * max(1, a[0].size)))
+
+
 def _box_blur(features, m):
     """Mean over the (2m+1)^3 border-clamped spatial window, per channel.
 
-    Separable: a border-clamped (2m+1)-tap sum along x, then y, then z, then
-    one division. Each axis adds slice views of the previous axis's sums
-    into a copy of them (a tap past the border adds the edge slab by
-    broadcast), so at most two full-size buffers are alive at once. Taps
-    are clamped to the axis length, so grids smaller than m work.
-    Integer-valued input gives exact partial sums, hence the same bits as
-    summing the (2m+1)^3 shifted copies.
+    Separable: a border-clamped (2m+1)-tap sum along x into one float64
+    buffer, then the y and z tap sums slab by slab (_slab_planes; neither
+    crosses an x-plane) through one slab-sized buffer, written back into the
+    first, then one division: the result and that slab are the only
+    float64 arrays it holds. Each tap adds a slice view (a tap past the
+    border adds the edge plane by broadcast), and every element gets its
+    additions in the order of whole-array axis passes. Taps are clamped to
+    the axis length, so grids smaller than m work. Integer-valued input
+    gives exact partial sums, hence the same bits as summing the (2m+1)^3
+    shifted copies.
     """
-    acc = features
-    for axis in range(3):
-        acc = _clamped_tap_sum(acc, axis, m)
+    acc = features.astype(np.float64)
+    _add_taps(acc, features, 0, m)
+    step = _slab_planes(acc)
+    buffer = np.empty_like(acc[:step])
+    for lo in range(0, len(acc), step):
+        slab = acc[lo:lo + step]
+        y_sums = buffer[:len(slab)]
+        y_sums[...] = slab
+        _add_taps(y_sums, slab, 1, m)
+        slab[...] = y_sums
+        _add_taps(slab, y_sums, 2, m)
     acc /= (2 * m + 1) ** 3
     return acc
 
 
-def _clamped_tap_sum(acc, axis, m):
-    """Sum of acc shifted by -m..m along `axis`, border-clamped; a new
-    float64 array."""
-    out = acc.astype(np.float64)
-    src, dst = np.moveaxis(acc, axis, 0), np.moveaxis(out, axis, 0)
+def _add_taps(dst, src, axis, m):
+    """Add src shifted by -m..-1 and 1..m along `axis`, border-clamped, to
+    dst, which holds src's values: dst becomes the (2m+1)-tap sum."""
+    src, dst = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
     n = src.shape[0]
     for k in range(1, m + 1):
         k = min(k, n)
@@ -344,7 +375,6 @@ def _clamped_tap_sum(acc, axis, m):
         dst[n - k:] += src[n - 1:]
         dst[k:] += src[:n - k]
         dst[:k] += src[:1]
-    return out
 
 
 def corruption_seed(dataset_seed, kind, severity, scene_index):
@@ -397,7 +427,7 @@ def save_dataset(dataset, out_dir):
             index.append({"scene_id": s.scene_id, "seed": s.seed,
                           "feature_offset": i * feat_bytes,
                           "label_offset": i * label_bytes})
-            ff.write(s.features.astype("<f4", order="C"))
+            ff.write(np.ascontiguousarray(s.features, dtype="<f4"))
             lf.write(s.labels.astype("<u2", order="C"))
     manifest = {
         "schema_version": SCHEMA_VERSION,

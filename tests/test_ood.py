@@ -9,9 +9,9 @@ from scipy.stats import rankdata
 from voxuq import head as head_module
 from voxuq import ood, pipeline, synthworld
 from voxuq.calibration import CalibrationParams
-from voxuq.gda import GdaModel
+from voxuq.gda import GdaModel, epistemic_score
 from voxuq.head import HeadConfig, ResidualMlpHead, row_blocks
-from voxuq.metrics import softmax_entropy
+from voxuq.metrics import max_softmax_score, softmax_entropy
 from voxuq.nn_core import softmax
 from voxuq.ood import (MethodBundle, MethodError, ScoredPopulation, aggregate_region,
                        aggregate_scene, auroc, check_methods, fpr_at_95_tpr,
@@ -410,9 +410,9 @@ def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
     calls = []
     score = score_scene
 
-    def recording_score(methods, b, features, base_seed=0):
+    def recording_score(methods, b, features, base_seed=0, with_logits=True):
         calls.append((features.tobytes(), base_seed))
-        return score(methods, b, features, base_seed=base_seed)
+        return score(methods, b, features, base_seed=base_seed, with_logits=with_logits)
 
     monkeypatch.setattr(ood, "score_scene", recording_score)
     run_sweep(["ours"], bundle, world, test, seed=SWEEP_SEED)
@@ -659,6 +659,64 @@ def test_score_scene_of_float32_features_equals_its_float64_oracle():
     for m in methods:
         assert scores[m].tobytes() == want_scores[m].tobytes(), m
         assert logits[m].tobytes() == want_logits[m].tobytes(), m
+
+
+def eval_pass_oracle(head, features, gda_model=None):
+    """Logits of `head`'s eval-mode pass over `features` as one scene-sized
+    array and, given `gda_model`, the epistemic score of each block's
+    penultimate features: how score_scene scored the eval-mode methods
+    before it scored them block by block."""
+    n = features.shape[0]
+    logits = np.empty((n, head.config.num_classes))
+    scores = None if gda_model is None else np.empty(n)
+    for lo, hi, out in head_module.eval_blocks(head, features):
+        logits[lo:hi] = out.logits
+        if gda_model is not None:
+            scores[lo:hi] = epistemic_score(gda_model, out.penultimate_features)
+        del out
+    return logits, scores
+
+
+def test_block_wise_scores_keep_their_bits_with_or_without_logits():
+    """On a scene of two row blocks and 17 rows, every method scores the
+    same bits with and without logits, and without them no logits are
+    returned. The eval-mode scores and logits, and the deep ensemble's, keep
+    the bits of the scene-sized logits of eval_pass_oracle."""
+    bundle = random_bundle(16, 16, num_classes=5)
+    methods = ["ours", "max-softmax", "entropy", "mcd:n=2", "de:n=2"]
+    x = (np.random.default_rng(8).standard_normal((2 * head_module.FORWARD_BLOCK + 17, 16))
+         * 2).astype(np.float32)
+    scores, logits = score_scene(methods, bundle, x, base_seed=4)
+    bare, no_logits = score_scene(methods, bundle, x, base_seed=4, with_logits=False)
+    assert no_logits == {} and set(bare) == set(methods)
+    for m in methods:
+        assert scores[m].tobytes() == bare[m].tobytes(), m
+    eval_logits, density = eval_pass_oracle(bundle.head, x, bundle.gda_model)
+    probs = softmax(eval_logits)
+    for m, want in (("ours", density), ("max-softmax", max_softmax_score(probs)),
+                    ("entropy", softmax_entropy(probs))):
+        assert scores[m].tobytes() == want.tobytes(), m
+        assert logits[m].tobytes() == eval_logits.tobytes(), m
+    mean = sum(softmax(eval_pass_oracle(h, x)[0]) for h in bundle.ensemble_heads) / 2
+    assert scores["de:n=2"].tobytes() == softmax_entropy(mean).tobytes()
+    assert logits["de:n=2"].tobytes() == np.log(np.maximum(mean, 1e-12)).tobytes()
+
+
+def test_paper_sized_sweep_holds_its_corrupted_scene_and_no_logits():
+    """run_sweep(["ours"]) over one 64x64x16 scene peaks less than one
+    scene's logits above one corrupted float64 scene: the sweep builds no
+    logits, and every corruption holds one scene-sized float64 array. The
+    head is 8 wide, so that the density model's chunk buffer
+    (LOG_DENSITY_CHUNK rows of K x 8) is an eighth of the logits."""
+    config = synthworld.WorldConfig(grid=(64, 64, 16), test_scenes=1, seed=5)
+    world = synthworld.generate_world(config)
+    test = synthworld.generate_dataset(world, "test")
+    bundle = random_bundle(config.feature_dim, 8, num_classes=config.num_classes)
+    n = config.voxels_per_scene
+    scene, logits = n * config.feature_dim * 8, n * config.num_classes * 8
+    peak = traced_peak(lambda: run_sweep(["ours"], bundle, world, test, seed=SWEEP_SEED,
+                                         region_level=False))
+    assert peak < scene + logits
 
 
 def test_eval_pass_holds_no_scene_sized_float64_copy():
