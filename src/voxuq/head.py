@@ -193,9 +193,10 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
     """Minibatch cross-entropy training; SN re-applied every step when enabled.
 
     `features` is n x input_dim, `labels` length n. Returns a TrainLog with
-    per-epoch mean loss and full-pass accuracy.
+    per-epoch mean loss and full-pass accuracy. Each forward widens its
+    minibatch, so float32 features train as their float64 copy, unwidened.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] == 0:
         raise ValueError("empty training set")
@@ -222,15 +223,25 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
     return log
 
 
+def feature_blocks(features):
+    """Yield (lo, hi, rows lo:hi) over the row_blocks of `features`: an n x d
+    array, sliced, or rows made a block at a time, in one pass (len and
+    blocks(bounds), as synthworld.CorruptedRows)."""
+    bounds = row_blocks(len(features))
+    rows = (features.blocks(bounds) if hasattr(features, "blocks")
+            else (features[lo:hi] for lo, hi in bounds))
+    for (lo, hi), x in zip(bounds, rows):
+        yield lo, hi, x
+
+
 def eval_blocks(head, features):
-    """Yield (lo, hi, head.forward(features[lo:hi])) over the row_blocks of
-    the n x input_dim `features`: the eval-mode pass over many rows, whose
-    temporaries are block-sized. Rows do not interact, so every row keeps
-    the bits of one forward over all rows. A consumer should drop each
-    output before asking for the next, so that two blocks' outputs are
-    never held at once."""
-    for lo, hi in row_blocks(len(features)):
-        yield lo, hi, head.forward(features[lo:hi])
+    """Yield (lo, hi, head.forward(features[lo:hi])) over the feature_blocks
+    of `features`: the eval-mode pass over many rows, whose temporaries are
+    block-sized. Rows do not interact, so every row keeps the bits of one
+    forward over all rows. A consumer should drop each output before asking
+    for the next, so that two blocks' outputs are never held at once."""
+    for lo, hi, x in feature_blocks(features):
+        yield lo, hi, head.forward(x)
 
 
 def accuracy(head, pairs):

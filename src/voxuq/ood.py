@@ -11,7 +11,7 @@ import numpy as np
 
 from . import synthworld
 from .gda import epistemic_score
-from .head import eval_blocks
+from .head import feature_blocks
 from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
@@ -192,29 +192,31 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
     by method spec: (scores, logits). Without `with_logits` the logits dict
     is empty and no scene-sized logits array is built.
 
-    ours, max-softmax and entropy share one eval-mode pass of the main head
-    (eval_blocks) and are scored a row block at a time: ours from the
-    block's penultimate features, the softmax scores from its logits, so
-    only the scores and the requested logits are scene-sized. Every score
-    is row-wise, so a row keeps the bits of a whole-scene pass. mcd:n runs
-    n dropout forwards of the main head, pass i seeded base_seed + i; de:n
-    runs the eval-mode pass of each of the first n ensemble heads. The mean
-    p of their softmaxes gives the predictive entropy and the logits
-    log(max(p, 1e-12)). The bundle must pass check_methods(methods, bundle).
+    `features` (an array, or CorruptedRows) is read in one feature_blocks
+    pass: ours, max-softmax and entropy score a row block from the main
+    head's eval-mode forward (ours from its penultimate features), and de:n
+    runs the first n ensemble heads on it; the mean p of their softmaxes
+    gives the predictive entropy and the logits log(max(p, 1e-12)). Every
+    score is row-wise, so a row keeps the bits of a whole-scene pass. mcd:n
+    runs n dropout forwards of the main head over the whole scene (joined
+    first), pass i seeded base_seed + i, with the mean p as for de. The
+    bundle must pass check_methods(methods, bundle).
 
     Float32 features score as their float64 copy would: each forward widens
     what its first layer reads, so no scene-sized float64 copy is held.
     """
-    features = np.asarray(features)
     parsed = [(method,) + parse_method(method) for method in methods]
-    n = len(features)
+    if hasattr(features, "blocks") and any(name == "mcd" for _, name, _ in parsed):
+        features = features.join()
+    n, k = len(features), bundle.head.config.num_classes
     shared = [m for m in ("ours", *_SOFTMAX_SCORES) if m in methods]
     scores = {m: np.empty(n) for m in shared}
-    logits = {}
-    if shared:
-        eval_logits = (np.empty((n, bundle.head.config.num_classes)) if with_logits
-                       else None)
-        for lo, hi, out in eval_blocks(bundle.head, features):
+    eval_logits = np.empty((n, k)) if shared and with_logits else None
+    ensembles = {method: params["n"] for method, name, params in parsed if name == "de"}
+    mean_probs = {method: np.empty((n, k)) for method in ensembles}
+    for lo, hi, x in feature_blocks(features):
+        if shared:
+            out = bundle.head.forward(x)
             probs = softmax(out.logits) if shared != ["ours"] else None
             for m in shared:
                 scores[m][lo:hi] = (epistemic_score(bundle.gda_model, out.penultimate_features)
@@ -222,32 +224,22 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
             if with_logits:
                 eval_logits[lo:hi] = out.logits
             del out, probs
-        if with_logits:
-            logits.update(dict.fromkeys(shared, eval_logits))
+        for method, members in ensembles.items():
+            # a running sum in member order: the bits of a mean over stacked members
+            mean_probs[method][lo:hi] = sum(
+                softmax(h.forward(x).logits) for h in bundle.ensemble_heads[:members]) / members
+    logits = dict.fromkeys(shared, eval_logits) if with_logits else {}
     for method, name, params in parsed:
         if name == "mcd":
             passes = (bundle.head.forward(features, dropout_p=params["p"],
                                           dropout_rng=np.random.default_rng(base_seed + i)).logits
                       for i in range(params["n"]))
-        elif name == "de":
-            passes = (_eval_logits(h, features) for h in bundle.ensemble_heads[:params["n"]])
-        else:
-            continue
-        # a running sum in member order: the bits of a mean over stacked members
-        mean_probs = sum(softmax(member_logits) for member_logits in passes) / params["n"]
-        scores[method] = softmax_entropy(mean_probs)
-        if with_logits:
-            logits[method] = np.log(np.maximum(mean_probs, 1e-12))
+            mean_probs[method] = sum(softmax(pass_logits) for pass_logits in passes) / params["n"]
+        if name in ("mcd", "de"):
+            scores[method] = softmax_entropy(mean_probs[method])
+            if with_logits:
+                logits[method] = np.log(np.maximum(mean_probs[method], 1e-12))
     return scores, logits
-
-
-def _eval_logits(head, features):
-    """Logits of `head`'s eval-mode pass over `features`, from eval_blocks."""
-    logits = np.empty((len(features), head.config.num_classes))
-    for lo, hi, out in eval_blocks(head, features):
-        logits[lo:hi] = out.logits
-        del out
-    return logits
 
 
 def _cell_result(kind, severity, pop):

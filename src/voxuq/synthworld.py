@@ -7,6 +7,7 @@ float32, scenes concatenated, voxel order x -> y -> z then channel) and
 labels.bin (little-endian uint16, same voxel order).
 """
 
+import itertools
 import json
 import zlib
 from dataclasses import dataclass, asdict
@@ -23,8 +24,11 @@ REGIONS = ("full_scene", "front_sector")
 NOISE_COEF = 0.012
 FOG_COEF = 0.25
 BIAS_COEF = 0.4
-# bytes of float64 that fog and blur hold in one slab-sized temporary
+# bytes of float64 in one slab of x-planes (scene generation, blur's y and
+# z passes) or one block of CorruptedRows.join
 SLAB_BYTES = 1 << 20
+# values per leaf of feature_std's pairwise sums
+STD_LEAF = 1 << 15
 
 
 class GenerationError(RuntimeError):
@@ -112,10 +116,11 @@ class FeatureDataset:
     split: str = ""
 
     def voxel_arrays(self):
-        """All scenes flattened and joined: (n_voxels, d) float64 features and
-        n_voxels labels, one copy of the split that training reads."""
+        """All scenes flattened and joined: (n_voxels, d) features, in the
+        scenes' dtype (float32 when generated or loaded), and n_voxels labels,
+        one copy of the split that training reads."""
         features, labels = zip(*self.iter_scene_arrays())
-        return np.concatenate(features, dtype=np.float64), np.concatenate(labels)
+        return np.concatenate(features), np.concatenate(labels)
 
     def iter_scene_arrays(self):
         for s in self.scenes:
@@ -178,13 +183,18 @@ def generate_scene(world, seed, scene_id=0):
     anchor[label] + P @ neighborhood_histogram + noise_scale * N(0, I), where
     the histogram holds the class proportions over the border-clamped 3x3x3
     neighborhood.
+
+    Features are made a slab of x-planes at a time (_slab_planes) into a
+    preallocated float32 scene: a slab's histogram reads one halo plane of
+    one-hot labels on each side, and its noise is drawn in slab order, so
+    the scene has the bits of a whole-scene pass.
     """
     cfg = world.config
     rng = np.random.default_rng(seed)
     gx, gy, gz = cfg.grid
     labels = np.zeros((gx, gy, gz), dtype=np.int64)
     n_obj = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
-    x, y, z = np.indices((gx, gy, gz))
+    x, y, z = np.indices((gx, gy, gz), sparse=True)
     for _ in range(n_obj):
         cls = int(rng.integers(1, cfg.num_classes))
         cx = rng.uniform(0, gx)
@@ -201,18 +211,25 @@ def generate_scene(world, seed, scene_id=0):
             inside = (((x - cx) / sx) ** 2 + ((y - cy) / sy) ** 2
                       + ((z - cz) / sz) ** 2) <= 1.0
         labels[inside] = cls
-    # anchors + hist P^T + noise_scale * noise, summed in place; the first
-    # sum is commutative, so starting from hist P^T gives the same bits
-    features = _box_blur(np.eye(cfg.num_classes)[labels], 1) @ world.projection.T
-    features += world.anchors[labels]
-    noise = rng.standard_normal((gx, gy, gz, cfg.feature_dim))
-    noise *= cfg.noise_scale
-    features += noise
-    del noise  # before the float32 copy, so that generation peaks no higher
     # the values features.bin stores, so a split holds the same numbers in
     # process as after a save and load
-    return VoxelScene(labels=labels, features=features.astype(np.float32),
-                      scene_id=scene_id, seed=seed)
+    features = np.empty((gx, gy, gz, cfg.feature_dim), dtype=np.float32)
+    step = _slab_planes(features)
+    for lo in range(0, gx, step):
+        hi = min(lo + step, gx)
+        a, b = max(lo - 1, 0), min(hi + 1, gx)
+        # hist P^T + anchors + noise_scale * noise, summed in place; the first
+        # sum is commutative, so starting from hist P^T gives the same bits
+        hist = _box_blur(np.eye(cfg.num_classes)[labels[a:b]], 1, lo - a, hi - a)
+        slab = hist @ world.projection.T
+        del hist
+        slab += world.anchors[labels[lo:hi]]
+        noise = rng.standard_normal(slab.shape)
+        noise *= cfg.noise_scale
+        slab += noise
+        features[lo:hi] = slab
+        del slab, noise  # before the next slab is made
+    return VoxelScene(labels=labels, features=features, scene_id=scene_id, seed=seed)
 
 
 def generate_dataset(world, split, n_scenes=None):
@@ -243,22 +260,45 @@ def feature_std(dataset):
     """Per-dataset feature standard deviation (single scalar), used to scale
     the noise corruption.
 
-    The bits of np.std over the split's features widened to float64, from
-    one float64 copy of them that the scenes are widened into; the
-    deviations are taken and squared in place, where np.std would hold a
-    second split-sized array for them.
+    The bits of np.std over the split's features widened to float64, with no
+    split-sized array: np.sum halves a run of n values at n//2 - (n//2) % 8
+    (its pairwise sum), so both sums split the joined features there down to
+    leaves of at most STD_LEAF values (128 or more, numpy's unsplit run), and
+    np.sum adds each leaf. A leaf is widened, and centred and squared for the
+    second sum, as it is read, so leaves may straddle scenes.
     """
-    x = np.concatenate([f for f, _ in dataset.iter_scene_arrays()], dtype=np.float64)
-    x -= x.mean(keepdims=True)
-    x *= x
-    return float(np.sqrt(x.sum() / x.size))
+    flats = [f.reshape(-1) for f, _ in dataset.iter_scene_arrays()]
+    starts = list(itertools.accumulate((f.size for f in flats), initial=0))
+
+    def leaf(lo, hi):
+        return np.concatenate([f[max(lo - s, 0):hi - s] for f, s in zip(flats, starts)
+                               if s < hi and lo < s + f.size], dtype=np.float64)
+
+    def squares(lo, hi):
+        x = leaf(lo, hi)
+        x -= mean
+        x *= x
+        return x
+
+    n = starts[-1]
+    mean = _pairwise_sum(leaf, 0, n) / n
+    return float(np.sqrt(_pairwise_sum(squares, 0, n) / n))
+
+
+def _pairwise_sum(leaf, lo, hi):
+    """The sum of the values leaf(lo, hi) in numpy's pairwise order."""
+    if hi - lo <= STD_LEAF:
+        return leaf(lo, hi).sum()
+    mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+    return _pairwise_sum(leaf, lo, mid) + _pairwise_sum(leaf, mid, hi)
 
 
 def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
     """Return a corrupted copy of `scene`; severity 0 is a bit-exact identity.
-    At severity 1-3 the features of the copy are float64, whatever the
-    float dtype of the scene's: widening is exact, so a float32 scene and its
-    float64 copy give the same cell.
+    At severity 1-3 the features of the copy are the CorruptedRows of the
+    scene joined into one float64 array, whatever the float dtype of the
+    scene's: widening is exact, so a float32 scene and its float64 copy give
+    the same cell.
 
     Transforms at severity m in {1,2,3} over the affected voxels:
       noise:      z += NOISE_COEF m sigma_z * N(0, I)
@@ -267,63 +307,94 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
       fog:        z <- (1-w) z + w f,  w = min(1, FOG_COEF m r / r_max)
       bias_shift: z += BIAS_COEF m b
     """
-    if spec.severity == 0:
-        return VoxelScene(labels=scene.labels.copy(), features=scene.features.copy(),
-                          scene_id=scene.scene_id, seed=scene.seed)
-    cfg = world.config
-    m = spec.severity
-    if spec.region == "front_sector":
-        mask = front_sector_mask(cfg)
-    else:
-        mask = ...  # every voxel, without a boolean-index copy
-    if spec.kind == "noise":
-        # noise + z: the bits of z + noise, without a third scene-sized buffer
-        noise = np.random.default_rng(seed).standard_normal(scene.features.shape)
-        noise *= NOISE_COEF * m * sigma_z
-        noise += scene.features
-        z = _replace_masked(scene.features, noise, mask)
-    elif spec.kind == "blur":
-        z = _replace_masked(scene.features, _box_blur(scene.features, m), mask)
-    elif spec.kind == "sector_drop":
-        z = scene.features.astype(np.float64)
-        z[mask] = 0.0
-    elif spec.kind == "fog":
-        w = _fog_weight(cfg.grid, m)
-        # the features times 1 - w in place, then + w f a slab at a time:
-        # the bits of (1 - w) z + w f, since multiplication commutes, in one
-        # scene-sized array
-        fogged = scene.features.astype(np.float64)
-        fogged *= 1.0 - w
-        step = _slab_planes(fogged)
-        for lo in range(0, len(fogged), step):
-            fogged[lo:lo + step] += w[lo:lo + step] * world.fog_vector
-        z = _replace_masked(scene.features, fogged, mask)
-    elif spec.kind == "bias_shift":
-        z = scene.features.astype(np.float64)
-        z[mask] += BIAS_COEF * m * world.bias_vector
-    else:
-        raise ValueError("unknown corruption kind %r" % spec.kind)
-    return VoxelScene(labels=scene.labels.copy(), features=z,
+    features = (CorruptedRows(scene, spec, seed, world, sigma_z).join()
+                .reshape(scene.features.shape) if spec.severity else scene.features.copy())
+    return VoxelScene(labels=scene.labels.copy(), features=features,
                       scene_id=scene.scene_id, seed=scene.seed)
 
 
-def _replace_masked(features, new, mask):
-    """`new` inside `mask` and `features` outside it; `new` itself when the
-    mask is every voxel, so a full-scene cell allocates no second copy."""
-    if mask is ...:
-        return new
-    z = features.astype(np.float64)
-    z[mask] = new[mask]
-    return z
+class CorruptedRows:
+    """The n x d features of `scene` under the corruption `spec` (see
+    apply_corruption), made one row block at a time in voxel order.
+
+    blocks(bounds) yields the rows lo:hi for each (lo, hi) of `bounds`, which
+    cut 0..n into consecutive ranges: float64 at severity 1-3, the scene's
+    own rows at severity 0. Each call makes the rows afresh; join() holds all
+    of them in one array. Noise is drawn in row order and blur sums each
+    x-plane once, from the planes of the scene around it, so a block holds
+    the bits of the same rows of a whole-scene pass.
+    """
+
+    def __init__(self, scene, spec, seed, world, sigma_z=1.0):
+        self.scene, self.spec, self.seed, self.world = scene, spec, seed, world
+        self.sigma_z = sigma_z
+
+    def __len__(self):
+        return self.scene.labels.size
+
+    def join(self):
+        z = np.empty((len(self), self.world.config.feature_dim))
+        step = max(1, SLAB_BYTES // z[0].nbytes)
+        bounds = [(lo, min(lo + step, len(z))) for lo in range(0, len(z), step)]
+        for (lo, hi), block in zip(bounds, self.blocks(bounds)):
+            z[lo:hi] = block
+        return z
+
+    def blocks(self, bounds):
+        world, m, kind = self.world, self.spec.severity, self.spec.kind
+        x = self.scene.features.reshape(len(self), -1)
+        # each transform as one expression over a block of x, which widens to
+        # float64 as it is read: the bits of the in-place whole-scene passes
+        if m == 0:
+            rows = lambda lo, hi: x[lo:hi]
+        elif kind == "noise":
+            rng, scale = np.random.default_rng(self.seed), NOISE_COEF * m * self.sigma_z
+            rows = lambda lo, hi: rng.standard_normal((hi - lo, x.shape[1])) * scale + x[lo:hi]
+        elif kind == "blur":
+            rows = _blurred_rows(self.scene.features, m)
+        elif kind == "sector_drop":
+            rows = lambda lo, hi: np.zeros((hi - lo, x.shape[1]))
+        elif kind == "fog":
+            w = _fog_weight(world.config.grid, m).reshape(-1, 1)
+            rows = lambda lo, hi: x[lo:hi] * (1.0 - w[lo:hi]) + w[lo:hi] * world.fog_vector
+        else:
+            rows = lambda lo, hi: x[lo:hi] + BIAS_COEF * m * world.bias_vector
+        outside = (~front_sector_mask(world.config).reshape(-1)
+                   if self.spec.region == "front_sector" and m else None)
+        for lo, hi in bounds:
+            z = rows(lo, hi)
+            if outside is not None:
+                keep = outside[lo:hi]
+                z[keep] = x[lo:hi][keep]
+            yield z
+
+
+def _blurred_rows(features, m):
+    """rows(lo, hi): rows lo:hi of the (2m+1)^3 box blur of the scene
+    `features`, flattened in voxel order, for consecutive ranges. Each range
+    blurs, as one slab, the x-planes it reaches beyond the last slab, so no
+    plane is blurred twice; a range that straddles two slabs is joined."""
+    d = features.shape[-1]
+    per_plane = features[0].size // d
+    slab, start = np.empty((0, d)), 0  # the last slab and its first row
+
+    def rows(lo, hi):
+        nonlocal slab, start
+        end = start + len(slab)
+        if hi <= end:
+            return slab[lo - start:hi - start]
+        head, planes = slab[lo - start:], (end // per_plane, -(-hi // per_plane))
+        slab, start = _box_blur(features, m, *planes).reshape(-1, d), end
+        return np.concatenate([head, slab[:hi - end]]) if len(head) else slab[:hi - end]
+
+    return rows
 
 
 def _fog_weight(grid, m):
     """The fog weight w = min(1, FOG_COEF m r / r_max) of every voxel, as a
-    (gx, gy, gz, 1) array; r is the distance from the grid center. Its
-    grid-sized index arrays are freed on return, before fog builds its
-    scene-sized array."""
+    (gx, gy, gz, 1) array; r is the distance from the grid center."""
     gx, gy, gz = grid
-    x, y, zz = np.indices((gx, gy, gz))
+    x, y, zz = np.indices((gx, gy, gz), sparse=True)
     center = np.array([(gx - 1) / 2.0, (gy - 1) / 2.0, (gz - 1) / 2.0])
     r = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2 + (zz - center[2]) ** 2)
     return np.minimum(1.0, FOG_COEF * m * r / r.max())[..., None]
@@ -335,26 +406,28 @@ def _slab_planes(a):
     return max(1, SLAB_BYTES // (8 * max(1, a[0].size)))
 
 
-def _box_blur(features, m):
-    """Mean over the (2m+1)^3 border-clamped spatial window, per channel.
+def _box_blur(features, m, lo=0, hi=None):
+    """Mean over the (2m+1)^3 border-clamped spatial window, per channel, of
+    the x-planes lo:hi of `features` (all of them by default).
 
-    Separable: a border-clamped (2m+1)-tap sum along x into one float64
-    buffer, then the y and z tap sums slab by slab (_slab_planes; neither
-    crosses an x-plane) through one slab-sized buffer, written back into the
-    first, then one division: the result and that slab are the only
-    float64 arrays it holds. Each tap adds a slice view (a tap past the
-    border adds the edge plane by broadcast), and every element gets its
-    additions in the order of whole-array axis passes. Taps are clamped to
-    the axis length, so grids smaller than m work. Integer-valued input
-    gives exact partial sums, hence the same bits as summing the (2m+1)^3
-    shifted copies.
+    Separable: each plane's border-clamped (2m+1)-tap sum along x, read from
+    the planes of `features` around it, into one float64 buffer, then the y
+    and z tap sums slab by slab (_slab_planes; neither crosses an x-plane)
+    through one slab-sized buffer, written back into the first, then one
+    division: the result and that slab are the only float64 arrays it holds.
+    Each tap adds a slice view (a tap past the border adds the edge plane by
+    broadcast), and every element gets its additions in the order of
+    whole-array axis passes, so any planes lo:hi keep their bits. Taps are
+    clamped to the axis length, so grids smaller than m work. Integer-valued
+    input gives exact partial sums, hence the same bits as summing the
+    (2m+1)^3 shifted copies.
     """
-    acc = features.astype(np.float64)
-    _add_taps(acc, features, 0, m)
+    acc = features[lo:hi].astype(np.float64)
+    _add_taps(acc, features, 0, m, lo)
     step = _slab_planes(acc)
     buffer = np.empty_like(acc[:step])
-    for lo in range(0, len(acc), step):
-        slab = acc[lo:lo + step]
+    for a in range(0, len(acc), step):
+        slab = acc[a:a + step]
         y_sums = buffer[:len(slab)]
         y_sums[...] = slab
         _add_taps(y_sums, slab, 1, m)
@@ -364,17 +437,19 @@ def _box_blur(features, m):
     return acc
 
 
-def _add_taps(dst, src, axis, m):
+def _add_taps(dst, src, axis, m, lo=0):
     """Add src shifted by -m..-1 and 1..m along `axis`, border-clamped, to
-    dst, which holds src's values: dst becomes the (2m+1)-tap sum."""
+    dst, which holds src's values at positions lo..lo + len(dst) of that
+    axis: dst becomes the (2m+1)-tap sum there."""
     src, dst = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
-    n = src.shape[0]
+    n, hi = len(src), lo + len(dst)
     for k in range(1, m + 1):
-        k = min(k, n)
-        dst[:n - k] += src[k:]
-        dst[n - k:] += src[n - 1:]
-        dst[k:] += src[:n - k]
-        dst[:k] += src[:1]
+        cut = min(max(n - k, lo), hi)  # positions below cut add src[i + k]
+        dst[:cut - lo] += src[lo + k:cut + k]
+        dst[cut - lo:] += src[n - 1:]
+        cut = max(min(k, hi), lo)  # positions from cut add src[i - k]
+        dst[cut - lo:] += src[cut - k:hi - k]
+        dst[:cut - lo] += src[:1]
 
 
 def corruption_seed(dataset_seed, kind, severity, scene_index):
@@ -387,8 +462,9 @@ def grid_splits(dataset, world, corruptions=CORRUPTION_KINDS, severities=(1, 2, 
     """Yield the splits of the corruption grid as (kind, severity, scenes),
     `scenes` yielding one (features, labels) pair per scene: first the clean
     split (None, 0, dataset.iter_scene_arrays()), then every full-scene cell
-    in order, which corrupts each scene when it is read. The noise scales
-    with the clean split's feature std; scene i of a cell is corrupted with
+    in order, whose features are CorruptedRows: a scene is corrupted a row
+    block at a time as it is read. The noise scales with the clean split's
+    feature std; scene i of a cell is corrupted with
     corruption_seed(world seed, kind, severity, i)."""
     yield None, 0, dataset.iter_scene_arrays()
     sigma_z = feature_std(dataset)
@@ -401,10 +477,7 @@ def _corrupted_scenes(dataset, world, kind, severity, sigma_z):
     spec = CorruptionSpec(kind=kind, severity=severity)
     for i, s in enumerate(dataset.scenes):
         seed = corruption_seed(world.config.seed, kind, severity, i)
-        # no name holds a corrupted scene, so it is freed before the next is built;
-        # corruption keeps the labels
-        yield (apply_corruption(s, spec, seed, world, sigma_z=sigma_z).features
-               .reshape(-1, world.config.feature_dim), s.labels.reshape(-1))
+        yield CorruptedRows(s, spec, seed, world, sigma_z), s.labels.reshape(-1)
 
 
 # -- dataset directory I/O -------------------------------------------------

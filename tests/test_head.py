@@ -330,3 +330,29 @@ def test_lipschitz_upper_bound_formula():
     assert lipschitz_upper_bound(cfg) == 8.0
     cfg = small_config(num_layers=2, sn_coefficient=0.5)
     assert lipschitz_upper_bound(cfg) == 2.25
+
+
+def test_training_holds_no_float64_copy_of_its_split():
+    """train_on_dataset on a generated float32 split of 16 scenes: the join of
+    the split stays float32 and each minibatch is widened as it is read, so
+    training peaks below the bytes of one float64 copy of the features, and
+    the head and its log have the bits of training on that copy."""
+    config = synthworld.WorldConfig(grid=(32, 32, 4), train_scenes=16, seed=3)
+    ds = synthworld.generate_dataset(synthworld.generate_world(config), "train")
+    head_config = pipeline.head_config_for_world(config)
+    tracemalloc.start()
+    try:
+        head, log = pipeline.train_on_dataset(head_config, ds, seed=4, epochs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    x, y = ds.voxel_arrays()
+    assert x.dtype == np.float32
+    assert peak < x.size * 8
+    want = ResidualMlpHead(head_config, seed=4)
+    want_log = train_head(want, x.astype(np.float64), y,
+                          opt=OptimizerState(lr=pipeline.DEFAULT_LR), epochs=1,
+                          batch_size=pipeline.DEFAULT_BATCH, seed=4)
+    assert log.losses == want_log.losses and log.accuracies == want_log.accuracies
+    for name, p in head.parameters().items():
+        assert p.tobytes() == want.parameters()[name].tobytes(), name

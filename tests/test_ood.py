@@ -374,22 +374,33 @@ def test_method_check_runs_once_before_any_scene(tiny, monkeypatch):
     assert checks == [["ours", "entropy"]] and len(scored) == 2 * len(test.scenes)
 
 
+def counting_corruptions(monkeypatch, count):
+    """Call count() each time a scene's corrupted rows start to be made."""
+    blocks = synthworld.CorruptedRows.blocks
+
+    def counting_blocks(self, bounds):
+        count()
+        return blocks(self, bounds)
+
+    monkeypatch.setattr(synthworld.CorruptedRows, "blocks", counting_blocks)
+
+
+def joined(features):
+    """A scene's features as one array: corrupted rows are joined."""
+    return features.join() if hasattr(features, "blocks") else features
+
+
 def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
     world, bundle, train, test = tiny
     calls = {"forward": 0, "corruption": 0}
     forward = ResidualMlpHead.forward
-    apply_corruption = synthworld.apply_corruption
 
     def counting_forward(self, *args, **kwargs):
         calls["forward"] += 1
         return forward(self, *args, **kwargs)
 
-    def counting_corruption(*args, **kwargs):
-        calls["corruption"] += 1
-        return apply_corruption(*args, **kwargs)
-
     monkeypatch.setattr(ResidualMlpHead, "forward", counting_forward)
-    monkeypatch.setattr(synthworld, "apply_corruption", counting_corruption)
+    counting_corruptions(monkeypatch, lambda: calls.update(corruption=calls["corruption"] + 1))
     run_sweep(["ours", "max-softmax", "entropy"], bundle, world, test, seed=SWEEP_SEED)
     n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
     assert calls == {"forward": n * (1 + cells), "corruption": n * cells}
@@ -411,6 +422,7 @@ def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
     score = score_scene
 
     def recording_score(methods, b, features, base_seed=0, with_logits=True):
+        features = joined(features)
         calls.append((features.tobytes(), base_seed))
         return score(methods, b, features, base_seed=base_seed, with_logits=with_logits)
 
@@ -436,30 +448,28 @@ def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
 
 
 def test_a_cell_corrupts_each_scene_as_it_is_scored(tiny, monkeypatch):
-    """run_sweep and evaluate_calibration score scene i of a cell before any
-    later scene of that cell is corrupted: per cell, every score_scene call
-    follows exactly one more apply_corruption call than the one before."""
+    """run_sweep and evaluate_calibration corrupt scene i of a cell while it
+    is scored, and no later scene of that cell before: per cell, every
+    score_scene call starts one corruption, its own."""
     world, bundle, _, test = tiny
     n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
     corrupted, seen = [0], []
-    score, corrupt = score_scene, synthworld.apply_corruption
+    score = score_scene
 
     def counting_score(*args, **kwargs):
-        seen.append(corrupted[0])
-        return score(*args, **kwargs)
-
-    def counting_corruption(*args, **kwargs):
-        corrupted[0] += 1
-        return corrupt(*args, **kwargs)
+        before = corrupted[0]
+        scored = score(*args, **kwargs)
+        seen.append((before, corrupted[0]))
+        return scored
 
     monkeypatch.setattr(ood, "score_scene", counting_score)
-    monkeypatch.setattr(synthworld, "apply_corruption", counting_corruption)
+    counting_corruptions(monkeypatch, lambda: corrupted.__setitem__(0, corrupted[0] + 1))
     run_sweep(["ours", "entropy"], bundle, world, test, seed=SWEEP_SEED)
     swept = list(seen)
     seen.clear()
     corrupted[0] = 0
     evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
-    assert swept == seen == [0] * n + list(range(1, n * cells + 1))
+    assert swept == seen == [(0, 0)] * n + [(i, i + 1) for i in range(n * cells)]
 
 
 def test_materialised_grid_gives_the_pairs_of_a_lazy_walk(tiny):
@@ -469,7 +479,7 @@ def test_materialised_grid_gives_the_pairs_of_a_lazy_walk(tiny):
     world, _, _, test = tiny
 
     def read(walk):
-        return [(kind, severity, [(f.tobytes(), y.tobytes()) for f, y in scenes])
+        return [(kind, severity, [(joined(f).tobytes(), y.tobytes()) for f, y in scenes])
                 for kind, severity, scenes in walk]
 
     lazy = read(synthworld.grid_splits(test, world))
@@ -770,3 +780,24 @@ def test_blocks_of_2049_rows_score_ours_with_no_row_alone():
         pairs = np.concatenate([bundle.gda_model.log_density(z[i:i + 2])
                                 for i in range(0, n, 2)])
         assert scores["ours"].tobytes() == (-pairs).tobytes()
+
+
+def test_paper_sweep_holds_no_scene_sized_float64_array(tmp_path):
+    """run_sweep(["ours"]) over one loaded 64x64x16 scene, with a head as wide
+    as its 32 features, as the benchmark's paper grid runs it: sigma_z, each
+    corrupted scene and its scores are made a row block at a time, so the
+    walk peaks below three quarters of the 16 MiB that one float64 copy of
+    the scene would add (the log-density's chunk buffer alone is 5.7 MiB)."""
+    config = synthworld.WorldConfig(grid=(64, 64, 16), test_scenes=1, seed=5)
+    world = synthworld.generate_world(config)
+    synthworld.save_dataset(synthworld.generate_dataset(world, "test"), tmp_path / "test")
+    test = synthworld.load_dataset(tmp_path / "test")
+    bundle = random_bundle(config.feature_dim, config.feature_dim,
+                           num_classes=config.num_classes)
+
+    def sweep():
+        run_sweep(["ours"], bundle, world, test, seed=SWEEP_SEED, region_level=False)
+
+    sweep()  # warmed up, as the other walks are
+    scene = config.voxels_per_scene * config.feature_dim * 8
+    assert traced_peak(sweep) < scene * 3 / 4

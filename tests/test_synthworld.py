@@ -3,12 +3,16 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxuq import synthworld
-from voxuq.synthworld import (CorruptionSpec, WorldConfig, apply_corruption,
+from voxuq.synthworld import (BIAS_COEF, FOG_COEF, NOISE_COEF, CorruptionSpec, WorldConfig,
+                              apply_corruption,
                               corruption_seed, feature_std, front_sector_mask,
                               generate_dataset, generate_scene, generate_world,
                               load_dataset, save_dataset, scene_seed)
@@ -381,10 +385,10 @@ def test_save_load_round_trip(tmp_path, world):
 
 
 
-def test_voxel_arrays_hold_one_float64_copy_of_the_split(tmp_path, world):
+def test_voxel_arrays_hold_one_float32_copy_of_the_split(tmp_path, world):
     """A loaded split's voxel arrays: its scenes joined in order, features
-    widened to float64, in new arrays that share no memory with the scenes,
-    and the join holds no second copy of the features on the way."""
+    kept as float32, in new arrays that share no memory with the scenes,
+    and the join holds nothing beyond the two arrays on the way."""
     save_dataset(generate_dataset(world, "test"), tmp_path / "test")
     ds = load_dataset(tmp_path / "test")
     tracemalloc.start()
@@ -393,15 +397,14 @@ def test_voxel_arrays_hold_one_float64_copy_of_the_split(tmp_path, world):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert feats.dtype == np.float64 and feats.flags.c_contiguous
+    assert feats.dtype == np.float32 and feats.flags.c_contiguous
     for s in ds.scenes:
         assert not np.shares_memory(feats, s.features)
         assert not np.shares_memory(labels, s.labels)
     d = world.config.feature_dim
-    assert feats.tobytes() == np.concatenate(
-        [s.features.reshape(-1, d) for s in ds.scenes]).astype(np.float64).tobytes()
+    assert feats.tobytes() == np.concatenate([s.features.reshape(-1, d) for s in ds.scenes]).tobytes()
     assert np.array_equal(labels, np.concatenate([s.labels.reshape(-1) for s in ds.scenes]))
-    assert peak <= feats.nbytes + labels.nbytes + 4096
+    assert peak <= feats.nbytes + labels.nbytes + 1024
 
 
 def test_load_rejects_future_schema(tmp_path, world):
@@ -451,3 +454,148 @@ def test_load_rejects_wrong_size_files(tmp_path, world, name, change):
     path.write_bytes(raw[:change] if change < 0 else raw + b"\0" * change)
     with pytest.raises(ValueError, match=name):
         load_dataset(tmp_path / "val")
+
+
+# -- block-wise generation, corruption and sigma_z ----------------------------
+
+def whole_scene_generation(world, seed):
+    """generate_scene's labels and features from whole-scene passes: the
+    neighbourhood histogram of all labels at once and one noise draw for the
+    whole scene, then one cast to float32."""
+    cfg = world.config
+    rng = np.random.default_rng(seed)
+    gx, gy, gz = cfg.grid
+    labels = np.zeros((gx, gy, gz), dtype=np.int64)
+    x, y, z = np.indices((gx, gy, gz))
+    for _ in range(int(rng.integers(cfg.objects_min, cfg.objects_max + 1))):
+        cls = int(rng.integers(1, cfg.num_classes))
+        cx, cy, cz = rng.uniform(0, gx), rng.uniform(0, gy), rng.uniform(0, gz)
+        sx = rng.uniform(1.0, max(1.0, gx / 5.0))
+        sy = rng.uniform(1.0, max(1.0, gy / 5.0))
+        sz = rng.uniform(0.8, max(1.0, gz / 2.0))
+        if rng.integers(0, 2) == 0:
+            inside = (np.abs(x - cx) <= sx) & (np.abs(y - cy) <= sy) & (np.abs(z - cz) <= sz)
+        else:
+            inside = ((x - cx) / sx) ** 2 + ((y - cy) / sy) ** 2 + ((z - cz) / sz) ** 2 <= 1.0
+        labels[inside] = cls
+    features = loop_neighborhood_histogram(labels, cfg.num_classes) @ world.projection.T
+    features += world.anchors[labels]
+    noise = rng.standard_normal((gx, gy, gz, cfg.feature_dim))
+    noise *= cfg.noise_scale
+    features += noise
+    return labels, features.astype(np.float32)
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 720, synthworld.SLAB_BYTES])
+@pytest.mark.parametrize("grid", [(1, 4, 4), (7, 5, 3), (3, 9, 2), (24, 24, 4)])
+def test_slab_wise_generation_keeps_the_bits_of_a_whole_scene_pass(monkeypatch, grid,
+                                                                   slab_bytes):
+    """Slabs of one plane (narrower than the two halo planes around them), of
+    a few planes, and of the whole grid give a whole-scene pass's bits."""
+    monkeypatch.setattr(synthworld, "SLAB_BYTES", slab_bytes)
+    world = generate_world(small_config(grid=grid, objects_min=3, objects_max=6))
+    for seed in (42, 7):
+        got = generate_scene(world, seed)
+        labels, features = whole_scene_generation(world, seed)
+        assert got.labels.tobytes() == labels.tobytes()
+        assert got.features.tobytes() == features.tobytes(), (grid, slab_bytes, seed)
+
+
+def test_generate_scene_peaks_at_half_its_output_above_it():
+    world = generate_world(small_config(grid=(64, 64, 16), feature_dim=32, num_classes=17))
+    tracemalloc.start()
+    try:
+        scene = generate_scene(world, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scene.features.dtype == np.float32
+    assert peak <= 1.5 * scene.features.nbytes
+
+
+def whole_scene_corruption(scene, spec, seed, world, sigma_z):
+    """apply_corruption's features from whole-scene passes: one noise draw,
+    and the blur as three whole-scene axis passes, each element adding its
+    taps in the order centre, +1, -1, +2, -2, ..."""
+    x, m, cfg = scene.features, spec.severity, world.config
+    z = x.astype(np.float64)
+    if spec.kind == "noise":
+        z = np.random.default_rng(seed).standard_normal(x.shape) * (NOISE_COEF * m * sigma_z) + x
+    elif spec.kind == "blur":
+        for axis in range(3):
+            src = z.copy() if axis else x
+            idx = np.arange(x.shape[axis])
+            for k in range(1, m + 1):
+                z += np.take(src, np.minimum(idx + k, len(idx) - 1), axis=axis)
+                z += np.take(src, np.maximum(idx - k, 0), axis=axis)
+        z /= (2 * m + 1) ** 3
+    elif spec.kind == "sector_drop":
+        z[...] = 0.0
+    elif spec.kind == "fog":
+        i, j, k = np.indices(cfg.grid)
+        r = np.sqrt((i - (cfg.grid[0] - 1) / 2.0) ** 2 + (j - (cfg.grid[1] - 1) / 2.0) ** 2
+                    + (k - (cfg.grid[2] - 1) / 2.0) ** 2)
+        w = np.minimum(1.0, FOG_COEF * m * r / r.max())[..., None]
+        z *= 1.0 - w
+        z += w * world.fog_vector
+    else:
+        z += BIAS_COEF * m * world.bias_vector
+    if spec.region == "front_sector":
+        z = np.where(front_sector_mask(cfg)[..., None], z, x.astype(np.float64))
+    return z
+
+
+@pytest.mark.parametrize("grid, block", [((9, 7, 3), 13), ((9, 7, 3), 50), ((2, 3, 2), 5),
+                                         ((5, 4, 2), 4096)])
+def test_corrupted_rows_keep_the_bits_of_a_whole_scene_pass(grid, block):
+    """Every kind, severity and region, in blocks that straddle x-planes (of
+    21 rows at 9x7x3), span several, or cover the scene, and with m larger
+    than the two planes of a 2x3x2 grid: the blocks, their join and
+    apply_corruption hold the bits of whole_scene_corruption."""
+    world = generate_world(small_config(grid=grid))
+    scene = generate_scene(world, 5)
+    n = scene.labels.size
+    bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    for kind in synthworld.CORRUPTION_KINDS:
+        for severity in (1, 2, 3):
+            for region in synthworld.REGIONS:
+                spec = CorruptionSpec(kind=kind, severity=severity, region=region)
+                want = whole_scene_corruption(scene, spec, 9, world, 0.7).reshape(n, -1)
+                rows = synthworld.CorruptedRows(scene, spec, 9, world, 0.7)
+                blocks = list(rows.blocks(bounds))
+                assert all(b.dtype == np.float64 for b in blocks)
+                assert np.concatenate(blocks).tobytes() == want.tobytes(), (kind, severity, region)
+                assert rows.join().tobytes() == want.tobytes()
+                got = apply_corruption(scene, spec, 9, world, sigma_z=0.7).features
+                assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 900), min_size=1, max_size=6),
+       leaf=st.integers(128, 700), seed=st.integers(0, 2 ** 32 - 1))
+def test_feature_std_in_leaves_keeps_the_bits_of_np_std(sizes, leaf, seed):
+    """Leaves of 128 values or more, cut across scene boundaries, sum to the
+    bits of np.std over the joined features widened to float64."""
+    rng = np.random.default_rng(seed)
+    scenes = [synthworld.VoxelScene(labels=np.zeros(k, dtype=np.int64),
+                                    features=(rng.standard_normal((k, 2)) * 5 + 3)
+                                    .astype(np.float32), scene_id=i, seed=i)
+              for i, k in enumerate(sizes)]
+    ds = synthworld.FeatureDataset(scenes=scenes, config=small_config(feature_dim=2))
+    want = np.concatenate([s.features for s in scenes]).astype(np.float64).std()
+    with mock.patch.object(synthworld, "STD_LEAF", leaf):
+        got = feature_std(ds)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_feature_std_holds_one_leaf(tmp_path):
+    cfg = small_config(grid=(40, 40, 8), feature_dim=16, test_scenes=2)
+    save_dataset(generate_dataset(generate_world(cfg), "test"), tmp_path / "test")
+    ds = load_dataset(tmp_path / "test")
+    tracemalloc.start()
+    try:
+        feature_std(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= synthworld.STD_LEAF * 8 + 4096
