@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .head import eval_blocks
+from .head import feature_blocks
 from .nn_core import near_equal_blocks
 
 DEFAULT_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -131,10 +131,10 @@ def collect_features(head, scenes, cap_per_class, seed):
 
     `scenes` yields (features, labels) pairs with features n x d_in and
     integer labels of length n; a scene's penultimate features are joined
-    from the head's eval_blocks. A class keeps its first cap_per_class rows
-    as slices of those arrays, joined into one array when the class fills
-    or the pass ends. Each later row draws j from rng.integers
-    and replaces row j of that array if j < cap_per_class.
+    from the head's forward of each of its feature_blocks. A class keeps its
+    first cap_per_class rows as slices of those arrays, joined into one
+    array when the class fills or the pass ends. Each later row draws j
+    from rng.integers and replaces row j of that array if j < cap_per_class.
     """
     rng = np.random.default_rng(seed)
     k = head.config.num_classes
@@ -142,8 +142,8 @@ def collect_features(head, scenes, cap_per_class, seed):
     full = {}                           # class id -> cap_per_class x d reservoir
     seen = dict.fromkeys(range(k), 0)
     for features, labels in scenes:
-        feats = np.concatenate([out.penultimate_features
-                                for _, _, out in eval_blocks(head, features)])
+        feats = np.concatenate([head.forward(x).penultimate_features
+                                for _, _, x in feature_blocks(features)])
         labels = np.asarray(labels).ravel()
         for c in np.unique(labels).tolist():
             rows = feats[labels == c]

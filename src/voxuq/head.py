@@ -18,7 +18,7 @@ from .nn_core import (
     power_iteration,
 )
 
-# rows per block of eval_blocks; bounds the temporaries of an eval pass
+# rows per block of feature_blocks; bounds the temporaries of an eval pass
 FORWARD_BLOCK = 4096
 
 
@@ -60,12 +60,6 @@ class TrainLog:
     epochs: list = field(default_factory=list)
     losses: list = field(default_factory=list)
     accuracies: list = field(default_factory=list)
-
-
-def row_blocks(n):
-    """near_equal_blocks of at most FORWARD_BLOCK rows covering n rows, so a
-    blocked pass keeps every row's bits."""
-    return near_equal_blocks(n, FORWARD_BLOCK)
 
 
 class ResidualMlpHead:
@@ -111,16 +105,16 @@ class ResidualMlpHead:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, features, cache=None, update_sn=False, sn_iters=1, dropout_p=0.0,
-                dropout_rng=None):
+                dropout_rngs=None):
         """Logits and penultimate features of n x input_dim `features`, in one
-        pass over all rows; eval passes over many rows go through
-        eval_blocks instead.
+        pass over all rows; passes over many rows run it on each of their
+        feature_blocks instead.
 
         dropout_p > 0 applies inverted dropout after every hidden activation,
-        with keep masks drawn from `dropout_rng` (MC-Dropout passes); a rate
-        outside [0, 1) raises ValueError. With a list `cache`, each hidden
-        layer appends its linear_forward entry and then its pre-activation,
-        and the classifier appends its entry last.
+        with layer i's keep masks drawn from `dropout_rngs[i]` (MC-Dropout
+        passes); a rate outside [0, 1) raises ValueError. With a list `cache`,
+        each hidden layer appends its linear_forward entry and then its
+        pre-activation, and the classifier appends its entry last.
 
         Features of another float dtype are widened to float64 as each layer
         reads them, so float32 features give the bits of their float64 copy.
@@ -132,7 +126,7 @@ class ResidualMlpHead:
             pre = linear_forward(layer, x, cache, update_sn, sn_iters)
             act = leaky_relu(pre)
             if dropout_p > 0.0:
-                keep = dropout_rng.random(act.shape) >= dropout_p
+                keep = dropout_rngs[i].random(act.shape) >= dropout_p
                 act = act * keep / (1.0 - dropout_p)
             if self._block_has_skip(i):
                 act += x
@@ -224,35 +218,36 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
 
 
 def feature_blocks(features):
-    """Yield (lo, hi, rows lo:hi) over the row_blocks of `features`: an n x d
-    array, sliced, or rows made a block at a time, in one pass (len and
-    blocks(bounds), as synthworld.CorruptedRows)."""
-    bounds = row_blocks(len(features))
-    rows = (features.blocks(bounds) if hasattr(features, "blocks")
-            else (features[lo:hi] for lo, hi in bounds))
-    for (lo, hi), x in zip(bounds, rows):
-        yield lo, hi, x
+    """(lo, hi, rows lo:hi) of `features` in row order, in blocks of at most
+    FORWARD_BLOCK rows: the near_equal_blocks of an n x d array, or the
+    blocks of a source that makes its rows a block at a time
+    (synthworld.CorruptedRows). Rows do not interact, so a forward of each
+    block keeps every row's bits."""
+    if hasattr(features, "blocks"):
+        return features.blocks(FORWARD_BLOCK)
+    bounds = near_equal_blocks(len(features), FORWARD_BLOCK)
+    return ((lo, hi, features[lo:hi]) for lo, hi in bounds)
 
 
-def eval_blocks(head, features):
-    """Yield (lo, hi, head.forward(features[lo:hi])) over the feature_blocks
-    of `features`: the eval-mode pass over many rows, whose temporaries are
-    block-sized. Rows do not interact, so every row keeps the bits of one
-    forward over all rows. A consumer should drop each output before asking
-    for the next, so that two blocks' outputs are never held at once."""
-    for lo, hi, x in feature_blocks(features):
-        yield lo, hi, head.forward(x)
+def dropout_streams(head, seed, rows):
+    """One Generator per hidden layer, layer i's PCG64(seed) advanced past the
+    i * rows * hidden_width draws of the layers before it: forwards of
+    consecutive row blocks draw the masks of one forward over all `rows`
+    rows with default_rng(seed) for every layer."""
+    width = rows * head.config.hidden_width
+    return [np.random.Generator(np.random.PCG64(seed).advance(i * width))
+            for i in range(len(head.layers))]
 
 
 def accuracy(head, pairs):
     """Fraction of rows whose argmax logit is their label, over the
-    (features, labels) `pairs`, from eval_blocks of each features array, so
-    that no pair's penultimate array is held."""
+    (features, labels) `pairs`, from a forward of each feature_blocks block,
+    so that no pair's penultimate array is held."""
     correct = total = 0
     for features, labels in pairs:
-        for lo, hi, out in eval_blocks(head, features):
-            correct += int(np.count_nonzero(out.logits.argmax(axis=1) == labels[lo:hi]))
-            del out
+        for lo, hi, x in feature_blocks(features):
+            predicted = head.forward(x).logits.argmax(axis=1)
+            correct += int(np.count_nonzero(predicted == labels[lo:hi]))
         total += len(labels)
     return correct / total
 

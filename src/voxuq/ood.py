@@ -3,6 +3,7 @@ severity sweeps over the corruption suite, and histogram export for ID/OoD
 separation plots.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import synthworld
 from .gda import epistemic_score
-from .head import feature_blocks
+from .head import dropout_streams, feature_blocks
 from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
@@ -193,27 +194,36 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
     is empty and no scene-sized logits array is built.
 
     `features` (an array, or CorruptedRows) is read in one feature_blocks
-    pass: ours, max-softmax and entropy score a row block from the main
-    head's eval-mode forward (ours from its penultimate features), and de:n
-    runs the first n ensemble heads on it; the mean p of their softmaxes
-    gives the predictive entropy and the logits log(max(p, 1e-12)). Every
-    score is row-wise, so a row keeps the bits of a whole-scene pass. mcd:n
-    runs n dropout forwards of the main head over the whole scene (joined
-    first), pass i seeded base_seed + i, with the mean p as for de. The
-    bundle must pass check_methods(methods, bundle).
+    pass. ours, max-softmax and entropy score a block from the main head's
+    eval-mode forward (ours from its penultimate features). de:n and mcd:n
+    score it from n forwards: the first n ensemble heads, or n dropout
+    forwards of the main head, pass i with the masks of a whole-scene pass
+    seeded base_seed + i (head.dropout_streams); the mean p of their
+    softmaxes gives the predictive entropy and the logits log(max(p, 1e-12)).
+    Every score is row-wise, so a row keeps the bits of a whole-scene pass.
+    The bundle must pass check_methods(methods, bundle).
 
     Float32 features score as their float64 copy would: each forward widens
     what its first layer reads, so no scene-sized float64 copy is held.
     """
-    parsed = [(method,) + parse_method(method) for method in methods]
-    if hasattr(features, "blocks") and any(name == "mcd" for _, name, _ in parsed):
-        features = features.join()
     n, k = len(features), bundle.head.config.num_classes
     shared = [m for m in ("ours", *_SOFTMAX_SCORES) if m in methods]
-    scores = {m: np.empty(n) for m in shared}
+    ensembles = {}  # de:n or mcd:n -> its n forwards
+    for method in methods:
+        name, params = parse_method(method)
+        if name == "de":
+            ensembles[method] = [h.forward for h in bundle.ensemble_heads[:params["n"]]]
+        elif name == "mcd":
+            ensembles[method] = [
+                functools.partial(bundle.head.forward, dropout_p=params["p"],
+                                  dropout_rngs=dropout_streams(bundle.head, base_seed + i, n))
+                for i in range(params["n"])]
+    scores = {m: np.empty(n) for m in (*shared, *ensembles)}
     eval_logits = np.empty((n, k)) if shared and with_logits else None
-    ensembles = {method: params["n"] for method, name, params in parsed if name == "de"}
-    mean_probs = {method: np.empty((n, k)) for method in ensembles}
+    logits = {}
+    if with_logits:
+        logits = dict.fromkeys(shared, eval_logits)
+        logits.update((m, np.empty((n, k))) for m in ensembles)
     for lo, hi, x in feature_blocks(features):
         if shared:
             out = bundle.head.forward(x)
@@ -224,21 +234,12 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
             if with_logits:
                 eval_logits[lo:hi] = out.logits
             del out, probs
-        for method, members in ensembles.items():
-            # a running sum in member order: the bits of a mean over stacked members
-            mean_probs[method][lo:hi] = sum(
-                softmax(h.forward(x).logits) for h in bundle.ensemble_heads[:members]) / members
-    logits = dict.fromkeys(shared, eval_logits) if with_logits else {}
-    for method, name, params in parsed:
-        if name == "mcd":
-            passes = (bundle.head.forward(features, dropout_p=params["p"],
-                                          dropout_rng=np.random.default_rng(base_seed + i)).logits
-                      for i in range(params["n"]))
-            mean_probs[method] = sum(softmax(pass_logits) for pass_logits in passes) / params["n"]
-        if name in ("mcd", "de"):
-            scores[method] = softmax_entropy(mean_probs[method])
+        for method, forwards in ensembles.items():
+            # a running sum in forward order: the bits of a mean over stacked forwards
+            mean = sum(softmax(forward(x).logits) for forward in forwards) / len(forwards)
+            scores[method][lo:hi] = softmax_entropy(mean)
             if with_logits:
-                logits[method] = np.log(np.maximum(mean_probs[method], 1e-12))
+                logits[method][lo:hi] = np.log(np.maximum(mean, 1e-12))
     return scores, logits
 
 

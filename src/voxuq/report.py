@@ -185,8 +185,12 @@ def render_report(metrics_path, histograms_path, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(Path(metrics_path).read_text())
-    if doc.get("schema_version") != METRICS_SCHEMA_VERSION:
-        raise ValueError("metrics schema version mismatch")
+    if not isinstance(doc, dict) or doc.get("schema_version") != METRICS_SCHEMA_VERSION:
+        raise ValueError("not a metrics object of schema version %d" % METRICS_SCHEMA_VERSION)
+    blocks = doc["methods"].values() if isinstance(doc["methods"], dict) else [None]
+    if not all(isinstance(b, dict) and all(type(b.get(k, 0.0)) in (int, float) for k in (
+            "mauroc", "mfpr95", "region_mauroc", "region_mfpr95")) for b in blocks):
+        raise ValueError("'methods' must map each method to an object of numbers")
     tables = out_dir / "tables.md"
     body = "# Benchmark tables\n\n" + ood_table_markdown(doc)
     if not doc["methods"]:

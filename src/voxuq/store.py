@@ -26,6 +26,9 @@ from .head import HeadConfig, ResidualMlpHead
 MAGIC = b"OCUQ"
 FORMAT_VERSION = 1
 KINDS = ("head", "gda", "calib")
+# the dtypes a tensor may have, by name: little-endian booleans, integers and floats
+DTYPES = {d.str: d for d in (np.dtype(c).newbyteorder("<")
+                             for c in "?" + np.typecodes["AllInteger"] + np.typecodes["Float"])}
 
 
 class StoreError(RuntimeError):
@@ -39,16 +42,18 @@ def _write_str(f, s, width="H"):
 
 
 def _read_exact(f, n):
-    data = f.read(n)
-    if len(data) != n:
+    if n > len(f.getvalue()) - f.tell():
         raise StoreError("truncated artifact file")
-    return data
+    return f.read(n)
 
 
 def _read_str(f, width="H"):
     size = struct.calcsize("<" + width)
     (n,) = struct.unpack("<" + width, _read_exact(f, size))
-    return _read_exact(f, n).decode("utf-8")
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise StoreError("artifact text is not UTF-8: %s" % e)
 
 
 def write_artifact(path, kind, metadata, tensors):
@@ -77,7 +82,7 @@ def write_artifact(path, kind, metadata, tensors):
 
 def read_artifact(path, expected_kind=None):
     """Low-level reader; validates magic, version and (optionally) kind."""
-    with open(path, "rb") as f:
+    with io.BytesIO(Path(path).read_bytes()) as f:
         if _read_exact(f, 4) != MAGIC:
             raise StoreError("bad magic bytes in %s" % path)
         (version,) = struct.unpack("<H", _read_exact(f, 2))
@@ -89,17 +94,23 @@ def read_artifact(path, expected_kind=None):
         if expected_kind is not None and kind != expected_kind:
             raise StoreError("artifact kind mismatch: expected %r, found %r"
                              % (expected_kind, kind))
-        (meta_len,) = struct.unpack("<Q", _read_exact(f, 8))
-        metadata = json.loads(_read_exact(f, meta_len).decode("utf-8"))
+        try:
+            metadata = json.loads(_read_str(f, "Q"))
+        except ValueError as e:
+            raise StoreError("artifact metadata is not JSON: %s" % e)
+        if not isinstance(metadata, dict):
+            raise StoreError("artifact metadata is not a JSON object")
         (count,) = struct.unpack("<I", _read_exact(f, 4))
         tensors = {}
         for _ in range(count):
             name = _read_str(f)
-            dtype = np.dtype(_read_str(f))
+            dtype = DTYPES.get(_read_str(f))
+            if dtype is None:
+                raise StoreError("tensor %r has an unknown dtype" % name)
             (ndim,) = struct.unpack("<B", _read_exact(f, 1))
             shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0]
                           for _ in range(ndim))
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            nbytes = np.prod(shape, dtype=object) * dtype.itemsize  # Python ints: no wrap
             tensors[name] = np.frombuffer(_read_exact(f, nbytes),
                                           dtype=dtype).reshape(shape).copy()
         return kind, metadata, tensors
@@ -181,6 +192,11 @@ def load_calibration(path):
     _, metadata, _ = read_artifact(path, expected_kind="calib")
     if metadata.get("mode") != CALIB_MODE:
         raise StoreError("unsupported UGTS mode %r" % metadata.get("mode"))
-    return CalibrationParams(t_train=metadata["t_train"], lam=metadata["lambda"],
-                             u_bar_train=metadata["u_bar_train"],
-                             t_min=metadata["t_min"], t_max=metadata["t_max"])
+    # CalibrationParams' fields in order
+    values = [metadata.get(key) for key in ("t_train", "lambda", "u_bar_train", "t_min", "t_max")]
+    try:
+        if not all(type(v) in (int, float) and np.isfinite(v) for v in values):
+            raise ValueError("a value is missing or not a finite number")
+        return CalibrationParams(*values)
+    except ValueError as e:
+        raise StoreError("malformed calib metadata: %s" % e)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .nn_core import near_equal_blocks
+
 CORRUPTION_KINDS = ("noise", "blur", "sector_drop", "fog", "bias_shift")
 REGIONS = ("full_scene", "front_sector")
 
@@ -315,14 +317,14 @@ def apply_corruption(scene, spec, seed, world, sigma_z=1.0):
 
 class CorruptedRows:
     """The n x d features of `scene` under the corruption `spec` (see
-    apply_corruption), made one row block at a time in voxel order.
+    apply_corruption), made one block of whole x-planes at a time.
 
-    blocks(bounds) yields the rows lo:hi for each (lo, hi) of `bounds`, which
-    cut 0..n into consecutive ranges: float64 at severity 1-3, the scene's
-    own rows at severity 0. Each call makes the rows afresh; join() holds all
-    of them in one array. Noise is drawn in row order and blur sums each
-    x-plane once, from the planes of the scene around it, so a block holds
-    the bits of the same rows of a whole-scene pass.
+    blocks(max_rows) yields (lo, hi, rows lo:hi) over near_equal_blocks of
+    the x-planes, as many to a block as fit in max_rows and at least one:
+    float64 at severity 1-3, the scene's own rows at severity 0. Each call
+    makes the rows afresh; join() holds all of them in one array. Noise is
+    drawn in row order and blur sums a block's planes from the scene's
+    planes around them, so a block keeps the bits of a whole-scene pass.
     """
 
     def __init__(self, scene, spec, seed, world, sigma_z=1.0):
@@ -334,15 +336,14 @@ class CorruptedRows:
 
     def join(self):
         z = np.empty((len(self), self.world.config.feature_dim))
-        step = max(1, SLAB_BYTES // z[0].nbytes)
-        bounds = [(lo, min(lo + step, len(z))) for lo in range(0, len(z), step)]
-        for (lo, hi), block in zip(bounds, self.blocks(bounds)):
+        for lo, hi, block in self.blocks(max(1, SLAB_BYTES // z[0].nbytes)):
             z[lo:hi] = block
         return z
 
-    def blocks(self, bounds):
+    def blocks(self, max_rows):
         world, m, kind = self.world, self.spec.severity, self.spec.kind
         x = self.scene.features.reshape(len(self), -1)
+        planes, per_plane = len(self.scene.labels), self.scene.labels[0].size
         # each transform as one expression over a block of x, which widens to
         # float64 as it is read: the bits of the in-place whole-scene passes
         if m == 0:
@@ -351,7 +352,8 @@ class CorruptedRows:
             rng, scale = np.random.default_rng(self.seed), NOISE_COEF * m * self.sigma_z
             rows = lambda lo, hi: rng.standard_normal((hi - lo, x.shape[1])) * scale + x[lo:hi]
         elif kind == "blur":
-            rows = _blurred_rows(self.scene.features, m)
+            rows = lambda lo, hi: _box_blur(self.scene.features, m, lo // per_plane,
+                                            hi // per_plane).reshape(hi - lo, -1)
         elif kind == "sector_drop":
             rows = lambda lo, hi: np.zeros((hi - lo, x.shape[1]))
         elif kind == "fog":
@@ -361,33 +363,13 @@ class CorruptedRows:
             rows = lambda lo, hi: x[lo:hi] + BIAS_COEF * m * world.bias_vector
         outside = (~front_sector_mask(world.config).reshape(-1)
                    if self.spec.region == "front_sector" and m else None)
-        for lo, hi in bounds:
+        for plo, phi in near_equal_blocks(planes, max(1, max_rows // per_plane)):
+            lo, hi = plo * per_plane, phi * per_plane
             z = rows(lo, hi)
             if outside is not None:
                 keep = outside[lo:hi]
                 z[keep] = x[lo:hi][keep]
-            yield z
-
-
-def _blurred_rows(features, m):
-    """rows(lo, hi): rows lo:hi of the (2m+1)^3 box blur of the scene
-    `features`, flattened in voxel order, for consecutive ranges. Each range
-    blurs, as one slab, the x-planes it reaches beyond the last slab, so no
-    plane is blurred twice; a range that straddles two slabs is joined."""
-    d = features.shape[-1]
-    per_plane = features[0].size // d
-    slab, start = np.empty((0, d)), 0  # the last slab and its first row
-
-    def rows(lo, hi):
-        nonlocal slab, start
-        end = start + len(slab)
-        if hi <= end:
-            return slab[lo - start:hi - start]
-        head, planes = slab[lo - start:], (end // per_plane, -(-hi // per_plane))
-        slab, start = _box_blur(features, m, *planes).reshape(-1, d), end
-        return np.concatenate([head, slab[:hi - end]]) if len(head) else slab[:hi - end]
-
-    return rows
+            yield lo, hi, z
 
 
 def _fog_weight(grid, m):
@@ -462,9 +444,9 @@ def grid_splits(dataset, world, corruptions=CORRUPTION_KINDS, severities=(1, 2, 
     """Yield the splits of the corruption grid as (kind, severity, scenes),
     `scenes` yielding one (features, labels) pair per scene: first the clean
     split (None, 0, dataset.iter_scene_arrays()), then every full-scene cell
-    in order, whose features are CorruptedRows: a scene is corrupted a row
-    block at a time as it is read. The noise scales with the clean split's
-    feature std; scene i of a cell is corrupted with
+    in order, whose features are CorruptedRows: a scene is corrupted a block
+    of x-planes at a time as it is read. The noise scales with the clean
+    split's feature std; scene i of a cell is corrupted with
     corruption_seed(world seed, kind, severity, i)."""
     yield None, 0, dataset.iter_scene_arrays()
     sigma_z = feature_std(dataset)

@@ -822,6 +822,38 @@ def test_report_schema_mismatch_exit_2(workspace, runner, tmp_path):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"schema_version": 1, "methods": []}',
+    '{"schema_version": 1, "methods": {"ours": "mauroc"}}',
+    '{"schema_version": 1, "methods": {"ours": {"mauroc": "high", "mfpr95": 0.1}}}',
+], ids=["list", "methods a list", "method block a string", "mauroc a string"])
+def test_report_malformed_metrics_exit_2(runner, tmp_path, text):
+    """A metrics.json of the wrong shape is a usage error in one line."""
+    bad = tmp_path / "metrics.json"
+    bad.write_text(text)
+    r = runner.invoke(main, ["report", "--metrics", str(bad), "--out-dir", str(tmp_path / "out")])
+    _assert_one_line_error(r, 2)
+    assert "metrics schema mismatch" in r.output
+
+
+@pytest.mark.parametrize("old, new", [(b'"skip": true', b'"skip": tru\xff'),
+                                      (b'"skip": true', b'"skip": trux'),
+                                      (b"<f4", b"<z4")],
+                         ids=["metadata not UTF-8", "metadata not JSON", "unknown dtype"])
+def test_head_file_of_corrupt_bytes_exit_3(workspace, runner, tmp_path, old, new):
+    """fit-gmm --head on a head file whose metadata is not UTF-8 JSON, or
+    whose first tensor has an unknown dtype, is a data error in one line."""
+    raw = (workspace["models"] / "head.ocuq").read_bytes()
+    assert old in raw
+    path = tmp_path / "head.ocuq"
+    path.write_bytes(raw.replace(old, new, 1))
+    r = runner.invoke(main, ["fit-gmm", "--data", str(workspace["data"]), "--head", str(path),
+                             "--out", str(tmp_path / "out")])
+    _assert_one_line_error(r, 3)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, option, bad, code", [
     ("fit-gmm", "--head", "bad magic", 3),
     ("fit-gmm", "--head", "gda artifact", 3),

@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular
 from voxuq.gda import (DEFAULT_EPS_LADDER, LOG_DENSITY_CHUNK, FeatureBank, FitError,
                        GdaModel, _inverse_lower, collect_features, epistemic_score, fit_gda,
                        gmm_param_count)
-from voxuq.head import FORWARD_BLOCK, HeadConfig, ResidualMlpHead, row_blocks
+from voxuq.head import FORWARD_BLOCK, HeadConfig, ResidualMlpHead, feature_blocks
 
 
 def make_bank(rng, k, d, n_per_class, spread=3.0):
@@ -360,13 +360,13 @@ def per_row_reservoir(head, scenes, cap_per_class, seed):
 def test_collect_matches_per_row_reservoir_oracle(cap):
     """Bit for bit, with classes that fill within a scene, at a scene
     boundary, over several scenes and never, and one class never seen. The
-    last scene is three row blocks, scored by eval_blocks; the oracle scores
+    last scene is three row blocks, scored by feature_blocks; the oracle scores
     it in one forward."""
     rng = np.random.default_rng(20)
     head = make_head(k=4)
     scenes = [(rng.standard_normal((n, 6)), rng.integers(0, 3, size=n))
               for n in (30, 45, 3, 60, 25, 2 * FORWARD_BLOCK + 1)]
-    assert len(row_blocks(len(scenes[-1][1]))) == 3
+    assert len(list(feature_blocks(scenes[-1][0]))) == 3
     bank = collect_features(head, scenes, cap_per_class=cap, seed=9)
     kept, seen = per_row_reservoir(head, scenes, cap, seed=9)
     assert bank.seen_counts == seen

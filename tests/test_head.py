@@ -5,8 +5,8 @@ import pytest
 
 from voxuq import head as head_module
 from voxuq import pipeline, synthworld
-from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, estimate_lipschitz,
-                        eval_blocks, lipschitz_upper_bound, row_blocks, train_head)
+from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, dropout_streams,
+                        estimate_lipschitz, feature_blocks, lipschitz_upper_bound, train_head)
 from voxuq.nn_core import OptimizerState, ShapeError, leaky_relu
 
 
@@ -94,9 +94,14 @@ def test_first_layer_projection_has_no_skip():
     assert head._block_has_skip(1)
 
 
+def row_blocks(n):
+    """The (lo, hi) bounds of the feature_blocks of an array of n rows."""
+    return [(lo, hi) for lo, hi, _ in feature_blocks(np.empty((n, 1)))]
+
+
 def blocked_forward(head, x):
-    """The eval_blocks outputs of `x` joined back into whole arrays."""
-    blocks = list(eval_blocks(head, x))
+    """The forwards of the feature_blocks of `x` joined back into whole arrays."""
+    blocks = [(lo, hi, head.forward(rows)) for lo, hi, rows in feature_blocks(x)]
     assert [(lo, hi) for lo, hi, _ in blocks] == row_blocks(len(x))
     return (np.concatenate([out.logits for _, _, out in blocks]),
             np.concatenate([out.penultimate_features for _, _, out in blocks]))
@@ -116,7 +121,7 @@ def test_eval_forward_in_blocks_keeps_bits(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [17, 49, 107])
 def test_forward_of_float32_features_keeps_the_bits_of_their_float64_copy(monkeypatch, n):
-    """Float32 features, through eval_blocks or one forward, give the bits
+    """Float32 features, through feature_blocks or one forward, give the bits
     of the same features widened to float64: each block is widened exactly
     as a layer reads it, and the skip connection widens exactly too."""
     head = ResidualMlpHead(small_config(), seed=3)
@@ -132,15 +137,16 @@ def test_forward_of_float32_features_keeps_the_bits_of_their_float64_copy(monkey
 
 
 def test_eval_forward_temporaries_are_block_sized():
-    """A consumer that drops each output of eval_blocks before the next
-    peaks at a few blocks; one forward over the 8 blocks of rows holds
-    several arrays the size of the input."""
+    """A consumer that drops each forward of a feature_blocks block before
+    the next peaks at a few blocks; one forward over the 8 blocks of rows
+    holds several arrays the size of the input."""
     head = ResidualMlpHead(HeadConfig(), seed=0)
     x = np.random.default_rng(6).standard_normal((8 * head_module.FORWARD_BLOCK, 32))
     blocks = 0
     tracemalloc.start()
     try:
-        for _, _, out in eval_blocks(head, x):
+        for _, _, rows in feature_blocks(x):
+            out = head.forward(rows)
             blocks += 1
             del out
         _, peak = tracemalloc.get_traced_memory()
@@ -238,7 +244,7 @@ def test_dropout_p_zero_is_plain_forward():
     head = ResidualMlpHead(small_config(), seed=0)
     x = np.random.default_rng(5).standard_normal((6, 6))
     a = head.forward(x).logits
-    b = head.forward(x, dropout_p=0.0, dropout_rng=np.random.default_rng(1)).logits
+    b = head.forward(x, dropout_p=0.0, dropout_rngs=[np.random.default_rng(1)] * 3).logits
     assert np.array_equal(a, b)
 
 
@@ -247,18 +253,39 @@ def test_dropout_deterministic_per_seed():
     x = np.random.default_rng(6).standard_normal((20, 6))
 
     def logits(seed):
-        return head.forward(x, dropout_p=0.3, dropout_rng=np.random.default_rng(seed)).logits
+        rngs = [np.random.default_rng(seed)] * len(head.layers)
+        return head.forward(x, dropout_p=0.3, dropout_rngs=rngs).logits
 
     a, b, c = logits(11), logits(11), logits(12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n", [17, 49, 107])
+def test_dropout_streams_draw_the_masks_of_one_generator_for_every_layer(monkeypatch, n):
+    """Forwards of each row block with dropout_streams give the bits of one
+    forward over all rows that draws every layer's masks, in layer order,
+    from a single default_rng(seed): the draw order of an unblocked pass."""
+    head = ResidualMlpHead(small_config(hidden_width=5), seed=3)
+    x = np.random.default_rng(5).standard_normal((n, 6))
+    whole = head.forward(x, dropout_p=0.3,
+                         dropout_rngs=[np.random.default_rng(9)] * len(head.layers))
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
+    assert len(row_blocks(n)) > 1
+    streams = dropout_streams(head, 9, n)
+    blocks = [head.forward(rows, dropout_p=0.3, dropout_rngs=streams)
+              for _, _, rows in feature_blocks(x)]
+    assert np.concatenate([b.logits for b in blocks]).tobytes() == whole.logits.tobytes()
+    assert (np.concatenate([b.penultimate_features for b in blocks]).tobytes()
+            == whole.penultimate_features.tobytes())
+
+
 def test_dropout_invalid_p():
     head = ResidualMlpHead(small_config(), seed=0)
     for p in (1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError):
-            head.forward(np.zeros((1, 6)), dropout_p=p, dropout_rng=np.random.default_rng(0))
+            head.forward(np.zeros((1, 6)), dropout_p=p,
+                         dropout_rngs=[np.random.default_rng(0)] * 3)
 
 
 # -- training ---------------------------------------------------------------

@@ -105,7 +105,9 @@ def test_mc_dropout_deterministic_and_varied():
     assert np.array_equal(scores_a[method], scores_b[method])
     assert np.array_equal(logits_a[method], logits_b[method])
     # pass i is seeded base_seed + i, so the passes differ from one another
-    passes = [bundle.head.forward(x, dropout_p=0.2, dropout_rng=np.random.default_rng(7 + i))
+    layers = len(bundle.head.layers)
+    passes = [bundle.head.forward(x, dropout_p=0.2,
+                                  dropout_rngs=[np.random.default_rng(7 + i)] * layers)
               for i in range(4)]
     assert not np.array_equal(passes[0].logits, passes[1].logits)
     assert np.allclose(logits_a[method], np.log(mean_softmax(passes)))

@@ -10,7 +10,7 @@ from voxuq import head as head_module
 from voxuq import ood, pipeline, synthworld
 from voxuq.calibration import CalibrationParams
 from voxuq.gda import GdaModel, epistemic_score
-from voxuq.head import HeadConfig, ResidualMlpHead, row_blocks
+from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.metrics import max_softmax_score, softmax_entropy
 from voxuq.nn_core import softmax
 from voxuq.ood import (MethodBundle, MethodError, ScoredPopulation, aggregate_region,
@@ -235,7 +235,6 @@ def test_parse_method_rejects_unknown_and_malformed():
 
 
 def test_ours_requires_density_model():
-    from voxuq.head import HeadConfig, ResidualMlpHead, row_blocks
     head = ResidualMlpHead(HeadConfig(input_dim=4, hidden_width=4, num_layers=2,
                                       num_classes=3), seed=0)
     bundle = MethodBundle(head=head, gda_model=None)
@@ -245,7 +244,6 @@ def test_ours_requires_density_model():
 
 
 def test_de_requires_enough_members():
-    from voxuq.head import HeadConfig, ResidualMlpHead, row_blocks
     head = ResidualMlpHead(HeadConfig(input_dim=4, hidden_width=4, num_layers=2,
                                       num_classes=3), seed=0)
     bundle = MethodBundle(head=head, ensemble_heads=[head, head])
@@ -258,7 +256,8 @@ def stacked_ensemble_mean(members, features, dropout_p=None, base_seed=0):
     """Reference: the mean softmax as metrics.ensemble_predict computed it
     before score_scene ran the members itself. Deep-ensemble members run
     eval-mode forwards of at most 65,536 rows; MC-Dropout pass i of the
-    repeated head is seeded base_seed + i; the (n, rows, K) stack of member
+    repeated head is one forward over all rows that draws every layer's
+    masks from default_rng(base_seed + i); the (n, rows, K) stack of member
     softmaxes is averaged over its first axis."""
     member_probs = []
     for i, head in enumerate(members):
@@ -267,8 +266,8 @@ def stacked_ensemble_mean(members, features, dropout_p=None, base_seed=0):
                 softmax(head.forward(features[lo:lo + 65536]).logits)
                 for lo in range(0, features.shape[0], 65536)]))
         else:
-            out = head.forward(features, dropout_p=dropout_p,
-                               dropout_rng=np.random.default_rng(base_seed + i))
+            rngs = [np.random.default_rng(base_seed + i)] * len(head.layers)
+            out = head.forward(features, dropout_p=dropout_p, dropout_rngs=rngs)
             member_probs.append(softmax(out.logits))
     return np.stack(member_probs).mean(axis=0)
 
@@ -378,9 +377,9 @@ def counting_corruptions(monkeypatch, count):
     """Call count() each time a scene's corrupted rows start to be made."""
     blocks = synthworld.CorruptedRows.blocks
 
-    def counting_blocks(self, bounds):
+    def counting_blocks(self, max_rows):
         count()
-        return blocks(self, bounds)
+        return blocks(self, max_rows)
 
     monkeypatch.setattr(synthworld.CorruptedRows, "blocks", counting_blocks)
 
@@ -580,7 +579,9 @@ def test_calibrate_method_joins_no_train_logits(wide):
 
 def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monkeypatch):
     """Scenes of 128 voxels in blocks of at most 48 rows: three forwards and
-    three log-densities per scene, none over 48 rows, and the same report."""
+    three log-densities per scene, none over 48 rows, and the same report.
+    A clean scene is cut into near-equal row blocks, and a corrupted one into
+    near-equal blocks of its 8 x-planes of 16 rows: 2, 3 and 3 planes."""
     world, bundle, train, test = tiny
     methods = ["ours", "max-softmax", "entropy"]
     whole = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
@@ -601,7 +602,8 @@ def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monk
     blocked = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
     n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
     assert world.config.voxels_per_scene == 128
-    assert rows["forward"] == rows["log_density"] == [42, 43, 43] * n * (1 + cells)
+    clean, corrupted = [42, 43, 43], [32, 48, 48]
+    assert rows["forward"] == rows["log_density"] == clean * n + corrupted * n * cells
     assert blocked.methods == whole.methods and blocked.aggregates == whole.aggregates
     for a, b in zip(blocked.histograms, whole.histograms):
         assert all(np.array_equal(a[k], b[k]) for k in ("edges", "count_id", "count_ood"))
@@ -610,8 +612,8 @@ def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monk
     val = synthworld.generate_dataset(world, "val")
     params = calibrate_method("ours", bundle, train, val, seed=SWEEP_SEED)
     evaluate_calibration("ours", bundle, world, params, test, seed=SWEEP_SEED)
-    scenes = len(train.scenes) + len(val.scenes) + n * (1 + cells)
-    assert rows["forward"] == [42, 43, 43] * scenes
+    scenes = len(train.scenes) + len(val.scenes) + n
+    assert rows["forward"] == clean * scenes + corrupted * n * cells
 
 
 def test_score_scene_holds_no_scene_sized_penultimate():
@@ -679,7 +681,8 @@ def eval_pass_oracle(head, features, gda_model=None):
     n = features.shape[0]
     logits = np.empty((n, head.config.num_classes))
     scores = None if gda_model is None else np.empty(n)
-    for lo, hi, out in head_module.eval_blocks(head, features):
+    for lo, hi, x in head_module.feature_blocks(features):
+        out = head.forward(x)
         logits[lo:hi] = out.logits
         if gda_model is not None:
             scores[lo:hi] = epistemic_score(gda_model, out.penultimate_features)
@@ -767,12 +770,13 @@ def test_deep_ensemble_of_a_float32_scene_keeps_its_bits_without_a_float64_copy(
 
 
 def test_blocks_of_2049_rows_score_ours_with_no_row_alone():
-    """row_blocks cuts 4,098 rows into two blocks of 2,049, and the density
+    """feature_blocks cuts 4,098 rows into two blocks of 2,049, and the density
     model cuts each into near-equal chunks: every row's score equals its
     value inside a two-row batch, bit for bit."""
     bundle = random_bundle(32, 32)
     n = 4098
-    assert row_blocks(n) == [(0, 2049), (2049, 4098)]
+    assert [(lo, hi) for lo, hi, _ in head_module.feature_blocks(np.empty((n, 1)))] == [
+        (0, 2049), (2049, 4098)]
     for seed in range(4):
         x = np.random.default_rng([6, seed]).standard_normal((n, 32)).astype(np.float32)
         scores, _ = score_scene(["ours"], bundle, x)
@@ -801,3 +805,33 @@ def test_paper_sweep_holds_no_scene_sized_float64_array(tmp_path):
     sweep()  # warmed up, as the other walks are
     scene = config.voxels_per_scene * config.feature_dim * 8
     assert traced_peak(sweep) < scene * 3 / 4
+
+
+@pytest.mark.parametrize("kind", ["noise", "blur"])
+def test_baselines_on_corrupted_rows_hold_no_scene_sized_float64_array(kind):
+    """mcd:n=2 and de:n=2 without logits on a corrupted 64x64x16 scene (16
+    blocks of 4 x-planes) peak below their two score vectors plus one
+    scene's mean softmax (8.5 MiB; a block's corruption and scoring
+    temporaries come to about 4.5 MiB): every forward reads one corrupted
+    block, and no scene-sized features, softmax or logits are held. The
+    scores keep the bits of the joined scene's."""
+    config = synthworld.WorldConfig(grid=(64, 64, 16), test_scenes=1, seed=5)
+    world = synthworld.generate_world(config)
+    scene = synthworld.generate_dataset(world, "test").scenes[0]
+    rows = synthworld.CorruptedRows(scene, synthworld.CorruptionSpec(kind=kind, severity=3),
+                                    9, world, sigma_z=0.5)
+    bundle = random_bundle(config.feature_dim, 8, num_classes=config.num_classes)
+    methods = ["mcd:n=2", "de:n=2"]
+
+    def score():
+        return score_scene(methods, bundle, rows, base_seed=4, with_logits=False)
+
+    score()  # warmed up, as the walks are
+    peak = traced_peak(score)
+    n = len(rows)
+    assert len(list(head_module.feature_blocks(rows))) == 16
+    assert peak < 2 * n * 8 + n * config.num_classes * 8
+    scores, _ = score()
+    whole, _ = score_scene(methods, bundle, rows.join(), base_seed=4, with_logits=False)
+    for m in methods:
+        assert scores[m].tobytes() == whole[m].tobytes(), m

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,13 @@ def test_low_level_round_trip_preserves_dtypes(tmp_path):
 
 
 def rewrite(path, change):
-    """Rewrite the artifact at `path` after `change(metadata, tensors)`."""
+    """Rewrite the artifact at `path` after `change(metadata, tensors)`, or,
+    for a change (old, new) of bytes, replace the first `old` in the file."""
+    if isinstance(change, tuple):
+        raw = path.read_bytes()
+        assert change[0] in raw
+        path.write_bytes(raw.replace(*change, 1))
+        return
     kind, metadata, tensors = read_artifact(path)
     change(metadata, tensors)
     write_artifact(path, kind, metadata, tensors)
@@ -165,6 +173,16 @@ HEAD_DAMAGE = {
     "invalid metadata value": lambda m, t: m.update(num_layers=1),
     "wrongly shaped weight": lambda m, t: t.update({"layer0.weight": t["layer0.weight"][:, :5]}),
     "wrongly shaped bias": lambda m, t: t.update({"classifier.bias": t["classifier.bias"][None]}),
+    "metadata not UTF-8": (b'"skip": true', b'"skip": tru\xff'),
+    "metadata not JSON": (b'"skip": true', b'"skip": trux'),
+    "unknown dtype": (b"<f4", b"<z4"),
+    "non-numeric dtype": (b"<f4", b"<U1"),
+    "tensor name not UTF-8": (b"classifier.bias", b"classifier.bia\xff"),
+    "huge tensor shape": (b"classifier.bias\x03\x00<f4\x01" + struct.pack("<Q", 4),
+                          b"classifier.bias\x03\x00<f4\x01" + struct.pack("<Q", 2 ** 50)),
+    "tensor size past 2^64": (b"layer0.weight\x03\x00<f4\x02" + struct.pack("<QQ", 6, 6),
+                              b"layer0.weight\x03\x00<f4\x02"
+                              + struct.pack("<QQ", 2 ** 32, 2 ** 32)),
 }
 
 
@@ -182,6 +200,9 @@ GDA_DAMAGE = {
     "no metadata key": lambda m, t: m.pop("eps_used"),
     "wrongly shaped means": lambda m, t: t.update(means=t["means"].T.copy()),
     "wrongly shaped chols": lambda m, t: t.update(chols=t["chols"][:2]),
+    "metadata not UTF-8": (b'"num_classes"', b'"num_classe\xff"'),
+    "metadata not JSON": (b'"num_classes":', b'"num_classes";'),
+    "unknown dtype": (b"<i8", b"<x8"),
 }
 
 
@@ -192,3 +213,32 @@ def test_malformed_gda_artifact_raises_store_error(tmp_path, damage):
     rewrite(path, GDA_DAMAGE[damage])
     with pytest.raises(StoreError):
         load_gda(path)
+
+
+CALIB_DAMAGE = {
+    "no metadata key": lambda m, t: m.pop("t_max"),
+    "no lambda": lambda m, t: m.pop("lambda"),
+    "string value": lambda m, t: m.update(t_train="1.37"),
+    "null value": lambda m, t: m.update({"lambda": None}),
+    "boolean value": lambda m, t: m.update(u_bar_train=True),
+    "non-finite value": lambda m, t: m.update(t_train=float("nan")),
+    "t_min above t_max": lambda m, t: m.update(t_min=m["t_max"] * 2),
+    "metadata not JSON": (b'"mode":', b'"mode";'),
+}
+
+
+@pytest.mark.parametrize("damage", list(CALIB_DAMAGE))
+def test_malformed_calibration_artifact_raises_store_error(tmp_path, damage):
+    path = tmp_path / "calib.ocuq"
+    save_calibration(CalibrationParams(t_train=1.37, lam=0.05, u_bar_train=12.5), path)
+    rewrite(path, CALIB_DAMAGE[damage])
+    with pytest.raises(StoreError):
+        load_calibration(path)
+
+
+@pytest.mark.parametrize("metadata", [[1, 2], "head", 3.5, None])
+def test_metadata_that_is_not_a_json_object_raises_store_error(tmp_path, metadata):
+    path = tmp_path / "x.ocuq"
+    write_artifact(path, "head", metadata, {})
+    with pytest.raises(StoreError, match="not a JSON object"):
+        read_artifact(path)

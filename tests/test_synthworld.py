@@ -545,29 +545,50 @@ def whole_scene_corruption(scene, spec, seed, world, sigma_z):
     return z
 
 
-@pytest.mark.parametrize("grid, block", [((9, 7, 3), 13), ((9, 7, 3), 50), ((2, 3, 2), 5),
-                                         ((5, 4, 2), 4096)])
-def test_corrupted_rows_keep_the_bits_of_a_whole_scene_pass(grid, block):
-    """Every kind, severity and region, in blocks that straddle x-planes (of
-    21 rows at 9x7x3), span several, or cover the scene, and with m larger
-    than the two planes of a 2x3x2 grid: the blocks, their join and
-    apply_corruption hold the bits of whole_scene_corruption."""
+@pytest.mark.parametrize("grid, max_rows", [((9, 7, 3), 13), ((9, 7, 3), 50), ((2, 3, 2), 5),
+                                            ((5, 4, 2), 4096)])
+def test_corrupted_rows_keep_the_bits_of_a_whole_scene_pass(grid, max_rows):
+    """Every kind, severity and region, in blocks of one x-plane (of 21 rows
+    at 9x7x3, more than max_rows), of a few planes, or of the whole scene,
+    and with m larger than the two planes of a 2x3x2 grid: the blocks, their
+    join and apply_corruption hold the bits of whole_scene_corruption."""
     world = generate_world(small_config(grid=grid))
     scene = generate_scene(world, 5)
     n = scene.labels.size
-    bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
     for kind in synthworld.CORRUPTION_KINDS:
         for severity in (1, 2, 3):
             for region in synthworld.REGIONS:
                 spec = CorruptionSpec(kind=kind, severity=severity, region=region)
                 want = whole_scene_corruption(scene, spec, 9, world, 0.7).reshape(n, -1)
                 rows = synthworld.CorruptedRows(scene, spec, 9, world, 0.7)
-                blocks = list(rows.blocks(bounds))
+                blocks = [z for _, _, z in rows.blocks(max_rows)]
                 assert all(b.dtype == np.float64 for b in blocks)
                 assert np.concatenate(blocks).tobytes() == want.tobytes(), (kind, severity, region)
                 assert rows.join().tobytes() == want.tobytes()
                 got = apply_corruption(scene, spec, 9, world, sigma_z=0.7).features
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [(9, 7, 3), (8, 8, 2), (1, 4, 4), (64, 64, 16)])
+@pytest.mark.parametrize("max_rows", [1, 20, 21, 48, 100, 4096])
+def test_corrupted_blocks_are_whole_x_planes_covering_the_scene(grid, max_rows):
+    """blocks(max_rows) cuts a scene into consecutive blocks of whole
+    x-planes, as few as hold at most max(max_rows, one plane) rows each, of
+    near-equal plane counts, from row 0 to the last row."""
+    world = generate_world(small_config(grid=grid, feature_dim=4))
+    scene = synthworld.VoxelScene(labels=np.zeros(grid, dtype=np.int64),
+                                  features=np.zeros(grid + (4,), dtype=np.float32),
+                                  scene_id=0, seed=0)
+    rows = synthworld.CorruptedRows(scene, CorruptionSpec(kind="bias_shift", severity=1),
+                                    9, world)
+    plane = grid[1] * grid[2]
+    bounds = [(lo, hi) for lo, hi, z in rows.blocks(max_rows) if len(z) == hi - lo]
+    assert len(bounds) == -(-grid[0] // max(1, max_rows // plane))
+    assert bounds[0][0] == 0 and bounds[-1][1] == len(rows)
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    sizes = [hi - lo for lo, hi in bounds]
+    assert all(lo % plane == 0 and size % plane == 0 for (lo, _), size in zip(bounds, sizes))
+    assert max(sizes) <= max(max_rows, plane) and max(sizes) - min(sizes) <= plane
 
 
 @settings(max_examples=60, deadline=None)
