@@ -1,6 +1,6 @@
 """Confidence calibration: NLL, binned ECE, fixed temperature scaling, and
-uncertainty-guided temperature scaling (per-sample temperatures driven by the
-gap between a sample's uncertainty and the training-set mean).
+uncertainty-guided temperature scaling (one temperature per scene, driven by
+the gap between the scene's mean uncertainty and the training-set mean).
 """
 
 from dataclasses import dataclass, replace
@@ -90,12 +90,12 @@ def scale_logits(logits, t):
 
 
 class LogitGaps:
-    """One split's logits and labels, reduced once to what scoring them at
-    any temperature needs: each logit's gap to its row maximum (stored
-    class-major, since numpy reduces over axis 0 of a K x n array faster than
-    over axis 1 of an n x K one), the true class's gap, and whether the
-    argmax is the label, which no temperature t > 0 changes.
-    """
+    """One scene's logits and labels (a split is a sequence of scenes), reduced
+    once to what scoring them at any temperature needs: each logit's gap to
+    its row maximum (stored class-major, since numpy reduces over axis 0 of a
+    K x n array faster than over axis 1 of an n x K one), the true class's
+    gap, whether the argmax is the label, which no t > 0 changes, and the
+    classes present."""
 
     def __init__(self, logits, labels):
         logits = np.asarray(logits, dtype=np.float64)
@@ -107,6 +107,7 @@ class LogitGaps:
         self._gaps = np.ascontiguousarray(gaps.T)
         self._true_gap = gaps[np.arange(n), labels]
         self._correct = logits.argmax(axis=1) == labels
+        self.classes = np.unique(labels)
 
     def sums(self, t):
         """bin_sums of softmax(logits / t) from one exp pass, with the floored
@@ -119,17 +120,16 @@ class LogitGaps:
         return bin_sums(1.0 / s, self._correct, loss)
 
 
-def fit_temperature(logits, labels):
-    """Temperature minimizing validation NLL: a golden-section search over
-    beta = 1/t, in which the NLL is convex, down to a bracket of FIT_TOL.
-    Never worse than t = 1.
+def fit_temperature(gaps):
+    """Temperature minimizing the NLL of the scenes `gaps` (their sums
+    added): a golden-section search over beta = 1/t, in which the NLL is
+    convex, down to a bracket of FIT_TOL. Never worse than t = 1.
     """
-    if np.unique(labels).size < 2:
+    if len(set().union(*(g.classes for g in gaps))) < 2:
         raise FitError("temperature fit needs at least two classes present")
-    gaps = LogitGaps(logits, labels)
 
     def objective(beta):
-        return ece_nll(gaps.sums(1.0 / beta))[1]
+        return ece_nll(sum(g.sums(1.0 / beta) for g in gaps))[1]
 
     a, b = 1.0 / DEFAULT_T_MAX, 1.0 / DEFAULT_T_MIN
     step = (5.0 ** 0.5 - 1.0) / 2.0  # keeps one inner point from bracket to bracket
@@ -148,25 +148,27 @@ def fit_temperature(logits, labels):
     return 1.0 / beta if fun <= objective(1.0) else 1.0
 
 
-def ugts_temperature(params, u_bar_sample):
-    """Per-sample temperature t_train + lam * (u_sample - u_train), clamped
-    to [t_min, t_max]."""
-    gap = np.asarray(u_bar_sample, dtype=np.float64) - params.u_bar_train
+def ugts_temperature(params, u_bar_scene):
+    """A scene's temperature t_train + lam * (u_scene - u_train), clamped to
+    [t_min, t_max]; u_scene is its mean uncertainty (or an array of them)."""
+    gap = np.asarray(u_bar_scene, dtype=np.float64) - params.u_bar_train
     return np.clip(params.t_train + params.lam * gap, params.t_min, params.t_max)
 
 
-def tune_lambda(logits, labels, u_bar_sample, params, lam_grid):
-    """Pick the lambda minimizing ECE on a clean validation split.
+def tune_lambda(gaps, u_scene, params, lam_grid):
+    """Pick the lambda minimizing the ECE of the clean validation scenes
+    `gaps`, each scene's sums taken at the UGTS temperature of its mean
+    uncertainty in `u_scene`, and added.
 
     Ties resolve to the smaller |lambda|. Returns (lam_star, ece_at_star).
     """
     lam_grid = list(lam_grid)
     if not lam_grid:
         raise ValueError("empty lambda grid")
-    gaps = LogitGaps(logits, labels)
     best_lam, best_ece = None, None
     for lam in sorted(lam_grid, key=abs):
-        value = ece_nll(gaps.sums(ugts_temperature(replace(params, lam=lam), u_bar_sample)))[0]
+        temps = ugts_temperature(replace(params, lam=lam), u_scene)
+        value = ece_nll(sum(g.sums(t) for g, t in zip(gaps, temps)))[0]
         if best_ece is None or value < best_ece:
             best_lam, best_ece = lam, value
     return best_lam, best_ece

@@ -197,8 +197,7 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
     if not (kwargs["epochs"] >= 1 and kwargs["batch_size"] >= 1 and 0 < kwargs["lr"] < math.inf):
         usage_error("need epochs >= 1, batch_size >= 1 and a finite lr > 0, got %(epochs)d, "
                     "%(batch_size)d and %(lr)r" % kwargs)
-    train_ds = _load_split(data, "train")
-    val_ds = _load_split(data, "val")
+    train_ds, val_ds = (_load_split(data, split) for split in ("train", "val"))
     try:
         head_config = pipeline.head_config_for_world(train_ds.config, **config.get("head", {}))
     except ValueError as e:
@@ -211,11 +210,9 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
         writer.writerow(["epoch", "loss", "accuracy"])
         for e, l, a in zip(log.epochs, log.losses, log.accuracies):
             writer.writerow([e, format(l, ".17g"), format(a, ".17g")])
-    val_acc = accuracy(head, val_ds.iter_scene_arrays())
-    click.echo("validation accuracy: %.4f" % val_acc)
-    members = pipeline.train_ensemble(head_config, train_ds, ensemble,
-                                      base_seed=seed + 100, **kwargs)
-    for i, member in enumerate(members):
+    click.echo("validation accuracy: %.4f" % accuracy(head, val_ds.iter_scene_arrays()))
+    for i in range(ensemble):  # deep-ensemble members differ only by training seed
+        member, _ = pipeline.train_on_dataset(head_config, train_ds, seed=seed + 100 + i, **kwargs)
         store.save_head(member, out_dir / ("member_%d.ocuq" % i))
     if ensemble:
         click.echo("wrote %d ensemble members" % ensemble)
@@ -229,12 +226,11 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
 @click.option("--seed", type=int, default=42, callback=_at_least(0))
 def cmd_fit_gmm(data, head_path, cap, out, seed):
     """Fit the per-class Gaussian density model from penultimate features."""
-    if not Path(head_path).is_file():
-        usage_error("missing head artifact %s" % head_path)
     if Path(out).is_dir():
         usage_error("--out %s is a directory" % out)
-    head = store.load_head(head_path)
     train_ds = _load_split(data, "train")
+    head = _bundle_from_artifacts(head_path, None, None, [], train_ds.config,
+                                  Path(data) / "train").head
     model = pipeline.fit_density(head, train_ds, cap_per_class=cap, seed=seed)
     output_dir(Path(out).parent)
     store.save_gda(model, out)
@@ -249,22 +245,39 @@ def _parse_method(spec):
         usage_error(str(e))
 
 
-def _bundle_from_artifacts(head_path, gda_path, members_dir, methods):
-    """The artifacts `methods` score with. The density model is loaded only
-    if a method is ours, as loading it inverts K Cholesky factors."""
+def _agree(sizes, path, other_sizes, other_path, what="input dim and classes"):
+    """Input files whose sizes must agree and do not are a data error."""
+    if sizes != other_sizes:
+        data_error("%s has %s %s, but %s has %s" % (path, what, sizes, other_path, other_sizes))
+
+
+def _io_sizes(head):
+    return head.config.input_dim, head.config.num_classes
+
+
+def _bundle_from_artifacts(head_path, gda_path, members_dir, methods, config, split_dir):
+    """The artifacts `methods` score with, checked once against the world
+    `config` of the dataset split in `split_dir` and against each other.
+    The density model is loaded only if a method is ours, as loading it
+    inverts K Cholesky factors."""
     if not Path(head_path).is_file():
         usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)
+    _agree(_io_sizes(head), head_path, (config.feature_dim, config.num_classes),
+           split_dir / "manifest.json")
     gda_model = None
     if gda_path:
         if not Path(gda_path).is_file():
             usage_error("missing gda artifact %s" % gda_path)
         if any(parse_method(m)[0] == "ours" for m in methods):
             gda_model = store.load_gda(gda_path)
-    members = []
-    if members_dir:
-        members = [store.load_head(p)
-                   for p in sorted(Path(members_dir).glob("member_*.ocuq"))]
+            _agree((gda_model.dim, gda_model.num_classes), gda_path,
+                   (head.config.hidden_width, head.config.num_classes), head_path,
+                   "feature dim and classes")
+    paths = sorted(Path(members_dir).glob("member_*.ocuq")) if members_dir else []
+    members = [store.load_head(p) for p in paths]
+    for path, member in zip(paths, members):
+        _agree(_io_sizes(member), path, _io_sizes(head), head_path)
     return MethodBundle(head=head, gda_model=gda_model, ensemble_heads=members)
 
 
@@ -307,8 +320,9 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
             usage_error("unknown corruption %r" % k)
     _reject_repeats("corruptions", kinds, kinds)
     sevs = _int_list(severities, "severities", 0, 3)
-    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, method_list)
     test_ds = _load_split(data, "test")
+    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, method_list,
+                                    test_ds.config, Path(data) / "test")
     world = synthworld.generate_world(test_ds.config)
     rep = run_sweep(method_list, bundle, world, test_ds, seed=seed,
                     corruptions=kinds, severities=sevs)
@@ -351,10 +365,9 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
         if not grid or not all(map(math.isfinite, grid)):
             usage_error("--lambda-grid must be comma-separated finite numbers, got %r"
                         % lambda_grid)
-    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, [method])
-    train_ds = _load_split(data, "train")
-    val_ds = _load_split(data, "val")
-    test_ds = _load_split(data, "test")
+    train_ds, val_ds, test_ds = (_load_split(data, split) for split in ("train", "val", "test"))
+    bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, [method],
+                                    test_ds.config, Path(data) / "test")
     world = synthworld.generate_world(test_ds.config)
     params = pipeline.calibrate_method(method, bundle, train_ds, val_ds,
                                        lam_grid=grid, seed=seed)

@@ -104,8 +104,7 @@ class ResidualMlpHead:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, features, cache=None, update_sn=False, sn_iters=1, dropout_p=0.0,
-                dropout_rngs=None):
+    def forward(self, features, cache=None, update_sn=False, dropout_p=0.0, dropout_rngs=None):
         """Logits and penultimate features of n x input_dim `features`, in one
         pass over all rows; passes over many rows run it on each of their
         feature_blocks instead.
@@ -123,7 +122,7 @@ class ResidualMlpHead:
             raise ValueError("dropout p must be in [0, 1), got %r" % dropout_p)
         x = features
         for i, layer in enumerate(self.layers):
-            pre = linear_forward(layer, x, cache, update_sn, sn_iters)
+            pre = linear_forward(layer, x, cache, update_sn)
             act = leaky_relu(pre)
             if dropout_p > 0.0:
                 keep = dropout_rngs[i].random(act.shape) >= dropout_p

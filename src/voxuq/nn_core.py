@@ -154,7 +154,7 @@ def near_equal_blocks(n, size):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def linear_forward(layer, x, cache=None, update_sn=True, sn_iters=1):
+def linear_forward(layer, x, cache=None, update_sn=True):
     """y = x W_eff^T + b; appends (x, W_eff, SN cache) to the list `cache`
     when given, for the backward pass."""
     x = np.asarray(x, dtype=np.float64)
@@ -163,7 +163,7 @@ def linear_forward(layer, x, cache=None, update_sn=True, sn_iters=1):
             "linear_forward: input has %s columns, layer expects %d"
             % (x.shape[1] if x.ndim == 2 else "?", layer.in_dim)
         )
-    w_eff, sn_cache = layer.effective_weight_and_cache(update_state=update_sn, iters=sn_iters)
+    w_eff, sn_cache = layer.effective_weight_and_cache(update_state=update_sn)
     y = x @ w_eff.T
     y += layer.bias
     if cache is not None:

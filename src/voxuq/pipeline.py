@@ -33,17 +33,9 @@ def head_config_for_world(config, **head_keys):
 def train_on_dataset(head_config, dataset, seed=0, epochs=DEFAULT_EPOCHS,
                      batch_size=DEFAULT_BATCH, lr=DEFAULT_LR):
     head = ResidualMlpHead(head_config, seed=seed)
-    feats, labels = dataset.voxel_arrays()
-    opt = OptimizerState(lr=lr)
-    log = train_head(head, feats, labels, opt=opt, epochs=epochs,
+    log = train_head(head, *dataset.voxel_arrays(), opt=OptimizerState(lr=lr), epochs=epochs,
                      batch_size=batch_size, seed=seed)
     return head, log
-
-
-def train_ensemble(head_config, dataset, n, base_seed=100, **train_kwargs):
-    """Deep-ensemble members differing only by training seed."""
-    return [train_on_dataset(head_config, dataset, seed=base_seed + i,
-                             **train_kwargs)[0] for i in range(n)]
 
 
 def fit_density(head, dataset, cap_per_class=DEFAULT_CAP_PER_CLASS, seed=0):
@@ -65,12 +57,12 @@ def _calibration_spec(method):
     return "entropy" if parse_method(method)[0] == "max-softmax" else method
 
 
-def _calibration_pass(spec, bundle, scenes, seed):
-    """score_split of `spec` joined over all voxels: (logits, labels, each
-    voxel's scene-mean score). Only the small validation split is joined."""
-    logits, labels, u = zip(*((lg[spec], y, np.full(len(y), aggregate_scene(s[spec])))
-                              for s, lg, y in score_split([spec], bundle, scenes, seed)))
-    return np.concatenate(logits), np.concatenate(labels), np.concatenate(u)
+def _scene_gaps(spec, bundle, scenes, seed):
+    """Each scene of score_split of `spec` as (LogitGaps of its logits, the
+    scene mean of its scores): the per-scene accumulator of every
+    calibration number, so no split is joined."""
+    for s, logits, labels in score_split([spec], bundle, scenes, seed):
+        yield LogitGaps(logits[spec], labels), aggregate_scene(s[spec])
 
 
 def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, seed=0):
@@ -83,11 +75,9 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
     u_bar_train = float(np.mean([aggregate_scene(s[spec]) for s, _, _ in
                                  score_split([spec], bundle, train_ds.iter_scene_arrays(), seed,
                                              with_logits=False)]))
-    logits, labels, u_val = _calibration_pass(spec, bundle, val_ds.iter_scene_arrays(), seed)
-    t_train = fit_temperature(logits, labels)
-    params = CalibrationParams(t_train=t_train, lam=0.0, u_bar_train=u_bar_train)
-    lam_star, _ = tune_lambda(logits, labels, u_val, params, lam_grid)
-    params.lam = lam_star
+    gaps, u_val = zip(*_scene_gaps(spec, bundle, val_ds.iter_scene_arrays(), seed))
+    params = CalibrationParams(t_train=fit_temperature(gaps), u_bar_train=u_bar_train)
+    params.lam, _ = tune_lambda(gaps, u_val, params, lam_grid)
     return params
 
 
@@ -95,18 +85,15 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     """ECE/NLL on the clean split and mECE/mNLL over the corruption grid,
     for uncalibrated, fixed-TS and UGTS logit scaling. The splits are the
     sweep's (synthworld.grid_splits), scored as the sweep scores them. A
-    split's metrics come from bin_sums added scene by scene: UGTS's
-    temperature is one scalar per scene, so no split is joined."""
+    split's metrics come from bin_sums added scene by scene, each scene at
+    its own UGTS temperature."""
     check_methods([method], bundle)
     spec = _calibration_spec(method)
     variants = ("raw", "ts", "ugts")
 
     def split_metrics(scenes):
-        sums = 0.0
-        for s, logits, labels in score_split([spec], bundle, scenes, seed):
-            gaps = LogitGaps(logits[spec], labels)
-            t_ugts = ugts_temperature(params, aggregate_scene(s[spec]))
-            sums = sums + np.stack([gaps.sums(t) for t in (1.0, params.t_train, t_ugts)])
+        sums = sum(np.stack([g.sums(t) for t in (1.0, params.t_train, ugts_temperature(params, u))])
+                   for g, u in _scene_gaps(spec, bundle, scenes, seed))
         return {v: dict(zip(("ece", "nll"), ece_nll(row))) for v, row in zip(variants, sums)}
 
     clean, *cells = [split_metrics(scenes)

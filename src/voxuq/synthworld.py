@@ -244,18 +244,13 @@ def generate_dataset(world, split, n_scenes=None):
     return FeatureDataset(scenes=scenes, config=cfg, split=split)
 
 
-def front_sector_mask(config, half_angle_deg=45.0):
-    """True where the voxel azimuth from the grid center lies within +/- the
-    half angle of the +x axis; all z layers included."""
-    if not 0.0 < half_angle_deg < 180.0:
-        raise ValueError("half angle must be in (0, 180) degrees")
+def front_sector_mask(config):
+    """True where the voxel azimuth from the grid center lies within +/- 45
+    degrees of the +x axis; all z layers included."""
     gx, gy, gz = config.grid
-    cx = (gx - 1) / 2.0
-    cy = (gy - 1) / 2.0
     x, y = np.indices((gx, gy))
-    az = np.arctan2(y - cy, x - cx)
-    in_sector = np.abs(az) <= np.deg2rad(half_angle_deg)
-    return np.repeat(in_sector[:, :, None], gz, axis=2)
+    az = np.arctan2(y - (gy - 1) / 2.0, x - (gx - 1) / 2.0)
+    return np.repeat((np.abs(az) <= np.deg2rad(45.0))[:, :, None], gz, axis=2)
 
 
 def feature_std(dataset):

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from voxuq import synthworld
-from voxuq.calibration import ece, fit_temperature, nll, scale_logits
+from voxuq.calibration import LogitGaps, ece, fit_temperature, nll, scale_logits
 from voxuq.cli import main as cli_main
 from voxuq.gda import FeatureBank, fit_gda, gmm_param_count
 from voxuq.head import (HeadConfig, ResidualMlpHead, estimate_lipschitz,
@@ -76,7 +76,8 @@ def test_criterion_1_gradient_correctness():
                 head = ResidualMlpHead(cfg, seed=13)
                 if sn_enabled:
                     head.layers[0].weight *= 4.0
-                    head.forward(np.zeros((1, 6)), update_sn=True, sn_iters=100)
+                    for layer in head.layers:
+                        power_iteration(layer.weight, layer.sn_state, 100)
                 feats = rng.standard_normal((4, 6))
                 labels = rng.integers(0, 4, size=4)
                 _, grads, _ = head.loss_and_grads(feats, labels, update_sn=False)
@@ -274,7 +275,7 @@ def test_criterion_6_calibration_direction(default_pipeline):
         score_scene(["ours"], p["bundle"], f)[1]["ours"]
         for f, _ in p["val"].iter_scene_arrays()])
     val_labels = np.concatenate([y for _, y in p["val"].iter_scene_arrays()])
-    t_star = fit_temperature(val_logits, val_labels)
+    t_star = fit_temperature([LogitGaps(val_logits, val_labels)])
     nll_star = nll(scale_logits(val_logits, t_star), val_labels)
     nll_one = nll(softmax(val_logits), val_labels)
 

@@ -250,7 +250,7 @@ def grid_nll_min(logits, labels, points=4001):
 ], ids=["interior", "t_min", "t_max"])
 def test_fit_temperature_matches_fine_grid(case, lo, hi):
     logits, labels = _fit_case(case)
-    t = fit_temperature(logits, labels)
+    t = fit_temperature([LogitGaps(logits, labels)])
     assert lo < t < hi
     assert nll(scale_logits(logits, t), labels) <= grid_nll_min(logits, labels) + 1e-5
 
@@ -259,7 +259,7 @@ def test_fit_temperature_never_worse_than_identity():
     rng = np.random.default_rng(4)
     logits = rng.standard_normal((500, 4)) * 3
     labels = rng.integers(0, 4, size=500)
-    t = fit_temperature(logits, labels)
+    t = fit_temperature([LogitGaps(logits, labels)])
     assert nll(scale_logits(logits, t), labels) <= nll(softmax(logits), labels) + 1e-12
 
 
@@ -287,13 +287,26 @@ def test_fit_temperature_finds_the_nll_minimum(data):
                           options={"xatol": 1e-12})
     rise = max(objective(min(max(ref.x + dx, lo), hi)) for dx in (-FIT_TOL, FIT_TOL))
     assume(rise - ref.fun > 1e-12)
-    t = fit_temperature(logits, labels)
+    t = fit_temperature([gaps])
     assert t == 1.0 or abs(1.0 / t - ref.x) <= FIT_TOL
 
 
 def test_fit_temperature_needs_two_classes():
     with pytest.raises(FitError):
-        fit_temperature(np.zeros((5, 3)), np.zeros(5, dtype=int))
+        fit_temperature([LogitGaps(np.zeros((5, 3)), np.zeros(5, dtype=int))])
+
+
+def test_fit_temperature_counts_the_classes_of_all_scenes():
+    """Scenes that each hold one class, but two in all, can be fitted; a
+    split of several scenes with one class in all cannot."""
+    logits = np.random.default_rng(8).standard_normal((6, 3))
+    ground, car = np.zeros(3, dtype=int), np.ones(3, dtype=int)
+    t = fit_temperature([LogitGaps(logits[:3], ground), LogitGaps(logits[3:], car)])
+    assert DEFAULT_T_MIN <= t <= DEFAULT_T_MAX
+    with pytest.raises(FitError):
+        fit_temperature([LogitGaps(logits[:3], ground), LogitGaps(logits[3:], ground)])
+    with pytest.raises(FitError):
+        fit_temperature([])
 
 
 # -- uncertainty-guided temperatures ----------------------------------------
@@ -327,25 +340,25 @@ def test_tune_lambda_ties_prefer_smaller_magnitude():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((50, 3))
     labels = rng.integers(0, 3, size=50)
-    u = np.full(50, 2.0)
     params = CalibrationParams(t_train=1.0, lam=0.0, u_bar_train=2.0)
-    lam, _ = tune_lambda(logits, labels, u, params, [0.5, -0.5, 0.0, 0.1])
+    lam, _ = tune_lambda([LogitGaps(logits, labels)], [2.0], params, [0.5, -0.5, 0.0, 0.1])
     assert lam == 0.0
 
 
 def test_tune_lambda_picks_helpful_lambda():
-    # sharp logits mislabelled half the time at high uncertainty: raising t
-    # for those samples improves calibration, so a positive lambda should win
+    # sharp logits mislabelled half the time in a scene of high uncertainty:
+    # raising t for that scene improves calibration, so a positive lambda
+    # should win
     rng = np.random.default_rng(6)
     n = 600
     logits = np.zeros((n, 2))
     logits[:, 0] = 4.0
     labels = np.zeros(n, dtype=int)
-    labels[: n // 2] = rng.integers(0, 2, size=n // 2)  # coin-flip segment
-    u = np.zeros(n)
-    u[: n // 2] = 10.0
+    labels[: n // 2] = rng.integers(0, 2, size=n // 2)  # coin-flip scene
+    scenes = [LogitGaps(logits[: n // 2], labels[: n // 2]),
+              LogitGaps(logits[n // 2:], labels[n // 2:])]
     params = CalibrationParams(t_train=1.0, lam=0.0, u_bar_train=0.0)
-    lam, best = tune_lambda(logits, labels, u, params, [0.0, 0.5, 2.0])
+    lam, best = tune_lambda(scenes, [10.0, 0.0], params, [0.0, 0.5, 2.0])
     assert lam > 0.0
     base = ece(scale_logits(logits, 1.0), labels)
     assert best < base
@@ -354,5 +367,5 @@ def test_tune_lambda_picks_helpful_lambda():
 def test_tune_lambda_empty_grid():
     params = CalibrationParams()
     with pytest.raises(ValueError):
-        tune_lambda(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2),
+        tune_lambda([LogitGaps(np.zeros((2, 2)), np.zeros(2, dtype=int))], [0.0],
                     params, [])

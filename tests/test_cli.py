@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from voxuq import cli, pipeline, store, synthworld
 from voxuq import report as report_mod
 from voxuq.cli import _config_hash, main
-from voxuq.head import HeadConfig
+from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.ood import BenchmarkReport, MethodBundle
 from voxuq.synthworld import WorldConfig
 
@@ -680,6 +680,64 @@ def test_malformed_artifact_exit_3(workspace, runner, tmp_path, option, damage):
                              "--severities", "1", "--out", str(tmp_path / "out")])
     _assert_one_line_error(r, 3)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def foreign(tmp_path_factory, runner):
+    """Artifacts that do not fit the workspace's world (feature_dim 8, 5
+    classes): the head, density model and 2 members of a world with
+    feature_dim 4, and a 3-class head of input dim 8."""
+    root = tmp_path_factory.mktemp("foreign")
+    config = root / "config.ini"
+    config.write_text(SMALL_CONFIG.replace("feature_dim = 8", "feature_dim = 4"))
+    data, models = root / "data", root / "models"
+    for args in (["generate-data", "--config", config, "--out", data],
+                 ["train", "--data", data, "--config", config, "--out", models, "--ensemble", 2],
+                 ["fit-gmm", "--data", data, "--head", models / "head.ocuq",
+                  "--out", models / "gda.ocuq"]):
+        r = runner.invoke(main, list(map(str, args)))
+        assert r.exit_code == 0, r.output
+    three_classes = root / "three_classes.ocuq"
+    store.save_head(ResidualMlpHead(HeadConfig(input_dim=8, hidden_width=8, num_classes=3)),
+                    three_classes)
+    return {"--head": models / "head.ocuq", "--gda": models / "gda.ocuq", "--members": models,
+            "three classes": three_classes}
+
+
+@pytest.mark.parametrize("command, option, foreign_key, args, against", [
+    ("eval-ood", "--head", "--head", ("--methods", "max-softmax"), "test"),
+    ("eval-ood", "--gda", "--gda", (), "head"),
+    ("calibrate", "--gda", "--gda", (), "head"),
+    ("eval-ood", "--members", "--members", ("--methods", "de:n=2"), "head"),
+    ("fit-gmm", "--head", "--head", (), "train"),
+    ("calibrate", "--head", "three classes", ("--method", "entropy"), "test"),
+    ("eval-ood", "--head", "three classes", ("--methods", "max-softmax"), "test"),
+], ids=["eval-ood head of another dim", "eval-ood gda of another world",
+        "calibrate gda of another world", "eval-ood members of another world",
+        "fit-gmm head of another dim", "calibrate head of other classes",
+        "eval-ood head of other classes"])
+def test_artifacts_that_do_not_agree_exit_3(workspace, foreign, runner, tmp_path, command,
+                                            option, foreign_key, args, against):
+    """An artifact whose sizes do not fit the dataset or the head is a data
+    error in one line that names both files, found before any scene."""
+    inputs = {"--head": workspace["models"] / "head.ocuq", "--gda": workspace["gda"],
+              "--members": workspace["models"]}
+    if command == "fit-gmm":
+        del inputs["--gda"], inputs["--members"]
+    inputs[option] = foreign[foreign_key]
+    out = tmp_path / ("gda.ocuq" if command == "fit-gmm" else "out")
+    argv = [command, "--data", str(workspace["data"]), "--out", str(out), *args]
+    for flag, path in inputs.items():
+        argv += [flag, str(path)]
+    r = runner.invoke(main, argv)
+    _assert_one_line_error(r, 3)
+    named = foreign[foreign_key]
+    if option == "--members":
+        named = named / "member_0.ocuq"
+    other = (workspace["models"] / "head.ocuq" if against == "head"
+             else workspace["data"] / against / "manifest.json")
+    assert str(named) in r.output and str(other) in r.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["abc", ",", "0,x", "nan"])

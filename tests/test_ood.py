@@ -8,14 +8,15 @@ from scipy.stats import rankdata
 
 from voxuq import head as head_module
 from voxuq import ood, pipeline, synthworld
-from voxuq.calibration import CalibrationParams
+from voxuq.calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_temperature,
+                               tune_lambda)
 from voxuq.gda import GdaModel, epistemic_score
 from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.metrics import max_softmax_score, softmax_entropy
 from voxuq.nn_core import softmax
 from voxuq.ood import (MethodBundle, MethodError, ScoredPopulation, aggregate_region,
                        aggregate_scene, auroc, check_methods, fpr_at_95_tpr,
-                       histogram_table, parse_method, run_sweep, score_scene)
+                       histogram_table, parse_method, run_sweep, score_scene, score_split)
 from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
                             head_config_for_world)
 
@@ -575,6 +576,44 @@ def test_calibrate_method_joins_no_train_logits(wide):
                                                         seed=SWEEP_SEED))
     logits = 4 * world.config.voxels_per_scene * world.config.num_classes * 8
     assert peaks[16] < peaks[4] + logits
+
+
+@pytest.fixture(scope="module", params=[7, 42])
+def calibration_world(request):
+    """A world of 4 validation scenes at world seed 7 or 42, and a head and
+    density model trained on it well enough that every method fits a
+    temperature inside (t_min, t_max) and some fit a nonzero lambda."""
+    config = synthworld.WorldConfig(grid=(12, 12, 4), num_classes=5, feature_dim=8,
+                                    objects_min=3, objects_max=3, train_scenes=8,
+                                    val_scenes=4, test_scenes=1, seed=request.param)
+    world = synthworld.generate_world(config)
+    train, val = (synthworld.generate_dataset(world, split) for split in ("train", "val"))
+    bundle = build_bundle(head_config_for_world(config), train, seed=request.param, epochs=4,
+                          lr=0.01)
+    return bundle, train, val
+
+
+def joined_calibration_oracle(method, bundle, val, u_bar_train, seed):
+    """(t_train, lambda*) from the joined validation split: one LogitGaps over
+    the concatenated logits and labels of its scenes, each row carrying its
+    scene's mean score, fitted as one scene with per-row temperatures."""
+    logits, labels, u = zip(*((lg[method], y, np.full(len(y), aggregate_scene(s[method])))
+                              for s, lg, y in score_split([method], bundle,
+                                                          val.iter_scene_arrays(), seed)))
+    gaps = [LogitGaps(np.concatenate(logits), np.concatenate(labels))]
+    params = CalibrationParams(t_train=fit_temperature(gaps), u_bar_train=u_bar_train)
+    return params.t_train, tune_lambda(gaps, [np.concatenate(u)], params, LAMBDA_GRID)[0]
+
+
+@pytest.mark.parametrize("method", ["ours", "entropy", "mcd"])
+def test_calibrate_method_equals_the_joined_split_oracle(calibration_world, method):
+    """Summing each validation scene's bin sums gives the t_train and lambda*
+    of the joined split, bit for bit: the sums differ only in the rounding
+    of their additions, and the fits only compare them."""
+    bundle, train, val = calibration_world
+    params = calibrate_method(method, bundle, train, val, seed=SWEEP_SEED)
+    oracle = joined_calibration_oracle(method, bundle, val, params.u_bar_train, SWEEP_SEED)
+    assert (params.t_train, params.lam) == oracle
 
 
 def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monkeypatch):

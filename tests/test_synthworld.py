@@ -203,8 +203,6 @@ def test_front_sector_mask_geometry():
     assert not mask[0, gy // 2, 0]
     # symmetric about the x axis
     assert np.array_equal(mask, mask[:, ::-1, :])
-    with pytest.raises(ValueError):
-        front_sector_mask(cfg, half_angle_deg=0.0)
 
 
 def loop_neighborhood_histogram(labels, num_classes):
