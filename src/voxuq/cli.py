@@ -212,7 +212,8 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
             writer.writerow([e, format(l, ".17g"), format(a, ".17g")])
     click.echo("validation accuracy: %.4f" % accuracy(head, val_ds.iter_scene_arrays()))
     for i in range(ensemble):  # deep-ensemble members differ only by training seed
-        member, _ = pipeline.train_on_dataset(head_config, train_ds, seed=seed + 100 + i, **kwargs)
+        member, _ = pipeline.train_on_dataset(head_config, train_ds, seed=seed + 100 + i,
+                                              log_accuracy=False, **kwargs)
         store.save_head(member, out_dir / ("member_%d.ocuq" % i))
     if ensemble:
         click.echo("wrote %d ensemble members" % ensemble)
@@ -255,26 +256,37 @@ def _io_sizes(head):
     return head.config.input_dim, head.config.num_classes
 
 
+def _member_index(path):
+    """Sort key of a member_<i>.ocuq path: i as an integer, so member_2
+    comes before member_10; a name without an integer index sorts last."""
+    index = path.stem[len("member_"):]
+    return (0, int(index), path.name) if index.isdecimal() else (1, 0, path.name)
+
+
 def _bundle_from_artifacts(head_path, gda_path, members_dir, methods, config, split_dir):
     """The artifacts `methods` score with, checked once against the world
     `config` of the dataset split in `split_dir` and against each other.
     The density model is loaded only if a method is ours, as loading it
-    inverts K Cholesky factors."""
+    inverts K Cholesky factors, and the members only if a method is de:n,
+    in the order of the index in their names."""
     if not Path(head_path).is_file():
         usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)
     _agree(_io_sizes(head), head_path, (config.feature_dim, config.num_classes),
            split_dir / "manifest.json")
+    names = {parse_method(m)[0] for m in methods}
     gda_model = None
     if gda_path:
         if not Path(gda_path).is_file():
             usage_error("missing gda artifact %s" % gda_path)
-        if any(parse_method(m)[0] == "ours" for m in methods):
+        if "ours" in names:
             gda_model = store.load_gda(gda_path)
             _agree((gda_model.dim, gda_model.num_classes), gda_path,
                    (head.config.hidden_width, head.config.num_classes), head_path,
                    "feature dim and classes")
-    paths = sorted(Path(members_dir).glob("member_*.ocuq")) if members_dir else []
+    paths = []
+    if members_dir and "de" in names:
+        paths = sorted(Path(members_dir).glob("member_*.ocuq"), key=_member_index)
     members = [store.load_head(p) for p in paths]
     for path, member in zip(paths, members):
         _agree(_io_sizes(member), path, _io_sizes(head), head_path)

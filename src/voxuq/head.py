@@ -182,12 +182,16 @@ class ResidualMlpHead:
                 layer.weight *= c / sigma
 
 
-def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed=0):
+def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed=0,
+               log_accuracy=True):
     """Minibatch cross-entropy training; SN re-applied every step when enabled.
 
     `features` is n x input_dim, `labels` length n. Returns a TrainLog with
-    per-epoch mean loss and full-pass accuracy. Each forward widens its
-    minibatch, so float32 features train as their float64 copy, unwidened.
+    per-epoch mean loss and, with log_accuracy, full-pass accuracy; without
+    it the accuracies stay empty, and as that pass draws no random number
+    and moves no SN state, the head has the same bits. Each forward widens
+    its minibatch, so float32 features train as their float64 copy,
+    unwidened.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -210,7 +214,8 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
             losses.append(loss)
         log.epochs.append(epoch)
         log.losses.append(float(np.mean(losses)))
-        log.accuracies.append(accuracy(head, [(features, labels)]))
+        if log_accuracy:
+            log.accuracies.append(accuracy(head, [(features, labels)]))
     head.finalize_spectral_norm()
     head.round_weights_to_f32()
     return log

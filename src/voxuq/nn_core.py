@@ -5,6 +5,8 @@ Everything here is deterministic given a seed. Random state uses numpy's
 PCG64 generator throughout.
 """
 
+import math
+
 import numpy as np
 
 LEAKY_SLOPE = 0.01
@@ -20,7 +22,9 @@ def leaky_relu(x):
 
 
 def leaky_relu_grad(pre):
-    return np.where(pre >= 0.0, 1.0, LEAKY_SLOPE)
+    """1.0 where pre >= 0, else LEAKY_SLOPE (NaN included), as one maximum
+    of the mask and the slope rather than a select over the mask."""
+    return np.maximum(pre >= 0.0, LEAKY_SLOPE)
 
 
 def softmax(logits):
@@ -73,12 +77,12 @@ def power_iteration(weight, state, iters=1):
     u, v = state.u, state.v
     for _ in range(iters):
         v = weight.T @ u
-        v_norm = np.linalg.norm(v)
+        v_norm = math.sqrt(v @ v)  # np.linalg.norm's formula for a vector
         if v_norm == 0.0:
             break
         v = v / v_norm
         u = weight @ v
-        u_norm = np.linalg.norm(u)
+        u_norm = math.sqrt(u @ u)
         if u_norm == 0.0:
             break
         u = u / u_norm
@@ -117,11 +121,12 @@ class LinearLayer:
         """
         if not self.sn_enabled:
             return self.weight, {"scale": 1.0, "clipped": False}
-        if update_state:
-            power_iteration(self.weight, self.sn_state, iters)
-        u = self.sn_state.u.copy()
-        v = self.sn_state.v.copy()
-        sigma = float(u @ self.weight @ v)
+        state = self.sn_state
+        # power_iteration's sigma is u^T W v over the u, v it leaves in state
+        sigma = (power_iteration(self.weight, state, iters) if update_state
+                 else float(state.u @ self.weight @ state.v))
+        u = state.u.copy()
+        v = state.v.copy()
         c = self.sn_coefficient
         if sigma <= c or sigma == 0.0:
             return self.weight, {"scale": 1.0, "clipped": False, "u": u, "v": v, "sigma": sigma}
@@ -172,7 +177,10 @@ def linear_forward(layer, x, cache=None, update_sn=True):
 
 
 class OptimizerState:
-    """Adam over a dict of named parameter arrays."""
+    """Adam over a dict of named parameter arrays, as whole-vector operations
+    on one flat (m, v) slot pair: the gradients are joined in the dict's
+    order and each parameter takes its slice of the update. Every operation
+    is elementwise, so each element has the bits of a per-array Adam."""
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -180,23 +188,41 @@ class OptimizerState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._slots = {}
+        self._layout = None   # (name, shape) of each parameter, in order
+        self._m = self._v = None
 
     def step(self, params, grads):
-        """In-place update of every parameter in `params` from `grads`."""
-        self.step_count += 1
+        """In-place update of every parameter in `params` from `grads`. The
+        first step lays the slots out for its parameters; a later step over
+        other names or shapes raises ShapeError and moves nothing."""
         for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
+            if grads[name].shape != p.shape:
                 raise ShapeError("gradient shape %s != parameter shape %s for %s"
-                                 % (g.shape, p.shape, name))
-            if name not in self._slots:
-                self._slots[name] = (np.zeros(p.shape), np.zeros(p.shape))
-            m, v = self._slots[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.step_count)
-            v_hat = v / (1.0 - self.beta2 ** self.step_count)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                                 % (grads[name].shape, p.shape, name))
+        layout = [(name, p.shape) for name, p in params.items()]
+        if self._layout is None:
+            self._layout = layout
+            self._m = np.zeros(sum(p.size for p in params.values()))
+            self._v = np.zeros_like(self._m)
+        elif layout != self._layout:
+            raise ShapeError("parameters %s are not the %s this optimizer steps"
+                             % (layout, self._layout))
+        self.step_count += 1
+        g = np.concatenate([grads[name].ravel() for name in params])
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        gg = (1.0 - self.beta2) * g
+        gg *= g
+        v += gg
+        update = m / (1.0 - self.beta1 ** self.step_count)
+        update *= self.lr
+        denom = v / (1.0 - self.beta2 ** self.step_count)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        lo = 0
+        for p in params.values():
+            p -= update[lo:lo + p.size].reshape(p.shape)
+            lo += p.size

@@ -31,10 +31,10 @@ def head_config_for_world(config, **head_keys):
 
 
 def train_on_dataset(head_config, dataset, seed=0, epochs=DEFAULT_EPOCHS,
-                     batch_size=DEFAULT_BATCH, lr=DEFAULT_LR):
+                     batch_size=DEFAULT_BATCH, lr=DEFAULT_LR, log_accuracy=True):
     head = ResidualMlpHead(head_config, seed=seed)
     log = train_head(head, *dataset.voxel_arrays(), opt=OptimizerState(lr=lr), epochs=epochs,
-                     batch_size=batch_size, seed=seed)
+                     batch_size=batch_size, seed=seed, log_accuracy=log_accuracy)
     return head, log
 
 
@@ -43,7 +43,8 @@ def fit_density(head, dataset, cap_per_class=DEFAULT_CAP_PER_CLASS, seed=0):
 
 
 def build_bundle(head_config, train_ds, seed=0, **train_kwargs):
-    head, _ = train_on_dataset(head_config, train_ds, seed=seed, **train_kwargs)
+    head, _ = train_on_dataset(head_config, train_ds, seed=seed, log_accuracy=False,
+                               **train_kwargs)
     return MethodBundle(head=head, gda_model=fit_density(head, train_ds, seed=seed))
 
 

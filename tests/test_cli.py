@@ -1,16 +1,21 @@
+import configparser
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxuq import cli, pipeline, store, synthworld
+from voxuq import head as head_module
 from voxuq import report as report_mod
 from voxuq.cli import _config_hash, main
 from voxuq.head import HeadConfig, ResidualMlpHead
@@ -313,6 +318,73 @@ def test_train_outputs(workspace):
     log = (models / "train_log.csv").read_text().strip().split("\n")
     assert log[0] == "epoch,loss,accuracy"
     assert len(log) == 3  # header + 2 epochs
+
+
+def _accuracy_calls(monkeypatch):
+    """The heads of every per-epoch accuracy pass of train_head, in order."""
+    calls = []
+    accuracy = head_module.accuracy
+    monkeypatch.setattr(head_module, "accuracy",
+                        lambda head, pairs: calls.append(head) or accuracy(head, pairs))
+    return calls
+
+
+def test_only_the_logged_head_runs_the_per_epoch_accuracy(workspace, runner, tmp_path,
+                                                          monkeypatch):
+    """train --ensemble 2 runs the per-epoch accuracy pass once an epoch for
+    the main head, whose train_log.csv logs it, and never for the members;
+    build_bundle, whose log nobody reads, never runs it. A member trained
+    with the pass has the bits of one trained without it."""
+    calls = _accuracy_calls(monkeypatch)
+    out = tmp_path / "models"
+    r = runner.invoke(main, ["train", "--data", str(workspace["data"]),
+                             "--config", str(workspace["config"]), "--out", str(out),
+                             "--seed", "7", "--ensemble", "2", "--epochs", "3"])
+    assert r.exit_code == 0, r.output
+    assert len(calls) == 3 and len({id(h) for h in calls}) == 1
+    train_ds = synthworld.load_dataset(workspace["data"] / "train")
+    head_config = pipeline.head_config_for_world(train_ds.config)
+    member, log = pipeline.train_on_dataset(head_config, train_ds, seed=107, epochs=3)
+    assert len(calls) == 6 and len(log.accuracies) == 3
+    store.save_head(member, tmp_path / "logged_member.ocuq")
+    assert (tmp_path / "logged_member.ocuq").read_bytes() == (out / "member_0.ocuq").read_bytes()
+    del calls[:]
+    pipeline.build_bundle(head_config, train_ds, seed=7, epochs=2)
+    assert calls == []
+
+
+def test_members_are_taken_in_index_order(workspace, tmp_path):
+    """de:n scores the first n members by the index in their names, so of
+    12 members the first three are member_0, member_1 and member_2, not
+    member_10 as in the string order of the names."""
+    head_path = workspace["models"] / "head.ocuq"
+    config = store.load_head(head_path).config
+    for i in range(12):
+        store.save_head(ResidualMlpHead(config, seed=100 + i), tmp_path / ("member_%d.ocuq" % i))
+    test_dir = workspace["data"] / "test"
+    bundle = cli._bundle_from_artifacts(head_path, None, tmp_path, ["de:n=3"],
+                                        synthworld.load_dataset(test_dir).config, test_dir)
+    assert len(bundle.ensemble_heads) == 12
+    for i, member in enumerate(bundle.ensemble_heads):
+        want = store.load_head(tmp_path / ("member_%d.ocuq" % i)).parameters()
+        for name, p in member.parameters().items():
+            assert p.tobytes() == want[name].tobytes(), (i, name)
+
+
+def test_members_are_read_only_for_de(workspace, foreign, runner, tmp_path):
+    """--members of another world is not read when no method is de:n:
+    eval-ood --methods max-softmax exits 0 and writes the metrics.json of
+    a run without --members."""
+    args = ["eval-ood", "--data", str(workspace["data"]),
+            "--head", str(workspace["models"] / "head.ocuq"), "--methods", "max-softmax",
+            "--corruptions", "noise", "--severities", "1", "--seed", "7"]
+    r = runner.invoke(main, args + ["--members", str(foreign["--members"]),
+                                    "--out", str(tmp_path / "with")])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, args + ["--out", str(tmp_path / "without")])
+    assert r.exit_code == 0, r.output
+    assert ((tmp_path / "with" / "metrics.json").read_bytes()
+            == (tmp_path / "without" / "metrics.json").read_bytes())
 
 
 def test_fit_gmm_missing_head_exit_2(workspace, runner):
@@ -701,7 +773,7 @@ def foreign(tmp_path_factory, runner):
     store.save_head(ResidualMlpHead(HeadConfig(input_dim=8, hidden_width=8, num_classes=3)),
                     three_classes)
     return {"--head": models / "head.ocuq", "--gda": models / "gda.ocuq", "--members": models,
-            "three classes": three_classes}
+            "three classes": three_classes, "data": data}
 
 
 @pytest.mark.parametrize("command, option, foreign_key, args, against", [
@@ -971,3 +1043,129 @@ def test_dim_sweep_bad_dims_exit_2(workspace, runner, dims):
     assert r.exit_code == 2
     assert isinstance(r.exception, SystemExit)
     assert r.output.startswith("error: ") and r.output.count("\n") == 1
+
+
+# -- the exit-code contract under generated hostile inputs ------------------
+
+# per config value type, values that no key of that type accepts: each is
+# malformed or below every key's limit
+MALFORMED = {int: ["", "x", "1.5", "-1", "nan", "1e3", "0x10", "true"],
+             float: ["", "x", "nan", "inf", "-inf", "-1", "1e400", "true"],
+             bool: ["", "maybe", "2", "-1", "nan"]}
+CONFIG_KEYS = [(section, key) for section, keys in cli.SECTION_KEYS.items() for key in keys]
+# the inputs each command reads, and what a hostile one of each may be
+INPUTS = {"generate-data": ("config",), "train": ("data", "config"), "fit-gmm": ("data", "head"),
+          "eval-ood": ("data", "head", "gda", "members"),
+          "calibrate": ("data", "head", "gda", "members"), "report": ("metrics",),
+          "ablate": ("config",), "dim-sweep": ("config",)}
+HOSTILE = {"data": ("foreign", "flipped"), "head": ("foreign", "three classes", "flipped"),
+           "gda": ("foreign", "flipped", "absent"), "members": ("foreign", "flipped", "absent"),
+           "metrics": ("flipped",), "config": ("malformed",)}
+DATA_FILES = [(split, name) for split in ("train", "val", "test")
+              for name in ("manifest.json", "features.bin", "labels.bin")]
+METHODS = ("ours", "max-softmax", "entropy", "mcd:n=2", "de:n=2")
+
+
+@pytest.fixture(scope="module")
+def metrics_dir(workspace, tmp_path_factory, runner):
+    """metrics.json and histograms.csv of one eval-ood run on the workspace."""
+    out = tmp_path_factory.mktemp("metrics")
+    r = runner.invoke(main, ["eval-ood", "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--methods", "ours,entropy",
+                             "--corruptions", "noise", "--severities", "1", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    return out
+
+
+@st.composite
+def hostile_input(draw, command):
+    """One input of `command` made hostile: (input, how, detail), where a
+    flipped input's detail is (file in its directory, byte offset, XOR
+    mask) and a malformed config's is (section, key, value)."""
+    name = draw(st.sampled_from(INPUTS[command]))
+    how = draw(st.sampled_from(HOSTILE[name]))
+    detail = None
+    if how == "flipped":
+        detail = (Path(*draw(st.sampled_from(DATA_FILES))) if name == "data" else None,
+                  draw(st.integers(0, 2 ** 20)), draw(st.integers(1, 255)))
+    elif how == "malformed":
+        section, key = draw(st.sampled_from(CONFIG_KEYS))
+        detail = section, key, draw(st.sampled_from(MALFORMED[cli.SECTION_KEYS[section][key]]))
+    return name, how, detail
+
+
+def _hostile_paths(tmp, workspace, foreign, metrics_dir, name, how, detail):
+    """The path of each input: the workspace's, but for input `name`, made
+    hostile `how` under `tmp`."""
+    paths = {"data": workspace["data"], "head": workspace["models"] / "head.ocuq",
+             "gda": workspace["gda"], "members": workspace["models"],
+             "metrics": metrics_dir / "metrics.json", "config": workspace["config"]}
+    if how == "foreign":
+        paths[name] = foreign["data" if name == "data" else "--" + name]
+    elif how == "three classes":
+        paths[name] = foreign[how]
+    elif how == "absent":
+        paths[name] = None
+    elif how == "flipped":
+        # a copy of the directory the input is in, one byte of one file flipped
+        own = paths[name]
+        paths[name] = tmp / name if own.is_dir() else tmp / name / own.name
+        shutil.copytree(own if own.is_dir() else own.parent, tmp / name)
+        data_file, offset, mask = detail
+        flipped = {"data": tmp / name / (data_file or ""),
+                   "members": tmp / name / "member_0.ocuq"}.get(name, paths[name])
+        raw = bytearray(flipped.read_bytes())
+        raw[offset % len(raw)] ^= mask
+        flipped.write_bytes(bytes(raw))
+    elif how == "malformed":
+        section, key, value = detail
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(workspace["config"])
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+        paths[name] = tmp / "config.ini"
+        with open(paths[name], "w") as f:
+            parser.write(f)
+    return paths
+
+
+@pytest.mark.parametrize("command", list(INPUTS))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hostile_inputs_keep_the_exit_code_contract(workspace, foreign, metrics_dir, runner,
+                                                    command, data):
+    """Every command, given an artifact or dataset of another world, a
+    byte-flipped artifact, dataset file or metrics.json, or a malformed
+    config value, exits 0, 2 or 3; an error is one `error:` line, and
+    nothing raises."""
+    name, how, detail = data.draw(hostile_input(command))
+    methods = data.draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = _hostile_paths(tmp, workspace, foreign, metrics_dir, name, how, detail)
+        argv = {
+            "generate-data": ["--config", paths["config"]],
+            "train": ["--data", paths["data"], "--config", paths["config"]],
+            "fit-gmm": ["--data", paths["data"], "--head", paths["head"]],
+            "eval-ood": ["--data", paths["data"], "--head", paths["head"],
+                         "--methods", ",".join(methods), "--corruptions", "noise",
+                         "--severities", "1"],
+            "calibrate": ["--data", paths["data"], "--head", paths["head"],
+                          "--method", methods[0]],
+            "report": ["--metrics", paths["metrics"]],
+            "ablate": ["--config", paths["config"]],
+            "dim-sweep": ["--config", paths["config"], "--dims", "4"],
+        }[command]
+        if command in ("eval-ood", "calibrate"):
+            argv += [a for option in ("gda", "members") if paths[option] is not None
+                     for a in ("--" + option, paths[option])]
+        out = tmp / ("gda.ocuq" if command == "fit-gmm" else "out")
+        argv += ["--out-dir" if command == "report" else "--out", out]
+        r = runner.invoke(main, [command] + [str(a) for a in argv])
+    assert r.exit_code in (0, 2, 3), (argv, r.output, r.exception)
+    assert r.exception is None or isinstance(r.exception, SystemExit), (argv, r.exception)
+    assert "Traceback" not in r.output
+    if r.exit_code:
+        assert r.output.startswith("error: ") and r.output.count("\n") == 1, (argv, r.output)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from voxuq.nn_core import (LEAKY_SLOPE, LinearLayer, OptimizerState, ShapeError,
-                           SpectralState, cross_entropy_loss, leaky_relu, linear_forward,
-                           power_iteration, softmax)
+                           SpectralState, cross_entropy_loss, leaky_relu, leaky_relu_grad,
+                           linear_forward, power_iteration, softmax)
 
 
 def test_softmax_rows_sum_to_one():
@@ -185,6 +185,18 @@ def test_leaky_relu_bit_identical_to_select_form():
     assert np.array_equal(leaky_relu(x).view(np.uint64), want.view(np.uint64))
 
 
+def test_leaky_relu_grad_bit_identical_to_select_form():
+    """1.0 or LEAKY_SLOPE with the bits of the select over pre >= 0, on
+    signed zeros, infinities, NaN and random values of a 2-D block."""
+    rng = np.random.default_rng(6)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324])
+    for pre in (special, rng.standard_normal((512, 32)), np.resize(special, (4, 6))):
+        want = np.where(pre >= 0, 1.0, LEAKY_SLOPE)
+        got = leaky_relu_grad(pre)
+        assert got.dtype == np.float64 and got.shape == pre.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_leaky_relu_values():
     x = np.array([-2.0, 0.0, 3.0])
     assert np.allclose(leaky_relu(x), [-0.02, 0.0, 3.0])
@@ -206,3 +218,78 @@ def test_optimizer_shape_mismatch():
     with pytest.raises(ShapeError):
         opt.step({"w": np.zeros(3)}, {"w": np.zeros(4)})
 
+
+class PerArrayAdam:
+    """The per-parameter Adam: the reference the joined flat step keeps the
+    bits of."""
+
+    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.slots = {}
+
+    def step(self, params, grads):
+        self.step_count += 1
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ShapeError("gradient shape %s != parameter shape %s for %s"
+                                 % (g.shape, p.shape, name))
+            if name not in self.slots:
+                self.slots[name] = (np.zeros(p.shape), np.zeros(p.shape))
+            m, v = self.slots[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.step_count)
+            v_hat = v / (1.0 - self.beta2 ** self.step_count)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+SHAPES = {"w0": (5, 7), "b0": (5,), "w1": (3, 5), "b1": (3,), "s": (), "t": (2, 1, 3)}
+
+
+def test_adam_bit_identical_to_per_array_oracle():
+    """20 steps over parameters of mixed shapes (a 0-d one included), with
+    gradients of very different scales, leave the parameters and the (m, v)
+    slots with the oracle's bits."""
+    rng = np.random.default_rng(14)
+    start = {name: rng.standard_normal(shape) for name, shape in SHAPES.items()}
+    got = {name: p.copy() for name, p in start.items()}
+    want = {name: p.copy() for name, p in start.items()}
+    opt, oracle = OptimizerState(lr=0.01), PerArrayAdam(lr=0.01)
+    for _ in range(20):
+        grads = {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 4)
+                 for name, shape in SHAPES.items()}
+        opt.step(got, grads)
+        oracle.step(want, grads)
+    for name in SHAPES:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    for flat, i in ((opt._m, 0), (opt._v, 1)):
+        joined = np.concatenate([oracle.slots[name][i].ravel() for name in SHAPES])
+        assert flat.tobytes() == joined.tobytes()
+    assert opt.step_count == oracle.step_count == 20
+
+
+def test_adam_shape_mismatch_is_the_oracles_error_and_moves_nothing():
+    params = {"w": np.ones((2, 3)), "b": np.ones(3)}
+    grads = {"w": np.ones((2, 3)), "b": np.ones(4)}
+    errors = []
+    for opt in (OptimizerState(), PerArrayAdam()):
+        with pytest.raises(ShapeError) as info:
+            opt.step({name: p.copy() for name, p in params.items()}, grads)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    # every shape is checked before any parameter moves
+    opt = OptimizerState()
+    with pytest.raises(ShapeError):
+        opt.step(params, grads)
+    assert np.array_equal(params["w"], np.ones((2, 3))) and opt.step_count == 0
+    # the slots are laid out by the first step; other parameters later raise
+    opt.step({"w": params["w"]}, {"w": np.ones((2, 3))})
+    w = params["w"].copy()
+    for other in ({"w": np.ones((3, 2))}, params, {"b": np.ones(6)}):
+        with pytest.raises(ShapeError):
+            opt.step(other, {name: np.ones_like(p) for name, p in other.items()})
+    assert params["w"].tobytes() == w.tobytes() and opt.step_count == 1
