@@ -31,6 +31,8 @@ HEAD_KEYS = {f.name: f.type for f in fields(HeadConfig)
 TRAINING_KEYS = {"epochs": int, "batch_size": int, "lr": float}
 
 SECTION_KEYS = {"world": WORLD_KEYS, "head": HEAD_KEYS, "training": TRAINING_KEYS}
+COUNT = click.IntRange(min=0)  # a seed or count: click checks these option types
+IN_FILE = click.Path(exists=True, dir_okay=False)  # an input file that exists
 
 
 def usage_error(message):
@@ -59,8 +61,7 @@ def load_config(path):
     the offending name."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        if not parser.read(path):
-            usage_error("cannot read config file %s" % path)
+        parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as e:
         usage_error("malformed config file %s: %s" % (path, str(e).splitlines()[0]))
     if parser.defaults():
@@ -129,25 +130,26 @@ def _int_list(raw, name, lo, hi=None):
     return values
 
 
-def _at_least(lo):
-    """Click callback: an integer option below `lo` is a usage error."""
-    def check(ctx, param, value):
-        if value is not None and value < lo:
-            usage_error("--%s must be >= %d, got %d" % (param.name, lo, value))
-        return value
-    return check
-
-
 class ExitCodeGroup(click.Group):
-    """Click group that maps the toolkit's errors to exit codes: a world whose
-    class anchors cannot be placed, a sweep's world without train or test
-    scenes and a method without the artifacts it scores with are
-    configuration errors (2); a density model that cannot be fitted to the
-    data and a malformed artifact file are data errors (3)."""
+    """Click group that maps each error of parsing or of a command to one `error:` line
+    and an exit code: click's usage errors, a world whose class anchors cannot be placed,
+    a sweep's world without train or test scenes and a method without its artifacts exit
+    2; a density model that cannot be fitted and a malformed artifact file exit 3."""
+
+    def parse_args(self, ctx, args):
+        return self._exit_codes(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
+        return self._exit_codes(super().invoke, ctx)
+
+    @staticmethod
+    def _exit_codes(call, *args):
         try:
-            return super().invoke(ctx)
+            return call(*args)
+        except click.exceptions.NoArgsIsHelpError:  # bare `voxuq` prints the help
+            raise
+        except click.UsageError as e:
+            usage_error(e.format_message())
         except (synthworld.GenerationError, MethodError) as e:
             usage_error(str(e))
         except (FitError, store.StoreError) as e:
@@ -160,9 +162,9 @@ def main():
 
 
 @main.command("generate-data")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, callback=_at_least(0))
+@click.option("--seed", type=COUNT, default=None)
 @click.option("--force", is_flag=True)
 def cmd_generate_data(config_path, out, seed, force):
     """Generate train/val/test splits of the synthetic voxel world."""
@@ -182,11 +184,11 @@ def cmd_generate_data(config_path, out, seed, force):
 
 @main.command("train")
 @click.option("--data", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42, callback=_at_least(0))
+@click.option("--seed", type=COUNT, default=42)
 @click.option("--epochs", type=int, default=None)
-@click.option("--ensemble", type=int, default=0, callback=_at_least(0))
+@click.option("--ensemble", type=COUNT, default=0)
 def cmd_train(data, config_path, out, seed, epochs, ensemble):
     """Train the prediction head (and optional deep-ensemble members)."""
     config = load_config(config_path) if config_path else {}
@@ -221,14 +223,12 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
 
 @main.command("fit-gmm")
 @click.option("--data", required=True, type=click.Path())
-@click.option("--head", "head_path", required=True, type=click.Path())
-@click.option("--cap", type=int, default=20000, callback=_at_least(1))
-@click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42, callback=_at_least(0))
+@click.option("--head", "head_path", required=True, type=IN_FILE)
+@click.option("--cap", type=click.IntRange(min=1), default=20000)
+@click.option("--out", required=True, type=click.Path(dir_okay=False))
+@click.option("--seed", type=COUNT, default=42)
 def cmd_fit_gmm(data, head_path, cap, out, seed):
     """Fit the per-class Gaussian density model from penultimate features."""
-    if Path(out).is_dir():
-        usage_error("--out %s is a directory" % out)
     train_ds = _load_split(data, "train")
     head = _bundle_from_artifacts(head_path, None, None, [], train_ds.config,
                                   Path(data) / "train").head
@@ -269,21 +269,16 @@ def _bundle_from_artifacts(head_path, gda_path, members_dir, methods, config, sp
     The density model is loaded only if a method is ours, as loading it
     inverts K Cholesky factors, and the members only if a method is de:n,
     in the order of the index in their names."""
-    if not Path(head_path).is_file():
-        usage_error("missing head artifact %s" % head_path)
     head = store.load_head(head_path)
     _agree(_io_sizes(head), head_path, (config.feature_dim, config.num_classes),
            split_dir / "manifest.json")
     names = {parse_method(m)[0] for m in methods}
     gda_model = None
-    if gda_path:
-        if not Path(gda_path).is_file():
-            usage_error("missing gda artifact %s" % gda_path)
-        if "ours" in names:
-            gda_model = store.load_gda(gda_path)
-            _agree((gda_model.dim, gda_model.num_classes), gda_path,
-                   (head.config.hidden_width, head.config.num_classes), head_path,
-                   "feature dim and classes")
+    if gda_path and "ours" in names:
+        gda_model = store.load_gda(gda_path)
+        _agree((gda_model.dim, gda_model.num_classes), gda_path,
+               (head.config.hidden_width, head.config.num_classes), head_path,
+               "feature dim and classes")
     paths = []
     if members_dir and "de" in names:
         paths = sorted(Path(members_dir).glob("member_*.ocuq"), key=_member_index)
@@ -307,14 +302,14 @@ def _param_count(method, bundle):
 
 @main.command("eval-ood")
 @click.option("--data", required=True, type=click.Path())
-@click.option("--head", "head_path", required=True, type=click.Path())
-@click.option("--gda", "gda_path", type=click.Path(), default=None)
+@click.option("--head", "head_path", required=True, type=IN_FILE)
+@click.option("--gda", "gda_path", type=IN_FILE, default=None)
 @click.option("--members", "members_dir", type=click.Path(), default=None)
 @click.option("--methods", default="ours,max-softmax,entropy")
 @click.option("--corruptions", default=",".join(synthworld.CORRUPTION_KINDS))
 @click.option("--severities", default="1,2,3")
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42, callback=_at_least(0))
+@click.option("--seed", type=COUNT, default=42)
 def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
                  severities, out, seed):
     """Run the clean-vs-corrupted sweep and write metrics.json + histograms.csv."""
@@ -353,14 +348,14 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
 
 @main.command("calibrate")
 @click.option("--data", required=True, type=click.Path())
-@click.option("--head", "head_path", required=True, type=click.Path())
-@click.option("--gda", "gda_path", type=click.Path(), default=None)
+@click.option("--head", "head_path", required=True, type=IN_FILE)
+@click.option("--gda", "gda_path", type=IN_FILE, default=None)
 @click.option("--members", "members_dir", type=click.Path(), default=None)
 @click.option("--method", default="ours")
 @click.option("--mode", type=click.Choice(["ts", "ugts"]), default="ugts")
 @click.option("--lambda-grid", "lambda_grid", default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42, callback=_at_least(0))
+@click.option("--seed", type=COUNT, default=42)
 def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
                   lambda_grid, out, seed):
     """Fit temperature scaling (and UGTS lambda), then report ECE/NLL on the
@@ -377,7 +372,9 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
         if not grid or not all(map(math.isfinite, grid)):
             usage_error("--lambda-grid must be comma-separated finite numbers, got %r"
                         % lambda_grid)
-    train_ds, val_ds, test_ds = (_load_split(data, split) for split in ("train", "val", "test"))
+    # no temperature at lambda = 0 reads the train-set mean, so then no train scene is read
+    train_ds = _load_split(data, "train") if any(grid) else None
+    val_ds, test_ds = (_load_split(data, split) for split in ("val", "test"))
     bundle = _bundle_from_artifacts(head_path, gda_path, members_dir, [method],
                                     test_ds.config, Path(data) / "test")
     world = synthworld.generate_world(test_ds.config)
@@ -392,7 +389,7 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
         "schema_version": report_mod.METRICS_SCHEMA_VERSION,
         "method": method, "mode": mode,
         "t_train": params.t_train, "lambda": params.lam,
-        "u_bar_train": params.u_bar_train,
+        "u_bar_train": params.u_bar_train if any(grid) else None,
         "results": result,
     }
     report_mod.write_metrics(doc, out_dir / "calibration.json")
@@ -405,34 +402,31 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
 
 
 @main.command("report")
-@click.option("--metrics", "metrics_path", required=True, type=click.Path())
-@click.option("--histograms", "histograms_path", type=click.Path(), default=None)
+@click.option("--metrics", "metrics_path", required=True, type=IN_FILE)
+@click.option("--histograms", "histograms_path", type=IN_FILE, default=None)
 @click.option("--out-dir", required=True, type=click.Path())
 def cmd_report(metrics_path, histograms_path, out_dir):
     """Render markdown tables and SVG histograms from metrics.json."""
-    if not Path(metrics_path).is_file():
-        usage_error("missing metrics file %s" % metrics_path)
-    if histograms_path is None:
-        histograms_path = str(Path(metrics_path).parent / "histograms.csv")
-    elif not Path(histograms_path).is_file():
-        usage_error("missing histograms file %s" % histograms_path)
     output_dir(out_dir)
     try:
-        written = report_mod.render_report(metrics_path, histograms_path, out_dir)
+        written = report_mod.render_report(
+            metrics_path, histograms_path or Path(metrics_path).parent / "histograms.csv", out_dir)
+    except report_mod.HistogramsError as e:
+        usage_error(e)
     except (ValueError, KeyError) as e:
         usage_error("metrics schema mismatch: %s" % e)
     click.echo("wrote %d files to %s" % (len(written), out_dir))
 
 
 @main.command("ablate")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42, callback=_at_least(0))
+@click.option("--seed", type=COUNT, default=None)
 def cmd_ablate(config_path, out, seed):
     """Train {3,5}-layer x {skip} head variants and tabulate OoD performance."""
     config = load_config(config_path) if config_path else {}
-    world_config = world_config_from(config, seed=seed)
-    rows = pipeline.ablation_table(world_config, seed=seed)
+    world_config = world_config_from(config, seed=seed)  # --seed, else [world] seed
+    rows = pipeline.ablation_table(world_config, seed=world_config.seed)
     out_dir = output_dir(out)
     report_mod.write_metrics({"rows": rows}, out_dir / "ablation.json")
     (out_dir / "ablation.md").write_text(report_mod.ablation_table_markdown(rows))
@@ -444,16 +438,16 @@ def cmd_ablate(config_path, out, seed):
 
 @main.command("dim-sweep")
 @click.option("--dims", default="16,32")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--seed", type=int, default=42, callback=_at_least(0))
+@click.option("--seed", type=COUNT, default=None)
 def cmd_dim_sweep(dims, config_path, out, seed):
     """Sweep the feature/penultimate dimension and tabulate OoD metrics plus
     density-model parameter counts."""
     dim_list = _int_list(dims, "dims", 2)
     config = load_config(config_path) if config_path else {}
-    world_config = world_config_from(config, seed=seed)
-    rows = pipeline.feature_dim_sweep(dim_list, world_config, seed=seed)
+    world_config = world_config_from(config, seed=seed)  # --seed, else [world] seed
+    rows = pipeline.feature_dim_sweep(dim_list, world_config, seed=world_config.seed)
     out_dir = output_dir(out)
     report_mod.write_metrics({"rows": rows}, out_dir / "dim_sweep.json")
     (out_dir / "dim_sweep.md").write_text(report_mod.dim_sweep_table_markdown(rows))

@@ -69,13 +69,17 @@ def _scene_gaps(spec, bundle, scenes, seed):
 def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, seed=0):
     """Fit t_train on clean validation logits, compute the train-set mean
     uncertainty, and tune lambda on the clean split. Returns the
-    CalibrationParams."""
+    CalibrationParams. No temperature at lambda = 0 reads the train-set mean,
+    so a grid of zeros scores no train scene (train_ds may be None) and keeps
+    u_bar_train at 0."""
     check_methods([method], bundle)
     spec = _calibration_spec(method)
-    # scene means only: the train split's logits are never built
-    u_bar_train = float(np.mean([aggregate_scene(s[spec]) for s, _, _ in
-                                 score_split([spec], bundle, train_ds.iter_scene_arrays(), seed,
-                                             with_logits=False)]))
+    u_bar_train = 0.0
+    if any(lam_grid):
+        # scene means only: the train split's logits are never built
+        u_bar_train = float(np.mean([
+            aggregate_scene(s[spec]) for s, _, _ in
+            score_split([spec], bundle, train_ds.iter_scene_arrays(), seed, with_logits=False)]))
     gaps, u_val = zip(*_scene_gaps(spec, bundle, val_ds.iter_scene_arrays(), seed))
     params = CalibrationParams(t_train=fit_temperature(gaps), u_bar_train=u_bar_train)
     params.lam, _ = tune_lambda(gaps, u_val, params, lam_grid)

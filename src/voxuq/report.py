@@ -9,6 +9,11 @@ from pathlib import Path
 import numpy as np
 
 METRICS_SCHEMA_VERSION = 1
+NAME_MAX = 255  # bytes in a file name on Linux file systems
+
+
+class HistogramsError(ValueError):
+    """A histograms.csv row that write_histograms_csv would not write."""
 
 
 def _fmt_float(x):
@@ -99,13 +104,26 @@ def write_histograms_csv(report, path):
 
 
 def read_histograms_csv(path):
+    """The rows of a histograms.csv. A file that is not UTF-8, and a row of
+    the wrong field count, with a field that is not a number or with a
+    negative count, raise HistogramsError naming the file and line."""
+    try:
+        lines = Path(path).read_text().strip().split("\n")[1:]
+    except UnicodeDecodeError:
+        raise HistogramsError("%s is not UTF-8 text" % path) from None
     rows = []
-    for line in Path(path).read_text().strip().split("\n")[1:]:
-        method, corruption, severity, left, right, cid, cood = line.split(",")
-        rows.append({"method": method, "corruption": corruption,
-                     "severity": int(severity), "bin_left": float(left),
-                     "bin_right": float(right), "count_id": int(cid),
-                     "count_ood": int(cood)})
+    for number, line in enumerate(lines, 2):
+        try:
+            method, corruption, severity, left, right, cid, cood = line.split(",")
+            row = {"method": method, "corruption": corruption,
+                   "severity": int(severity), "bin_left": float(left),
+                   "bin_right": float(right), "count_id": int(cid),
+                   "count_ood": int(cood)}
+        except ValueError as e:
+            raise HistogramsError("%s line %d: %s" % (path, number, e)) from None
+        if min(row["count_id"], row["count_ood"]) < 0:
+            raise HistogramsError("%s line %d: a negative count" % (path, number))
+        rows.append(row)
     return rows
 
 
@@ -180,8 +198,10 @@ def histogram_svg(rows):
 
 def render_report(metrics_path, histograms_path, out_dir):
     """Render markdown tables from metrics.json, and per-cell SVGs from
-    histograms.csv when `histograms_path` is a file. Returns the list of
-    files written."""
+    histograms.csv when `histograms_path` is a file; both are read, and each
+    SVG's name checked to be a plain file name (no '/' or NUL, at most
+    NAME_MAX bytes), before any file is written. Returns the list of files
+    written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = json.loads(Path(metrics_path).read_text())
@@ -191,21 +211,22 @@ def render_report(metrics_path, histograms_path, out_dir):
     if not all(isinstance(b, dict) and all(type(b.get(k, 0.0)) in (int, float) for k in (
             "mauroc", "mfpr95", "region_mauroc", "region_mfpr95")) for b in blocks):
         raise ValueError("'methods' must map each method to an object of numbers")
+    cells = {}
+    for r in read_histograms_csv(histograms_path) if Path(histograms_path).is_file() else ():
+        name = "hist_%s_%s_s%d.svg" % (r["method"].replace(":", "_"), r["corruption"],
+                                       r["severity"])
+        if "/" in name or "\0" in name or len(name.encode()) > NAME_MAX:
+            raise HistogramsError("%s: method %r and corruption %r do not make a file name"
+                                  % (histograms_path, r["method"], r["corruption"]))
+        cells.setdefault(name, []).append(r)
     tables = out_dir / "tables.md"
     body = "# Benchmark tables\n\n" + ood_table_markdown(doc)
     if not doc["methods"]:
         body += "\nno cells\n"
     tables.write_text(body)
     written = [tables]
-    if Path(histograms_path).is_file():
-        cells = {}
-        for r in read_histograms_csv(histograms_path):
-            cells.setdefault((r["method"], r["corruption"], r["severity"]),
-                             []).append(r)
-        for (method, corruption, severity), cell_rows in sorted(cells.items()):
-            name = "hist_%s_%s_s%d.svg" % (method.replace(":", "_"),
-                                           corruption, severity)
-            path = out_dir / name
-            path.write_text(histogram_svg(cell_rows))
-            written.append(path)
+    for name, cell_rows in sorted(cells.items()):
+        path = out_dir / name
+        path.write_text(histogram_svg(cell_rows))
+        written.append(path)
     return written

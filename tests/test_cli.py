@@ -242,6 +242,79 @@ def test_negative_count_option_exit_2(workspace, runner, tmp_path, command, args
     assert not out.exists()
 
 
+# the file options of each command, and the commands that take --seed
+FILE_OPTIONS = {"generate-data": ("--config",), "train": ("--config",),
+                "fit-gmm": ("--head",), "eval-ood": ("--head", "--gda"),
+                "calibrate": ("--head", "--gda"), "report": ("--metrics", "--histograms"),
+                "ablate": ("--config",), "dim-sweep": ("--config",)}
+SEED_COMMANDS = [c for c in FILE_OPTIONS if c != "report"]
+# (command, option, value) that click rejects before the command runs: a
+# value of None drops the option, and an option the command's valid
+# arguments lack is added
+CLICK_CHECKS = ([(c, "--seed", v) for c in SEED_COMMANDS for v in ("abc", "-1", "1.5")]
+                + [("fit-gmm", "--cap", "0"), ("train", "--ensemble", "x"),
+                   ("calibrate", "--mode", "foo")]
+                + [(c, "--bogus", "1") for c in FILE_OPTIONS]
+                + [(c, "--out-dir" if c == "report" else "--out", None) for c in FILE_OPTIONS]
+                + [(c, "--data", None) for c in ("train", "fit-gmm", "eval-ood", "calibrate")]
+                + [(c, o, v) for c, options in FILE_OPTIONS.items() for o in options
+                   for v in ("missing", "directory")]
+                + [("fit-gmm", "--out", "directory")])
+
+
+def _valid_args(workspace, metrics_dir, out):
+    """Arguments with which each command runs."""
+    data, head, gda = workspace["data"], workspace["models"] / "head.ocuq", workspace["gda"]
+    config = ["--config", workspace["config"]]
+    return {"generate-data": config + ["--out", out],
+            "train": ["--data", data] + config + ["--out", out],
+            "fit-gmm": ["--data", data, "--head", head, "--out", out / "gda.ocuq"],
+            "eval-ood": ["--data", data, "--head", head, "--gda", gda, "--out", out],
+            "calibrate": ["--data", data, "--head", head, "--gda", gda, "--out", out],
+            "report": ["--metrics", metrics_dir / "metrics.json",
+                       "--histograms", metrics_dir / "histograms.csv", "--out-dir", out],
+            "ablate": config + ["--out", out], "dim-sweep": config + ["--out", out]}
+
+
+@pytest.mark.parametrize("command, option, value", CLICK_CHECKS)
+def test_option_click_rejects_exits_2_in_one_line(workspace, metrics_dir, runner, tmp_path,
+                                                  command, option, value):
+    """A bad integer, choice or file option, a missing required option and
+    an unknown option are each one `error:` line naming the option, exit 2,
+    and nothing is written."""
+    out = tmp_path / "out"
+    args = _valid_args(workspace, metrics_dir, out)[command]
+    value = {"missing": tmp_path / "absent", "directory": tmp_path}.get(value, value)
+    if option not in args:
+        args += [option, value]
+    elif value is None:
+        del args[args.index(option):args.index(option) + 2]
+    else:
+        args[args.index(option) + 1] = value
+    r = runner.invoke(main, [command, *map(str, args)])
+    _assert_one_line_error(r, 2)
+    assert option in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [(["nosuch"], "nosuch"), (["--bogus"], "--bogus"),
+                                         (["--bogus", "train"], "--bogus")])
+def test_group_usage_error_exits_2_in_one_line(runner, argv, named):
+    r = runner.invoke(main, argv)
+    _assert_one_line_error(r, 2)
+    assert named in r.output
+
+
+def test_bare_voxuq_and_help_print_the_help(runner):
+    r = runner.invoke(main, [])
+    assert r.output.startswith("Usage: ") and "Commands:" in r.output
+    assert "error:" not in r.output
+    for command in FILE_OPTIONS:
+        r = runner.invoke(main, [command, "--help"])
+        assert r.exit_code == 0, r.output
+        assert r.output.startswith("Usage: ") and "--help" in r.output
+
+
 @pytest.mark.parametrize("command", ["train", "fit-gmm", "calibrate"])
 def test_label_out_of_range_exit_3(workspace, runner, tmp_path, command):
     data = tmp_path / "data"
@@ -891,6 +964,32 @@ def test_calibrate_writes_params_and_report(workspace, runner):
     assert doc["t_train"] > 0
 
 
+def test_calibrate_ts_reads_no_train_split(workspace, runner, tmp_path):
+    """No temperature at lambda = 0 reads u_bar_train, so --mode ts scores no
+    train scene: it runs on data without a train split, writes u_bar_train
+    as null, and its raw and ts results are those of a ugts run."""
+    data = tmp_path / "data"
+    for split in ("val", "test"):
+        shutil.copytree(workspace["data"] / split, data / split)
+    runs = {}
+    for mode, split_dir in (("ts", data), ("ugts", workspace["data"])):
+        out = tmp_path / mode
+        r = runner.invoke(main, ["calibrate", "--data", str(split_dir),
+                                 "--head", str(workspace["models"] / "head.ocuq"),
+                                 "--gda", str(workspace["gda"]), "--method", "ours",
+                                 "--mode", mode, "--out", str(out), "--seed", "7"])
+        assert r.exit_code == 0, r.output
+        runs[mode] = json.loads((out / "calibration.json").read_text())
+    ts, ugts = runs["ts"], runs["ugts"]
+    assert ts["u_bar_train"] is None and ugts["u_bar_train"] > 0
+    assert ts["lambda"] == 0.0 and ts["t_train"] == ugts["t_train"]
+    for split in ("clean", "corrupted"):
+        for variant in ("raw", "ts"):
+            assert ts["results"][split][variant] == ugts["results"][split][variant]
+        assert ts["results"][split]["ugts"] == ts["results"][split]["ts"]
+    assert store.load_calibration(tmp_path / "ts" / "calib.ocuq").u_bar_train == 0.0
+
+
 def test_in_process_calibration_equals_the_cli(workspace, runner):
     """Generated splits hold the float32 values that features.bin stores, so
     calibrating on splits generated in process gives calibration.json's
@@ -935,6 +1034,34 @@ def test_report_histograms_that_are_not_a_file_exit_2(workspace, runner, tmp_pat
         _assert_one_line_error(r, 2)
         assert "histograms" in r.output
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row", [
+    b"ours,no/ise,1,0,1,2,3",             # not a plain file name
+    b"ours,/../../escaped,1,0,1,2,3",     # a name that leaves --out-dir
+    b"ours,no\x00ise,1,0,1,2,3",         # a NUL byte
+    b"ours," + b"n" * 250 + b",1,0,1,2,3",  # a file name over NAME_MAX bytes
+    b"ours,noise,1,0",                    # 4 fields
+    b"ours,noise,1,0,1,2,3,4",            # 8 fields
+    b"ours,noise,one,0,1,2,3",            # a severity that is not a number
+    b"ours,noise,1,0,1,2,3x",             # a count that is not a number
+    b"ours,noise,1,0,1,2,-3",             # a negative count
+    b"ours,noise,1,0,1,2,3\xff",          # not UTF-8
+], ids=["slash", "escape", "nul", "long name", "4 fields", "8 fields", "severity", "count",
+        "negative count", "not utf-8"])
+def test_report_bad_histograms_row_exit_2(metrics_dir, runner, tmp_path, row):
+    """A histograms.csv row that eval-ood would not write is one `error:`
+    line naming histograms.csv, exit 2, and no SVG is written anywhere."""
+    shutil.copy(metrics_dir / "metrics.json", tmp_path)
+    csv_bytes = (metrics_dir / "histograms.csv").read_bytes()
+    (tmp_path / "histograms.csv").write_bytes(csv_bytes + row + b"\n")
+    out = tmp_path / "a" / "out"
+    (out / "hist_ours_").mkdir(parents=True)  # where the escaping name would start
+    r = runner.invoke(main, ["report", "--metrics", str(tmp_path / "metrics.json"),
+                             "--out-dir", str(out)])
+    _assert_one_line_error(r, 2)
+    assert "histograms.csv" in r.output and "metrics schema mismatch" not in r.output
+    assert not list(tmp_path.rglob("*.svg"))
 
 
 def test_report_missing_metrics_exit_2(workspace, runner):
@@ -1035,6 +1162,27 @@ def test_dim_sweep_tabulates_param_counts(workspace, runner):
     assert (out / "dim_sweep.md").exists()
 
 
+@pytest.mark.parametrize("command, args, name", [("ablate", (), "ablation.json"),
+                                                 ("dim-sweep", ("--dims", "4"), "dim_sweep.json")])
+def test_world_seed_of_the_config_seeds_the_sweeps(runner, tmp_path, command, args, name):
+    """ablate and dim-sweep take [world] seed unless --seed is given, and it
+    seeds the world, the training and the sweep as --seed does."""
+    world = SMALL_CONFIG.split("[training]")[0]
+    seeded, unseeded = tmp_path / "seeded.ini", tmp_path / "unseeded.ini"
+    seeded.write_text(world)
+    unseeded.write_text(world.replace("seed = 7\n", ""))
+    runs = {"config": (seeded,), "option": (unseeded, "--seed", "7"),
+            "both": (seeded, "--seed", "42"), "neither": (unseeded,)}
+    outputs = {}
+    for run, (config, *seed) in runs.items():
+        r = runner.invoke(main, [command, "--config", str(config), *args, *seed,
+                                 "--out", str(tmp_path / run)])
+        assert r.exit_code == 0, r.output
+        outputs[run] = (tmp_path / run / name).read_bytes()
+    assert outputs["config"] == outputs["option"]
+    assert outputs["both"] == outputs["neither"] != outputs["config"]
+
+
 @pytest.mark.parametrize("dims", ["4,x", "eight", "4.5", "1", "4,4"])
 def test_dim_sweep_bad_dims_exit_2(workspace, runner, dims):
     r = runner.invoke(main, ["dim-sweep", "--dims", dims,
@@ -1056,11 +1204,11 @@ CONFIG_KEYS = [(section, key) for section, keys in cli.SECTION_KEYS.items() for 
 # the inputs each command reads, and what a hostile one of each may be
 INPUTS = {"generate-data": ("config",), "train": ("data", "config"), "fit-gmm": ("data", "head"),
           "eval-ood": ("data", "head", "gda", "members"),
-          "calibrate": ("data", "head", "gda", "members"), "report": ("metrics",),
+          "calibrate": ("data", "head", "gda", "members"), "report": ("metrics", "histograms"),
           "ablate": ("config",), "dim-sweep": ("config",)}
 HOSTILE = {"data": ("foreign", "flipped"), "head": ("foreign", "three classes", "flipped"),
            "gda": ("foreign", "flipped", "absent"), "members": ("foreign", "flipped", "absent"),
-           "metrics": ("flipped",), "config": ("malformed",)}
+           "metrics": ("flipped",), "histograms": ("flipped",), "config": ("malformed",)}
 DATA_FILES = [(split, name) for split in ("train", "val", "test")
               for name in ("manifest.json", "features.bin", "labels.bin")]
 METHODS = ("ours", "max-softmax", "entropy", "mcd:n=2", "de:n=2")
@@ -1100,7 +1248,8 @@ def _hostile_paths(tmp, workspace, foreign, metrics_dir, name, how, detail):
     hostile `how` under `tmp`."""
     paths = {"data": workspace["data"], "head": workspace["models"] / "head.ocuq",
              "gda": workspace["gda"], "members": workspace["models"],
-             "metrics": metrics_dir / "metrics.json", "config": workspace["config"]}
+             "metrics": metrics_dir / "metrics.json",
+             "histograms": metrics_dir / "histograms.csv", "config": workspace["config"]}
     if how == "foreign":
         paths[name] = foreign["data" if name == "data" else "--" + name]
     elif how == "three classes":
@@ -1137,9 +1286,9 @@ def _hostile_paths(tmp, workspace, foreign, metrics_dir, name, how, detail):
 def test_hostile_inputs_keep_the_exit_code_contract(workspace, foreign, metrics_dir, runner,
                                                     command, data):
     """Every command, given an artifact or dataset of another world, a
-    byte-flipped artifact, dataset file or metrics.json, or a malformed
-    config value, exits 0, 2 or 3; an error is one `error:` line, and
-    nothing raises."""
+    byte-flipped artifact, dataset file, metrics.json or histograms.csv, or
+    a malformed config value, exits 0, 2 or 3; an error is one `error:`
+    line, and nothing raises."""
     name, how, detail = data.draw(hostile_input(command))
     methods = data.draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True))
     with tempfile.TemporaryDirectory() as tmp:
@@ -1154,7 +1303,7 @@ def test_hostile_inputs_keep_the_exit_code_contract(workspace, foreign, metrics_
                          "--severities", "1"],
             "calibrate": ["--data", paths["data"], "--head", paths["head"],
                           "--method", methods[0]],
-            "report": ["--metrics", paths["metrics"]],
+            "report": ["--metrics", paths["metrics"], "--histograms", paths["histograms"]],
             "ablate": ["--config", paths["config"]],
             "dim-sweep": ["--config", paths["config"], "--dims", "4"],
         }[command]
