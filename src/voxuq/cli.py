@@ -57,11 +57,11 @@ def output_dir(path):
 
 
 def load_config(path):
-    """Sectioned key-value config; unknown sections/keys are rejected with
-    the offending name."""
+    """Sectioned key-value config, every section empty when `path` is None;
+    unknown sections/keys are rejected with the offending name."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read(path or [])
     except (configparser.Error, UnicodeDecodeError) as e:
         usage_error("malformed config file %s: %s" % (path, str(e).splitlines()[0]))
     if parser.defaults():
@@ -132,9 +132,9 @@ def _int_list(raw, name, lo, hi=None):
 
 class ExitCodeGroup(click.Group):
     """Click group that maps each error of parsing or of a command to one `error:` line
-    and an exit code: click's usage errors, a world whose class anchors cannot be placed,
-    a sweep's world without train or test scenes and a method without its artifacts exit
-    2; a density model that cannot be fitted and a malformed artifact file exit 3."""
+    and an exit code: click's usage errors, class anchors that cannot be placed, a sweep's
+    world without train or test scenes or front-sector voxel, and a malformed method or
+    one without its artifacts exit 2; an unfittable density or bad artifact file exit 3."""
 
     def parse_args(self, ctx, args):
         return self._exit_codes(super().parse_args, ctx, args)
@@ -168,7 +168,7 @@ def main():
 @click.option("--force", is_flag=True)
 def cmd_generate_data(config_path, out, seed, force):
     """Generate train/val/test splits of the synthetic voxel world."""
-    config = load_config(config_path) if config_path else {}
+    config = load_config(config_path)
     world_config = world_config_from(config, seed=seed)
     if Path(out).is_dir() and any(Path(out).iterdir()) and not force:
         usage_error("output directory %s is not empty (use --force)" % out)
@@ -191,9 +191,9 @@ def cmd_generate_data(config_path, out, seed, force):
 @click.option("--ensemble", type=COUNT, default=0)
 def cmd_train(data, config_path, out, seed, epochs, ensemble):
     """Train the prediction head (and optional deep-ensemble members)."""
-    config = load_config(config_path) if config_path else {}
+    config = load_config(config_path)
     kwargs = dict({"epochs": pipeline.DEFAULT_EPOCHS, "batch_size": pipeline.DEFAULT_BATCH,
-                   "lr": pipeline.DEFAULT_LR}, **config.get("training", {}))
+                   "lr": pipeline.DEFAULT_LR}, **config["training"])
     if epochs is not None:
         kwargs["epochs"] = epochs
     if not (kwargs["epochs"] >= 1 and kwargs["batch_size"] >= 1 and 0 < kwargs["lr"] < math.inf):
@@ -201,7 +201,7 @@ def cmd_train(data, config_path, out, seed, epochs, ensemble):
                     "%(batch_size)d and %(lr)r" % kwargs)
     train_ds, val_ds = (_load_split(data, split) for split in ("train", "val"))
     try:
-        head_config = pipeline.head_config_for_world(train_ds.config, **config.get("head", {}))
+        head_config = pipeline.head_config_for_world(train_ds.config, **config["head"])
     except ValueError as e:
         usage_error(str(e))
     head, log = pipeline.train_on_dataset(head_config, train_ds, seed=seed, **kwargs)
@@ -237,13 +237,6 @@ def cmd_fit_gmm(data, head_path, cap, out, seed):
     store.save_gda(model, out)
     for c in range(model.num_classes):
         click.echo("class %d: %d vectors" % (c, model.counts[c]))
-
-
-def _parse_method(spec):
-    try:
-        return parse_method(spec)
-    except ValueError as e:
-        usage_error(str(e))
 
 
 def _agree(sizes, path, other_sizes, other_path, what="input dim and classes"):
@@ -307,7 +300,7 @@ def _param_count(method, bundle):
 @click.option("--members", "members_dir", type=click.Path(), default=None)
 @click.option("--methods", default="ours,max-softmax,entropy")
 @click.option("--corruptions", default=",".join(synthworld.CORRUPTION_KINDS))
-@click.option("--severities", default="1,2,3")
+@click.option("--severities", default=",".join(map(str, synthworld.SEVERITIES)))
 @click.option("--out", required=True, type=click.Path())
 @click.option("--seed", type=COUNT, default=42)
 def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
@@ -317,7 +310,7 @@ def cmd_eval_ood(data, head_path, gda_path, members_dir, methods, corruptions,
     if not method_list:
         usage_error("--methods must name at least one method, got %r" % methods)
     # repeats are found among parsed specs, so "mcd" repeats "mcd:n=5:p=0.1"
-    keys = [(name, tuple(params.items())) for name, params in map(_parse_method, method_list)]
+    keys = [(name, tuple(params.items())) for name, params in map(parse_method, method_list)]
     _reject_repeats("methods", keys, method_list)
     kinds = tuple(k.strip() for k in corruptions.split(",") if k.strip())
     if not kinds:
@@ -360,7 +353,7 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
                   lambda_grid, out, seed):
     """Fit temperature scaling (and UGTS lambda), then report ECE/NLL on the
     clean and corrupted evaluation sets."""
-    _parse_method(method)
+    parse_method(method)
     if mode == "ts" and lambda_grid is not None:
         usage_error("--lambda-grid applies only to --mode ugts")
     grid = [0.0] if mode == "ts" else LAMBDA_GRID
@@ -407,14 +400,14 @@ def cmd_calibrate(data, head_path, gda_path, members_dir, method, mode,
 @click.option("--out-dir", required=True, type=click.Path())
 def cmd_report(metrics_path, histograms_path, out_dir):
     """Render markdown tables and SVG histograms from metrics.json."""
-    output_dir(out_dir)
     try:
-        written = report_mod.render_report(
-            metrics_path, histograms_path or Path(metrics_path).parent / "histograms.csv", out_dir)
+        files = report_mod.read_report(
+            metrics_path, histograms_path or Path(metrics_path).parent / "histograms.csv")
     except report_mod.HistogramsError as e:
         usage_error(e)
     except (ValueError, KeyError) as e:
         usage_error("metrics schema mismatch: %s" % e)
+    written = report_mod.write_report(files, output_dir(out_dir))
     click.echo("wrote %d files to %s" % (len(written), out_dir))
 
 
@@ -424,7 +417,7 @@ def cmd_report(metrics_path, histograms_path, out_dir):
 @click.option("--seed", type=COUNT, default=None)
 def cmd_ablate(config_path, out, seed):
     """Train {3,5}-layer x {skip} head variants and tabulate OoD performance."""
-    config = load_config(config_path) if config_path else {}
+    config = load_config(config_path)
     world_config = world_config_from(config, seed=seed)  # --seed, else [world] seed
     rows = pipeline.ablation_table(world_config, seed=world_config.seed)
     out_dir = output_dir(out)
@@ -445,7 +438,7 @@ def cmd_dim_sweep(dims, config_path, out, seed):
     """Sweep the feature/penultimate dimension and tabulate OoD metrics plus
     density-model parameter counts."""
     dim_list = _int_list(dims, "dims", 2)
-    config = load_config(config_path) if config_path else {}
+    config = load_config(config_path)
     world_config = world_config_from(config, seed=seed)  # --seed, else [world] seed
     rows = pipeline.feature_dim_sweep(dim_list, world_config, seed=world_config.seed)
     out_dir = output_dir(out)

@@ -7,14 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .head import feature_blocks
+from .head import FORWARD_BLOCK, feature_blocks
 from .nn_core import near_equal_blocks
 
 DEFAULT_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_CAP_PER_CLASS = 20000
 # rows per log-density GEMM, a third of a forward block: 2,048 lifted the
 # paper sweep's memory mark by its (rows, K*d) buffer; 768 ran slower
-LOG_DENSITY_CHUNK = 1366
+LOG_DENSITY_CHUNK = -(-FORWARD_BLOCK // 3)
 
 
 class FitError(RuntimeError):
@@ -193,29 +193,25 @@ def fit_gda(bank):
     if scale <= 0.0:
         scale = 1.0
 
-    chols = None
-    eps_used = None
     for eps in DEFAULT_EPS_LADDER:
         try:
-            cand = np.stack([np.linalg.cholesky(cov + eps * scale * np.eye(dim))
-                             for cov in covs])
+            chols = np.stack([np.linalg.cholesky(cov + eps * scale * np.eye(dim))
+                              for cov in covs])
+            break
         except np.linalg.LinAlgError:
             continue
-        chols, eps_used = cand, eps * scale
-        break
-    if chols is None:
+    else:
         raise FitError("no ladder epsilon produced SPD covariances")
 
     log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     counts = np.array([a.shape[0] for a in arrays], dtype=np.int64)
     log_priors = np.log(counts / counts.sum())
     return GdaModel(means=means, chols=chols, log_dets=log_dets,
-                    log_priors=log_priors, eps_used=eps_used, counts=counts)
+                    log_priors=log_priors, eps_used=eps * scale, counts=counts)
 
 
 def epistemic_score(model, features):
     """Negative mixture log-density per row; larger means more uncertain."""
-    features = np.asarray(features, dtype=np.float64)
     return -model.log_density(features)
 
 

@@ -4,6 +4,7 @@ separation plots.
 """
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,7 +18,6 @@ from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
 HISTOGRAM_BINS = 50
-DEFAULT_SEVERITIES = (1, 2, 3)
 
 
 @dataclass
@@ -117,6 +117,10 @@ def histogram_table(pop):
 
 # -- method scoring --------------------------------------------------------
 
+class MethodError(ValueError):
+    """A method spec that does not parse, or whose artifacts a bundle lacks."""
+
+
 def parse_method(spec):
     """Parse a method string name[:key=value...] into (name, params).
 
@@ -124,7 +128,7 @@ def parse_method(spec):
     validated: mcd takes n (passes, an integer >= 2, default 5) and p (drop
     rate in [0, 1), default 0.1), de takes n (member heads, an integer >= 2,
     default 3), and the other methods take none. A malformed, unknown,
-    repeated or out-of-range parameter raises ValueError.
+    repeated or out-of-range parameter raises MethodError.
     """
     defaults = {"ours": {}, "max-softmax": {}, "entropy": {},
                 "mcd": {"n": 5, "p": 0.1}, "de": {"n": 3}}
@@ -132,17 +136,17 @@ def parse_method(spec):
               "p": (float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")}
     name, *parts = spec.split(":")
     if name not in defaults:
-        raise ValueError("unknown method %r" % name)
+        raise MethodError("unknown method %r" % name)
     params = dict(defaults[name])
     given = set()
     for part in parts:
         key, sep, raw = part.partition("=")
         if not sep:
-            raise ValueError("malformed method parameter %r" % part)
+            raise MethodError("malformed method parameter %r" % part)
         if key not in params:
-            raise ValueError("method %r takes no parameter %r" % (name, key))
+            raise MethodError("method %r takes no parameter %r" % (name, key))
         if key in given:
-            raise ValueError("method %r gives %r more than once" % (spec, key))
+            raise MethodError("method %r gives %r more than once" % (spec, key))
         given.add(key)
         cast, valid, want = checks[key]
         try:
@@ -150,7 +154,7 @@ def parse_method(spec):
         except ValueError:
             value = None
         if value is None or not valid(value):
-            raise ValueError("method %r: %s must be %s, got %r" % (spec, key, want, raw))
+            raise MethodError("method %r: %s must be %s, got %r" % (spec, key, want, raw))
         params[key] = value
     return name, params
 
@@ -163,10 +167,6 @@ class MethodBundle:
     head: object
     gda_model: object = None
     ensemble_heads: list = field(default_factory=list)
-
-
-class MethodError(ValueError):
-    """A method the bundle lacks the artifacts to score."""
 
 
 def check_methods(methods, bundle):
@@ -267,10 +267,11 @@ def score_split(methods, bundle, scenes, seed, with_logits=True):
 
 def run_sweep(methods, bundle, world, clean_test, seed=0,
               corruptions=synthworld.CORRUPTION_KINDS,
-              severities=DEFAULT_SEVERITIES, region_level=True):
+              severities=synthworld.SEVERITIES, region_level=True):
     """Score clean vs corrupted test scenes for every (method, corruption,
     severity) cell; fills AUROC/FPR95 grids, unweighted means, histogram
-    tables, and (optionally) frontal-sector region-level grids.
+    tables, and (optionally) frontal-sector region-level grids, which a grid
+    without a front-sector voxel lacks: GenerationError before any scoring.
 
     Every scene is scored once for all methods, without logits. Region
     cells are read from the full-scene cells: a front-sector corruption
@@ -286,37 +287,37 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         "n_scenes": len(clean_test.scenes),
         "histogram_bins": HISTOGRAM_BINS,
     }
-    mask = synthworld.front_sector_mask(world.config).reshape(-1)
-    # (kind, severity) -> scenes x methods x (scene mean, front-sector mean)
+    # each level's scene mean, and the grids it fills: the scene, then the front sector
+    aggregates = [aggregate_scene]
+    grids = [(report.methods, report.aggregates)]
+    if region_level:
+        mask = synthworld.front_sector_mask(world.config).reshape(-1)
+        if not mask.any():
+            raise synthworld.GenerationError("grid %s has no front-sector voxel to score"
+                                             % "x".join(map(str, world.config.grid)))
+        aggregates.append(functools.partial(aggregate_region, region_mask=mask))
+        grids.append((report.region_methods, report.region_aggregates))
+    # (kind, severity) -> scenes x methods x levels of scene means
     means = {}
     for kind, severity, scenes in synthworld.grid_splits(clean_test, world, corruptions,
                                                          severities):
         means[kind, severity] = np.array([
-            [(aggregate_scene(s[m]), aggregate_region(s[m], mask) if region_level else 0.0)
-             for m in methods]
+            [[aggregate(s[m]) for aggregate in aggregates] for m in methods]
             for s, _, _ in score_split(methods, bundle, scenes, seed, with_logits=False)])
     clean = means.pop((None, 0))
 
+    cells = list(itertools.product(corruptions, severities))
     for j, method in enumerate(methods):
-        cells = []
-        region_cells = []
-        for kind in corruptions:
-            for severity in severities:
-                ood = means[kind, severity][:, j]
-                pop = ScoredPopulation(clean[:, j, 0], ood[:, 0])
-                cells.append(_cell_result(kind, severity, pop))
-                edges, idc, oodc = histogram_table(pop)
-                report.histograms.append({
-                    "method": method, "corruption": kind, "severity": severity,
-                    "edges": edges, "count_id": idc, "count_ood": oodc,
-                })
-                if region_level:
-                    region_cells.append(_cell_result(
-                        kind, severity, ScoredPopulation(clean[:, j, 1], ood[:, 1])))
-        report.methods[method] = cells
-        report.aggregates[method] = _mean_metrics(cells)
-        if region_level:
-            report.region_methods[method] = region_cells
-            report.region_aggregates[method] = _mean_metrics(region_cells)
+        pops = [[ScoredPopulation(clean[:, j, level], means[c][:, j, level]) for c in cells]
+                for level in range(len(grids))]
+        for (grid, grid_means), level_pops in zip(grids, pops):
+            grid[method] = [_cell_result(*c, pop) for c, pop in zip(cells, level_pops)]
+            grid_means[method] = _mean_metrics(grid[method])
+        for (kind, severity), pop in zip(cells, pops[0]):  # histograms of the scene level
+            edges, idc, oodc = histogram_table(pop)
+            report.histograms.append({
+                "method": method, "corruption": kind, "severity": severity,
+                "edges": edges, "count_id": idc, "count_ood": oodc,
+            })
     report.sweep_seconds = time.perf_counter() - t0
     return report

@@ -129,34 +129,33 @@ def read_histograms_csv(path):
 
 # -- markdown tables -------------------------------------------------------
 
-def ood_table_markdown(doc):
-    lines = [
-        "| Method | mAUROC | mFPR95 | Region mAUROC | Region mFPR95 |",
-        "|---|---|---|---|---|",
-    ]
-    for method, block in doc["methods"].items():
-        lines.append("| %s | %.4f | %.4f | %s | %s |" % (
-            method, block["mauroc"], block["mfpr95"],
-            "%.4f" % block["region_mauroc"] if "region_mauroc" in block else "-",
-            "%.4f" % block["region_mfpr95"] if "region_mfpr95" in block else "-"))
+def _markdown_table(header, row_format, rows):
+    """The markdown table of `header`'s cells, then of each tuple in `rows`
+    formatted by `row_format`: a %-format per cell, joined by " | "."""
+    lines = ["| %s |" % " | ".join(header), "|---" * len(header) + "|"]
+    lines += ["| %s |" % (row_format % row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def ood_table_markdown(doc):
+    return _markdown_table(
+        ("Method", "mAUROC", "mFPR95", "Region mAUROC", "Region mFPR95"),
+        "%s | %.4f | %.4f | %s | %s",
+        [(method, b["mauroc"], b["mfpr95"],
+          *("%.4f" % b[k] if k in b else "-" for k in ("region_mauroc", "region_mfpr95")))
+         for method, b in doc["methods"].items()])
 
 
 def ablation_table_markdown(rows):
-    lines = ["| Layers | Skip | mAUROC | mFPR95 | Params |", "|---|---|---|---|---|"]
-    for r in rows:
-        lines.append("| %d | %s | %.4f | %.4f | %d |" % (
-            r["layers"], "yes" if r["skip"] else "no",
-            r["mauroc"], r["mfpr95"], r["params"]))
-    return "\n".join(lines) + "\n"
+    return _markdown_table(
+        ("Layers", "Skip", "mAUROC", "mFPR95", "Params"), "%d | %s | %.4f | %.4f | %d",
+        [(r["layers"], "yes" if r["skip"] else "no", r["mauroc"], r["mfpr95"], r["params"])
+         for r in rows])
 
 
 def dim_sweep_table_markdown(rows):
-    lines = ["| Dim | mAUROC | mFPR95 | GMM params |", "|---|---|---|---|"]
-    for r in rows:
-        lines.append("| %d | %.4f | %.4f | %d |" % (
-            r["dim"], r["mauroc"], r["mfpr95"], r["gmm_params"]))
-    return "\n".join(lines) + "\n"
+    return _markdown_table(("Dim", "mAUROC", "mFPR95", "GMM params"), "%d | %.4f | %.4f | %d",
+                           [(r["dim"], r["mauroc"], r["mfpr95"], r["gmm_params"]) for r in rows])
 
 
 # -- SVG histograms --------------------------------------------------------
@@ -196,14 +195,11 @@ def histogram_svg(rows):
     return "\n".join(parts) + "\n"
 
 
-def render_report(metrics_path, histograms_path, out_dir):
-    """Render markdown tables from metrics.json, and per-cell SVGs from
-    histograms.csv when `histograms_path` is a file; both are read, and each
-    SVG's name checked to be a plain file name (no '/' or NUL, at most
-    NAME_MAX bytes), before any file is written. Returns the list of files
-    written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def read_report(metrics_path, histograms_path):
+    """The files of the report by name, rendered from the checked metrics.json
+    and histograms.csv before any is written: tables.md, and one SVG per cell
+    of histograms.csv (none when `histograms_path` is not a file), its name
+    checked to be a plain file name (no '/' or NUL, at most NAME_MAX bytes)."""
     doc = json.loads(Path(metrics_path).read_text())
     if not isinstance(doc, dict) or doc.get("schema_version") != METRICS_SCHEMA_VERSION:
         raise ValueError("not a metrics object of schema version %d" % METRICS_SCHEMA_VERSION)
@@ -219,14 +215,23 @@ def render_report(metrics_path, histograms_path, out_dir):
             raise HistogramsError("%s: method %r and corruption %r do not make a file name"
                                   % (histograms_path, r["method"], r["corruption"]))
         cells.setdefault(name, []).append(r)
-    tables = out_dir / "tables.md"
-    body = "# Benchmark tables\n\n" + ood_table_markdown(doc)
-    if not doc["methods"]:
-        body += "\nno cells\n"
-    tables.write_text(body)
-    written = [tables]
-    for name, cell_rows in sorted(cells.items()):
-        path = out_dir / name
-        path.write_text(histogram_svg(cell_rows))
-        written.append(path)
-    return written
+    files = {"tables.md": "# Benchmark tables\n\n" + ood_table_markdown(doc)
+             + ("" if doc["methods"] else "\nno cells\n")}
+    files.update((name, histogram_svg(rows)) for name, rows in sorted(cells.items()))
+    return files
+
+
+def write_report(files, out_dir):
+    """Write each file of read_report into the directory `out_dir`. Returns
+    the list of paths written."""
+    for name, text in files.items():
+        (Path(out_dir) / name).write_text(text)
+    return [Path(out_dir) / name for name in files]
+
+
+def render_report(metrics_path, histograms_path, out_dir):
+    """read_report, then write_report into `out_dir`, created only once both
+    input files are read and checked. Returns the list of paths written."""
+    files = read_report(metrics_path, histograms_path)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return write_report(files, out_dir)

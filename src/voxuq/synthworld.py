@@ -18,6 +18,7 @@ import numpy as np
 from .nn_core import near_equal_blocks
 
 CORRUPTION_KINDS = ("noise", "blur", "sector_drop", "fog", "bias_shift")
+SEVERITIES = (1, 2, 3)  # the severity grid every sweep walks by default
 REGIONS = ("full_scene", "front_sector")
 
 # Per-severity corruption magnitudes (scaled by severity m in {1,2,3}).
@@ -369,12 +370,13 @@ class CorruptedRows:
 
 def _fog_weight(grid, m):
     """The fog weight w = min(1, FOG_COEF m r / r_max) of every voxel, as a
-    (gx, gy, gz, 1) array; r is the distance from the grid center."""
+    (gx, gy, gz, 1) array; r is the distance from the grid center, and w is 0
+    on a one-voxel grid, where r_max is 0."""
     gx, gy, gz = grid
     x, y, zz = np.indices((gx, gy, gz), sparse=True)
     center = np.array([(gx - 1) / 2.0, (gy - 1) / 2.0, (gz - 1) / 2.0])
     r = np.sqrt((x - center[0]) ** 2 + (y - center[1]) ** 2 + (zz - center[2]) ** 2)
-    return np.minimum(1.0, FOG_COEF * m * r / r.max())[..., None]
+    return np.minimum(1.0, FOG_COEF * m * r / (r.max() or 1.0))[..., None]
 
 
 def _slab_planes(a):
@@ -435,7 +437,7 @@ def corruption_seed(dataset_seed, kind, severity, scene_index):
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
 
-def grid_splits(dataset, world, corruptions=CORRUPTION_KINDS, severities=(1, 2, 3)):
+def grid_splits(dataset, world, corruptions=CORRUPTION_KINDS, severities=SEVERITIES):
     """Yield the splits of the corruption grid as (kind, severity, scenes),
     `scenes` yielding one (features, labels) pair per scene: first the clean
     split (None, 0, dataset.iter_scene_arrays()), then every full-scene cell

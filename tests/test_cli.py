@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxuq import cli, pipeline, store, synthworld
+from voxuq import ood as ood_module
 from voxuq import head as head_module
 from voxuq import report as report_mod
 from voxuq.cli import _config_hash, main
@@ -1318,3 +1320,81 @@ def test_hostile_inputs_keep_the_exit_code_contract(workspace, foreign, metrics_
     assert "Traceback" not in r.output
     if r.exit_code:
         assert r.output.startswith("error: ") and r.output.count("\n") == 1, (argv, r.output)
+
+
+DEGENERATE_GRIDS = [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 6, 6), (1, 5, 6), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("grid", DEGENERATE_GRIDS, ids=["x".join(map(str, g))
+                                                         for g in DEGENERATE_GRIDS])
+def test_degenerate_grid_chain_keeps_the_exit_code_contract(runner, tmp_path, grid):
+    """generate-data, train, fit-gmm, eval-ood and calibrate on a grid one
+    voxel wide, high or deep: each exits 0, 2 or 3 with at most one `error:`
+    line and no traceback. eval-ood and calibrate score ours when fit-gmm
+    wrote a density model, and max-softmax otherwise."""
+    config = tmp_path / "grid.ini"
+    config.write_text("[world]\ngrid_x = %d\ngrid_y = %d\ngrid_z = %d\nnum_classes = 2\n"
+                      "feature_dim = 4\ntrain_scenes = 4\nval_scenes = 2\ntest_scenes = 3\n"
+                      % grid)
+    data, models = tmp_path / "data", tmp_path / "models"
+    head, gda = models / "head.ocuq", models / "gda.ocuq"
+    chain = [["generate-data", "--config", config, "--out", data],
+             ["train", "--data", data, "--out", models, "--epochs", "1"],
+             ["fit-gmm", "--data", data, "--head", head, "--out", gda],
+             ["eval-ood", "--data", data, "--head", head, "--out", tmp_path / "ood"],
+             ["calibrate", "--data", data, "--head", head, "--out", tmp_path / "calib"]]
+    for argv in chain:
+        if argv[0] in ("eval-ood", "calibrate"):
+            argv += (["--gda", gda, "--method", "ours"] if gda.is_file()
+                     else ["--method", "max-softmax"])
+            if argv[0] == "eval-ood":
+                argv[-2] = "--methods"
+        r = runner.invoke(main, [str(a) for a in argv])
+        assert r.exit_code in (0, 2, 3), (argv[0], r.output, r.exception)
+        assert r.exception is None or isinstance(r.exception, SystemExit), (argv[0], r.exception)
+        assert "Traceback" not in r.output and r.output.count("error:") <= 1, r.output
+
+
+@pytest.mark.parametrize("grid", [(1, 2, 1), (1, 6, 6)])
+def test_eval_ood_without_a_front_sector_voxel_exit_2(runner, tmp_path, grid):
+    """A grid one voxel wide and an even number high has no voxel in the
+    front sector, so no region-level cell: exit 2 naming the grid, before
+    any scene is scored, and no --out directory."""
+    config = tmp_path / "grid.ini"
+    config.write_text("[world]\ngrid_x = %d\ngrid_y = %d\ngrid_z = %d\nnum_classes = 2\n"
+                      "feature_dim = 4\ntrain_scenes = 2\nval_scenes = 1\ntest_scenes = 2\n"
+                      % grid)
+    data, models = tmp_path / "data", tmp_path / "models"
+    for argv in (["generate-data", "--config", config, "--out", data],
+                 ["train", "--data", data, "--out", models, "--epochs", "1"]):
+        assert runner.invoke(main, [str(a) for a in argv]).exit_code == 0
+    with mock.patch.object(ood_module, "score_split", side_effect=AssertionError("scored")):
+        r = runner.invoke(main, ["eval-ood", "--data", str(data), "--head",
+                                 str(models / "head.ocuq"), "--methods", "max-softmax",
+                                 "--out", str(tmp_path / "ood")])
+    _assert_one_line_error(r, 2)
+    assert "x".join(map(str, grid)) in r.output
+    assert not (tmp_path / "ood").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[1]", '{"schema_version": 999, "methods": {}}',
+    # a method block without mauroc or mfpr95 (only the region keys are optional)
+    '{"schema_version": 1, "methods": {"ours": {"mfpr95": 0.1}}}',
+    '{"schema_version": 1, "methods": {"ours": {"mauroc": 0.5}}}',
+    '{"schema_version": 1, "methods": {"ours": {"mauroc": 0.5, "mfpr95": 0.1}, "de": {}}}'])
+def test_report_rejecting_its_input_creates_no_out_dir(metrics_dir, runner, tmp_path, text):
+    """report reads and checks metrics.json and histograms.csv before it
+    creates --out-dir: a rejected input leaves no directory behind."""
+    bad = tmp_path / "metrics.json"
+    bad.write_text(text)
+    r = runner.invoke(main, ["report", "--metrics", str(bad), "--out-dir",
+                             str(tmp_path / "new" / "out")])
+    _assert_one_line_error(r, 2)
+    assert "metrics schema mismatch" in r.output
+    (tmp_path / "histograms.csv").write_bytes(b"method\nours,no/ise,1,0,1,2,3\n")
+    r = runner.invoke(main, ["report", "--metrics", str(metrics_dir / "metrics.json"),
+                             "--histograms", str(tmp_path / "histograms.csv"),
+                             "--out-dir", str(tmp_path / "new" / "out")])
+    _assert_one_line_error(r, 2)
+    assert not (tmp_path / "new").exists()

@@ -235,6 +235,17 @@ def test_parse_method_rejects_unknown_and_malformed():
             parse_method(spec)
 
 
+def test_parse_method_rejections_are_method_errors():
+    """Every spec parse_method rejects raises MethodError, which the CLI
+    maps to exit 2 with one line."""
+    for spec in ("gradnorm", "bagging", "mcd:n", "mcd:", "de:n=1", "mcd:n=1", "mcd:n=0",
+                 "mcd:n=abc", "mcd:n=2.5", "de:n=x", "mcd:p=1.0", "mcd:p=1.5",
+                 "mcd:p=-0.1", "mcd:p=nan", "mcd:p=inf", "mcd:p=x", "mcd:foo=1",
+                 "de:p=0.1", "entropy:p=2", "ours:n=3", "mcd:n=2:n=3", "de:n=2:n=2"):
+        with pytest.raises(MethodError):
+            parse_method(spec)
+
+
 def test_ours_requires_density_model():
     head = ResidualMlpHead(HeadConfig(input_dim=4, hidden_width=4, num_layers=2,
                                       num_classes=3), seed=0)

@@ -133,3 +133,47 @@ def test_render_report_rejects_schema_mismatch(tmp_path):
     with pytest.raises(ValueError):
         render_report(tmp_path / "metrics.json", tmp_path / "histograms.csv",
                       tmp_path / "out")
+
+
+# byte-exact goldens of the three markdown tables, recorded before their
+# writers shared one header, separator and row joiner
+
+def test_ood_table_markdown_golden():
+    doc = {"methods": {
+        "ours": {"mauroc": 0.875, "mfpr95": 0.25, "region_mauroc": 0.5, "region_mfpr95": 1.0},
+        "mcd:n=2": {"mauroc": 1 / 3, "mfpr95": 2 / 3},  # no region keys: "-"
+    }}
+    assert ood_table_markdown(doc) == (
+        "| Method | mAUROC | mFPR95 | Region mAUROC | Region mFPR95 |\n"
+        "|---|---|---|---|---|\n"
+        "| ours | 0.8750 | 0.2500 | 0.5000 | 1.0000 |\n"
+        "| mcd:n=2 | 0.3333 | 0.6667 | - | - |\n")
+    assert ood_table_markdown({"methods": {}}) == (
+        "| Method | mAUROC | mFPR95 | Region mAUROC | Region mFPR95 |\n"
+        "|---|---|---|---|---|\n")
+
+
+def test_ablation_table_markdown_golden():
+    rows = [{"layers": 3, "skip": True, "mauroc": 0.91234, "mfpr95": 0.12345, "params": 1234},
+            {"layers": 5, "skip": False, "mauroc": 0.5, "mfpr95": 1.0, "params": 7}]
+    assert ablation_table_markdown(rows) == (
+        "| Layers | Skip | mAUROC | mFPR95 | Params |\n"
+        "|---|---|---|---|---|\n"
+        "| 3 | yes | 0.9123 | 0.1235 | 1234 |\n"
+        "| 5 | no | 0.5000 | 1.0000 | 7 |\n")
+    assert ablation_table_markdown([]) == (
+        "| Layers | Skip | mAUROC | mFPR95 | Params |\n"
+        "|---|---|---|---|---|\n")
+
+
+def test_dim_sweep_table_markdown_golden():
+    rows = [{"dim": 16, "mauroc": 0.99995, "mfpr95": 0.00004, "gmm_params": 2448},
+            {"dim": 32, "mauroc": 0.5, "mfpr95": 0.25, "gmm_params": 9520}]
+    assert dim_sweep_table_markdown(rows) == (
+        "| Dim | mAUROC | mFPR95 | GMM params |\n"
+        "|---|---|---|---|\n"
+        "| 16 | 1.0000 | 0.0000 | 2448 |\n"
+        "| 32 | 0.5000 | 0.2500 | 9520 |\n")
+    assert dim_sweep_table_markdown([]) == (
+        "| Dim | mAUROC | mFPR95 | GMM params |\n"
+        "|---|---|---|---|\n")

@@ -618,3 +618,17 @@ def test_feature_std_holds_one_leaf(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= synthworld.STD_LEAF * 8 + 4096
+
+
+@pytest.mark.parametrize("kind", synthworld.CORRUPTION_KINDS)
+def test_one_voxel_grid_corrupts_to_finite_features(kind):
+    """A 1x1x1 grid's one voxel is its center: fog weight 0 (r_max is 0),
+    so fog leaves it as it is, and every kind gives finite features."""
+    world = generate_world(small_config(grid=(1, 1, 1)))
+    scene = generate_scene(world, 3)
+    for severity in (1, 2, 3):
+        out = apply_corruption(scene, CorruptionSpec(kind=kind, severity=severity),
+                               seed=5, world=world)
+        assert np.isfinite(out.features).all()
+        if kind == "fog":
+            np.testing.assert_array_equal(out.features, scene.features)
