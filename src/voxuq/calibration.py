@@ -86,7 +86,7 @@ def scale_logits(logits, t):
         raise ValueError("temperature must be positive")
     if t.ndim == 1:
         t = t[:, None]
-    return softmax(logits / t)
+    return softmax((logits / t).T).T
 
 
 class LogitGaps:

@@ -31,6 +31,8 @@ HEAD_KEYS = {f.name: f.type for f in fields(HeadConfig)
 TRAINING_KEYS = {"epochs": int, "batch_size": int, "lr": float}
 
 SECTION_KEYS = {"world": WORLD_KEYS, "head": HEAD_KEYS, "training": TRAINING_KEYS}
+COMMAND_SECTIONS = {"generate-data": ("world",), "train": ("head", "training"),
+                    "ablate": ("world",), "dim-sweep": ("world",)}
 COUNT = click.IntRange(min=0)  # a seed or count: click checks these option types
 IN_FILE = click.Path(exists=True, dir_okay=False)  # an input file that exists
 
@@ -56,9 +58,9 @@ def output_dir(path):
     return path
 
 
-def load_config(path):
-    """Sectioned key-value config, every section empty when `path` is None;
-    unknown sections/keys are rejected with the offending name."""
+def load_config(path, command):
+    """The sections of an INI config that `command` reads, each empty when `path`
+    is None or lacks it; any other section or unknown key is rejected by name."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path or [])
@@ -66,10 +68,10 @@ def load_config(path):
         usage_error("malformed config file %s: %s" % (path, str(e).splitlines()[0]))
     if parser.defaults():
         usage_error("unknown config section [DEFAULT]")
-    out = {section: {} for section in SECTION_KEYS}
+    out = {section: {} for section in COMMAND_SECTIONS[command]}
     for section in parser.sections():
-        if section not in SECTION_KEYS:
-            usage_error("unknown config section [%s]" % section)
+        if section not in out:
+            usage_error("%s reads no config section [%s]" % (command, section))
         for key, raw in parser.items(section):
             if key not in SECTION_KEYS[section]:
                 usage_error("unknown config key '%s' in section [%s]" % (key, section))
@@ -168,7 +170,7 @@ def main():
 @click.option("--force", is_flag=True)
 def cmd_generate_data(config_path, out, seed, force):
     """Generate train/val/test splits of the synthetic voxel world."""
-    config = load_config(config_path)
+    config = load_config(config_path, "generate-data")
     world_config = world_config_from(config, seed=seed)
     if Path(out).is_dir() and any(Path(out).iterdir()) and not force:
         usage_error("output directory %s is not empty (use --force)" % out)
@@ -191,7 +193,7 @@ def cmd_generate_data(config_path, out, seed, force):
 @click.option("--ensemble", type=COUNT, default=0)
 def cmd_train(data, config_path, out, seed, epochs, ensemble):
     """Train the prediction head (and optional deep-ensemble members)."""
-    config = load_config(config_path)
+    config = load_config(config_path, "train")
     kwargs = dict({"epochs": pipeline.DEFAULT_EPOCHS, "batch_size": pipeline.DEFAULT_BATCH,
                    "lr": pipeline.DEFAULT_LR}, **config["training"])
     if epochs is not None:
@@ -417,7 +419,7 @@ def cmd_report(metrics_path, histograms_path, out_dir):
 @click.option("--seed", type=COUNT, default=None)
 def cmd_ablate(config_path, out, seed):
     """Train {3,5}-layer x {skip} head variants and tabulate OoD performance."""
-    config = load_config(config_path)
+    config = load_config(config_path, "ablate")
     world_config = world_config_from(config, seed=seed)  # --seed, else [world] seed
     rows = pipeline.ablation_table(world_config, seed=world_config.seed)
     out_dir = output_dir(out)
@@ -438,7 +440,7 @@ def cmd_dim_sweep(dims, config_path, out, seed):
     """Sweep the feature/penultimate dimension and tabulate OoD metrics plus
     density-model parameter counts."""
     dim_list = _int_list(dims, "dims", 2)
-    config = load_config(config_path)
+    config = load_config(config_path, "dim-sweep")
     world_config = world_config_from(config, seed=seed)  # --seed, else [world] seed
     rows = pipeline.feature_dim_sweep(dim_list, world_config, seed=world_config.seed)
     out_dir = output_dir(out)

@@ -104,37 +104,49 @@ class ResidualMlpHead:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, features, cache=None, update_sn=False, dropout_p=0.0, dropout_rngs=None):
+    def forward(self, features, cache=None, update_sn=False):
         """Logits and penultimate features of n x input_dim `features`, in one
         pass over all rows; passes over many rows run it on each of their
-        feature_blocks instead.
-
-        dropout_p > 0 applies inverted dropout after every hidden activation,
-        with layer i's keep masks drawn from `dropout_rngs[i]` (MC-Dropout
-        passes); a rate outside [0, 1) raises ValueError. With a list `cache`,
-        each hidden layer appends its linear_forward entry and then its
-        pre-activation, and the classifier appends its entry last.
+        feature_blocks instead. With a list `cache`, each hidden layer
+        appends its linear_forward entry and then its pre-activation, and the
+        classifier appends its entry last.
 
         Features of another float dtype are widened to float64 as each layer
         reads them, so float32 features give the bits of their float64 copy.
         """
-        if not 0.0 <= dropout_p < 1.0:
-            raise ValueError("dropout p must be in [0, 1), got %r" % dropout_p)
         x = features
         for i, layer in enumerate(self.layers):
             pre = linear_forward(layer, x, cache, update_sn)
             act = leaky_relu(pre)
-            if dropout_p > 0.0:
-                keep = dropout_rngs[i].random(act.shape) >= dropout_p
-                act = act * keep / (1.0 - dropout_p)
             if self._block_has_skip(i):
                 act += x
             if cache is not None:
                 cache.append(pre)
             x = act
-        penultimate = x
-        logits = linear_forward(self.classifier, x, cache, update_sn=False)
-        return HeadOutput(logits=logits, penultimate_features=penultimate)
+        return HeadOutput(logits=linear_forward(self.classifier, x, cache, update_sn=False),
+                          penultimate_features=x)
+
+    def dropout_logits(self, x, p, keeps):
+        """Yields the logits of one MC-Dropout pass over the rows `x` per item of
+        `keeps`, its keep masks (rows x hidden_width, bool) of the hidden layers:
+        inverted dropout at rate p in [0, 1), else ValueError, after each hidden
+        activation, so layer 0's map and activation run once for all passes."""
+        if not 0.0 <= p < 1.0:
+            raise ValueError("dropout p must be in [0, 1), got %r" % p)
+        first = leaky_relu(linear_forward(self.layers[0], x, update_sn=False))
+        for masks in keeps:
+            h = x
+            for i, (layer, keep) in enumerate(zip(self.layers, masks)):
+                if i == 0:
+                    act = np.multiply(first, keep)
+                else:
+                    act = leaky_relu(linear_forward(layer, h, update_sn=False))
+                    act *= keep
+                act /= 1.0 - p
+                if self._block_has_skip(i):
+                    act += h
+                h = act
+            yield linear_forward(self.classifier, h, update_sn=False)
 
     def loss_and_grads(self, features, labels, update_sn=False):
         """Mean cross-entropy of one training forward, the gradient of every
@@ -231,16 +243,6 @@ def feature_blocks(features):
         return features.blocks(FORWARD_BLOCK)
     bounds = near_equal_blocks(len(features), FORWARD_BLOCK)
     return ((lo, hi, features[lo:hi]) for lo, hi in bounds)
-
-
-def dropout_streams(head, seed, rows):
-    """One Generator per hidden layer, layer i's PCG64(seed) advanced past the
-    i * rows * hidden_width draws of the layers before it: forwards of
-    consecutive row blocks draw the masks of one forward over all `rows`
-    rows with default_rng(seed) for every layer."""
-    width = rows * head.config.hidden_width
-    return [np.random.Generator(np.random.PCG64(seed).advance(i * width))
-            for i in range(len(head.layers))]
 
 
 def accuracy(head, pairs):

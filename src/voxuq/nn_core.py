@@ -27,12 +27,43 @@ def leaky_relu_grad(pre):
     return np.maximum(pre >= 0.0, LEAKY_SLOPE)
 
 
+def pairwise_sum(leaf, lo, hi, size=128):
+    """The sum of the values lo:hi in numpy's pairwise order: np.sum halves a
+    run of more than `size` at n//2 - (n//2) % 8; leaf(lo, hi) adds one."""
+    if hi - lo <= size:
+        return leaf(lo, hi)
+    mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+    return pairwise_sum(leaf, lo, mid, size) + pairwise_sum(leaf, mid, hi, size)
+
+
+def class_sum(a):
+    """Column sums of a class-major K x n array with the bits of a.T.sum(axis=1):
+    np.sum adds a run of 8 to 128 as 8 interleaved sums, then the rest in order."""
+
+    def run(lo, hi):
+        whole = hi - (hi - lo) % 8
+        total = 0.0
+        if whole > lo:
+            r = a[lo:lo + 8].copy()
+            for i in range(lo + 8, whole, 8):
+                r += a[i:i + 8]
+            for step in (1, 2, 4):  # in place: ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+                r[::2 * step] += r[step::2 * step]
+            total = r[0]
+        for row in a[whole:hi]:
+            total += row
+        return total
+
+    return pairwise_sum(run, 0, len(a))
+
+
 def softmax(logits):
-    """Row-wise softmax with max-subtraction for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the classes of class-major K x n logits (the .T of n x K
+    ones), max-subtracted for stability: the bits of the row-wise formula."""
+    e = np.array(logits, dtype=np.float64, order="C")
+    e -= e.max(axis=0)
+    np.exp(e, out=e)
+    return np.divide(e, class_sum(e), out=e)
 
 
 def cross_entropy_loss(logits, labels):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import synthworld
 from .gda import epistemic_score
-from .head import dropout_streams, feature_blocks
+from .head import feature_blocks
 from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
@@ -187,7 +187,20 @@ def check_methods(methods, bundle):
 _SOFTMAX_SCORES = {"max-softmax": max_softmax_score, "entropy": softmax_entropy}
 
 
-def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
+def keep_masks(masks, head, p, seed, rows, lo, hi):
+    """The keep masks of `head`'s hidden layers for rows lo:hi of a pass at
+    rate p over `rows` rows that draws every layer's, in layer order, from
+    default_rng(seed); each is drawn once into the memo dict `masks`."""
+    width = head.config.hidden_width
+    for i in range(len(head.layers)):
+        key = (p, seed, rows, lo, hi, i)
+        if key not in masks:
+            rng = np.random.Generator(np.random.PCG64(seed).advance((i * rows + lo) * width))
+            masks[key] = np.packbits(rng.random((hi - lo, width)) >= p)
+        yield np.unpackbits(masks[key], count=(hi - lo) * width).view(bool).reshape(hi - lo, width)
+
+
+def score_scene(methods, bundle, features, base_seed=0, with_logits=True, masks=None):
     """Per-voxel scores of every method in `methods` on one scene's n x d
     features, and the logits calibration uses for each, as two dicts keyed
     by method spec: (scores, logits). Without `with_logits` the logits dict
@@ -196,28 +209,18 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
     `features` (an array, or CorruptedRows) is read in one feature_blocks
     pass. ours, max-softmax and entropy score a block from the main head's
     eval-mode forward (ours from its penultimate features). de:n and mcd:n
-    score it from n forwards: the first n ensemble heads, or n dropout
-    forwards of the main head, pass i with the masks of a whole-scene pass
-    seeded base_seed + i (head.dropout_streams); the mean p of their
-    softmaxes gives the predictive entropy and the logits log(max(p, 1e-12)).
-    Every score is row-wise, so a row keeps the bits of a whole-scene pass.
-    The bundle must pass check_methods(methods, bundle).
-
-    Float32 features score as their float64 copy would: each forward widens
-    what its first layer reads, so no scene-sized float64 copy is held.
+    score it from n passes: the first n ensemble heads' forwards, or the main
+    head's dropout_logits with the keep_masks of base seeds base_seed + i in
+    the memo `masks` (or a new one); the mean p of their softmaxes gives the
+    predictive entropy and the logits log(max(p, 1e-12)). Every score is
+    row-wise, so a row keeps the bits of a whole-scene pass, and float32
+    features score as their float64 copy, widened a block at a time. The
+    bundle must pass check_methods(methods, bundle).
     """
     n, k = len(features), bundle.head.config.num_classes
+    masks = {} if masks is None else masks
     shared = [m for m in ("ours", *_SOFTMAX_SCORES) if m in methods]
-    ensembles = {}  # de:n or mcd:n -> its n forwards
-    for method in methods:
-        name, params = parse_method(method)
-        if name == "de":
-            ensembles[method] = [h.forward for h in bundle.ensemble_heads[:params["n"]]]
-        elif name == "mcd":
-            ensembles[method] = [
-                functools.partial(bundle.head.forward, dropout_p=params["p"],
-                                  dropout_rngs=dropout_streams(bundle.head, base_seed + i, n))
-                for i in range(params["n"])]
+    ensembles = {m: parse_method(m) for m in methods if parse_method(m)[0] in ("de", "mcd")}
     scores = {m: np.empty(n) for m in (*shared, *ensembles)}
     eval_logits = np.empty((n, k)) if shared and with_logits else None
     logits = {}
@@ -227,19 +230,26 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True):
     for lo, hi, x in feature_blocks(features):
         if shared:
             out = bundle.head.forward(x)
-            probs = softmax(out.logits) if shared != ["ours"] else None
+            probs = softmax(out.logits.T) if shared != ["ours"] else None
             for m in shared:
                 scores[m][lo:hi] = (epistemic_score(bundle.gda_model, out.penultimate_features)
                                     if m == "ours" else _SOFTMAX_SCORES[m](probs))
             if with_logits:
                 eval_logits[lo:hi] = out.logits
             del out, probs
-        for method, forwards in ensembles.items():
-            # a running sum in forward order: the bits of a mean over stacked forwards
-            mean = sum(softmax(forward(x).logits) for forward in forwards) / len(forwards)
+        x = np.asarray(x, dtype=np.float64) if ensembles else x  # once for every pass
+        for method, (name, params) in ensembles.items():
+            if name == "de":
+                passes = (h.forward(x).logits for h in bundle.ensemble_heads[:params["n"]])
+            else:
+                passes = bundle.head.dropout_logits(x, params["p"], (
+                    keep_masks(masks, bundle.head, params["p"], seed, n, lo, hi)
+                    for seed in range(base_seed, base_seed + params["n"])))
+            # a running sum in pass order: the bits of a mean over stacked passes
+            mean = sum(softmax(pass_logits.T) for pass_logits in passes) / params["n"]
             scores[method][lo:hi] = softmax_entropy(mean)
             if with_logits:
-                logits[method][lo:hi] = np.log(np.maximum(mean, 1e-12))
+                logits[method][lo:hi] = np.log(np.maximum(mean, 1e-12)).T
     return scores, logits
 
 
@@ -254,12 +264,12 @@ def _mean_metrics(cells):
             "mfpr95": float(np.mean([c.fpr95 for c in cells]))}
 
 
-def score_split(methods, bundle, scenes, seed, with_logits=True):
+def score_split(methods, bundle, scenes, seed, masks=None, with_logits=True):
     """score_scene over the (features, labels) pairs of `scenes` in order, scene
     i with base seed `seed + i`: yields (scores, logits, labels) per scene."""
     for features, labels in scenes:
         scored = score_scene(methods, bundle, features, base_seed=seed,
-                             with_logits=with_logits)
+                             with_logits=with_logits, masks=masks)
         del features  # before the next scene is read; an enumerate would hold it
         yield scored + (labels,)
         seed += 1
@@ -273,10 +283,10 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
     tables, and (optionally) frontal-sector region-level grids, which a grid
     without a front-sector voxel lacks: GenerationError before any scoring.
 
-    Every scene is scored once for all methods, without logits. Region
-    cells are read from the full-scene cells: a front-sector corruption
-    equals the full-scene one inside the sector, and every score is per
-    voxel.
+    Every scene is scored once for all methods, without logits, and every
+    keep mask once. Region cells are read from the full-scene cells: a
+    front-sector corruption equals the full-scene one inside the sector, and
+    every score is per voxel.
     """
     t0 = time.perf_counter()
     check_methods(methods, bundle)
@@ -299,11 +309,12 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
         grids.append((report.region_methods, report.region_aggregates))
     # (kind, severity) -> scenes x methods x levels of scene means
     means = {}
+    masks = {}  # scene i of every split runs the same MC-Dropout passes
     for kind, severity, scenes in synthworld.grid_splits(clean_test, world, corruptions,
                                                          severities):
         means[kind, severity] = np.array([
             [[aggregate(s[m]) for aggregate in aggregates] for m in methods]
-            for s, _, _ in score_split(methods, bundle, scenes, seed, with_logits=False)])
+            for s, _, _ in score_split(methods, bundle, scenes, seed, masks, with_logits=False)])
     clean = means.pop((None, 0))
 
     cells = list(itertools.product(corruptions, severities))

@@ -58,11 +58,11 @@ def _calibration_spec(method):
     return "entropy" if parse_method(method)[0] == "max-softmax" else method
 
 
-def _scene_gaps(spec, bundle, scenes, seed):
+def _scene_gaps(spec, bundle, scenes, seed, masks=None):
     """Each scene of score_split of `spec` as (LogitGaps of its logits, the
     scene mean of its scores): the per-scene accumulator of every
     calibration number, so no split is joined."""
-    for s, logits, labels in score_split([spec], bundle, scenes, seed):
+    for s, logits, labels in score_split([spec], bundle, scenes, seed, masks=masks):
         yield LogitGaps(logits[spec], labels), aggregate_scene(s[spec])
 
 
@@ -95,10 +95,11 @@ def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     check_methods([method], bundle)
     spec = _calibration_spec(method)
     variants = ("raw", "ts", "ugts")
+    masks = {}  # scene i of every split runs the same MC-Dropout passes
 
     def split_metrics(scenes):
         sums = sum(np.stack([g.sums(t) for t in (1.0, params.t_train, ugts_temperature(params, u))])
-                   for g, u in _scene_gaps(spec, bundle, scenes, seed))
+                   for g, u in _scene_gaps(spec, bundle, scenes, seed, masks))
         return {v: dict(zip(("ece", "nll"), ece_nll(row))) for v, row in zip(variants, sums)}
 
     clean, *cells = [split_metrics(scenes)

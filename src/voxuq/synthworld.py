@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn_core import near_equal_blocks
+from .nn_core import near_equal_blocks, pairwise_sum
 
 CORRUPTION_KINDS = ("noise", "blur", "sector_drop", "fog", "bias_shift")
 SEVERITIES = (1, 2, 3)  # the severity grid every sweep walks by default
@@ -259,11 +259,11 @@ def feature_std(dataset):
     the noise corruption.
 
     The bits of np.std over the split's features widened to float64, with no
-    split-sized array: np.sum halves a run of n values at n//2 - (n//2) % 8
-    (its pairwise sum), so both sums split the joined features there down to
-    leaves of at most STD_LEAF values (128 or more, numpy's unsplit run), and
-    np.sum adds each leaf. A leaf is widened, and centred and squared for the
-    second sum, as it is read, so leaves may straddle scenes.
+    split-sized array: both sums split the joined features as np.sum does
+    (nn_core.pairwise_sum) down to leaves of at most STD_LEAF values (128 or
+    more, numpy's unsplit run), and np.sum adds each leaf. A leaf is
+    widened, and centred and squared for the second sum, as it is read, so
+    leaves may straddle scenes.
     """
     flats = [f.reshape(-1) for f, _ in dataset.iter_scene_arrays()]
     starts = list(itertools.accumulate((f.size for f in flats), initial=0))
@@ -272,23 +272,15 @@ def feature_std(dataset):
         return np.concatenate([f[max(lo - s, 0):hi - s] for f, s in zip(flats, starts)
                                if s < hi and lo < s + f.size], dtype=np.float64)
 
-    def squares(lo, hi):
+    def square_sum(lo, hi):
         x = leaf(lo, hi)
         x -= mean
         x *= x
-        return x
+        return x.sum()
 
     n = starts[-1]
-    mean = _pairwise_sum(leaf, 0, n) / n
-    return float(np.sqrt(_pairwise_sum(squares, 0, n) / n))
-
-
-def _pairwise_sum(leaf, lo, hi):
-    """The sum of the values leaf(lo, hi) in numpy's pairwise order."""
-    if hi - lo <= STD_LEAF:
-        return leaf(lo, hi).sum()
-    mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
-    return _pairwise_sum(leaf, lo, mid) + _pairwise_sum(leaf, mid, hi)
+    mean = pairwise_sum(lambda lo, hi: leaf(lo, hi).sum(), 0, n, STD_LEAF) / n
+    return float(np.sqrt(pairwise_sum(square_sum, 0, n, STD_LEAF) / n))
 
 
 def apply_corruption(scene, spec, seed, world, sigma_z=1.0):

@@ -277,7 +277,7 @@ def test_criterion_6_calibration_direction(default_pipeline):
     val_labels = np.concatenate([y for _, y in p["val"].iter_scene_arrays()])
     t_star = fit_temperature([LogitGaps(val_logits, val_labels)])
     nll_star = nll(scale_logits(val_logits, t_star), val_labels)
-    nll_one = nll(softmax(val_logits), val_labels)
+    nll_one = nll(softmax(val_logits.T).T, val_labels)
 
     result = evaluate_calibration("ours", p["bundle"], p["world"], params,
                                   p["test"], seed=42)
@@ -363,22 +363,21 @@ train_scenes = 8
 val_scenes = 2
 test_scenes = 4
 seed = 7
-
-[training]
-epochs = 2
 """
+TRAIN_CONFIG = "[training]\nepochs = 2\n"
 
 
 def test_criterion_9_determinism_and_round_trips(tmp_path, default_pipeline):
     runner = CliRunner()
-    config = tmp_path / "config.ini"
+    config, train_config = tmp_path / "config.ini", tmp_path / "train.ini"
     config.write_text(SMALL_CONFIG)
+    train_config.write_text(TRAIN_CONFIG)
     data = tmp_path / "data"
     models = tmp_path / "models"
     assert runner.invoke(cli_main, ["generate-data", "--config", str(config),
                                     "--out", str(data)]).exit_code == 0
     assert runner.invoke(cli_main, ["train", "--data", str(data), "--config",
-                                    str(config), "--out", str(models),
+                                    str(train_config), "--out", str(models),
                                     "--seed", "7"]).exit_code == 0
     assert runner.invoke(cli_main, ["fit-gmm", "--data", str(data),
                                     "--head", str(models / "head.ocuq"),

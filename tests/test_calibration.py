@@ -159,7 +159,7 @@ def test_bin_sums_add_over_scenes(data):
 def test_scale_logits_identity_at_one():
     rng = np.random.default_rng(1)
     logits = rng.standard_normal((10, 4))
-    assert np.allclose(scale_logits(logits, 1.0), softmax(logits))
+    assert np.allclose(scale_logits(logits, 1.0), softmax(logits.T).T)
 
 
 def test_scale_logits_high_t_approaches_uniform():
@@ -221,7 +221,7 @@ def _fit_case(case):
     base = rng.standard_normal((n, k)) * 2.0
     if case == "interior":
         # well-calibrated logits inflated by 3 should fit t close to 3
-        labels = np.array([rng.choice(k, p=row) for row in softmax(base)])
+        labels = np.array([rng.choice(k, p=row) for row in softmax(base.T).T])
         return base * 3.0, labels
     if case == "t_min":
         # separable: sharpening always lowers the NLL
@@ -260,7 +260,7 @@ def test_fit_temperature_never_worse_than_identity():
     logits = rng.standard_normal((500, 4)) * 3
     labels = rng.integers(0, 4, size=500)
     t = fit_temperature([LogitGaps(logits, labels)])
-    assert nll(scale_logits(logits, t), labels) <= nll(softmax(logits), labels) + 1e-12
+    assert nll(scale_logits(logits, t), labels) <= nll(softmax(logits.T).T, labels) + 1e-12
 
 
 @settings(max_examples=300, deadline=None)

@@ -37,10 +37,8 @@ train_scenes = 8
 val_scenes = 2
 test_scenes = 4
 seed = 7
-
-[training]
-epochs = 2
 """
+TRAIN_CONFIG = "[training]\nepochs = 2\n"
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +50,15 @@ def runner():
 def workspace(tmp_path_factory, runner):
     """Dataset + trained artifacts shared by the command tests."""
     root = tmp_path_factory.mktemp("cli")
-    config = root / "config.ini"
+    config, train_config = root / "config.ini", root / "train.ini"
     config.write_text(SMALL_CONFIG)
+    train_config.write_text(TRAIN_CONFIG)
     data = root / "data"
     r = runner.invoke(main, ["generate-data", "--config", str(config),
                              "--out", str(data)])
     assert r.exit_code == 0, r.output
     models = root / "models"
-    r = runner.invoke(main, ["train", "--data", str(data), "--config", str(config),
+    r = runner.invoke(main, ["train", "--data", str(data), "--config", str(train_config),
                              "--out", str(models), "--seed", "7",
                              "--ensemble", "2"])
     assert r.exit_code == 0, r.output
@@ -68,8 +67,8 @@ def workspace(tmp_path_factory, runner):
                              "--head", str(models / "head.ocuq"),
                              "--out", str(gda), "--seed", "7"])
     assert r.exit_code == 0, r.output
-    return {"root": root, "config": config, "data": data, "models": models,
-            "gda": gda}
+    return {"root": root, "config": config, "train_config": train_config, "data": data,
+            "models": models, "gda": gda}
 
 
 def test_generate_data_writes_splits(workspace):
@@ -108,6 +107,31 @@ def test_unknown_config_section_exit_2(runner, tmp_path):
                                  "--out", str(tmp_path / "d")])
         assert r.exit_code == 2, section
         assert "[%s]" % section in r.output
+
+
+# a key of each section with a value in its limits
+VALID_ENTRY = {"world": "seed = 3", "head": "skip = false", "training": "epochs = 1"}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("generate-data", "head"), ("generate-data", "training"), ("train", "world"),
+    ("ablate", "head"), ("ablate", "training"), ("dim-sweep", "head"),
+    ("dim-sweep", "training")])
+def test_config_section_the_command_does_not_read_exit_2(workspace, runner, tmp_path, command,
+                                                         section):
+    """A section that the command would check and then ignore, beside one it
+    reads, is a usage error naming the section and the command, found
+    before anything is written."""
+    config = tmp_path / "other.ini"
+    read = cli.COMMAND_SECTIONS[command][0]
+    config.write_text("[%s]\n%s\n[%s]\n%s\n" % (read, VALID_ENTRY[read], section,
+                                                VALID_ENTRY[section]))
+    out = tmp_path / "out"
+    data = ("--data", str(workspace["data"])) if command == "train" else ()
+    r = runner.invoke(main, [command, *data, "--config", str(config), "--out", str(out)])
+    _assert_one_line_error(r, 2)
+    assert r.output == "error: %s reads no config section [%s]\n" % (command, section)
+    assert not out.exists()
 
 
 def test_unknown_config_key_exit_2(runner, tmp_path):
@@ -269,7 +293,7 @@ def _valid_args(workspace, metrics_dir, out):
     data, head, gda = workspace["data"], workspace["models"] / "head.ocuq", workspace["gda"]
     config = ["--config", workspace["config"]]
     return {"generate-data": config + ["--out", out],
-            "train": ["--data", data] + config + ["--out", out],
+            "train": ["--data", data, "--config", workspace["train_config"], "--out", out],
             "fit-gmm": ["--data", data, "--head", head, "--out", out / "gda.ocuq"],
             "eval-ood": ["--data", data, "--head", head, "--gda", gda, "--out", out],
             "calibrate": ["--data", data, "--head", head, "--gda", gda, "--out", out],
@@ -413,7 +437,7 @@ def test_only_the_logged_head_runs_the_per_epoch_accuracy(workspace, runner, tmp
     calls = _accuracy_calls(monkeypatch)
     out = tmp_path / "models"
     r = runner.invoke(main, ["train", "--data", str(workspace["data"]),
-                             "--config", str(workspace["config"]), "--out", str(out),
+                             "--config", str(workspace["train_config"]), "--out", str(out),
                              "--seed", "7", "--ensemble", "2", "--epochs", "3"])
     assert r.exit_code == 0, r.output
     assert len(calls) == 3 and len({id(h) for h in calls}) == 1
@@ -485,16 +509,13 @@ train_scenes = 2
 val_scenes = 1
 test_scenes = 1
 seed = 3
-
-[training]
-epochs = 1
 """)
     data = tmp_path / "data"
     r = runner.invoke(main, ["generate-data", "--config", str(config),
                              "--out", str(data)])
     assert r.exit_code == 0, r.output
     models = tmp_path / "models"
-    r = runner.invoke(main, ["train", "--data", str(data), "--config", str(config),
+    r = runner.invoke(main, ["train", "--data", str(data), "--epochs", "1",
                              "--out", str(models)])
     assert r.exit_code == 0, r.output
     r = runner.invoke(main, ["fit-gmm", "--data", str(data),
@@ -835,11 +856,13 @@ def foreign(tmp_path_factory, runner):
     classes): the head, density model and 2 members of a world with
     feature_dim 4, and a 3-class head of input dim 8."""
     root = tmp_path_factory.mktemp("foreign")
-    config = root / "config.ini"
+    config, train_config = root / "config.ini", root / "train.ini"
     config.write_text(SMALL_CONFIG.replace("feature_dim = 8", "feature_dim = 4"))
+    train_config.write_text(TRAIN_CONFIG)
     data, models = root / "data", root / "models"
     for args in (["generate-data", "--config", config, "--out", data],
-                 ["train", "--data", data, "--config", config, "--out", models, "--ensemble", 2],
+                 ["train", "--data", data, "--config", train_config, "--out", models,
+                  "--ensemble", 2],
                  ["fit-gmm", "--data", data, "--head", models / "head.ocuq",
                   "--out", models / "gda.ocuq"]):
         r = runner.invoke(main, list(map(str, args)))
@@ -1003,7 +1026,8 @@ def test_in_process_calibration_equals_the_cli(workspace, runner):
                              "--mode", "ugts", "--out", str(out), "--seed", "7"])
     assert r.exit_code == 0, r.output
     doc = json.loads((out / "calibration.json").read_text())
-    world = synthworld.generate_world(cli.world_config_from(cli.load_config(workspace["config"])))
+    world = synthworld.generate_world(
+        cli.world_config_from(cli.load_config(workspace["config"], "generate-data")))
     train, val, test = (synthworld.generate_dataset(world, s) for s in ("train", "val", "test"))
     bundle = MethodBundle(head=store.load_head(workspace["models"] / "head.ocuq"),
                           gda_model=store.load_gda(workspace["gda"]))
@@ -1139,7 +1163,7 @@ def test_unusable_artifact_or_out_path_exit_code(workspace, runner, tmp_path, co
     data, head = str(workspace["data"]), str(workspace["models"] / "head.ocuq")
     args = {
         "generate-data": ["--config", str(workspace["config"]), "--out", "OUT"],
-        "train": ["--data", data, "--config", str(workspace["config"]), "--out", "OUT"],
+        "train": ["--data", data, "--config", str(workspace["train_config"]), "--out", "OUT"],
         "fit-gmm": ["--data", data, "--head", head, "--out", "OUT"],
         "eval-ood": ["--data", data, "--head", head, "--gda", str(workspace["gda"]),
                      "--methods", "ours", "--corruptions", "noise", "--severities", "1",
@@ -1169,7 +1193,7 @@ def test_dim_sweep_tabulates_param_counts(workspace, runner):
 def test_world_seed_of_the_config_seeds_the_sweeps(runner, tmp_path, command, args, name):
     """ablate and dim-sweep take [world] seed unless --seed is given, and it
     seeds the world, the training and the sweep as --seed does."""
-    world = SMALL_CONFIG.split("[training]")[0]
+    world = SMALL_CONFIG
     seeded, unseeded = tmp_path / "seeded.ini", tmp_path / "unseeded.ini"
     seeded.write_text(world)
     unseeded.write_text(world.replace("seed = 7\n", ""))
@@ -1202,7 +1226,6 @@ def test_dim_sweep_bad_dims_exit_2(workspace, runner, dims):
 MALFORMED = {int: ["", "x", "1.5", "-1", "nan", "1e3", "0x10", "true"],
              float: ["", "x", "nan", "inf", "-inf", "-1", "1e400", "true"],
              bool: ["", "maybe", "2", "-1", "nan"]}
-CONFIG_KEYS = [(section, key) for section, keys in cli.SECTION_KEYS.items() for key in keys]
 # the inputs each command reads, and what a hostile one of each may be
 INPUTS = {"generate-data": ("config",), "train": ("data", "config"), "fit-gmm": ("data", "head"),
           "eval-ood": ("data", "head", "gda", "members"),
@@ -1232,7 +1255,8 @@ def metrics_dir(workspace, tmp_path_factory, runner):
 def hostile_input(draw, command):
     """One input of `command` made hostile: (input, how, detail), where a
     flipped input's detail is (file in its directory, byte offset, XOR
-    mask) and a malformed config's is (section, key, value)."""
+    mask) and a malformed config's is (section, key, value), in a section
+    that `command` reads."""
     name = draw(st.sampled_from(INPUTS[command]))
     how = draw(st.sampled_from(HOSTILE[name]))
     detail = None
@@ -1240,18 +1264,21 @@ def hostile_input(draw, command):
         detail = (Path(*draw(st.sampled_from(DATA_FILES))) if name == "data" else None,
                   draw(st.integers(0, 2 ** 20)), draw(st.integers(1, 255)))
     elif how == "malformed":
-        section, key = draw(st.sampled_from(CONFIG_KEYS))
+        section, key = draw(st.sampled_from([(section, key)
+                                             for section in cli.COMMAND_SECTIONS[command]
+                                             for key in cli.SECTION_KEYS[section]]))
         detail = section, key, draw(st.sampled_from(MALFORMED[cli.SECTION_KEYS[section][key]]))
     return name, how, detail
 
 
-def _hostile_paths(tmp, workspace, foreign, metrics_dir, name, how, detail):
-    """The path of each input: the workspace's, but for input `name`, made
-    hostile `how` under `tmp`."""
+def _hostile_paths(tmp, workspace, foreign, metrics_dir, command, name, how, detail):
+    """The path of each input of `command`: the workspace's, but for input
+    `name`, made hostile `how` under `tmp`."""
     paths = {"data": workspace["data"], "head": workspace["models"] / "head.ocuq",
              "gda": workspace["gda"], "members": workspace["models"],
              "metrics": metrics_dir / "metrics.json",
-             "histograms": metrics_dir / "histograms.csv", "config": workspace["config"]}
+             "histograms": metrics_dir / "histograms.csv",
+             "config": workspace["train_config" if command == "train" else "config"]}
     if how == "foreign":
         paths[name] = foreign["data" if name == "data" else "--" + name]
     elif how == "three classes":
@@ -1272,7 +1299,7 @@ def _hostile_paths(tmp, workspace, foreign, metrics_dir, name, how, detail):
     elif how == "malformed":
         section, key, value = detail
         parser = configparser.ConfigParser(interpolation=None)
-        parser.read(workspace["config"])
+        parser.read(paths["config"])
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
@@ -1295,7 +1322,8 @@ def test_hostile_inputs_keep_the_exit_code_contract(workspace, foreign, metrics_
     methods = data.draw(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        paths = _hostile_paths(tmp, workspace, foreign, metrics_dir, name, how, detail)
+        paths = _hostile_paths(tmp, workspace, foreign, metrics_dir, command, name, how,
+                               detail)
         argv = {
             "generate-data": ["--config", paths["config"]],
             "train": ["--data", paths["data"], "--config", paths["config"]],

@@ -5,9 +5,11 @@ import pytest
 
 from voxuq import head as head_module
 from voxuq import pipeline, synthworld
-from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, dropout_streams,
-                        estimate_lipschitz, feature_blocks, lipschitz_upper_bound, train_head)
-from voxuq.nn_core import OptimizerState, ShapeError, leaky_relu, power_iteration
+from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, estimate_lipschitz,
+                        feature_blocks, lipschitz_upper_bound, train_head)
+from voxuq.nn_core import (OptimizerState, ShapeError, leaky_relu, linear_forward,
+                           power_iteration)
+from voxuq.ood import keep_masks
 
 
 def small_config(**kwargs):
@@ -241,11 +243,33 @@ def test_param_count():
 
 # -- dropout ----------------------------------------------------------------
 
+def dropout_forward(head, x, p, rngs):
+    """Reference MC-Dropout pass: the eval forward with inverted dropout
+    after every hidden activation, layer i's keep mask drawn from rngs[i]
+    as random() >= p (the forward's dropout before dropout_logits), as
+    logits and penultimate features."""
+    h = x
+    for i, layer in enumerate(head.layers):
+        act = leaky_relu(linear_forward(layer, h, update_sn=False))
+        keep = rngs[i].random(act.shape) >= p
+        act = act * keep / (1.0 - p)
+        if head._block_has_skip(i):
+            act += h
+        h = act
+    return linear_forward(head.classifier, h, update_sn=False), h
+
+
+def drawn_masks(head, rng, rows, p):
+    """The keep masks of one pass over `rows` rows that draws every layer's
+    from the one generator `rng`, in layer order."""
+    return [rng.random((rows, head.config.hidden_width)) >= p for _ in head.layers]
+
+
 def test_dropout_p_zero_is_plain_forward():
     head = ResidualMlpHead(small_config(), seed=0)
     x = np.random.default_rng(5).standard_normal((6, 6))
     a = head.forward(x).logits
-    b = head.forward(x, dropout_p=0.0, dropout_rngs=[np.random.default_rng(1)] * 3).logits
+    [b] = head.dropout_logits(x, 0.0, [drawn_masks(head, np.random.default_rng(1), 6, 0.0)])
     assert np.array_equal(a, b)
 
 
@@ -254,8 +278,9 @@ def test_dropout_deterministic_per_seed():
     x = np.random.default_rng(6).standard_normal((20, 6))
 
     def logits(seed):
-        rngs = [np.random.default_rng(seed)] * len(head.layers)
-        return head.forward(x, dropout_p=0.3, dropout_rngs=rngs).logits
+        [out] = head.dropout_logits(
+            x, 0.3, [drawn_masks(head, np.random.default_rng(seed), 20, 0.3)])
+        return out
 
     a, b, c = logits(11), logits(11), logits(12)
     assert np.array_equal(a, b)
@@ -263,30 +288,40 @@ def test_dropout_deterministic_per_seed():
 
 
 @pytest.mark.parametrize("n", [17, 49, 107])
-def test_dropout_streams_draw_the_masks_of_one_generator_for_every_layer(monkeypatch, n):
-    """Forwards of each row block with dropout_streams give the bits of one
-    forward over all rows that draws every layer's masks, in layer order,
-    from a single default_rng(seed): the draw order of an unblocked pass."""
+def test_keep_masks_draw_the_masks_of_one_generator_for_every_layer(monkeypatch, n):
+    """dropout_logits of each row block with ood.keep_masks gives the bits of
+    the reference pass over all rows that draws every layer's masks, in
+    layer order, from a single default_rng(seed): the draw order of an
+    unblocked pass."""
     head = ResidualMlpHead(small_config(hidden_width=5), seed=3)
     x = np.random.default_rng(5).standard_normal((n, 6))
-    whole = head.forward(x, dropout_p=0.3,
-                         dropout_rngs=[np.random.default_rng(9)] * len(head.layers))
+    whole, _ = dropout_forward(head, x, 0.3, [np.random.default_rng(9)] * len(head.layers))
     monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
     assert len(row_blocks(n)) > 1
-    streams = dropout_streams(head, 9, n)
-    blocks = [head.forward(rows, dropout_p=0.3, dropout_rngs=streams)
-              for _, _, rows in feature_blocks(x)]
-    assert np.concatenate([b.logits for b in blocks]).tobytes() == whole.logits.tobytes()
-    assert (np.concatenate([b.penultimate_features for b in blocks]).tobytes()
-            == whole.penultimate_features.tobytes())
+    masks = {}
+    blocks = [next(head.dropout_logits(rows, 0.3, [keep_masks(masks, head, 0.3, 9, n, lo, hi)]))
+              for lo, hi, rows in feature_blocks(x)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_dropout_logits_equal_the_reference_pass_bit_for_bit():
+    """Every pass of one dropout_logits call, which runs layer 0 once for all
+    of them, has the bits of the reference pass with its own generator."""
+    head = ResidualMlpHead(small_config(), seed=4)
+    x = np.random.default_rng(8).standard_normal((40, 6)).astype(np.float32)
+    got = head.dropout_logits(x, 0.25, [drawn_masks(head, np.random.default_rng(s), 40, 0.25)
+                                        for s in range(3)])
+    for s, logits in enumerate(got):
+        want, _ = dropout_forward(head, x, 0.25, [np.random.default_rng(s)] * 3)
+        assert logits.tobytes() == want.tobytes(), s
 
 
 def test_dropout_invalid_p():
     head = ResidualMlpHead(small_config(), seed=0)
     for p in (1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError):
-            head.forward(np.zeros((1, 6)), dropout_p=p,
-                         dropout_rngs=[np.random.default_rng(0)] * 3)
+            next(head.dropout_logits(np.zeros((1, 6)), p,
+                                     [drawn_masks(head, np.random.default_rng(0), 1, 0.5)]))
 
 
 # -- training ---------------------------------------------------------------

@@ -12,31 +12,74 @@ from voxuq.nn_core import (LEAKY_SLOPE, LinearLayer, OptimizerState, ShapeError,
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     logits = rng.standard_normal((50, 7)) * 10
-    p = softmax(logits)
+    p = softmax(logits.T).T
     assert np.allclose(p.sum(axis=1), 1.0)
     assert np.all(p >= 0)
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(1)
-    logits = rng.standard_normal((10, 5))
+    logits = rng.standard_normal((5, 10))
     shifted = logits + 123.456
     assert np.allclose(softmax(logits), softmax(shifted))
 
 
 def test_softmax_extreme_logits_finite():
-    logits = np.array([[1e4, -1e4, 0.0], [-1e308, 0.0, 1e3]])
+    logits = np.array([[1e4, -1e4, 0.0], [-1e308, 0.0, 1e3]]).T
     p = softmax(logits)
     assert np.all(np.isfinite(p))
-    assert np.allclose(p.sum(axis=1), 1.0)
+    assert np.allclose(p.sum(axis=0), 1.0)
 
 
 @settings(max_examples=50, deadline=None)
-@given(hnp.arrays(np.float64, (3, 4), elements=st.floats(-50, 50)))
+@given(hnp.arrays(np.float64, (4, 3), elements=st.floats(-50, 50)))
 def test_softmax_property(logits):
     p = softmax(logits)
     assert np.all(p >= 0) and np.all(p <= 1)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
+    assert np.allclose(p.sum(axis=0), 1.0, atol=1e-9)
+
+
+def row_major_softmax(logits):
+    """The row-wise formula over n x K logits that softmax keeps the bits of."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# class counts of every branch of numpy's pairwise sum: fewer than 8 values
+# added in order, 8 partial sums up to 128, and halving above 128
+PAIRWISE_CLASSES = [*range(2, 41), 127, 128, 129, 200]
+
+
+def extreme_logits(k, rows=300):
+    """rows x k logits of scales from 0.1 to 40, then rows of extreme values:
+    +-1e308, -inf, +inf, NaN, all equal, a spread that underflows exp, and
+    subnormal gaps."""
+    rng = np.random.default_rng(k)
+    logits = rng.standard_normal((rows, k)) * rng.uniform(0.1, 40.0, size=(rows, 1))
+    logits[0] = 1e308
+    logits[0, ::3] = -1e308
+    logits[1, k // 2] = np.nan
+    logits[2, 1::2] = -np.inf
+    logits[3, k - 1] = np.inf
+    logits[4] = -np.inf
+    logits[5] = 7.0
+    logits[6] = np.linspace(-1e4, 1e4, k)
+    logits[7] = np.arange(k) * 5e-324
+    return logits
+
+
+@pytest.mark.parametrize("k", PAIRWISE_CLASSES)
+def test_softmax_equals_the_row_major_formula_bit_for_bit(k):
+    logits = extreme_logits(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = row_major_softmax(logits)
+        got = softmax(logits.T)
+        from_contiguous = softmax(np.ascontiguousarray(logits.T))
+    assert got.shape == (k, len(logits))
+    assert np.array_equal(got.T, want, equal_nan=True)
+    assert np.array_equal(from_contiguous, got, equal_nan=True)
+    assert np.isnan(want[[1, 3, 4]]).all() and not np.isnan(want[[0, 2, 5, 6, 7]]).any()
 
 
 def test_cross_entropy_matches_log_softmax():
@@ -44,7 +87,7 @@ def test_cross_entropy_matches_log_softmax():
     logits = rng.standard_normal((20, 6))
     labels = rng.integers(0, 6, size=20)
     loss, _ = cross_entropy_loss(logits, labels)
-    p = softmax(logits)
+    p = softmax(logits.T).T
     expected = -np.log(p[np.arange(20), labels]).mean()
     assert abs(loss - expected) < 1e-12
 

@@ -20,6 +20,9 @@ from voxuq.ood import (MethodBundle, MethodError, ScoredPopulation, aggregate_re
 from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
                             head_config_for_world)
 
+from test_head import dropout_forward
+from test_nn_core import row_major_softmax
+
 
 def all_pairs_auroc(id_scores, ood_scores):
     """O(n^2) oracle: P(ood > id) + 0.5 P(ood == id)."""
@@ -265,37 +268,52 @@ def test_de_requires_enough_members():
 
 
 def stacked_ensemble_mean(members, features, dropout_p=None, base_seed=0):
-    """Reference: the mean softmax as metrics.ensemble_predict computed it
-    before score_scene ran the members itself. Deep-ensemble members run
-    eval-mode forwards of at most 65,536 rows; MC-Dropout pass i of the
-    repeated head is one forward over all rows that draws every layer's
-    masks from default_rng(base_seed + i); the (n, rows, K) stack of member
-    softmaxes is averaged over its first axis."""
+    """Reference: the mean softmax, n x K, as metrics.ensemble_predict
+    computed it before score_scene ran the members itself. Deep-ensemble
+    members run eval-mode forwards of at most 65,536 rows; MC-Dropout pass i
+    of the repeated head is the reference dropout forward over all rows that
+    draws every layer's masks from default_rng(base_seed + i); the (n, rows,
+    K) stack of row-wise softmaxes is averaged over its first axis."""
     member_probs = []
     for i, head in enumerate(members):
         if dropout_p is None:
             member_probs.append(np.concatenate([
-                softmax(head.forward(features[lo:lo + 65536]).logits)
+                row_major_softmax(head.forward(features[lo:lo + 65536]).logits)
                 for lo in range(0, features.shape[0], 65536)]))
         else:
             rngs = [np.random.default_rng(base_seed + i)] * len(head.layers)
-            out = head.forward(features, dropout_p=dropout_p, dropout_rngs=rngs)
-            member_probs.append(softmax(out.logits))
+            member_probs.append(row_major_softmax(dropout_forward(head, features, dropout_p,
+                                                                  rngs)[0]))
     return np.stack(member_probs).mean(axis=0)
 
 
 @pytest.mark.parametrize("rows", [1, 2304, 4097, 65536])
 def test_ensemble_scores_match_the_stacked_mean_bit_for_bit(rows):
+    """mcd at p = 0.1 and p = 0 and de keep the reference's bits, in a first
+    cell that draws the keep masks into a memo and in a second cell, with
+    other features and the same pass seeds, that unpacks every one of them
+    from it."""
     config = HeadConfig(input_dim=32, hidden_width=32, num_layers=3, num_classes=17)
     heads = [ResidualMlpHead(config, seed=s) for s in range(4)]
     bundle = MethodBundle(head=heads[0], ensemble_heads=heads[1:])
+    methods = ["mcd:n=3:p=0.1", "mcd:n=2:p=0", "de:n=3"]
     x = np.random.default_rng(rows).standard_normal((rows, 32))
-    scores, logits = score_scene(["mcd:n=3:p=0.1", "de:n=3"], bundle, x, base_seed=11)
-    for method, mean in (
-            ("mcd:n=3:p=0.1", stacked_ensemble_mean([heads[0]] * 3, x, 0.1, base_seed=11)),
-            ("de:n=3", stacked_ensemble_mean(heads[1:], x))):
-        assert np.array_equal(scores[method], softmax_entropy(mean)), method
-        assert np.array_equal(logits[method], np.log(np.maximum(mean, 1e-12))), method
+    masks = {}
+    first = score_scene(methods, bundle, x, base_seed=11, masks=masks)
+    drawn = dict(masks)
+    assert len(drawn) == 5 * 3 * len(list(head_module.feature_blocks(x)))
+    y = np.random.default_rng([rows, 1]).standard_normal((rows, 32)).astype(np.float32)
+    second = score_scene(methods, bundle, y, base_seed=11, masks=masks)
+    assert masks.keys() == drawn.keys() and all(masks[k] is drawn[k] for k in drawn)
+    for features, (scores, logits) in ((x, first), (y.astype(np.float64), second)):
+        for method, mean in (
+                ("mcd:n=3:p=0.1", stacked_ensemble_mean([heads[0]] * 3, features, 0.1,
+                                                        base_seed=11)),
+                ("mcd:n=2:p=0", stacked_ensemble_mean([heads[0]] * 2, features, 0.0,
+                                                      base_seed=11)),
+                ("de:n=3", stacked_ensemble_mean(heads[1:], features))):
+            assert np.array_equal(scores[method], softmax_entropy(mean.T)), method
+            assert np.array_equal(logits[method], np.log(np.maximum(mean, 1e-12))), method
 
 
 # -- fused sweep ------------------------------------------------------------
@@ -424,6 +442,28 @@ def test_sweep_and_calibration_score_each_scene_once(tiny, monkeypatch):
                      "corruption": n * cells}
 
 
+def test_a_walk_draws_each_keep_mask_once(tiny, monkeypatch):
+    """run_sweep with mcd:n=2 over k scenes of one row block draws (k + 1) x
+    layers keep masks, once for all 16 splits: pass j of scene i is seeded
+    seed + i + j in every split. A second run_sweep draws them all again, as
+    no memo outlives its walk; evaluate_calibration's walk draws them once."""
+    world, bundle, _, test = tiny
+    draws = []
+    packbits = np.packbits  # each drawn mask is packed once, and nothing else is
+    monkeypatch.setattr(np, "packbits",
+                        lambda keep: draws.append(keep.tobytes()) or packbits(keep))
+    k, layers = len(test.scenes), len(bundle.head.layers)
+    run_sweep(["mcd:n=2"], bundle, world, test, seed=SWEEP_SEED)
+    assert len(draws) == len(set(draws)) == (k + 1) * layers
+    first = list(draws)
+    draws.clear()
+    run_sweep(["mcd:n=2"], bundle, world, test, seed=SWEEP_SEED)
+    assert draws == first
+    draws.clear()
+    evaluate_calibration("mcd:n=2", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
+    assert len(draws) == len(set(draws)) == (k + 1) * layers
+
+
 def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
     """evaluate_calibration walks the grid run_sweep walks: the clean test
     split, then the 15 cells in kind-major order, every scene with the
@@ -432,10 +472,10 @@ def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
     calls = []
     score = score_scene
 
-    def recording_score(methods, b, features, base_seed=0, with_logits=True):
+    def recording_score(methods, b, features, base_seed=0, **kwargs):
         features = joined(features)
         calls.append((features.tobytes(), base_seed))
-        return score(methods, b, features, base_seed=base_seed, with_logits=with_logits)
+        return score(methods, b, features, base_seed=base_seed, **kwargs)
 
     monkeypatch.setattr(ood, "score_scene", recording_score)
     run_sweep(["ours"], bundle, world, test, seed=SWEEP_SEED)
@@ -755,14 +795,14 @@ def test_block_wise_scores_keep_their_bits_with_or_without_logits():
     for m in methods:
         assert scores[m].tobytes() == bare[m].tobytes(), m
     eval_logits, density = eval_pass_oracle(bundle.head, x, bundle.gda_model)
-    probs = softmax(eval_logits)
+    probs = softmax(eval_logits.T)
     for m, want in (("ours", density), ("max-softmax", max_softmax_score(probs)),
                     ("entropy", softmax_entropy(probs))):
         assert scores[m].tobytes() == want.tobytes(), m
         assert logits[m].tobytes() == eval_logits.tobytes(), m
-    mean = sum(softmax(eval_pass_oracle(h, x)[0]) for h in bundle.ensemble_heads) / 2
+    mean = sum(softmax(eval_pass_oracle(h, x)[0].T) for h in bundle.ensemble_heads) / 2
     assert scores["de:n=2"].tobytes() == softmax_entropy(mean).tobytes()
-    assert logits["de:n=2"].tobytes() == np.log(np.maximum(mean, 1e-12)).tobytes()
+    assert logits["de:n=2"].tobytes() == np.log(np.maximum(mean, 1e-12)).T.tobytes()
 
 
 def test_paper_sized_sweep_holds_its_corrupted_scene_and_no_logits():
@@ -814,7 +854,7 @@ def test_deep_ensemble_of_a_float32_scene_keeps_its_bits_without_a_float64_copy(
     finally:
         tracemalloc.stop()
     mean = stacked_ensemble_mean(bundle.ensemble_heads, x.astype(np.float64))
-    assert scores["de:n=2"].tobytes() == softmax_entropy(mean).tobytes()
+    assert scores["de:n=2"].tobytes() == softmax_entropy(mean.T).tobytes()
     assert logits["de:n=2"].tobytes() == np.log(np.maximum(mean, 1e-12)).tobytes()
     assert peak < x.size * 8
 
