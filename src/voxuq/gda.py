@@ -104,12 +104,19 @@ class GdaModel:
             c += self._offset[:, None]
             top = c.max(axis=0)
             c -= top
-            np.exp(c, out=c)
+            _exp_in_place(c)
             res = out[lo:lo + m]
             np.sum(c, axis=0, out=res)
             np.log(res, out=res)
             res += top
         return float(out[0]) if single else out
+
+
+def _exp_in_place(c):
+    """np.exp(c) into c, writing the +0 it gives below -750 without its slow path."""
+    low = c < -750.0
+    np.exp(c, out=c, where=~low)
+    c[low] = 0.0
 
 
 def _inverse_lower(chols):

@@ -1,6 +1,6 @@
 """Uncertainty-aware prediction head: residual MLP blocks with optional skip
 connections and spectral normalization, a classifier layer, manual backprop,
-a minibatch training loop, and Lipschitz-ratio probing.
+a minibatch training loop, and an evaluation form with fixed weights.
 """
 
 from dataclasses import dataclass, field
@@ -10,6 +10,7 @@ import numpy as np
 from .nn_core import (
     LinearLayer,
     OptimizerState,
+    ShapeError,
     cross_entropy_loss,
     leaky_relu,
     leaky_relu_grad,
@@ -48,14 +49,6 @@ class HeadOutput:
 
 
 @dataclass
-class LipschitzEstimate:
-    lower_ratio: float
-    upper_ratio: float
-    sample_count: int
-    skipped_pairs: int = 0
-
-
-@dataclass
 class TrainLog:
     epochs: list = field(default_factory=list)
     losses: list = field(default_factory=list)
@@ -83,6 +76,7 @@ class ResidualMlpHead:
             in_dim = config.hidden_width
         self.classifier = LinearLayer(config.num_classes, config.hidden_width, rng,
                                       sn_enabled=False)
+        self.fix_weights()
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -102,60 +96,86 @@ class ResidualMlpHead:
     def _block_has_skip(self, i):
         return self.config.skip and self.layers[i].in_dim == self.layers[i].out_dim
 
-    # -- forward / backward ------------------------------------------------
+    # -- evaluation form ---------------------------------------------------
 
-    def forward(self, features, cache=None, update_sn=False):
-        """Logits and penultimate features of n x input_dim `features`, in one
-        pass over all rows; passes over many rows run it on each of their
-        feature_blocks instead. With a list `cache`, each hidden layer
-        appends its linear_forward entry and then its pre-activation, and the
-        classifier appends its entry last.
+    def fix_weights(self):
+        """Fix the evaluation form, which eval passes read and nothing else: each
+        layer's effective weight from the live weights (sigma from the stored
+        power-iteration vectors) and bias, as (w, b) with x @ w + b its map. The
+        float64 w is W_eff.T, the view training multiplies by, so a row keeps
+        its bits; the float32 w is a C-order rounding with its columns
+        zero-padded to a multiple of 16, a layout in which a row's bits do not
+        depend on its batch. Run when the head is built, when its weights are
+        rounded (train_head's last step) and by store.load_head."""
+        self.fixed = {np.float64: [], np.float32: []}
+        for layer in (*self.layers, self.classifier):
+            w_eff, _ = layer.effective_weight_and_cache(update_state=False)
+            padded = np.zeros((layer.in_dim, -(-layer.out_dim // 16) * 16), np.float32)
+            padded[:, :layer.out_dim] = w_eff.T
+            self.fixed[np.float64].append((w_eff.copy().T, layer.bias.copy()))
+            self.fixed[np.float32].append((padded, layer.bias.astype(np.float32)))
 
-        Features of another float dtype are widened to float64 as each layer
-        reads them, so float32 features give the bits of their float64 copy.
-        """
+    def _passes(self, x, dtype, p=0.0, keeps=(None,)):
+        """The one eval-mode layer loop, over the fixed weights of `dtype`: yields
+        (logits, penultimate features) of a pass over the rows `x` per item of
+        `keeps`, None for the plain pass (given alone) or the hidden layers'
+        keep masks (rows x hidden_width, bool) of an MC-Dropout pass: inverted
+        dropout at rate p in [0, 1), else ValueError, after each activation.
+        Layer 0's map and activation run once for all passes."""
+        if not 0.0 <= p < 1.0:
+            raise ValueError("dropout p must be in [0, 1), got %r" % p)
+        x = np.asarray(x)
+        if not np.can_cast(x.dtype, dtype):  # rounded once, for every layer and pass
+            x = x.astype(dtype)
+        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
+            raise ShapeError("input of shape %s, head expects %d columns"
+                             % (x.shape, self.config.input_dim))
+        *hidden, classifier = self.fixed[dtype]
+        # widened as layer 0 reads it, so that no widened copy outlives layer 0
+        first = leaky_relu(_affine(x.astype(dtype, copy=False), *hidden[0]))
+        for masks in keeps:
+            h = x
+            for i, (layer, keep) in enumerate(zip(hidden, masks or [None] * len(hidden))):
+                act = first if i == 0 else leaky_relu(_affine(h, *layer))
+                if masks is not None:  # never in place on first, which every pass reads
+                    act = np.multiply(act, keep, out=None if i == 0 else act)
+                    act /= 1.0 - p
+                elif i == 0:
+                    first = None  # the plain pass is alone: act is layer 0's only holder
+                if self._block_has_skip(i):
+                    act += h
+                h = act
+            yield _affine(h, *classifier), h
+
+    def forward(self, features, dtype=np.float64):
+        """Logits and penultimate features of the eval-mode pass over n x
+        input_dim `features` read as `dtype` (float32 ones give the bits of
+        their float64 copy); a pass over many rows runs it per feature_block."""
+        return HeadOutput(*next(self._passes(features, dtype)))
+
+    def dropout_logits(self, x, p, keeps):
+        """Yields the logits of the float32 MC-Dropout pass over the rows `x` of
+        each item of `keeps` (see _passes)."""
+        return (logits for logits, _ in self._passes(x, np.float32, p, keeps))
+
+    # -- training ----------------------------------------------------------
+
+    def loss_and_grads(self, features, labels, update_sn=False):
+        """Mean cross-entropy of one training forward over the live weights, the
+        gradient of every named parameter, and the logits. Each hidden layer
+        caches its linear_forward entry, then its pre-activation, and the
+        classifier its entry last; backward runs over that cache."""
+        cache = []
         x = features
         for i, layer in enumerate(self.layers):
             pre = linear_forward(layer, x, cache, update_sn)
             act = leaky_relu(pre)
             if self._block_has_skip(i):
                 act += x
-            if cache is not None:
-                cache.append(pre)
+            cache.append(pre)
             x = act
-        return HeadOutput(logits=linear_forward(self.classifier, x, cache, update_sn=False),
-                          penultimate_features=x)
-
-    def dropout_logits(self, x, p, keeps):
-        """Yields the logits of one MC-Dropout pass over the rows `x` per item of
-        `keeps`, its keep masks (rows x hidden_width, bool) of the hidden layers:
-        inverted dropout at rate p in [0, 1), else ValueError, after each hidden
-        activation, so layer 0's map and activation run once for all passes."""
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout p must be in [0, 1), got %r" % p)
-        first = leaky_relu(linear_forward(self.layers[0], x, update_sn=False))
-        for masks in keeps:
-            h = x
-            for i, (layer, keep) in enumerate(zip(self.layers, masks)):
-                if i == 0:
-                    act = np.multiply(first, keep)
-                else:
-                    act = leaky_relu(linear_forward(layer, h, update_sn=False))
-                    act *= keep
-                act /= 1.0 - p
-                if self._block_has_skip(i):
-                    act += h
-                h = act
-            yield linear_forward(self.classifier, h, update_sn=False)
-
-    def loss_and_grads(self, features, labels, update_sn=False):
-        """Mean cross-entropy of one training forward, the gradient of every
-        named parameter, and the forward's output. The gradients are
-        backpropagated over the forward's cache, from the classifier back
-        through the hidden layers."""
-        cache = []
-        out = self.forward(features, cache, update_sn)
-        loss, g = cross_entropy_loss(out.logits, labels)
+        logits = linear_forward(self.classifier, x, cache, update_sn=False)
+        loss, g = cross_entropy_loss(logits, labels)
         grads = {}
 
         def linear_backward(name, layer, entry, g):
@@ -172,16 +192,18 @@ class ResidualMlpHead:
             if self._block_has_skip(i):
                 # identity path of the residual add rejoins the branch here
                 g = g + upstream
-        return loss, grads, out
+        return loss, grads, logits
 
     def round_weights_to_f32(self):
         """Snap parameters to float32-representable values.
 
         The artifact format stores head weights as float32; rounding here
-        makes save/load round-trips bit-exact for trained heads.
+        makes save/load round-trips bit-exact for trained heads. It fixes
+        the evaluation form anew.
         """
         for p in self.parameters().values():
             p[...] = p.astype(np.float32).astype(np.float64)
+        self.fix_weights()
 
     def finalize_spectral_norm(self, iters=200):
         """Bake converged SN rescaling into the raw weights (post-training)."""
@@ -227,10 +249,18 @@ def train_head(head, features, labels, opt=None, epochs=10, batch_size=512, seed
         log.epochs.append(epoch)
         log.losses.append(float(np.mean(losses)))
         if log_accuracy:
+            head.fix_weights()  # the eval form of this epoch's weights
             log.accuracies.append(accuracy(head, [(features, labels)]))
     head.finalize_spectral_norm()
-    head.round_weights_to_f32()
+    head.round_weights_to_f32()  # fixes the evaluation form of the trained head
     return log
+
+
+def _affine(x, w, b):
+    """x @ w + b of a fixed (w, b), over the b.size columns that are not padding."""
+    y = (x @ w)[:, :b.size]
+    y += b
+    return y
 
 
 def feature_blocks(features):
@@ -256,36 +286,3 @@ def accuracy(head, pairs):
             correct += int(np.count_nonzero(predicted == labels[lo:hi]))
         total += len(labels)
     return correct / total
-
-
-def estimate_lipschitz(head, probe_pairs):
-    """Min / max ratio of penultimate-feature distance to input distance.
-
-    Coincident pairs are skipped and counted rather than raising.
-    """
-    if len(probe_pairs) == 0:
-        raise ValueError("need at least one probe pair")
-    ratios = []
-    skipped = 0
-    for x1, x2 in probe_pairs:
-        x1 = np.asarray(x1, dtype=np.float64)
-        x2 = np.asarray(x2, dtype=np.float64)
-        d_in = np.linalg.norm(x1 - x2)
-        if d_in == 0.0:
-            skipped += 1
-            continue
-        f1 = head.forward(x1[None, :], update_sn=False).penultimate_features[0]
-        f2 = head.forward(x2[None, :], update_sn=False).penultimate_features[0]
-        ratios.append(np.linalg.norm(f1 - f2) / d_in)
-    if not ratios:
-        raise ValueError("all probe pairs were coincident")
-    return LipschitzEstimate(lower_ratio=float(min(ratios)),
-                             upper_ratio=float(max(ratios)),
-                             sample_count=len(ratios),
-                             skipped_pairs=skipped)
-
-
-def lipschitz_upper_bound(config):
-    """Product over hidden blocks of (1 + c): composition bound for SN blocks."""
-    return (1.0 + config.sn_coefficient) ** config.num_layers
-

@@ -211,11 +211,12 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True, masks=
     eval-mode forward (ours from its penultimate features). de:n and mcd:n
     score it from n passes: the first n ensemble heads' forwards, or the main
     head's dropout_logits with the keep_masks of base seeds base_seed + i in
-    the memo `masks` (or a new one); the mean p of their softmaxes gives the
-    predictive entropy and the logits log(max(p, 1e-12)). Every score is
-    row-wise, so a row keeps the bits of a whole-scene pass, and float32
-    features score as their float64 copy, widened a block at a time. The
-    bundle must pass check_methods(methods, bundle).
+    the memo `masks` (or a new one). These passes run in float32 on the
+    block rounded to float32 once; the mean p of their softmaxes, in float64,
+    gives the predictive entropy and the logits log(max(p, 1e-12)). Every
+    other score reads the block widened to float64, so float32 features score
+    as their float64 copy. Every score is row-wise, so a row keeps the bits of
+    a whole-scene pass. The bundle must pass check_methods(methods, bundle).
     """
     n, k = len(features), bundle.head.config.num_classes
     masks = {} if masks is None else masks
@@ -237,10 +238,11 @@ def score_scene(methods, bundle, features, base_seed=0, with_logits=True, masks=
             if with_logits:
                 eval_logits[lo:hi] = out.logits
             del out, probs
-        x = np.asarray(x, dtype=np.float64) if ensembles else x  # once for every pass
+        x = np.asarray(x, dtype=np.float32) if ensembles else x  # once for every pass
         for method, (name, params) in ensembles.items():
             if name == "de":
-                passes = (h.forward(x).logits for h in bundle.ensemble_heads[:params["n"]])
+                passes = (h.forward(x, np.float32).logits
+                          for h in bundle.ensemble_heads[:params["n"]])
             else:
                 passes = bundle.head.dropout_logits(x, params["p"], (
                     keep_masks(masks, bundle.head, params["p"], seed, n, lo, hi)

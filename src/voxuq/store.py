@@ -147,6 +147,7 @@ def load_head(path):
         arrays.update({"layer%d.sn_u" % i: layer.sn_state.u, "layer%d.sn_v" % i: layer.sn_state.v})
     for name, p in arrays.items():
         p[...] = _tensor(tensors, name, p.shape)
+    head.fix_weights()
     return head
 
 

@@ -16,14 +16,15 @@ from voxuq import synthworld
 from voxuq.calibration import LogitGaps, ece, fit_temperature, nll, scale_logits
 from voxuq.cli import main as cli_main
 from voxuq.gda import FeatureBank, fit_gda, gmm_param_count
-from voxuq.head import (HeadConfig, ResidualMlpHead, estimate_lipschitz,
-                        lipschitz_upper_bound)
+from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.nn_core import power_iteration, softmax
 from voxuq.ood import ScoredPopulation, auroc, fpr_at_95_tpr, run_sweep, score_scene
 from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
                             head_config_for_world)
 from voxuq.store import (load_calibration, load_gda, load_head,
                          save_calibration, save_gda, save_head)
+
+from oracles import estimate_lipschitz, lipschitz_upper_bound
 
 RESULTS = []
 

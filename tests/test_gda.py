@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from voxuq import gda as gda_module
 from voxuq.gda import (DEFAULT_EPS_LADDER, LOG_DENSITY_CHUNK, FeatureBank, FitError,
                        GdaModel, _inverse_lower, collect_features, epistemic_score, fit_gda,
                        gmm_param_count)
@@ -413,3 +414,25 @@ def test_gmm_param_count_property(d, k):
     # counting oracle: enumerate mean entries plus full covariance entries
     per_class = d + d * d
     assert gmm_param_count(d, k) == sum(per_class for _ in range(k))
+
+
+def test_exp_skip_below_minus_750_keeps_the_bits_of_exp(monkeypatch):
+    """On a grid over [-800, 0] that runs through exp's subnormal results
+    (-745.13 to -708.4), -inf and -0.0, _exp_in_place gives np.exp's bits;
+    so does log_density over a two-class model whose log-sum-exp arguments
+    run over that grid."""
+    c = np.concatenate([np.linspace(-800.0, 0.0, 160001),
+                        np.linspace(-746.0, -708.0, 38001),
+                        [-750.0, np.nextafter(-750.0, 0.0), np.nextafter(-750.0, -np.inf),
+                         -745.1332191019412, -np.inf, -0.0]])
+    got = c.copy()
+    gda_module._exp_in_place(got)
+    assert got.tobytes() == np.exp(c).tobytes()
+    assert np.count_nonzero((got > 0) & (got < np.finfo(float).tiny)) > 1000  # subnormals
+    model = GdaModel(means=np.array([[0.0], [40.0]]), chols=np.ones((2, 1, 1)),
+                     log_dets=np.zeros(2), log_priors=np.log([0.5, 0.5]), eps_used=0.0,
+                     counts=np.ones(2, dtype=np.int64))
+    z = np.linspace(0.0, 20.0, 40001)[:, None]  # second class's argument: 40 z - 800
+    skipped = model.log_density(z)
+    monkeypatch.setattr(gda_module, "_exp_in_place", lambda c: np.exp(c, out=c))
+    assert skipped.tobytes() == model.log_density(z).tobytes()

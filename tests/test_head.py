@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from voxuq import head as head_module
-from voxuq import pipeline, synthworld
-from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, estimate_lipschitz,
-                        feature_blocks, lipschitz_upper_bound, train_head)
+from voxuq import nn_core, pipeline, synthworld
+from voxuq.head import (HeadConfig, ResidualMlpHead, accuracy, feature_blocks,
+                        train_head)
 from voxuq.nn_core import (OptimizerState, ShapeError, leaky_relu, linear_forward,
                            power_iteration)
 from voxuq.ood import keep_masks
+
+from oracles import estimate_lipschitz, lipschitz_upper_bound
 
 
 def small_config(**kwargs):
@@ -243,20 +245,35 @@ def test_param_count():
 
 # -- dropout ----------------------------------------------------------------
 
-def dropout_forward(head, x, p, rngs):
-    """Reference MC-Dropout pass: the eval forward with inverted dropout
-    after every hidden activation, layer i's keep mask drawn from rngs[i]
-    as random() >= p (the forward's dropout before dropout_logits), as
-    logits and penultimate features."""
-    h = x
+def reference_linear(layer, h, dtype=np.float64):
+    """One layer's eval-mode map in `dtype`. float64 is linear_forward's, over
+    the transposed view of W_eff; float32 multiplies h by W_eff^T rounded to
+    float32, as a C-order matrix whose output columns are zero-padded to a
+    multiple of 16, and adds the float32 bias."""
+    if dtype is np.float64:
+        return linear_forward(layer, h, update_sn=False)
+    w_eff, _ = layer.effective_weight_and_cache(update_state=False)
+    padded = np.zeros((layer.in_dim, -(-layer.out_dim // 16) * 16), np.float32)
+    padded[:, :layer.out_dim] = w_eff.T
+    return (h @ padded)[:, :layer.out_dim] + layer.bias.astype(np.float32)
+
+
+def dropout_forward(head, x, p, rngs, dtype=np.float64):
+    """Reference eval-mode pass over the rows `x`, read as `dtype`, with
+    inverted dropout after every hidden activation, layer i's keep mask drawn
+    from rngs[i] as random() >= p (the forward's dropout before
+    dropout_logits), or none without `rngs`; as logits and penultimate
+    features."""
+    h = np.asarray(x, dtype=dtype)
     for i, layer in enumerate(head.layers):
-        act = leaky_relu(linear_forward(layer, h, update_sn=False))
-        keep = rngs[i].random(act.shape) >= p
-        act = act * keep / (1.0 - p)
+        act = leaky_relu(reference_linear(layer, h, dtype))
+        if rngs is not None:
+            keep = rngs[i].random(act.shape) >= p
+            act = act * keep / (1.0 - p)
         if head._block_has_skip(i):
             act += h
         h = act
-    return linear_forward(head.classifier, h, update_sn=False), h
+    return reference_linear(head.classifier, h, dtype), h
 
 
 def drawn_masks(head, rng, rows, p):
@@ -268,7 +285,7 @@ def drawn_masks(head, rng, rows, p):
 def test_dropout_p_zero_is_plain_forward():
     head = ResidualMlpHead(small_config(), seed=0)
     x = np.random.default_rng(5).standard_normal((6, 6))
-    a = head.forward(x).logits
+    a = head.forward(x, np.float32).logits
     [b] = head.dropout_logits(x, 0.0, [drawn_masks(head, np.random.default_rng(1), 6, 0.0)])
     assert np.array_equal(a, b)
 
@@ -295,7 +312,8 @@ def test_keep_masks_draw_the_masks_of_one_generator_for_every_layer(monkeypatch,
     unblocked pass."""
     head = ResidualMlpHead(small_config(hidden_width=5), seed=3)
     x = np.random.default_rng(5).standard_normal((n, 6))
-    whole, _ = dropout_forward(head, x, 0.3, [np.random.default_rng(9)] * len(head.layers))
+    whole, _ = dropout_forward(head, x, 0.3, [np.random.default_rng(9)] * len(head.layers),
+                               np.float32)
     monkeypatch.setattr(head_module, "FORWARD_BLOCK", 16)
     assert len(row_blocks(n)) > 1
     masks = {}
@@ -306,14 +324,51 @@ def test_keep_masks_draw_the_masks_of_one_generator_for_every_layer(monkeypatch,
 
 def test_dropout_logits_equal_the_reference_pass_bit_for_bit():
     """Every pass of one dropout_logits call, which runs layer 0 once for all
-    of them, has the bits of the reference pass with its own generator."""
+    of them, has the bits of the float32 reference pass with its own
+    generator."""
     head = ResidualMlpHead(small_config(), seed=4)
     x = np.random.default_rng(8).standard_normal((40, 6)).astype(np.float32)
     got = head.dropout_logits(x, 0.25, [drawn_masks(head, np.random.default_rng(s), 40, 0.25)
                                         for s in range(3)])
     for s, logits in enumerate(got):
-        want, _ = dropout_forward(head, x, 0.25, [np.random.default_rng(s)] * 3)
+        want, _ = dropout_forward(head, x, 0.25, [np.random.default_rng(s)] * 3, np.float32)
         assert logits.tobytes() == want.tobytes(), s
+
+
+@pytest.mark.parametrize("hidden_width", [5, 16, 32])
+def test_float32_passes_equal_the_reference_pass_bit_for_bit(hidden_width):
+    """forward in float32 and dropout_logits, on float64 rows that they round
+    once, have the bits of the plain float32 reference pass; the float64
+    forward has those of the linear_forward pass."""
+    head = ResidualMlpHead(small_config(hidden_width=hidden_width, num_classes=17), seed=5)
+    x = np.random.default_rng(9).standard_normal((60, 6))
+    want, _ = dropout_forward(head, x, 0.0, None, np.float32)
+    assert want.dtype == np.float32
+    assert head.forward(x, np.float32).logits.tobytes() == want.tobytes()
+    assert head.forward(x).logits.tobytes() == dropout_forward(head, x, 0.0, None)[0].tobytes()
+    got = head.dropout_logits(x, 0.2, [drawn_masks(head, np.random.default_rng(s), 60, 0.2)
+                                       for s in range(2)])
+    for s, logits in enumerate(got):
+        want, _ = dropout_forward(head, x, 0.2, [np.random.default_rng(s)] * 3, np.float32)
+        assert logits.tobytes() == want.tobytes(), s
+
+
+def test_eval_passes_compute_no_sigma(monkeypatch):
+    """After the head is built, its eval-mode passes in either dtype read the
+    fixed weights: no effective weight, power iteration or SN cache."""
+    head = ResidualMlpHead(small_config(), seed=0)
+    x = np.random.default_rng(1).standard_normal((10, 6))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eval pass computed sigma")
+
+    monkeypatch.setattr(nn_core.LinearLayer, "effective_weight_and_cache", forbidden)
+    monkeypatch.setattr(nn_core, "power_iteration", forbidden)
+    monkeypatch.setattr(head_module, "linear_forward", forbidden)
+    for dtype in (np.float64, np.float32):
+        head.forward(x, dtype)
+    list(head.dropout_logits(x, 0.5, [drawn_masks(head, np.random.default_rng(2), 10, 0.5)]))
+    assert accuracy(head, [(x, np.zeros(10, dtype=np.int64))]) >= 0.0
 
 
 def test_dropout_invalid_p():

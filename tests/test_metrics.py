@@ -8,7 +8,7 @@ from voxuq.metrics import max_softmax_score, softmax_entropy
 from voxuq.nn_core import softmax
 from voxuq.ood import MethodBundle, check_methods, parse_method, score_scene
 
-from test_head import drawn_masks
+from test_head import dropout_forward
 from test_nn_core import PAIRWISE_CLASSES, extreme_logits, row_major_softmax
 
 
@@ -90,15 +90,22 @@ def make_head(seed):
 
 
 def mean_softmax(logits):
-    """The mean softmax of n x K `logits` arrays, class-major."""
+    """The mean softmax of n x K `logits` arrays, class-major, in float64."""
     return np.mean([softmax(lg.T) for lg in logits], axis=0)
+
+
+def float32_logits(head, x, p=0.0, seed=None):
+    """Logits of the plain float32 reference pass of `head` over `x`, with
+    dropout at rate p whose masks come from default_rng(seed), or none."""
+    rngs = None if seed is None else [np.random.default_rng(seed)] * len(head.layers)
+    return dropout_forward(head, x, p, rngs, np.float32)[0]
 
 
 def test_deep_ensemble_mean_of_members():
     heads = [make_head(i) for i in range(3)]
     x = np.random.default_rng(1).standard_normal((8, 5))
     scores, logits = score_scene(["de:n=3"], MethodBundle(head=heads[0], ensemble_heads=heads), x)
-    mean = mean_softmax(h.forward(x).logits for h in heads)
+    mean = mean_softmax(float32_logits(h, x) for h in heads)
     assert logits["de:n=3"].shape == (8, 3)
     assert np.allclose(logits["de:n=3"], np.log(mean).T)
     assert np.allclose(scores["de:n=3"], softmax_entropy(mean))
@@ -110,7 +117,7 @@ def test_deep_ensemble_member_count_mismatch():
     # de:n reads the first n member heads and needs at least n
     _, logits = score_scene(["de:n=2"], MethodBundle(head=heads[0], ensemble_heads=heads), x)
     assert np.allclose(logits["de:n=2"],
-                       np.log(mean_softmax(h.forward(x).logits for h in heads[:2])).T)
+                       np.log(mean_softmax(float32_logits(h, x) for h in heads[:2])).T)
     with pytest.raises(ValueError):
         check_methods(["de:n=3"], MethodBundle(head=heads[0], ensemble_heads=heads[:1]))
 
@@ -124,9 +131,7 @@ def test_mc_dropout_deterministic_and_varied():
     assert np.array_equal(scores_a[method], scores_b[method])
     assert np.array_equal(logits_a[method], logits_b[method])
     # pass i is seeded base_seed + i, so the passes differ from one another
-    passes = list(bundle.head.dropout_logits(
-        x, 0.2, [drawn_masks(bundle.head, np.random.default_rng(7 + i), 10, 0.2)
-                 for i in range(4)]))
+    passes = [float32_logits(bundle.head, x, 0.2, 7 + i) for i in range(4)]
     assert not np.array_equal(passes[0], passes[1])
     assert np.allclose(logits_a[method], np.log(mean_softmax(passes)).T)
 
@@ -135,8 +140,8 @@ def test_mc_dropout_p_zero_members_identical():
     bundle = MethodBundle(head=make_head(0))
     x = np.random.default_rng(3).standard_normal((6, 5))
     scores, _ = score_scene(["mcd:n=3:p=0"], bundle, x)
-    # every pass is the plain forward, so the mean is its softmax
-    plain = softmax(bundle.head.forward(x).logits.T)
+    # every pass is the plain float32 pass, so the mean is its softmax
+    plain = softmax(float32_logits(bundle.head, x).T)
     assert np.allclose(scores["mcd:n=3:p=0"], softmax_entropy(plain), rtol=0, atol=1e-12)
 
 

@@ -267,29 +267,32 @@ def test_de_requires_enough_members():
     check_methods(["de:n=2"], bundle)
 
 
-def stacked_ensemble_mean(members, features, dropout_p=None, base_seed=0):
-    """Reference: the mean softmax, n x K, as metrics.ensemble_predict
-    computed it before score_scene ran the members itself. Deep-ensemble
-    members run eval-mode forwards of at most 65,536 rows; MC-Dropout pass i
-    of the repeated head is the reference dropout forward over all rows that
-    draws every layer's masks from default_rng(base_seed + i); the (n, rows,
-    K) stack of row-wise softmaxes is averaged over its first axis."""
+def stacked_ensemble_mean(members, features, dropout_p=None, base_seed=0, dtype=np.float32):
+    """Reference: the mean softmax, n x K, of the plain reference passes in
+    `dtype` (float32, as score_scene runs them), the way
+    metrics.ensemble_predict averaged them before score_scene ran the members
+    itself. Deep-ensemble members run passes without dropout over at most
+    65,536 rows; MC-Dropout pass i of the repeated head runs over all rows
+    and draws every layer's masks from default_rng(base_seed + i); the (n,
+    rows, K) stack of row-wise softmaxes, in float64, is averaged over its
+    first axis."""
     member_probs = []
     for i, head in enumerate(members):
         if dropout_p is None:
             member_probs.append(np.concatenate([
-                row_major_softmax(head.forward(features[lo:lo + 65536]).logits)
+                row_major_softmax(dropout_forward(head, features[lo:lo + 65536], 0.0, None,
+                                                  dtype)[0].astype(np.float64))
                 for lo in range(0, features.shape[0], 65536)]))
         else:
             rngs = [np.random.default_rng(base_seed + i)] * len(head.layers)
-            member_probs.append(row_major_softmax(dropout_forward(head, features, dropout_p,
-                                                                  rngs)[0]))
+            member_probs.append(row_major_softmax(
+                dropout_forward(head, features, dropout_p, rngs, dtype)[0].astype(np.float64)))
     return np.stack(member_probs).mean(axis=0)
 
 
 @pytest.mark.parametrize("rows", [1, 2304, 4097, 65536])
 def test_ensemble_scores_match_the_stacked_mean_bit_for_bit(rows):
-    """mcd at p = 0.1 and p = 0 and de keep the reference's bits, in a first
+    """mcd at p = 0.1 and p = 0 and de keep the float32 reference's bits, in a first
     cell that draws the keep masks into a memo and in a second cell, with
     other features and the same pass seeds, that unpacks every one of them
     from it."""
@@ -305,7 +308,7 @@ def test_ensemble_scores_match_the_stacked_mean_bit_for_bit(rows):
     y = np.random.default_rng([rows, 1]).standard_normal((rows, 32)).astype(np.float32)
     second = score_scene(methods, bundle, y, base_seed=11, masks=masks)
     assert masks.keys() == drawn.keys() and all(masks[k] is drawn[k] for k in drawn)
-    for features, (scores, logits) in ((x, first), (y.astype(np.float64), second)):
+    for features, (scores, logits) in ((x, first), (y, second)):
         for method, mean in (
                 ("mcd:n=3:p=0.1", stacked_ensemble_mean([heads[0]] * 3, features, 0.1,
                                                         base_seed=11)),
@@ -314,6 +317,67 @@ def test_ensemble_scores_match_the_stacked_mean_bit_for_bit(rows):
                 ("de:n=3", stacked_ensemble_mean(heads[1:], features))):
             assert np.array_equal(scores[method], softmax_entropy(mean.T)), method
             assert np.array_equal(logits[method], np.log(np.maximum(mean, 1e-12))), method
+
+
+@pytest.mark.parametrize("hidden_width", [8, 32])
+def test_float32_passes_keep_a_rows_bits_in_any_block_cut(monkeypatch, hidden_width):
+    """mcd and de score rows 0-2,999 with the same bits whether the scene is
+    cut into blocks of 3,000 (6,000 rows), 1,000, 17 or 2 rows, or read in
+    one block; and de scores them the same in a 4,096-row scene of the same
+    first rows. The float32 weights are C order, their output columns padded
+    to a multiple of 16, so that the 17 classes and a hidden width of 8 are
+    multiplied as batch-independently as a width of 32."""
+    bundle = random_bundle(32, hidden_width, num_classes=17)
+    methods = ["mcd:n=2:p=0.2", "de:n=2"]
+    x = np.random.default_rng(11).standard_normal((6000, 32)).astype(np.float32)
+    want = score_scene(methods, bundle, x, base_seed=3)
+    for block in (6000, 1000, 17, 2):
+        monkeypatch.setattr(head_module, "FORWARD_BLOCK", block)
+        got = score_scene(methods, bundle, x, base_seed=3)
+        for m in methods:
+            for a, b in zip(got, want):
+                assert a[m][:3000].tobytes() == b[m][:3000].tobytes(), (block, m)
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 4096)
+    scores, logits = score_scene(["de:n=2"], bundle, x[:4096])
+    assert scores["de:n=2"][:3000].tobytes() == want[0]["de:n=2"][:3000].tobytes()
+    assert logits["de:n=2"][:3000].tobytes() == want[1]["de:n=2"][:3000].tobytes()
+
+
+# the float32 MC-Dropout and deep-ensemble passes against float64 ones: the
+# largest relative move of a scene-mean entropy, the largest absolute move of
+# a voxel's entropy and of a calibration logit log(max(p, 1e-12)). The moves
+# seen on the world below were 9e-8, 1.5e-6 and 1.0e-5.
+DRIFT_BOUNDS = {"scene_entropy_rel": 1e-6, "voxel_entropy_abs": 1e-5, "logit_abs": 1e-4}
+
+
+def test_float32_passes_stay_within_the_stated_drift_of_float64_passes():
+    """On a small generated world, a head and two members trained for 2
+    epochs score clean and corrupted test scenes with mcd and de within
+    DRIFT_BOUNDS of the stacked-mean oracle of float64 passes."""
+    config = synthworld.WorldConfig(grid=(16, 16, 4), train_scenes=6, test_scenes=3, seed=3)
+    world = synthworld.generate_world(config)
+    train, test = (synthworld.generate_dataset(world, split) for split in ("train", "test"))
+    heads = [pipeline.train_on_dataset(head_config_for_world(config), train, seed=s, epochs=2,
+                                       log_accuracy=False)[0] for s in range(3)]
+    bundle = MethodBundle(head=heads[0], ensemble_heads=heads[1:])
+    methods = ["mcd:n=3:p=0.1", "de:n=2"]
+    moves = dict.fromkeys(DRIFT_BOUNDS, 0.0)
+    for _, _, scenes in synthworld.grid_splits(test, world, ("noise", "fog"), (3,)):
+        for i, (features, _) in enumerate(scenes):
+            scores, logits = score_scene(methods, bundle, features, base_seed=SWEEP_SEED + i)
+            x = features.join() if hasattr(features, "join") else features
+            for m, mean in (
+                    (methods[0], stacked_ensemble_mean([heads[0]] * 3, x, 0.1, SWEEP_SEED + i,
+                                                       dtype=np.float64)),
+                    (methods[1], stacked_ensemble_mean(heads[1:], x, dtype=np.float64))):
+                entropy = softmax_entropy(mean.T)
+                scene, want = aggregate_scene(scores[m]), aggregate_scene(entropy)
+                for key, move in (
+                        ("scene_entropy_rel", abs(scene - want) / want),
+                        ("voxel_entropy_abs", np.abs(scores[m] - entropy).max()),
+                        ("logit_abs", np.abs(logits[m] - np.log(np.maximum(mean, 1e-12))).max())):
+                    moves[key] = max(moves[key], move)
+    assert all(0.0 < moves[key] <= bound for key, bound in DRIFT_BOUNDS.items()), moves
 
 
 # -- fused sweep ------------------------------------------------------------
@@ -783,8 +847,9 @@ def eval_pass_oracle(head, features, gda_model=None):
 def test_block_wise_scores_keep_their_bits_with_or_without_logits():
     """On a scene of two row blocks and 17 rows, every method scores the
     same bits with and without logits, and without them no logits are
-    returned. The eval-mode scores and logits, and the deep ensemble's, keep
-    the bits of the scene-sized logits of eval_pass_oracle."""
+    returned. The eval-mode scores and logits keep the bits of the
+    scene-sized logits of eval_pass_oracle, and the deep ensemble's those of
+    the members' scene-sized float32 reference passes."""
     bundle = random_bundle(16, 16, num_classes=5)
     methods = ["ours", "max-softmax", "entropy", "mcd:n=2", "de:n=2"]
     x = (np.random.default_rng(8).standard_normal((2 * head_module.FORWARD_BLOCK + 17, 16))
@@ -800,7 +865,8 @@ def test_block_wise_scores_keep_their_bits_with_or_without_logits():
                     ("entropy", softmax_entropy(probs))):
         assert scores[m].tobytes() == want.tobytes(), m
         assert logits[m].tobytes() == eval_logits.tobytes(), m
-    mean = sum(softmax(eval_pass_oracle(h, x)[0].T) for h in bundle.ensemble_heads) / 2
+    mean = sum(softmax(dropout_forward(h, x, 0.0, None, np.float32)[0].T)
+               for h in bundle.ensemble_heads) / 2
     assert scores["de:n=2"].tobytes() == softmax_entropy(mean).tobytes()
     assert logits["de:n=2"].tobytes() == np.log(np.maximum(mean, 1e-12)).T.tobytes()
 
@@ -841,9 +907,9 @@ def test_eval_pass_holds_no_scene_sized_float64_copy():
 
 def test_deep_ensemble_of_a_float32_scene_keeps_its_bits_without_a_float64_copy():
     """de:n=2 on a float32 scene of 8 row blocks of 64 features: the bits of
-    the stacked-mean oracle over the scene's float64 copy, and a peak below
-    what that copy alone would add, because each member runs the eval pass
-    and widens one row block at a time."""
+    the stacked-mean oracle of float32 passes over the whole scene, and a
+    peak below what a float64 copy of the scene alone would add, because
+    each member reads one row block at a time."""
     bundle = random_bundle(64, 8)
     x = np.random.default_rng(7).standard_normal(
         (8 * head_module.FORWARD_BLOCK, 64)).astype(np.float32)
@@ -853,7 +919,7 @@ def test_deep_ensemble_of_a_float32_scene_keeps_its_bits_without_a_float64_copy(
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    mean = stacked_ensemble_mean(bundle.ensemble_heads, x.astype(np.float64))
+    mean = stacked_ensemble_mean(bundle.ensemble_heads, x)
     assert scores["de:n=2"].tobytes() == softmax_entropy(mean.T).tobytes()
     assert logits["de:n=2"].tobytes() == np.log(np.maximum(mean, 1e-12)).tobytes()
     assert peak < x.size * 8
