@@ -12,9 +12,11 @@ from .nn_core import near_equal_blocks
 
 DEFAULT_EPS_LADDER = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_CAP_PER_CLASS = 20000
-# rows per log-density GEMM, a third of a forward block: 2,048 lifted the
-# paper sweep's memory mark by its (rows, K*d) buffer; 768 ran slower
-LOG_DENSITY_CHUNK = -(-FORWARD_BLOCK // 3)
+# rows per log-density GEMM, a ninth of a forward block, so that the (rows,
+# K*d) buffers of a walk's two workers take the room one third-block buffer
+# took: against a serial walk at a third, paper_grid's peak RSS read +1.0%
+# (median of 7 runs, 2 cores, 2 workers), and +2.8% at a sixth (one run)
+LOG_DENSITY_CHUNK = -(-FORWARD_BLOCK // 9)
 
 
 class FitError(RuntimeError):

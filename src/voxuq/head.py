@@ -263,6 +263,13 @@ def _affine(x, w, b):
     return y
 
 
+def block_bounds(features):
+    """The (lo, hi) of feature_blocks(features), without making any rows."""
+    if hasattr(features, "bounds"):
+        return features.bounds(FORWARD_BLOCK)
+    return near_equal_blocks(len(features), FORWARD_BLOCK)
+
+
 def feature_blocks(features):
     """(lo, hi, rows lo:hi) of `features` in row order, in blocks of at most
     FORWARD_BLOCK rows: the near_equal_blocks of an n x d array, or the
@@ -271,8 +278,7 @@ def feature_blocks(features):
     block keeps every row's bits."""
     if hasattr(features, "blocks"):
         return features.blocks(FORWARD_BLOCK)
-    bounds = near_equal_blocks(len(features), FORWARD_BLOCK)
-    return ((lo, hi, features[lo:hi]) for lo, hi in bounds)
+    return ((lo, hi, features[lo:hi]) for lo, hi in block_bounds(features))
 
 
 def accuracy(head, pairs):

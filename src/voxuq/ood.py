@@ -3,17 +3,23 @@ severity sweeps over the corruption suite, and histogram export for ID/OoD
 separation plots.
 """
 
+import collections
+import ctypes
 import functools
+import glob
 import itertools
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import synthworld
 from .gda import epistemic_score
-from .head import feature_blocks
+from .head import block_bounds, feature_blocks
 from .metrics import max_softmax_score, softmax_entropy
 from .nn_core import softmax
 
@@ -187,17 +193,25 @@ def check_methods(methods, bundle):
 _SOFTMAX_SCORES = {"max-softmax": max_softmax_score, "entropy": softmax_entropy}
 
 
-def keep_masks(masks, head, p, seed, rows, lo, hi):
-    """The keep masks of `head`'s hidden layers for rows lo:hi of a pass at
-    rate p over `rows` rows that draws every layer's, in layer order, from
-    default_rng(seed); each is drawn once into the memo dict `masks`."""
+def draw_keep_masks(masks, head, p, seed, rows, lo, hi):
+    """Draw into the memo dict `masks`, packed, the keep masks of `head`'s
+    hidden layers for rows lo:hi of a pass at rate p over `rows` rows that
+    draws every layer's, in layer order, from default_rng(seed); a mask the
+    memo holds is not drawn again. Returns their keys in layer order."""
     width = head.config.hidden_width
-    for i in range(len(head.layers)):
-        key = (p, seed, rows, lo, hi, i)
+    keys = [(p, seed, rows, lo, hi, i) for i in range(len(head.layers))]
+    for i, key in enumerate(keys):
         if key not in masks:
             rng = np.random.Generator(np.random.PCG64(seed).advance((i * rows + lo) * width))
             masks[key] = np.packbits(rng.random((hi - lo, width)) >= p)
-        yield np.unpackbits(masks[key], count=(hi - lo) * width).view(bool).reshape(hi - lo, width)
+    return keys
+
+
+def keep_masks(masks, head, p, seed, rows, lo, hi):
+    """The keep masks of draw_keep_masks, unpacked one layer at a time."""
+    count = (hi - lo) * head.config.hidden_width
+    return (np.unpackbits(masks[key], count=count).view(bool).reshape(hi - lo, -1)
+            for key in draw_keep_masks(masks, head, p, seed, rows, lo, hi))
 
 
 def score_scene(methods, bundle, features, base_seed=0, with_logits=True, masks=None):
@@ -266,15 +280,96 @@ def _mean_metrics(cells):
             "mfpr95": float(np.mean([c.fpr95 for c in cells]))}
 
 
-def score_split(methods, bundle, scenes, seed, masks=None, with_logits=True):
-    """score_scene over the (features, labels) pairs of `scenes` in order, scene
-    i with base seed `seed + i`: yields (scores, logits, labels) per scene."""
-    for features, labels in scenes:
-        scored = score_scene(methods, bundle, features, base_seed=seed,
-                             with_logits=with_logits, masks=masks)
-        del features  # before the next scene is read; an enumerate would hold it
-        yield scored + (labels,)
-        seed += 1
+# -- the walk: every scene of a list of splits, on the BLAS thread budget ----
+
+@functools.cache
+def _openblas():
+    """(get, set) of numpy's OpenBLAS thread count through ctypes: numpy's
+    bundled scipy_openblas_*_num_threads64_, or openblas_*_num_threads; None
+    where ctypes finds neither."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in (*libs, None):
+        try:
+            lib = ctypes.CDLL(path)
+        except (OSError, TypeError):
+            continue
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            if hasattr(lib, name % "set"):
+                return getattr(lib, name % "get"), getattr(lib, name % "set")
+    return None
+
+
+def walk_workers():
+    """W, the worker threads of a walk: the OpenBLAS thread count in effect,
+    or 1 where ctypes finds no OpenBLAS."""
+    blas = _openblas()
+    return blas[0]() if blas else 1
+
+
+def _cap_malloc_arenas():
+    """Keep every thread on glibc's main malloc arena (M_ARENA_MAX = 1):
+    per-thread arenas raised the benchmark's peak RSS by 5-11%. A no-op
+    without glibc."""
+    try:
+        ctypes.CDLL(None).mallopt(-8, 1)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+def walk(methods, bundle, splits, reduce, collect, seed=0):
+    """Score every scene of `splits`, a list of (scenes, with_logits) pairs
+    whose `scenes` yield (features, labels): scene i of split j is
+    score_scene(methods, bundle, features, seed + i, with_logits), reduced
+    at once to the small result reduce(scores, logits, labels), and
+    collect(j, i, result) runs in the calling thread in walk order (split by
+    split, scene by scene), so whatever it adds up adds in that order.
+
+    The walk's (split, scene) tasks run on W = walk_workers() threads,
+    capped at the task count, at most W scenes at once; OpenBLAS runs at its
+    thread count over W (1 at W = that count) until the walk ends. Every
+    task's keep masks are drawn here, in walk order, into one memo, so scene
+    i of every split runs the same MC-Dropout passes and no worker draws.
+    Every scene is scored as it would be alone, so no result depends on W.
+    A task that raises ends the walk: once every worker has ended and the
+    thread count is restored, the first failure in walk order is raised as
+    it was raised."""
+    tasks = ((j, i, features, labels) for j, (scenes, _) in enumerate(splits)
+             for i, (features, labels) in enumerate(scenes))
+    first = list(itertools.islice(tasks, walk_workers()))  # W, without listing every task
+    workers = max(1, len(first))
+    dropouts = [params for name, params in map(parse_method, methods) if name == "mcd"]
+    slots, masks, pending = threading.Semaphore(workers), {}, collections.deque()
+
+    def run(j, i, features, labels):
+        try:
+            return reduce(*score_scene(methods, bundle, features, base_seed=seed + i,
+                                       with_logits=splits[j][1], masks=masks), labels)
+        finally:
+            slots.release()
+
+    blas = _openblas()
+    threads = blas[0]() if blas else 1
+    _cap_malloc_arenas()
+    try:
+        if blas:
+            blas[1](max(1, threads // workers))
+        with ThreadPoolExecutor(workers) as pool:
+            for j, i, features, labels in itertools.chain(first, tasks):
+                slots.acquire()
+                for (lo, hi), params in itertools.product(block_bounds(features), dropouts):
+                    for s in range(seed + i, seed + i + params["n"]):
+                        draw_keep_masks(masks, bundle.head, params["p"], s, len(features),
+                                        lo, hi)
+                pending.append(((j, i), pool.submit(run, j, i, features, labels)))
+                while pending and pending[0][1].done():
+                    where, future = pending.popleft()
+                    collect(*where, future.result())
+            for where, future in pending:
+                collect(*where, future.result())
+    finally:
+        if blas:
+            blas[1](threads)
 
 
 def run_sweep(methods, bundle, world, clean_test, seed=0,
@@ -285,10 +380,11 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
     tables, and (optionally) frontal-sector region-level grids, which a grid
     without a front-sector voxel lacks: GenerationError before any scoring.
 
-    Every scene is scored once for all methods, without logits, and every
-    keep mask once. Region cells are read from the full-scene cells: a
-    front-sector corruption equals the full-scene one inside the sector, and
-    every score is per voxel.
+    Every scene is scored once for all methods, without logits, in one walk
+    of the clean split and every cell, and every keep mask is drawn once.
+    Region cells are read from the full-scene cells: a front-sector
+    corruption equals the full-scene one inside the sector, and every score
+    is per voxel.
     """
     t0 = time.perf_counter()
     check_methods(methods, bundle)
@@ -309,19 +405,22 @@ def run_sweep(methods, bundle, world, clean_test, seed=0,
                                              % "x".join(map(str, world.config.grid)))
         aggregates.append(functools.partial(aggregate_region, region_mask=mask))
         grids.append((report.region_methods, report.region_aggregates))
-    # (kind, severity) -> scenes x methods x levels of scene means
-    means = {}
-    masks = {}  # scene i of every split runs the same MC-Dropout passes
-    for kind, severity, scenes in synthworld.grid_splits(clean_test, world, corruptions,
-                                                         severities):
-        means[kind, severity] = np.array([
-            [[aggregate(s[m]) for aggregate in aggregates] for m in methods]
-            for s, _, _ in score_split(methods, bundle, scenes, seed, masks, with_logits=False)])
-    clean = means.pop((None, 0))
+    # per split, clean first: scenes x methods x levels of scene means
+    splits = [(scenes, False) for _, _, scenes in
+              synthworld.grid_splits(clean_test, world, corruptions, severities)]
+    means = np.empty((len(splits), len(clean_test.scenes), len(methods), len(aggregates)))
+
+    def collect(j, i, scene_means):
+        means[j, i] = scene_means
+
+    walk(methods, bundle, splits,
+         lambda s, _, __: [[aggregate(s[m]) for aggregate in aggregates] for m in methods],
+         collect, seed)
+    clean, *cell_means = means
 
     cells = list(itertools.product(corruptions, severities))
     for j, method in enumerate(methods):
-        pops = [[ScoredPopulation(clean[:, j, level], means[c][:, j, level]) for c in cells]
+        pops = [[ScoredPopulation(clean[:, j, level], cell[:, j, level]) for cell in cell_means]
                 for level in range(len(grids))]
         for (grid, grid_means), level_pops in zip(grids, pops):
             grid[method] = [_cell_result(*c, pop) for c, pop in zip(cells, level_pops)]

@@ -3,6 +3,7 @@ density model, assemble method bundles, calibrate, and run the ablation and
 feature-dimension sweeps. Shared by the CLI and the acceptance suite.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,7 @@ from .calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, ece_nll,
 from .gda import DEFAULT_CAP_PER_CLASS, collect_features, fit_gda, gmm_param_count
 from .head import HeadConfig, ResidualMlpHead, train_head
 from .nn_core import OptimizerState
-from .ood import (MethodBundle, aggregate_scene, check_methods, parse_method, run_sweep,
-                  score_split)
+from .ood import MethodBundle, aggregate_scene, check_methods, parse_method, run_sweep, walk
 
 DEFAULT_EPOCHS = 6
 DEFAULT_BATCH = 512
@@ -58,12 +58,12 @@ def _calibration_spec(method):
     return "entropy" if parse_method(method)[0] == "max-softmax" else method
 
 
-def _scene_gaps(spec, bundle, scenes, seed, masks=None):
-    """Each scene of score_split of `spec` as (LogitGaps of its logits, the
-    scene mean of its scores): the per-scene accumulator of every
-    calibration number, so no split is joined."""
-    for s, logits, labels in score_split([spec], bundle, scenes, seed, masks=masks):
-        yield LogitGaps(logits[spec], labels), aggregate_scene(s[spec])
+def _scene_gaps(spec, scores, logits, labels):
+    """A scene scored for `spec` as (LogitGaps of its logits, or None
+    without logits, and the scene mean of its scores): the per-scene
+    accumulator of every calibration number, so no split is joined."""
+    return (LogitGaps(logits[spec], labels) if logits else None,
+            aggregate_scene(scores[spec]))
 
 
 def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, seed=0):
@@ -71,16 +71,18 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
     uncertainty, and tune lambda on the clean split. Returns the
     CalibrationParams. No temperature at lambda = 0 reads the train-set mean,
     so a grid of zeros scores no train scene (train_ds may be None) and keeps
-    u_bar_train at 0."""
+    u_bar_train at 0. The train and validation scenes are scored in one
+    walk; the train split's logits are never built."""
     check_methods([method], bundle)
     spec = _calibration_spec(method)
-    u_bar_train = 0.0
-    if any(lam_grid):
-        # scene means only: the train split's logits are never built
-        u_bar_train = float(np.mean([
-            aggregate_scene(s[spec]) for s, _, _ in
-            score_split([spec], bundle, train_ds.iter_scene_arrays(), seed, with_logits=False)]))
-    gaps, u_val = zip(*_scene_gaps(spec, bundle, val_ds.iter_scene_arrays(), seed))
+    splits = [(train_ds.iter_scene_arrays(), False)] if any(lam_grid) else []
+    splits.append((val_ds.iter_scene_arrays(), True))
+    scenes = [[] for _ in splits]
+    walk([spec], bundle, splits, functools.partial(_scene_gaps, spec),
+         lambda j, _, scene: scenes[j].append(scene), seed)
+    *train, val = scenes
+    u_bar_train = float(np.mean([u for _, u in train[0]])) if train else 0.0
+    gaps, u_val = zip(*val)
     params = CalibrationParams(t_train=fit_temperature(gaps), u_bar_train=u_bar_train)
     params.lam, _ = tune_lambda(gaps, u_val, params, lam_grid)
     return params
@@ -89,21 +91,26 @@ def calibrate_method(method, bundle, train_ds, val_ds, lam_grid=LAMBDA_GRID, see
 def evaluate_calibration(method, bundle, world, params, test_ds, seed=0):
     """ECE/NLL on the clean split and mECE/mNLL over the corruption grid,
     for uncalibrated, fixed-TS and UGTS logit scaling. The splits are the
-    sweep's (synthworld.grid_splits), scored as the sweep scores them. A
-    split's metrics come from bin_sums added scene by scene, each scene at
-    its own UGTS temperature."""
+    sweep's (synthworld.grid_splits), scored in one walk as the sweep scores
+    them. A split's metrics come from bin_sums added scene by scene, each
+    scene at its own UGTS temperature."""
     check_methods([method], bundle)
     spec = _calibration_spec(method)
     variants = ("raw", "ts", "ugts")
-    masks = {}  # scene i of every split runs the same MC-Dropout passes
 
-    def split_metrics(scenes):
-        sums = sum(np.stack([g.sums(t) for t in (1.0, params.t_train, ugts_temperature(params, u))])
-                   for g, u in _scene_gaps(spec, bundle, scenes, seed, masks))
-        return {v: dict(zip(("ece", "nll"), ece_nll(row))) for v, row in zip(variants, sums)}
+    def scene_sums(*scored):
+        g, u = _scene_gaps(spec, *scored)
+        return np.stack([g.sums(t) for t in (1.0, params.t_train, ugts_temperature(params, u))])
 
-    clean, *cells = [split_metrics(scenes)
-                     for _, _, scenes in synthworld.grid_splits(test_ds, world)]
+    splits = [(scenes, True) for _, _, scenes in synthworld.grid_splits(test_ds, world)]
+    sums = [0] * len(splits)
+
+    def add(j, _, scene):
+        sums[j] = sums[j] + scene
+
+    walk([spec], bundle, splits, scene_sums, add, seed)
+    clean, *cells = [{v: dict(zip(("ece", "nll"), ece_nll(row))) for v, row in zip(variants, s)}
+                     for s in sums]
     return {"clean": clean,
             "corrupted": {v: {"mece": float(np.mean([c[v]["ece"] for c in cells])),
                               "mnll": float(np.mean([c[v]["nll"] for c in cells]))}

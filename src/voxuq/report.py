@@ -227,11 +227,3 @@ def write_report(files, out_dir):
     for name, text in files.items():
         (Path(out_dir) / name).write_text(text)
     return [Path(out_dir) / name for name in files]
-
-
-def render_report(metrics_path, histograms_path, out_dir):
-    """read_report, then write_report into `out_dir`, created only once both
-    input files are read and checked. Returns the list of paths written."""
-    files = read_report(metrics_path, histograms_path)
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return write_report(files, out_dir)

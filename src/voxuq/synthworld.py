@@ -307,12 +307,12 @@ class CorruptedRows:
     """The n x d features of `scene` under the corruption `spec` (see
     apply_corruption), made one block of whole x-planes at a time.
 
-    blocks(max_rows) yields (lo, hi, rows lo:hi) over near_equal_blocks of
-    the x-planes, as many to a block as fit in max_rows and at least one:
-    float64 at severity 1-3, the scene's own rows at severity 0. Each call
-    makes the rows afresh; join() holds all of them in one array. Noise is
-    drawn in row order and blur sums a block's planes from the scene's
-    planes around them, so a block keeps the bits of a whole-scene pass.
+    blocks(max_rows) yields (lo, hi, rows lo:hi) over the bounds(max_rows),
+    near_equal_blocks of the x-planes, as many to a block as fit in max_rows
+    and at least one: float64 at severity 1-3, the scene's own rows at
+    severity 0. Each call makes the rows afresh; join() holds all of them in one
+    array. Noise is drawn in row order and blur sums a block's planes from the
+    scene's planes around them, so a block keeps the bits of a whole-scene pass.
     """
 
     def __init__(self, scene, spec, seed, world, sigma_z=1.0):
@@ -328,10 +328,15 @@ class CorruptedRows:
             z[lo:hi] = block
         return z
 
+    def bounds(self, max_rows):
+        planes, per_plane = len(self.scene.labels), self.scene.labels[0].size
+        return [(lo * per_plane, hi * per_plane)
+                for lo, hi in near_equal_blocks(planes, max(1, max_rows // per_plane))]
+
     def blocks(self, max_rows):
         world, m, kind = self.world, self.spec.severity, self.spec.kind
         x = self.scene.features.reshape(len(self), -1)
-        planes, per_plane = len(self.scene.labels), self.scene.labels[0].size
+        per_plane = self.scene.labels[0].size
         # each transform as one expression over a block of x, which widens to
         # float64 as it is read: the bits of the in-place whole-scene passes
         if m == 0:
@@ -351,8 +356,7 @@ class CorruptedRows:
             rows = lambda lo, hi: x[lo:hi] + BIAS_COEF * m * world.bias_vector
         outside = (~front_sector_mask(world.config).reshape(-1)
                    if self.spec.region == "front_sector" and m else None)
-        for plo, phi in near_equal_blocks(planes, max(1, max_rows // per_plane)):
-            lo, hi = plo * per_plane, phi * per_plane
+        for lo, hi in self.bounds(max_rows):
             z = rows(lo, hi)
             if outside is not None:
                 keep = outside[lo:hi]

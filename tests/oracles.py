@@ -1,9 +1,12 @@
 """Test-support code that no command runs: the Lipschitz-ratio probes of
-acceptance criterion 2."""
+acceptance criterion 2, and the report rendering of one call."""
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from voxuq.report import read_report, write_report
 
 
 @dataclass
@@ -45,3 +48,10 @@ def lipschitz_upper_bound(config):
     """Product over hidden blocks of (1 + c): composition bound for SN blocks."""
     return (1.0 + config.sn_coefficient) ** config.num_layers
 
+
+def render_report(metrics_path, histograms_path, out_dir):
+    """read_report, then write_report into `out_dir`, created only once both
+    input files are read and checked. Returns the list of paths written."""
+    files = read_report(metrics_path, histograms_path)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return write_report(files, out_dir)

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from unittest import mock
 from dataclasses import fields
 from pathlib import Path
@@ -20,6 +21,7 @@ from voxuq import ood as ood_module
 from voxuq import head as head_module
 from voxuq import report as report_mod
 from voxuq.cli import _config_hash, main
+from voxuq.gda import FitError
 from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.ood import BenchmarkReport, MethodBundle
 from voxuq.synthworld import WorldConfig
@@ -1396,13 +1398,41 @@ def test_eval_ood_without_a_front_sector_voxel_exit_2(runner, tmp_path, grid):
     for argv in (["generate-data", "--config", config, "--out", data],
                  ["train", "--data", data, "--out", models, "--epochs", "1"]):
         assert runner.invoke(main, [str(a) for a in argv]).exit_code == 0
-    with mock.patch.object(ood_module, "score_split", side_effect=AssertionError("scored")):
+    with mock.patch.object(ood_module, "score_scene", side_effect=AssertionError("scored")):
         r = runner.invoke(main, ["eval-ood", "--data", str(data), "--head",
                                  str(models / "head.ocuq"), "--methods", "max-softmax",
                                  "--out", str(tmp_path / "ood")])
     _assert_one_line_error(r, 2)
     assert "x".join(map(str, grid)) in r.output
     assert not (tmp_path / "ood").exists()
+
+
+@pytest.mark.parametrize("command, error, code", [
+    ("eval-ood", FitError, 3), ("calibrate", FitError, 3),
+    ("eval-ood", ood_module.MethodError, 2), ("calibrate", synthworld.GenerationError, 2)])
+def test_a_scene_that_raises_mid_walk_exits_in_one_line(workspace, runner, tmp_path,
+                                                         monkeypatch, command, error, code):
+    """A scene that raises in a walk of two workers reaches the command as
+    raised: exit 2 or 3 with one `error:` line, no --out directory, and
+    every thread of the walk ended."""
+    monkeypatch.setattr(ood_module, "walk_workers", lambda: 2)
+    score, calls = ood_module.score_scene, []
+
+    def failing_score(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error("scene 3 failed")
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(ood_module, "score_scene", failing_score)
+    threads = threading.active_count()
+    r = runner.invoke(main, [command, "--data", str(workspace["data"]),
+                             "--head", str(workspace["models"] / "head.ocuq"),
+                             "--gda", str(workspace["gda"]), "--out", str(tmp_path / "out")])
+    _assert_one_line_error(r, code)
+    assert "scene 3 failed" in r.output
+    assert not (tmp_path / "out").exists()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("text", [

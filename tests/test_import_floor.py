@@ -3,7 +3,8 @@ subpackage costs 20-30 MB of resident memory, and the toolkit needs none of
 them. The chain runs once with one BLAS thread and once with two, and every
 file it writes, except the sweep's wall time, is the same bytes in both. The
 world is small, but its GEMMs are large enough for OpenBLAS to split them
-over two threads.
+over two threads. A walk runs on as many worker threads as BLAS threads, so
+the two chains also pin a serial walk (W = 1) against a walk of two workers.
 """
 
 import json

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,10 @@ from voxuq.calibration import (LAMBDA_GRID, CalibrationParams, LogitGaps, fit_te
 from voxuq.gda import GdaModel, epistemic_score
 from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.metrics import max_softmax_score, softmax_entropy
-from voxuq.nn_core import softmax
+from voxuq.nn_core import ShapeError, softmax
 from voxuq.ood import (MethodBundle, MethodError, ScoredPopulation, aggregate_region,
                        aggregate_scene, auroc, check_methods, fpr_at_95_tpr,
-                       histogram_table, parse_method, run_sweep, score_scene, score_split)
+                       histogram_table, parse_method, run_sweep, score_scene)
 from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
                             head_config_for_world)
 
@@ -385,6 +386,21 @@ def test_float32_passes_stay_within_the_stated_drift_of_float64_passes():
 SWEEP_SEED = 3
 
 
+def walk_with(monkeypatch, workers):
+    """Run every walk on `workers` threads, whatever the BLAS thread count."""
+    monkeypatch.setattr(ood, "walk_workers", lambda: workers)
+
+
+def same_report(a, b):
+    """Whether two sweep reports hold the same cells, means and histograms."""
+    return (a.methods == b.methods and a.aggregates == b.aggregates
+            and a.region_methods == b.region_methods
+            and a.region_aggregates == b.region_aggregates
+            and len(a.histograms) == len(b.histograms)
+            and all(x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+                    for x, y in zip(a.histograms, b.histograms)))
+
+
 @pytest.fixture(scope="module")
 def tiny():
     config = synthworld.WorldConfig(grid=(8, 8, 2), num_classes=5, feature_dim=8,
@@ -533,6 +549,7 @@ def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
     split, then the 15 cells in kind-major order, every scene with the
     sweep's features and base seed."""
     world, bundle, _, test = tiny
+    walk_with(monkeypatch, 1)
     calls = []
     score = score_scene
 
@@ -562,11 +579,54 @@ def test_calibration_scores_the_sweeps_splits_in_order(tiny, monkeypatch):
         assert swept[c * n][0] == first.features.tobytes(), (kind, severity)
 
 
+def test_calibration_scores_the_sweeps_splits_in_order_at_two_workers(tiny, monkeypatch):
+    """At W = 2, run_sweep and evaluate_calibration make the score_scene calls
+    of the serial walk, as a multiset, collect each call's result in walk
+    order, and return what they return at W = 1."""
+    world, bundle, _, test = tiny
+    calls, collected, local = [], [], threading.local()
+    score, walk = score_scene, ood.walk
+
+    def recording_score(methods, b, features, base_seed=0, **kwargs):
+        local.call = (joined(features).tobytes(), base_seed)
+        calls.append(local.call)
+        return score(methods, b, features, base_seed=base_seed, **kwargs)
+
+    def spying_walk(methods, b, splits, reduce, collect, seed=0):
+        """walk, with each result tagged by the call that scored it in its thread."""
+        return walk(methods, b, splits, lambda *scored: (local.call, reduce(*scored)),
+                    lambda j, i, tagged: collected.append(tagged[0]) or collect(j, i, tagged[1]),
+                    seed)
+
+    monkeypatch.setattr(ood, "score_scene", recording_score)
+    for module in (ood, pipeline):
+        monkeypatch.setattr(module, "walk", spying_walk)
+    walks = {"sweep": lambda: run_sweep(["ours"], bundle, world, test, seed=SWEEP_SEED),
+             "calibration": lambda: evaluate_calibration("ours", bundle, world,
+                                                         CalibrationParams(), test,
+                                                         seed=SWEEP_SEED)}
+    runs = {}  # (walk, W) -> (its output, its score_scene calls, its collected calls)
+    for workers in (1, 2):
+        walk_with(monkeypatch, workers)
+        for name, run in walks.items():
+            output = run()
+            runs[name, workers] = output, list(calls), list(collected)
+            calls.clear()
+            collected.clear()
+    serial_order = runs["sweep", 1][1]
+    for name in walks:
+        (output, serial, _), (parallel, scored, in_order) = runs[name, 1], runs[name, 2]
+        assert serial == runs[name, 1][2] == serial_order
+        assert sorted(scored) == sorted(serial) and in_order == serial
+        assert same_report(parallel, output) if name == "sweep" else parallel == output
+
+
 def test_a_cell_corrupts_each_scene_as_it_is_scored(tiny, monkeypatch):
     """run_sweep and evaluate_calibration corrupt scene i of a cell while it
     is scored, and no later scene of that cell before: per cell, every
     score_scene call starts one corruption, its own."""
     world, bundle, _, test = tiny
+    walk_with(monkeypatch, 1)
     n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
     corrupted, seen = [0], []
     score = score_scene
@@ -585,6 +645,45 @@ def test_a_cell_corrupts_each_scene_as_it_is_scored(tiny, monkeypatch):
     corrupted[0] = 0
     evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
     assert swept == seen == [(0, 0)] * n + [(i, i + 1) for i in range(n * cells)]
+
+
+def test_a_cell_corrupts_each_scene_as_it_is_scored_at_two_workers(tiny, monkeypatch):
+    """At W = 2, run_sweep and evaluate_calibration still start one corruption
+    per score_scene call of a cell, its own, in the call's thread, and no
+    clean scene starts one; at most W corruptions are open at once."""
+    world, bundle, _, test = tiny
+    workers = 2
+    walk_with(monkeypatch, workers)
+    n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
+    local, lock = threading.local(), threading.Lock()
+    open_now, most, seen = [0], [0], []
+    score, blocks = score_scene, synthworld.CorruptedRows.blocks
+
+    def counting_blocks(self, max_rows):
+        local.started = getattr(local, "started", 0) + 1
+        with lock:
+            open_now[0] += 1
+            most[0] = max(most[0], open_now[0])
+        try:
+            yield from blocks(self, max_rows)
+        finally:
+            with lock:
+                open_now[0] -= 1
+
+    def counting_score(*args, **kwargs):
+        before = getattr(local, "started", 0)
+        scored = score(*args, **kwargs)
+        seen.append(getattr(local, "started", 0) - before)
+        return scored
+
+    monkeypatch.setattr(ood, "score_scene", counting_score)
+    monkeypatch.setattr(synthworld.CorruptedRows, "blocks", counting_blocks)
+    run_sweep(["ours", "entropy"], bundle, world, test, seed=SWEEP_SEED)
+    swept = sorted(seen)
+    seen.clear()
+    evaluate_calibration("ours", bundle, world, CalibrationParams(), test, seed=SWEEP_SEED)
+    assert swept == sorted(seen) == [0] * n + [1] * (n * cells)
+    assert open_now == [0] and 1 <= most[0] <= workers
 
 
 def test_materialised_grid_gives_the_pairs_of_a_lazy_walk(tiny):
@@ -643,6 +742,7 @@ def test_grid_walks_hold_one_corrupted_scene_at_a_time(wide, monkeypatch):
     the most corruption temporaries (blur at severity 3): no corrupted scene
     outlives the corruption of the next, and calibration joins no split."""
     world, bundle, test = wide
+    walk_with(monkeypatch, 1)
     given_sigma_z(test, monkeypatch)
     scene = test.scenes[0].features.size * 8  # a corrupted scene is float64
     first = synthworld.FeatureDataset(scenes=test.scenes[:1], config=test.config)
@@ -666,6 +766,37 @@ def test_grid_walks_hold_one_corrupted_scene_at_a_time(wide, monkeypatch):
     assert every_cell <= traced_peak(lambda: calibration(first)) + scene / 4
 
 
+def test_grid_walks_hold_w_corrupted_scenes_at_a_time_at_two_workers(wide, monkeypatch):
+    """At W = 2, run_sweep and evaluate_calibration over the 15 cells of 16
+    scenes each peak within W times their serial peak over one scene of the
+    blur-3 cell, plus a quarter scene: at most W scenes are scored at once."""
+    world, bundle, test = wide
+    given_sigma_z(test, monkeypatch)
+    workers, scene = 2, test.scenes[0].features.size * 8
+    first = synthworld.FeatureDataset(scenes=test.scenes[:1], config=test.config)
+    one = ("blur",), (3,)
+
+    def sweep(ds=test, corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3)):
+        run_sweep(["ours", "entropy"], bundle, world, ds, seed=SWEEP_SEED,
+                  corruptions=corruptions, severities=severities)
+
+    def calibration(ds=test):
+        evaluate_calibration("ours", bundle, world, CalibrationParams(), ds, seed=SWEEP_SEED)
+
+    walk_with(monkeypatch, workers)
+    sweep()  # warmed up as the serial test warms up
+    calibration()
+    every_cell = traced_peak(sweep), traced_peak(calibration)
+    walk_with(monkeypatch, 1)
+    grid_splits = synthworld.grid_splits
+    one_scene = traced_peak(lambda: sweep(first, *one))
+    monkeypatch.setattr(synthworld, "grid_splits",
+                        lambda dataset, w: grid_splits(dataset, w, *one))
+    one_scene = one_scene, traced_peak(lambda: calibration(first))
+    for peak, serial in zip(every_cell, one_scene):
+        assert peak <= workers * serial + scene / 4
+
+
 def test_calibration_walk_holds_no_corrupted_cell(wide, monkeypatch):
     """evaluate_calibration over the 15 cells of 16 scenes peaks below half of
     one cell's float64 features: a cell is read one scene at a time."""
@@ -679,10 +810,11 @@ def test_calibration_walk_holds_no_corrupted_cell(wide, monkeypatch):
     assert traced_peak(calibration) < cell / 2
 
 
-def test_calibrate_method_joins_no_train_logits(wide):
+def test_calibrate_method_joins_no_train_logits(wide, monkeypatch):
     """The train pass keeps scene means only: four times the train scenes
     raise calibrate_method's peak by less than one train split's logits."""
     world, bundle, _ = wide
+    walk_with(monkeypatch, 1)
     val = synthworld.generate_dataset(world, "val")
     peaks = {}
     for n in (4, 4, 16):  # a warm-up call, whose peak the second overwrites
@@ -691,6 +823,26 @@ def test_calibrate_method_joins_no_train_logits(wide):
                                                         seed=SWEEP_SEED))
     logits = 4 * world.config.voxels_per_scene * world.config.num_classes * 8
     assert peaks[16] < peaks[4] + logits
+
+
+def test_calibrate_method_joins_no_train_logits_at_two_workers(wide, monkeypatch):
+    """At W = 2, four times the train scenes raise calibrate_method's peak by
+    less than one train split's logits plus W - 1 scenes' scoring peaks: a
+    walk of 4 train scenes may catch one scene in flight at its peak, and a
+    walk of 16 may catch W."""
+    world, bundle, _ = wide
+    workers = 2
+    walk_with(monkeypatch, workers)
+    val = synthworld.generate_dataset(world, "val")
+    peaks = {}
+    for n in (4, 4, 16):
+        train = synthworld.generate_dataset(world, "train", n_scenes=n)
+        peaks[n] = traced_peak(lambda: calibrate_method("ours", bundle, train, val,
+                                                        seed=SWEEP_SEED))
+    features, _ = next(train.iter_scene_arrays())
+    scene = traced_peak(lambda: score_scene(["ours"], bundle, features, with_logits=False))
+    logits = 4 * world.config.voxels_per_scene * world.config.num_classes * 8
+    assert peaks[16] < peaks[4] + logits + (workers - 1) * scene
 
 
 @pytest.fixture(scope="module", params=[7, 42])
@@ -712,9 +864,10 @@ def joined_calibration_oracle(method, bundle, val, u_bar_train, seed):
     """(t_train, lambda*) from the joined validation split: one LogitGaps over
     the concatenated logits and labels of its scenes, each row carrying its
     scene's mean score, fitted as one scene with per-row temperatures."""
+    scored = [score_scene([method], bundle, f, base_seed=seed + i) + (y,)
+              for i, (f, y) in enumerate(val.iter_scene_arrays())]
     logits, labels, u = zip(*((lg[method], y, np.full(len(y), aggregate_scene(s[method])))
-                              for s, lg, y in score_split([method], bundle,
-                                                          val.iter_scene_arrays(), seed)))
+                              for s, lg, y in scored))
     gaps = [LogitGaps(np.concatenate(logits), np.concatenate(labels))]
     params = CalibrationParams(t_train=fit_temperature(gaps), u_bar_train=u_bar_train)
     return params.t_train, tune_lambda(gaps, [np.concatenate(u)], params, LAMBDA_GRID)[0]
@@ -737,6 +890,7 @@ def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monk
     A clean scene is cut into near-equal row blocks, and a corrupted one into
     near-equal blocks of its 8 x-planes of 16 rows: 2, 3 and 3 planes."""
     world, bundle, train, test = tiny
+    walk_with(monkeypatch, 1)
     methods = ["ours", "max-softmax", "entropy"]
     whole = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
     rows = {"forward": [], "log_density": []}
@@ -768,6 +922,108 @@ def test_scene_larger_than_forward_block_scores_one_forward_per_block(tiny, monk
     evaluate_calibration("ours", bundle, world, params, test, seed=SWEEP_SEED)
     scenes = len(train.scenes) + len(val.scenes) + n
     assert rows["forward"] == clean * scenes + corrupted * n * cells
+
+
+def test_scene_larger_than_forward_block_scores_one_forward_per_block_at_two_workers(
+        tiny, monkeypatch):
+    """At W = 2, scenes of 128 voxels in blocks of at most 48 rows get the
+    forwards and log-densities of the serial walk as a multiset, each
+    scene's in block order in its own thread, and the same report."""
+    world, bundle, train, test = tiny
+    methods = ["ours", "max-softmax", "entropy"]
+    walk_with(monkeypatch, 1)
+    whole = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
+    walk_with(monkeypatch, 2)
+    rows, local = {"forward": [], "log_density": []}, threading.local()
+    forward, log_density, score = ResidualMlpHead.forward, GdaModel.log_density, score_scene
+
+    def counting_forward(self, features, *args, **kwargs):
+        local.forwards.append(len(features))
+        return forward(self, features, *args, **kwargs)
+
+    def counting_log_density(self, z):
+        local.log_densities.append(len(z))
+        return log_density(self, z)
+
+    def scene_score(*args, **kwargs):
+        local.forwards, local.log_densities = [], []
+        scored = score(*args, **kwargs)
+        rows["forward"].append(tuple(local.forwards))
+        rows["log_density"].append(tuple(local.log_densities))
+        return scored
+
+    monkeypatch.setattr(ResidualMlpHead, "forward", counting_forward)
+    monkeypatch.setattr(GdaModel, "log_density", counting_log_density)
+    monkeypatch.setattr(ood, "score_scene", scene_score)
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 48)
+    blocked = run_sweep(methods, bundle, world, test, seed=SWEEP_SEED)
+    n, cells = len(test.scenes), len(synthworld.CORRUPTION_KINDS) * 3
+    clean, corrupted = (42, 43, 43), (32, 48, 48)
+    want = sorted([clean] * n + [corrupted] * n * cells)
+    assert sorted(rows["forward"]) == sorted(rows["log_density"]) == want
+    assert same_report(blocked, whole)
+
+    rows["forward"].clear()
+    val = synthworld.generate_dataset(world, "val")
+    params = calibrate_method("ours", bundle, train, val, seed=SWEEP_SEED)
+    evaluate_calibration("ours", bundle, world, params, test, seed=SWEEP_SEED)
+    scenes = len(train.scenes) + len(val.scenes) + n
+    assert sorted(rows["forward"]) == sorted([clean] * scenes + [corrupted] * n * cells)
+
+
+def test_one_and_two_workers_give_the_same_bits(tiny, monkeypatch):
+    """run_sweep of all five methods over scenes larger than a forward block,
+    and calibrate_method and evaluate_calibration of ours and mcd, give the
+    same bits at W = 1 and W = 2."""
+    world, bundle, train, test = tiny
+    members = [ResidualMlpHead(bundle.head.config, seed=20 + i) for i in range(2)]
+    bundle = MethodBundle(head=bundle.head, gda_model=bundle.gda_model, ensemble_heads=members)
+    val = synthworld.generate_dataset(world, "val")
+    monkeypatch.setattr(head_module, "FORWARD_BLOCK", 48)
+    assert world.config.voxels_per_scene > 48
+    runs = []
+    for workers in (1, 2):
+        walk_with(monkeypatch, workers)
+        report = run_sweep(["ours", "max-softmax", "entropy", "mcd:n=2", "de:n=2"], bundle,
+                           world, test, seed=SWEEP_SEED)
+        calibrated = []
+        for method in ("ours", "mcd:n=2"):
+            params = calibrate_method(method, bundle, train, val, seed=SWEEP_SEED)
+            calibrated.append((params, evaluate_calibration(method, bundle, world, params,
+                                                            test, seed=SWEEP_SEED)))
+        runs.append((report, calibrated))
+    (serial, serial_calibrated), (parallel, parallel_calibrated) = runs
+    assert same_report(parallel, serial)
+    assert parallel_calibrated == serial_calibrated
+
+
+def blas_threads():
+    """The OpenBLAS thread count in effect, or None where ctypes finds no OpenBLAS."""
+    blas = ood._openblas()
+    return blas[0]() if blas else None
+
+
+def test_a_walk_leaves_threads_as_it_found_them(tiny, monkeypatch):
+    """After a walk, the OpenBLAS thread count and the number of live
+    threads are those before it, whether it ends or a scene raises: a scene
+    of features of the wrong width raises the head's ShapeError, and the
+    caller gets it as raised."""
+    world, bundle, _, test = tiny
+    walk_with(monkeypatch, 2)
+    before = blas_threads(), threading.active_count()
+    run_sweep(["ours", "mcd:n=2"], bundle, world, test, seed=SWEEP_SEED)
+    assert (blas_threads(), threading.active_count()) == before
+
+    d = world.config.feature_dim
+    pairs = [(s.features.reshape(-1, d), s.labels.reshape(-1)) for s in test.scenes]
+    features, labels = pairs[3]
+    pairs[3] = features[:, :d - 1], labels
+    collected = []
+    with pytest.raises(ShapeError):
+        ood.walk(["ours"], bundle, [(pairs, False)], lambda s, _, __: s["ours"].mean(),
+                 lambda j, i, mean: collected.append(i), seed=SWEEP_SEED)
+    assert (blas_threads(), threading.active_count()) == before
+    assert collected == [0, 1, 2]
 
 
 def test_score_scene_holds_no_scene_sized_penultimate():

@@ -7,8 +7,10 @@ from voxuq.ood import BenchmarkReport, OodResult
 from voxuq.report import (METRICS_SCHEMA_VERSION, ablation_table_markdown,
                           dim_sweep_table_markdown,
                           dumps_17g, histogram_svg, ood_table_markdown,
-                          read_histograms_csv, render_report, report_to_metrics,
-                          write_histograms_csv, write_metrics)
+                          read_histograms_csv, report_to_metrics, write_histograms_csv,
+                          write_metrics)
+
+from oracles import render_report
 
 
 def small_report():
