@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gda import FitError
-from .nn_core import softmax
 
 PROB_FLOOR = 1e-12
 DEFAULT_T_MIN = 0.05
@@ -32,31 +31,6 @@ class CalibrationParams:
             raise ValueError("need 0 < t_min <= t_max")
 
 
-def nll(probs, labels):
-    """Mean negative log-likelihood of the true class, probability-floored."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n, k = probs.shape
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise ValueError("label out of range")
-    p = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
-    return float(-np.log(p).mean())
-
-
-def ece(probs, labels, bins=DEFAULT_BINS):
-    """Expected calibration error over equal-width confidence bins on (0, 1].
-
-    A sample with confidence c falls in bin b when c is in (left_b, right_b].
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= probs.shape[1]:
-        raise ValueError("label out of range")
-    return ece_nll(bin_sums(probs.max(axis=1), probs.argmax(axis=1) == labels, 0.0, bins))[0]
-
-
 def bin_sums(conf, correct, loss, bins=DEFAULT_BINS):
     """Calibration sums of some rows, in one vector: per-bin row counts,
     confidence sums and correct counts over `bins` equal-width bins on (0, 1],
@@ -76,17 +50,6 @@ def ece_nll(sums):
     counts, bin_conf, bin_acc = counts[occupied], bin_conf[occupied], bin_acc[occupied]
     return (float(np.sum(counts / n * np.abs(bin_acc / counts - bin_conf / counts))),
             float(sums[-1] / n))
-
-
-def scale_logits(logits, t):
-    """softmax(logits / t); t may be a scalar or a per-row vector."""
-    logits = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0.0):
-        raise ValueError("temperature must be positive")
-    if t.ndim == 1:
-        t = t[:, None]
-    return softmax((logits / t).T).T
 
 
 class LogitGaps:

@@ -70,8 +70,7 @@ class GdaModel:
 
     def log_density(self, z):
         """Mixture log-density log sum_c pi_c N(z; mu_c, Sigma_c), log-sum-exp
-        stabilized. Accepts one vector or an n x d batch; returns a scalar or
-        a length-n vector accordingly.
+        stabilized, of each row of the n x d batch `z`: a length-n vector.
 
         Rows go through in near_equal_blocks of at most LOG_DENSITY_CHUNK
         rows, each one GEMM of [z | 1] against all K whitening factors and
@@ -84,11 +83,8 @@ class GdaModel:
         more rows.
         """
         z = np.asarray(z, dtype=np.float64)
-        single = z.ndim == 1
-        if single:
-            z = z[None, :]
-        if z.shape[1] != self.dim:
-            raise ValueError("query dim %d != model dim %d" % (z.shape[1], self.dim))
+        if z.ndim != 2 or z.shape[1] != self.dim:
+            raise ValueError("query of shape %s, model dim %d" % (z.shape, self.dim))
         n, k, d = z.shape[0], self.num_classes, self.dim
         chunks = near_equal_blocks(n, LOG_DENSITY_CHUNK)
         rows = -(-n // len(chunks))
@@ -111,7 +107,7 @@ class GdaModel:
             np.sum(c, axis=0, out=res)
             np.log(res, out=res)
             res += top
-        return float(out[0]) if single else out
+        return out
 
 
 def _exp_in_place(c):

@@ -21,6 +21,7 @@ from .nn_core import (
 
 # rows per block of feature_blocks; bounds the temporaries of an eval pass
 FORWARD_BLOCK = 4096
+SN_FINAL_ITERS = 200  # power-iteration steps of finalize_spectral_norm
 
 
 @dataclass
@@ -40,6 +41,18 @@ class HeadConfig:
             raise ValueError("hidden_width must be >= 1, got %r" % self.hidden_width)
         if not self.sn_coefficient > 0:
             raise ValueError("sn_coefficient must be positive, got %r" % self.sn_coefficient)
+
+
+def tensor_shapes(config):
+    """Yields (name, shape) of every array a head of `config` is made of, in
+    layer order: each layer's parameters() and each hidden layer's
+    power-iteration vectors, layer<i>.sn_u and layer<i>.sn_v."""
+    in_dim, width, k = config.input_dim, config.hidden_width, config.num_classes
+    for i in range(config.num_layers):
+        yield from {"layer%d.weight" % i: (width, in_dim), "layer%d.bias" % i: (width,),
+                    "layer%d.sn_u" % i: (width,), "layer%d.sn_v" % i: (in_dim,)}.items()
+        in_dim = width
+    yield from {"classifier.weight": (k, width), "classifier.bias": (k,)}.items()
 
 
 @dataclass
@@ -65,17 +78,12 @@ class ResidualMlpHead:
     def __init__(self, config, seed=0):
         self.config = config
         rng = np.random.default_rng(seed)
-        self.layers = []
-        in_dim = config.input_dim
-        for _ in range(config.num_layers):
-            self.layers.append(
-                LinearLayer(config.hidden_width, in_dim, rng,
-                            sn_enabled=config.sn_enabled,
-                            sn_coefficient=config.sn_coefficient)
-            )
-            in_dim = config.hidden_width
-        self.classifier = LinearLayer(config.num_classes, config.hidden_width, rng,
-                                      sn_enabled=False)
+        shapes = dict(tensor_shapes(config))
+        self.layers = [LinearLayer(*shapes["layer%d.weight" % i], rng,
+                                   sn_enabled=config.sn_enabled,
+                                   sn_coefficient=config.sn_coefficient)
+                       for i in range(config.num_layers)]
+        self.classifier = LinearLayer(*shapes["classifier.weight"], rng, sn_enabled=False)
         self.fix_weights()
 
     # -- parameter plumbing ------------------------------------------------
@@ -205,12 +213,12 @@ class ResidualMlpHead:
             p[...] = p.astype(np.float32).astype(np.float64)
         self.fix_weights()
 
-    def finalize_spectral_norm(self, iters=200):
+    def finalize_spectral_norm(self):
         """Bake converged SN rescaling into the raw weights (post-training)."""
         if not self.config.sn_enabled:
             return
         for layer in self.layers:
-            sigma = power_iteration(layer.weight, layer.sn_state, iters)
+            sigma = power_iteration(layer.weight, layer.sn_state, SN_FINAL_ITERS)
             c = layer.sn_coefficient
             if sigma > c:
                 layer.weight *= c / sigma

@@ -143,7 +143,7 @@ class LinearLayer:
     def in_dim(self):
         return self.weight.shape[1]
 
-    def effective_weight_and_cache(self, update_state=True, iters=1):
+    def effective_weight_and_cache(self, update_state=True):
         """Forward-pass weight plus the quantities backward needs.
 
         Returns (w_eff, cache) where cache holds the SN scale, sigma and the
@@ -154,7 +154,7 @@ class LinearLayer:
             return self.weight, {"scale": 1.0, "clipped": False}
         state = self.sn_state
         # power_iteration's sigma is u^T W v over the u, v it leaves in state
-        sigma = (power_iteration(self.weight, state, iters) if update_state
+        sigma = (power_iteration(self.weight, state) if update_state
                  else float(state.u @ self.weight @ state.v))
         u = state.u.copy()
         v = state.v.copy()
@@ -213,11 +213,10 @@ class OptimizerState:
     order and each parameter takes its slice of the update. Every operation
     is elementwise, so each element has the bits of a per-array Adam."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._layout = None   # (name, shape) of each parameter, in order
         self._m = self._v = None

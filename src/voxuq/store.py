@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibrationParams
 from .gda import GdaModel
-from .head import HeadConfig, ResidualMlpHead
+from .head import HeadConfig, ResidualMlpHead, tensor_shapes
 
 MAGIC = b"OCUQ"
 FORMAT_VERSION = 1
@@ -64,9 +63,7 @@ def write_artifact(path, kind, metadata, tensors):
     buf.write(MAGIC)
     buf.write(struct.pack("<H", FORMAT_VERSION))
     _write_str(buf, kind)
-    meta_raw = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<Q", len(meta_raw)))
-    buf.write(meta_raw)
+    _write_str(buf, json.dumps(metadata, sort_keys=True), "Q")
     buf.write(struct.pack("<I", len(tensors)))
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
@@ -139,14 +136,16 @@ def _tensor(tensors, name, shape):
 def load_head(path):
     _, metadata, tensors = read_artifact(path, expected_kind="head")
     try:
-        head = ResidualMlpHead(HeadConfig(**metadata), seed=0)
+        config = HeadConfig(**metadata)
+        # every tensor is checked before anything is allocated at the config's sizes
+        stored = {name: _tensor(tensors, name, shape) for name, shape in tensor_shapes(config)}
+        head = ResidualMlpHead(config, seed=0)
     except (TypeError, ValueError) as e:
         raise StoreError("head metadata: %s" % e)
-    arrays = head.parameters()
-    for i, layer in enumerate(head.layers):
-        arrays.update({"layer%d.sn_u" % i: layer.sn_state.u, "layer%d.sn_v" % i: layer.sn_state.v})
-    for name, p in arrays.items():
-        p[...] = _tensor(tensors, name, p.shape)
+    for name, p in head.parameters().items():
+        p[...] = stored[name]
+    for i, state in enumerate(layer.sn_state for layer in head.layers):
+        state.u[...], state.v[...] = stored["layer%d.sn_u" % i], stored["layer%d.sn_v" % i]
     head.fix_weights()
     return head
 
@@ -187,17 +186,3 @@ def save_calibration(params, path):
                 "u_bar_train": params.u_bar_train, "mode": CALIB_MODE,
                 "t_min": params.t_min, "t_max": params.t_max}
     write_artifact(path, "calib", metadata, {})
-
-
-def load_calibration(path):
-    _, metadata, _ = read_artifact(path, expected_kind="calib")
-    if metadata.get("mode") != CALIB_MODE:
-        raise StoreError("unsupported UGTS mode %r" % metadata.get("mode"))
-    # CalibrationParams' fields in order
-    values = [metadata.get(key) for key in ("t_train", "lambda", "u_bar_train", "t_min", "t_max")]
-    try:
-        if not all(type(v) in (int, float) and np.isfinite(v) for v in values):
-            raise ValueError("a value is missing or not a finite number")
-        return CalibrationParams(*values)
-    except ValueError as e:
-        raise StoreError("malformed calib metadata: %s" % e)

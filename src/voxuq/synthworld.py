@@ -235,11 +235,10 @@ def generate_scene(world, seed, scene_id=0):
     return VoxelScene(labels=labels, features=features, scene_id=scene_id, seed=seed)
 
 
-def generate_dataset(world, split, n_scenes=None):
+def generate_dataset(world, split):
     cfg = world.config
-    if n_scenes is None:
-        n_scenes = {"train": cfg.train_scenes, "val": cfg.val_scenes,
-                    "test": cfg.test_scenes}[split]
+    n_scenes = {"train": cfg.train_scenes, "val": cfg.val_scenes,
+                "test": cfg.test_scenes}[split]
     scenes = [generate_scene(world, scene_seed(cfg.seed, split, i), scene_id=i)
               for i in range(n_scenes)]
     return FeatureDataset(scenes=scenes, config=cfg, split=split)

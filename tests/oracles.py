@@ -1,12 +1,16 @@
 """Test-support code that no command runs: the Lipschitz-ratio probes of
-acceptance criterion 2, and the report rendering of one call."""
+acceptance criterion 2, the report rendering of one call, NLL, ECE and
+softmax scaling of a probability or logit array, and the calib reader."""
 
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from voxuq.calibration import DEFAULT_BINS, PROB_FLOOR, CalibrationParams, bin_sums, ece_nll
+from voxuq.nn_core import softmax
 from voxuq.report import read_report, write_report
+from voxuq.store import CALIB_MODE, StoreError, read_artifact
 
 
 @dataclass
@@ -55,3 +59,53 @@ def render_report(metrics_path, histograms_path, out_dir):
     files = read_report(metrics_path, histograms_path)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     return write_report(files, out_dir)
+
+
+def nll(probs, labels):
+    """Mean negative log-likelihood of the true class, probability-floored."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = probs.shape
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
+        raise ValueError("label out of range")
+    p = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
+    return float(-np.log(p).mean())
+
+
+def ece(probs, labels, bins=DEFAULT_BINS):
+    """Expected calibration error over equal-width confidence bins on (0, 1].
+
+    A sample with confidence c falls in bin b when c is in (left_b, right_b].
+    """
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= probs.shape[1]:
+        raise ValueError("label out of range")
+    return ece_nll(bin_sums(probs.max(axis=1), probs.argmax(axis=1) == labels, 0.0, bins))[0]
+
+
+def scale_logits(logits, t):
+    """softmax(logits / t); t may be a scalar or a per-row vector."""
+    logits = np.asarray(logits, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t <= 0.0):
+        raise ValueError("temperature must be positive")
+    if t.ndim == 1:
+        t = t[:, None]
+    return softmax((logits / t).T).T
+
+
+def load_calibration(path):
+    _, metadata, _ = read_artifact(path, expected_kind="calib")
+    if metadata.get("mode") != CALIB_MODE:
+        raise StoreError("unsupported UGTS mode %r" % metadata.get("mode"))
+    # CalibrationParams' fields in order
+    values = [metadata.get(key) for key in ("t_train", "lambda", "u_bar_train", "t_min", "t_max")]
+    try:
+        if not all(type(v) in (int, float) and np.isfinite(v) for v in values):
+            raise ValueError("a value is missing or not a finite number")
+        return CalibrationParams(*values)
+    except ValueError as e:
+        raise StoreError("malformed calib metadata: %s" % e)

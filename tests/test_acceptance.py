@@ -7,13 +7,14 @@ session; the full file takes a few minutes on a laptop CPU.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from voxuq import synthworld
-from voxuq.calibration import LogitGaps, ece, fit_temperature, nll, scale_logits
+from voxuq.calibration import LogitGaps, fit_temperature
 from voxuq.cli import main as cli_main
 from voxuq.gda import FeatureBank, fit_gda, gmm_param_count
 from voxuq.head import HeadConfig, ResidualMlpHead
@@ -21,10 +22,10 @@ from voxuq.nn_core import power_iteration, softmax
 from voxuq.ood import ScoredPopulation, auroc, fpr_at_95_tpr, run_sweep, score_scene
 from voxuq.pipeline import (build_bundle, calibrate_method, evaluate_calibration,
                             head_config_for_world)
-from voxuq.store import (load_calibration, load_gda, load_head,
-                         save_calibration, save_gda, save_head)
+from voxuq.store import load_gda, load_head, save_calibration, save_gda, save_head
 
-from oracles import estimate_lipschitz, lipschitz_upper_bound
+from oracles import (ece, estimate_lipschitz, lipschitz_upper_bound, load_calibration, nll,
+                     scale_logits)
 
 RESULTS = []
 
@@ -226,7 +227,8 @@ def test_criterion_4_metric_oracles(default_pipeline):
 
     # null experiment: two disjoint clean scene sets must be inseparable
     p = default_pipeline
-    big = synthworld.generate_dataset(p["world"], "test", n_scenes=400)
+    big = synthworld.generate_dataset(
+        replace(p["world"], config=replace(p["world"].config, test_scenes=400)), "test")
     scene_scores = np.array([
         score_scene(["ours"], p["bundle"],
                     s.features.reshape(-1, p["config"].feature_dim))[0]["ours"].mean()

@@ -6,11 +6,12 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
 from voxuq.calibration import (DEFAULT_BINS, DEFAULT_T_MAX, DEFAULT_T_MIN, FIT_TOL,
-                               PROB_FLOOR, CalibrationParams, LogitGaps, bin_sums, ece,
-                               ece_nll, fit_temperature, nll, scale_logits, tune_lambda,
-                               ugts_temperature)
+                               PROB_FLOOR, CalibrationParams, LogitGaps, bin_sums, ece_nll,
+                               fit_temperature, tune_lambda, ugts_temperature)
 from voxuq.gda import FitError
 from voxuq.nn_core import softmax
+
+from oracles import ece, nll, scale_logits
 
 
 def hand_ece(probs, labels, bins):

@@ -26,6 +26,8 @@ from voxuq.head import HeadConfig, ResidualMlpHead
 from voxuq.ood import BenchmarkReport, MethodBundle
 from voxuq.synthworld import WorldConfig
 
+from oracles import load_calibration
+
 SMALL_CONFIG = """
 [world]
 grid_x = 8
@@ -779,6 +781,23 @@ def test_non_finite_features_exit_3(workspace, runner, tmp_path, command, value)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["fit-gmm", "eval-ood"])
+def test_head_declaring_a_huge_width_exit_3(workspace, runner, tmp_path, command):
+    """A head file of metadata only, which declares input_dim = 2 and
+    hidden_width = 10**6, is one error: line and exit 3, with no attempt to
+    allocate the multi-terabyte head it declares."""
+    head = tmp_path / "head.ocuq"
+    store.write_artifact(head, "head", {"input_dim": 2, "hidden_width": 10 ** 6}, {})
+    out = {"fit-gmm": ["--out", str(tmp_path / "gda.ocuq")],
+           "eval-ood": ["--gda", str(workspace["gda"]), "--out", str(tmp_path / "out")]}
+    r = runner.invoke(main, [command, "--data", str(workspace["data"]), "--head", str(head)]
+                      + out[command])
+    assert r.exit_code == 3
+    assert isinstance(r.exception, SystemExit)
+    assert r.output.startswith("error: ") and r.output.count("\n") == 1
+    assert "Traceback" not in r.output
+
+
 @pytest.mark.parametrize("command", ["eval-ood", "calibrate"])
 def test_empty_split_exit_3(workspace, runner, tmp_path, command):
     data = tmp_path / "data"
@@ -1014,7 +1033,7 @@ def test_calibrate_ts_reads_no_train_split(workspace, runner, tmp_path):
         for variant in ("raw", "ts"):
             assert ts["results"][split][variant] == ugts["results"][split][variant]
         assert ts["results"][split]["ugts"] == ts["results"][split]["ts"]
-    assert store.load_calibration(tmp_path / "ts" / "calib.ocuq").u_bar_train == 0.0
+    assert load_calibration(tmp_path / "ts" / "calib.ocuq").u_bar_train == 0.0
 
 
 def test_in_process_calibration_equals_the_cli(workspace, runner):

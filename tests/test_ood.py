@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -818,7 +819,8 @@ def test_calibrate_method_joins_no_train_logits(wide, monkeypatch):
     val = synthworld.generate_dataset(world, "val")
     peaks = {}
     for n in (4, 4, 16):  # a warm-up call, whose peak the second overwrites
-        train = synthworld.generate_dataset(world, "train", n_scenes=n)
+        train = synthworld.generate_dataset(
+            replace(world, config=replace(world.config, train_scenes=n)), "train")
         peaks[n] = traced_peak(lambda: calibrate_method("ours", bundle, train, val,
                                                         seed=SWEEP_SEED))
     logits = 4 * world.config.voxels_per_scene * world.config.num_classes * 8
@@ -836,7 +838,8 @@ def test_calibrate_method_joins_no_train_logits_at_two_workers(wide, monkeypatch
     val = synthworld.generate_dataset(world, "val")
     peaks = {}
     for n in (4, 4, 16):
-        train = synthworld.generate_dataset(world, "train", n_scenes=n)
+        train = synthworld.generate_dataset(
+            replace(world, config=replace(world.config, train_scenes=n)), "train")
         peaks[n] = traced_peak(lambda: calibrate_method("ours", bundle, train, val,
                                                         seed=SWEEP_SEED))
     features, _ = next(train.iter_scene_arrays())

@@ -6,9 +6,10 @@ import pytest
 from voxuq.calibration import CalibrationParams
 from voxuq.gda import fit_gda, FeatureBank
 from voxuq.head import HeadConfig, ResidualMlpHead
-from voxuq.store import (StoreError, load_calibration, load_gda, load_head,
-                         read_artifact, save_calibration, save_gda, save_head,
-                         write_artifact)
+from voxuq.store import (StoreError, load_gda, load_head, read_artifact, save_calibration,
+                         save_gda, save_head, write_artifact)
+
+from oracles import load_calibration
 
 
 def make_head():
@@ -171,6 +172,9 @@ HEAD_DAMAGE = {
     "no sn vector": lambda m, t: t.pop("layer1.sn_v"),
     "unknown metadata key": lambda m, t: m.update(dropout=0.5),
     "invalid metadata value": lambda m, t: m.update(num_layers=1),
+    "float width that matches the tensors": lambda m, t: m.update(hidden_width=6.0),
+    # checked before a head is built: its second layer alone would take 8 TB
+    "huge declared width": lambda m, t: m.update(input_dim=2, hidden_width=10 ** 6),
     "wrongly shaped weight": lambda m, t: t.update({"layer0.weight": t["layer0.weight"][:, :5]}),
     "wrongly shaped bias": lambda m, t: t.update({"classifier.bias": t["classifier.bias"][None]}),
     "metadata not UTF-8": (b'"skip": true', b'"skip": tru\xff'),

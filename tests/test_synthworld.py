@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -115,7 +116,8 @@ def test_generate_dataset_sizes(world):
     cfg = world.config
     assert len(generate_dataset(world, "train").scenes) == cfg.train_scenes
     assert len(generate_dataset(world, "val").scenes) == cfg.val_scenes
-    assert len(generate_dataset(world, "test", n_scenes=7).scenes) == 7
+    seven = replace(world, config=replace(cfg, test_scenes=7))
+    assert len(generate_dataset(seven, "test").scenes) == 7
 
 
 def test_voxel_arrays_flattening(world):
