@@ -137,9 +137,11 @@ def collect_features(head, scenes, cap_per_class, seed):
     `scenes` yields (features, labels) pairs with features n x d_in and
     integer labels of length n; a scene's penultimate features are joined
     from the head's forward of each of its feature_blocks. A class keeps its
-    first cap_per_class rows as slices of those arrays, joined into one
-    array when the class fills or the pass ends. Each later row draws j
-    from rng.integers and replaces row j of that array if j < cap_per_class.
+    first cap_per_class rows, taken from those arrays scene by scene and
+    joined into one array when the class fills or the pass ends. Each later
+    row draws j from rng.integers and replaces row j of that array if
+    j < cap_per_class: one draw call per scene and class, whose j are those
+    of one call per row, and of two rows that draw one j the later is kept.
     """
     rng = np.random.default_rng(seed)
     k = head.config.num_classes
@@ -151,21 +153,22 @@ def collect_features(head, scenes, cap_per_class, seed):
                                 for _, _, x in feature_blocks(features)])
         labels = np.asarray(labels).ravel()
         for c in np.unique(labels).tolist():
-            rows = feats[labels == c]
+            idx = np.flatnonzero(labels == c)
             if c not in full:
-                kept = rows[:cap_per_class - seen[c]]
+                kept = feats[idx[:cap_per_class - seen[c]]]
                 blocks[c].append(kept)
                 seen[c] += len(kept)
                 if seen[c] == cap_per_class:
                     full[c] = np.concatenate(blocks.pop(c))
-                rows = rows[len(kept):]
-            for row in rows:
-                j = int(rng.integers(0, seen[c] + 1))
-                if j < cap_per_class:
-                    full[c][j] = row
-                seen[c] += 1
+                idx = idx[len(kept):]
+            if len(idx):
+                j = rng.integers(0, seen[c] + 1 + np.arange(len(idx)))
+                last = np.flatnonzero(j < cap_per_class)[::-1]  # the last draw of a j first
+                j, first = np.unique(j[last], return_index=True)
+                full[c][j] = feats[idx[last[first]]]
+                seen[c] += len(idx)
     empty = np.empty((0, head.config.hidden_width))
-    vectors = {c: full[c] if c in full else np.concatenate(blocks[c] + [empty])
+    vectors = {c: full.pop(c) if c in full else np.concatenate(blocks.pop(c) + [empty])
                for c in range(k)}
     return FeatureBank(num_classes=k, cap_per_class=cap_per_class, vectors=vectors,
                        seen_counts=seen)

@@ -35,10 +35,13 @@ class HeadConfig:
     num_classes: int = 17
 
     def __post_init__(self):
-        if self.num_layers < 2:
-            raise ValueError("num_layers must be >= 2, got %r" % self.num_layers)
-        if self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1, got %r" % self.hidden_width)
+        for name, least in (("input_dim", 1), ("hidden_width", 1), ("num_layers", 2),
+                            ("num_classes", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+            if value < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, value))
         if not self.sn_coefficient > 0:
             raise ValueError("sn_coefficient must be positive, got %r" % self.sn_coefficient)
 

@@ -4,10 +4,10 @@ and frontal-sector variants at three severities.
 
 Dataset directory layout: manifest.json plus features.bin (little-endian
 float32, scenes concatenated, voxel order x -> y -> z then channel) and
-labels.bin (little-endian uint16, same voxel order).
+labels.bin (little-endian uint16, same voxel order); in process, a split
+holds the same order in one array each.
 """
 
-import itertools
 import json
 import zlib
 from dataclasses import dataclass, asdict
@@ -112,18 +112,25 @@ class CorruptionSpec:
             raise ValueError("unknown region %r" % self.region)
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureDataset:
-    scenes: list
+    """One split, held once: features (scenes, gx, gy, gz, d) float32 and
+    labels (scenes, gx, gy, gz) int64, with `scenes` the VoxelScene views of
+    each slot, scene i carrying ids[i] as its (scene_id, seed)."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    ids: list
     config: WorldConfig
     split: str = ""
 
+    def __post_init__(self):
+        self.scenes = [VoxelScene(labels=y, features=x, scene_id=i, seed=s)
+                       for x, y, (i, s) in zip(self.features, self.labels, self.ids)]
+
     def voxel_arrays(self):
-        """All scenes flattened and joined: (n_voxels, d) features, in the
-        scenes' dtype (float32 when generated or loaded), and n_voxels labels,
-        one copy of the split that training reads."""
-        features, labels = zip(*self.iter_scene_arrays())
-        return np.concatenate(features), np.concatenate(labels)
+        """Views of the split as (n_voxels, d) features and n_voxels labels."""
+        return self.features.reshape(-1, self.config.feature_dim), self.labels.reshape(-1)
 
     def iter_scene_arrays(self):
         for s in self.scenes:
@@ -153,15 +160,17 @@ def generate_world(config):
     s = config.anchor_separation
     n_pairs = (config.num_classes - 1) // 2
     leftover = (config.num_classes - 1) % 2
-    bases = []
-    attempts = 0
-    while len(bases) < 1 + n_pairs + leftover:
+    bases = np.empty((1 + n_pairs + leftover, config.feature_dim))
+    placed = attempts = 0
+    while placed < len(bases):
         cand = rng.standard_normal(config.feature_dim) * s
         attempts += 1
         if attempts > 100000:
             raise GenerationError("could not place class anchors with separation %g" % s)
-        if all(np.linalg.norm(cand - b) >= s for b in bases):
-            bases.append(cand)
+        # the distance to the nearest placed base, in the bits of np.linalg.norm
+        if np.sqrt(np.square(cand - bases[:placed]).sum(axis=1).min(initial=np.inf)) >= s:
+            bases[placed] = cand
+            placed += 1
     anchors = [bases[0]]
     for k in range(n_pairs):
         offset = rng.standard_normal(config.feature_dim)
@@ -180,7 +189,7 @@ def generate_world(config):
                  fog_vector=fog_vector, bias_vector=bias_vector)
 
 
-def generate_scene(world, seed, scene_id=0):
+def generate_scene(world, seed, scene_id=0, out=None):
     """Labels: background class 0 plus random boxes and ellipsoids of classes
     1..K-1 (later objects overwrite earlier). Features per voxel:
     anchor[label] + P @ neighborhood_histogram + noise_scale * N(0, I), where
@@ -190,12 +199,17 @@ def generate_scene(world, seed, scene_id=0):
     Features are made a slab of x-planes at a time (_slab_planes) into a
     preallocated float32 scene: a slab's histogram reads one halo plane of
     one-hot labels on each side, and its noise is drawn in slab order, so
-    the scene has the bits of a whole-scene pass.
+    the scene has the bits of a whole-scene pass. It is written into `out`,
+    a (labels, features) pair of int64 and float32 arrays, when given.
     """
     cfg = world.config
     rng = np.random.default_rng(seed)
     gx, gy, gz = cfg.grid
-    labels = np.zeros((gx, gy, gz), dtype=np.int64)
+    # features hold the values features.bin stores, so a split holds the
+    # same numbers in process as after a save and load
+    labels, features = out or (np.empty((gx, gy, gz), dtype=np.int64),
+                               np.empty((gx, gy, gz, cfg.feature_dim), dtype=np.float32))
+    labels[...] = 0
     n_obj = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
     x, y, z = np.indices((gx, gy, gz), sparse=True)
     for _ in range(n_obj):
@@ -214,9 +228,6 @@ def generate_scene(world, seed, scene_id=0):
             inside = (((x - cx) / sx) ** 2 + ((y - cy) / sy) ** 2
                       + ((z - cz) / sz) ** 2) <= 1.0
         labels[inside] = cls
-    # the values features.bin stores, so a split holds the same numbers in
-    # process as after a save and load
-    features = np.empty((gx, gy, gz, cfg.feature_dim), dtype=np.float32)
     step = _slab_planes(features)
     for lo in range(0, gx, step):
         hi = min(lo + step, gx)
@@ -239,9 +250,12 @@ def generate_dataset(world, split):
     cfg = world.config
     n_scenes = {"train": cfg.train_scenes, "val": cfg.val_scenes,
                 "test": cfg.test_scenes}[split]
-    scenes = [generate_scene(world, scene_seed(cfg.seed, split, i), scene_id=i)
-              for i in range(n_scenes)]
-    return FeatureDataset(scenes=scenes, config=cfg, split=split)
+    ids = [(i, scene_seed(cfg.seed, split, i)) for i in range(n_scenes)]
+    features = np.empty((n_scenes,) + cfg.grid + (cfg.feature_dim,), dtype=np.float32)
+    labels = np.empty((n_scenes,) + cfg.grid, dtype=np.int64)
+    for i, seed in ids:
+        generate_scene(world, seed, scene_id=i, out=(labels[i], features[i]))
+    return FeatureDataset(features, labels, ids, cfg, split)
 
 
 def front_sector_mask(config):
@@ -258,18 +272,15 @@ def feature_std(dataset):
     the noise corruption.
 
     The bits of np.std over the split's features widened to float64, with no
-    split-sized array: both sums split the joined features as np.sum does
+    split-sized array: both sums split the flat features as np.sum does
     (nn_core.pairwise_sum) down to leaves of at most STD_LEAF values (128 or
     more, numpy's unsplit run), and np.sum adds each leaf. A leaf is
-    widened, and centred and squared for the second sum, as it is read, so
-    leaves may straddle scenes.
+    widened, and centred and squared for the second sum, as it is read.
     """
-    flats = [f.reshape(-1) for f, _ in dataset.iter_scene_arrays()]
-    starts = list(itertools.accumulate((f.size for f in flats), initial=0))
+    flat = dataset.features.reshape(-1)
 
     def leaf(lo, hi):
-        return np.concatenate([f[max(lo - s, 0):hi - s] for f, s in zip(flats, starts)
-                               if s < hi and lo < s + f.size], dtype=np.float64)
+        return flat[lo:hi].astype(np.float64)
 
     def square_sum(lo, hi):
         x = leaf(lo, hi)
@@ -277,7 +288,7 @@ def feature_std(dataset):
         x *= x
         return x.sum()
 
-    n = starts[-1]
+    n = flat.size
     mean = pairwise_sum(lambda lo, hi: leaf(lo, hi).sum(), 0, n, STD_LEAF) / n
     return float(np.sqrt(pairwise_sum(square_sum, 0, n, STD_LEAF) / n))
 
@@ -465,17 +476,11 @@ def save_dataset(dataset, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = dataset.config
     voxels = cfg.voxels_per_scene
-    feat_bytes = voxels * cfg.feature_dim * 4
-    label_bytes = voxels * 2
-    index = []
-    with open(out_dir / "features.bin", "wb") as ff, \
-         open(out_dir / "labels.bin", "wb") as lf:
-        for i, s in enumerate(dataset.scenes):
-            index.append({"scene_id": s.scene_id, "seed": s.seed,
-                          "feature_offset": i * feat_bytes,
-                          "label_offset": i * label_bytes})
-            ff.write(np.ascontiguousarray(s.features, dtype="<f4"))
-            lf.write(s.labels.astype("<u2", order="C"))
+    index = [{"scene_id": scene_id, "seed": seed,
+              "feature_offset": i * voxels * cfg.feature_dim * 4, "label_offset": i * voxels * 2}
+             for i, (scene_id, seed) in enumerate(dataset.ids)]
+    (out_dir / "features.bin").write_bytes(np.ascontiguousarray(dataset.features, dtype="<f4"))
+    (out_dir / "labels.bin").write_bytes(dataset.labels.astype("<u2", order="C"))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "split": dataset.split,
@@ -522,6 +527,4 @@ def load_dataset(in_dir):
     # held as stored; the scoring and training code widens what it reads
     features = features.reshape(n, gx, gy, gz, cfg.feature_dim)
     labels = labels.reshape(n, gx, gy, gz).astype(np.int64)
-    scenes = [VoxelScene(labels=labels[i], features=features[i], scene_id=scene_id, seed=seed)
-              for i, (scene_id, seed) in enumerate(ids)]
-    return FeatureDataset(scenes=scenes, config=cfg, split=split)
+    return FeatureDataset(features, labels, ids, cfg, split)

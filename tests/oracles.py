@@ -1,6 +1,7 @@
 """Test-support code that no command runs: the Lipschitz-ratio probes of
 acceptance criterion 2, the report rendering of one call, NLL, ECE and
-softmax scaling of a probability or logit array, and the calib reader."""
+softmax scaling of a probability or logit array, the calib reader, and the
+reservoir pass that draws one row at a time."""
 
 from dataclasses import dataclass
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from voxuq.calibration import DEFAULT_BINS, PROB_FLOOR, CalibrationParams, bin_sums, ece_nll
+from voxuq.gda import FeatureBank
+from voxuq.head import feature_blocks
 from voxuq.nn_core import softmax
 from voxuq.report import read_report, write_report
 from voxuq.store import CALIB_MODE, StoreError, read_artifact
@@ -109,3 +112,36 @@ def load_calibration(path):
         return CalibrationParams(*values)
     except ValueError as e:
         raise StoreError("malformed calib metadata: %s" % e)
+
+
+def collect_features_by_row(head, scenes, cap_per_class, seed):
+    """gda.collect_features with one rng.integers call per row past the cap,
+    each replacing its row of the reservoir in turn."""
+    rng = np.random.default_rng(seed)
+    k = head.config.num_classes
+    blocks = {c: [] for c in range(k)}
+    full = {}
+    seen = dict.fromkeys(range(k), 0)
+    for features, labels in scenes:
+        feats = np.concatenate([head.forward(x).penultimate_features
+                                for _, _, x in feature_blocks(features)])
+        labels = np.asarray(labels).ravel()
+        for c in np.unique(labels).tolist():
+            rows = feats[labels == c]
+            if c not in full:
+                kept = rows[:cap_per_class - seen[c]]
+                blocks[c].append(kept)
+                seen[c] += len(kept)
+                if seen[c] == cap_per_class:
+                    full[c] = np.concatenate(blocks.pop(c))
+                rows = rows[len(kept):]
+            for row in rows:
+                j = int(rng.integers(0, seen[c] + 1))
+                if j < cap_per_class:
+                    full[c][j] = row
+                seen[c] += 1
+    empty = np.empty((0, head.config.hidden_width))
+    vectors = {c: full[c] if c in full else np.concatenate(blocks[c] + [empty])
+               for c in range(k)}
+    return FeatureBank(num_classes=k, cap_per_class=cap_per_class, vectors=vectors,
+                       seen_counts=seen)

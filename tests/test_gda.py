@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from oracles import collect_features_by_row
 from voxuq import gda as gda_module
+from voxuq import synthworld
 from voxuq.gda import (DEFAULT_EPS_LADDER, LOG_DENSITY_CHUNK, FeatureBank, FitError,
                        GdaModel, _inverse_lower, collect_features, epistemic_score, fit_gda,
                        gmm_param_count)
@@ -366,6 +368,24 @@ def test_collect_matches_per_row_reservoir_oracle(cap):
     for c in range(4):
         assert np.array_equal(bank.class_array(c), kept[c])
     assert bank.missing_classes == [3]
+
+
+@pytest.mark.parametrize("cap", [1, 7, 300, 1000])
+def test_collect_draws_as_one_call_per_row(cap):
+    """On a generated world whose classes overflow the cap (many rows of a
+    scene drawing one reservoir slot at the small caps), the bank's vectors
+    and seen counts are byte for byte those of one rng.integers call per
+    row, the later of two rows that draw one slot kept."""
+    config = synthworld.WorldConfig(grid=(16, 16, 4), num_classes=5, feature_dim=6,
+                                    train_scenes=4, seed=8)
+    train = synthworld.generate_dataset(synthworld.generate_world(config), "train")
+    head = ResidualMlpHead(HeadConfig(input_dim=6, hidden_width=6, num_classes=5), seed=2)
+    bank = collect_features(head, train.iter_scene_arrays(), cap, seed=3)
+    want = collect_features_by_row(head, train.iter_scene_arrays(), cap, seed=3)
+    assert bank.seen_counts == want.seen_counts
+    assert max(bank.seen_counts.values()) > cap
+    for c in range(5):
+        assert bank.vectors[c].tobytes() == want.vectors[c].tobytes(), c
 
 
 def test_collect_keeps_no_per_row_arrays():

@@ -236,6 +236,24 @@ def test_config_validation():
         small_config(sn_coefficient=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("input_dim", 6.0), ("input_dim", True), ("input_dim", 0), ("input_dim", "6"),
+    ("hidden_width", 6.0), ("hidden_width", False), ("hidden_width", 0),
+    ("num_layers", 3.0), ("num_layers", True),
+    ("num_classes", 4.0), ("num_classes", True), ("num_classes", 1), ("num_classes", None)])
+def test_config_names_the_bad_field(field, value):
+    """A non-integer or bool size, input_dim below 1, hidden_width below 1
+    or num_classes below 2 is a ValueError that names the field."""
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+
+
+def test_float_width_is_a_config_error_not_a_numpy_one():
+    with pytest.raises(ValueError, match="hidden_width must be an integer, got 6.0"):
+        ResidualMlpHead(HeadConfig(input_dim=6, hidden_width=6.0, num_classes=4))
+    assert small_config(hidden_width=np.int64(6)).hidden_width == 6
+
+
 def test_param_count():
     cfg = small_config(input_dim=6, hidden_width=6, num_layers=3, num_classes=4)
     head = ResidualMlpHead(cfg, seed=0)
@@ -450,27 +468,32 @@ def test_lipschitz_upper_bound_formula():
     assert lipschitz_upper_bound(cfg) == 2.25
 
 
-def test_training_holds_no_float64_copy_of_its_split():
-    """train_on_dataset on a generated float32 split of 16 scenes: the join of
-    the split stays float32 and each minibatch is widened as it is read, so
-    training peaks below the bytes of one float64 copy of the features, and
-    the head and its log have the bits of training on that copy."""
+def test_training_holds_no_float64_copy_of_its_split(tmp_path):
+    """train_on_dataset on a generated and on a loaded float32 split of 16
+    scenes: training reads the split's own array and widens each minibatch
+    as it is read, so it peaks below the bytes of the float32 features, which
+    a joined copy alone would take (one accuracy block's forward, about 3
+    blocks of float64 rows, fits in half of them), and the head and its log
+    have the bits of training on the split widened to float64."""
     config = synthworld.WorldConfig(grid=(32, 32, 4), train_scenes=16, seed=3)
-    ds = synthworld.generate_dataset(synthworld.generate_world(config), "train")
+    generated = synthworld.generate_dataset(synthworld.generate_world(config), "train")
+    synthworld.save_dataset(generated, tmp_path / "train")
     head_config = pipeline.head_config_for_world(config)
-    tracemalloc.start()
-    try:
-        head, log = pipeline.train_on_dataset(head_config, ds, seed=4, epochs=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    x, y = ds.voxel_arrays()
+    x, y = generated.voxel_arrays()
     assert x.dtype == np.float32
-    assert peak < x.size * 8
+    assert 4 * head_module.FORWARD_BLOCK * config.feature_dim * 8 <= x.nbytes
     want = ResidualMlpHead(head_config, seed=4)
     want_log = train_head(want, x.astype(np.float64), y,
                           opt=OptimizerState(lr=pipeline.DEFAULT_LR), epochs=1,
                           batch_size=pipeline.DEFAULT_BATCH, seed=4)
-    assert log.losses == want_log.losses and log.accuracies == want_log.accuracies
-    for name, p in head.parameters().items():
-        assert p.tobytes() == want.parameters()[name].tobytes(), name
+    for ds in (generated, synthworld.load_dataset(tmp_path / "train")):
+        tracemalloc.start()
+        try:
+            head, log = pipeline.train_on_dataset(head_config, ds, seed=4, epochs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+        assert log.losses == want_log.losses and log.accuracies == want_log.accuracies
+        for name, p in head.parameters().items():
+            assert p.tobytes() == want.parameters()[name].tobytes(), name

@@ -746,7 +746,8 @@ def test_grid_walks_hold_one_corrupted_scene_at_a_time(wide, monkeypatch):
     walk_with(monkeypatch, 1)
     given_sigma_z(test, monkeypatch)
     scene = test.scenes[0].features.size * 8  # a corrupted scene is float64
-    first = synthworld.FeatureDataset(scenes=test.scenes[:1], config=test.config)
+    first = synthworld.FeatureDataset(test.features[:1], test.labels[:1], test.ids[:1],
+                                     test.config)
     one = ("blur",), (3,)
 
     def sweep(ds=test, corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3)):
@@ -774,7 +775,8 @@ def test_grid_walks_hold_w_corrupted_scenes_at_a_time_at_two_workers(wide, monke
     world, bundle, test = wide
     given_sigma_z(test, monkeypatch)
     workers, scene = 2, test.scenes[0].features.size * 8
-    first = synthworld.FeatureDataset(scenes=test.scenes[:1], config=test.config)
+    first = synthworld.FeatureDataset(test.features[:1], test.labels[:1], test.ids[:1],
+                                     test.config)
     one = ("blur",), (3,)
 
     def sweep(ds=test, corruptions=synthworld.CORRUPTION_KINDS, severities=(1, 2, 3)):

@@ -199,6 +199,15 @@ def test_malformed_head_artifact_raises_store_error(tmp_path, damage):
         load_head(path)
 
 
+def test_head_metadata_error_names_the_field(tmp_path):
+    """A float width that matches the tensors is HeadConfig's error, named."""
+    path = tmp_path / "head.ocuq"
+    save_head(make_head(), path)
+    rewrite(path, HEAD_DAMAGE["float width that matches the tensors"])
+    with pytest.raises(StoreError, match="hidden_width must be an integer, got 6.0"):
+        load_head(path)
+
+
 GDA_DAMAGE = {
     "no tensor": lambda m, t: t.pop("counts"),
     "no metadata key": lambda m, t: m.pop("eps_used"),

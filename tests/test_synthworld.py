@@ -315,6 +315,25 @@ def test_generated_and_loaded_scenes_hold_float32(tmp_path, world, scene):
         assert b.features.base is back.scenes[0].features.base
 
 
+def test_generate_dataset_writes_each_scene_into_its_slot():
+    """A generated split holds each scene once: generation peaks below the
+    split's arrays plus half a scene (slab temporaries), where a scene made
+    apart and copied in would add a whole one, and its scenes have the bits
+    of generate_scene's own."""
+    cfg = small_config(grid=(64, 64, 16), feature_dim=32, test_scenes=1)
+    world = generate_world(cfg)
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(world, "test")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes + ds.labels.nbytes + ds.features.nbytes / 2
+    alone = generate_scene(world, scene_seed(cfg.seed, "test", 0))
+    assert ds.scenes[0].features.tobytes() == alone.features.tobytes()
+    assert np.array_equal(ds.scenes[0].labels, alone.labels)
+
+
 def test_load_dataset_holds_about_five_bytes_per_feature(tmp_path):
     """Loading keeps the float32 array it reads: at its peak it holds that
     array and the byte-per-feature finiteness mask, not a float64 copy."""
@@ -385,26 +404,28 @@ def test_save_load_round_trip(tmp_path, world):
 
 
 
-def test_voxel_arrays_hold_one_float32_copy_of_the_split(tmp_path, world):
-    """A loaded split's voxel arrays: its scenes joined in order, features
-    kept as float32, in new arrays that share no memory with the scenes,
-    and the join holds nothing beyond the two arrays on the way."""
-    save_dataset(generate_dataset(world, "test"), tmp_path / "test")
-    ds = load_dataset(tmp_path / "test")
-    tracemalloc.start()
-    try:
-        feats, labels = ds.voxel_arrays()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert feats.dtype == np.float32 and feats.flags.c_contiguous
-    for s in ds.scenes:
-        assert not np.shares_memory(feats, s.features)
-        assert not np.shares_memory(labels, s.labels)
+def test_voxel_arrays_are_views_of_the_split(tmp_path, world):
+    """voxel_arrays() of a generated and of a loaded split: views of the
+    split's own arrays, allocating nothing, that hold the bytes of its
+    scenes joined in order, features as float32."""
+    generated = generate_dataset(world, "test")
+    save_dataset(generated, tmp_path / "test")
     d = world.config.feature_dim
-    assert feats.tobytes() == np.concatenate([s.features.reshape(-1, d) for s in ds.scenes]).tobytes()
-    assert np.array_equal(labels, np.concatenate([s.labels.reshape(-1) for s in ds.scenes]))
-    assert peak <= feats.nbytes + labels.nbytes + 1024
+    for ds in (generated, load_dataset(tmp_path / "test")):
+        tracemalloc.start()
+        try:
+            feats, labels = ds.voxel_arrays()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert feats.dtype == np.float32 and feats.shape == (len(labels), d)
+        for s in ds.scenes:
+            assert np.shares_memory(feats, s.features) and np.shares_memory(labels, s.labels)
+        assert feats.tobytes() == np.concatenate([s.features.reshape(-1, d)
+                                                  for s in ds.scenes]).tobytes()
+        assert labels.tobytes() == np.concatenate([s.labels.reshape(-1)
+                                                   for s in ds.scenes]).tobytes()
 
 
 def test_load_rejects_future_schema(tmp_path, world):
@@ -592,18 +613,17 @@ def test_corrupted_blocks_are_whole_x_planes_covering_the_scene(grid, max_rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(1, 900), min_size=1, max_size=6),
+@given(scenes=st.integers(1, 6), voxels=st.integers(1, 900),
        leaf=st.integers(128, 700), seed=st.integers(0, 2 ** 32 - 1))
-def test_feature_std_in_leaves_keeps_the_bits_of_np_std(sizes, leaf, seed):
-    """Leaves of 128 values or more, cut across scene boundaries, sum to the
-    bits of np.std over the joined features widened to float64."""
+def test_feature_std_in_leaves_keeps_the_bits_of_np_std(scenes, voxels, leaf, seed):
+    """Leaves of 128 values or more, cut from the flat split wherever they
+    fall, sum to the bits of np.std over its features widened to float64."""
     rng = np.random.default_rng(seed)
-    scenes = [synthworld.VoxelScene(labels=np.zeros(k, dtype=np.int64),
-                                    features=(rng.standard_normal((k, 2)) * 5 + 3)
-                                    .astype(np.float32), scene_id=i, seed=i)
-              for i, k in enumerate(sizes)]
-    ds = synthworld.FeatureDataset(scenes=scenes, config=small_config(feature_dim=2))
-    want = np.concatenate([s.features for s in scenes]).astype(np.float64).std()
+    features = (rng.standard_normal((scenes, voxels, 1, 1, 2)) * 5 + 3).astype(np.float32)
+    ds = synthworld.FeatureDataset(features, np.zeros(features.shape[:-1], dtype=np.int64),
+                                   [(i, i) for i in range(scenes)],
+                                   small_config(grid=(voxels, 1, 1), feature_dim=2))
+    want = features.astype(np.float64).std()
     with mock.patch.object(synthworld, "STD_LEAF", leaf):
         got = feature_std(ds)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
